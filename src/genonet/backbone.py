@@ -11,7 +11,6 @@ influence network" is the same as absence from it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
@@ -110,22 +109,6 @@ def extract_backbone(
 ) -> InfluenceBackbone:
     """Backbone for one topic: precedence-carrying follower edges."""
     return _extract(topic, topics.hashtags_for(topic), index, net)
-
-
-def extract_all_backbones(
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-    workers: int = 1,
-) -> dict[str, InfluenceBackbone]:
-    """Per-topic extraction; topics are independent."""
-    if workers > 1 and len(topics.topics) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda t: extract_backbone(t, index, net, topics), topics.topics
-            )
-            return dict(zip(topics.topics, results))
-    return {t: extract_backbone(t, index, net, topics) for t in topics.topics}
 
 
 def exclude_hashtag(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DataError, DegenerateTrainingError, TrainingError
 from .genotype import MetricKind, compute_metric, hashtag_mean_lats
@@ -542,6 +541,7 @@ def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
     x0, from several deterministic starts.  Returns the parameters and
     the sum of squared residuals.
     """
+    from scipy.optimize import minimize_scalar  # deferred: ~0.3 s to import
     if len(points) < 3:
         raise DataError("fit_logistic needs at least 3 points")
     xs = np.array([float(p[0]) for p in points])

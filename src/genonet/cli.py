@@ -43,6 +43,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    if int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
+    return int(raw)
+
+
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with path.open("rb") as fh:
@@ -179,8 +185,8 @@ def cmd_classify(args) -> None:
     sizes = None
     if args.ensemble_sizes:
         try:
-            sizes = [int(s) for s in args.ensemble_sizes.split(",")]
-        except ValueError as exc:
+            sizes = [_positive_int(s) for s in args.ensemble_sizes.split(",")]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad --ensemble-sizes: {exc}") from exc
         if args.seed is None:
             raise UsageError("--seed is required with --ensemble-sizes")
@@ -247,8 +253,6 @@ def cmd_predict(args) -> None:
 
 def cmd_latmin(args) -> None:
     out = _outdir(args)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
     net, events, topics, index = _load(args)
     if args.topic not in topics.topics:
         raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
@@ -385,16 +389,16 @@ def build_parser() -> _Parser:
     add("ingest-check", cmd_ingest_check)
 
     p = add("genome", cmd_genome)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("backbone", cmd_backbone)
     p.add_argument("--topic", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("classify", cmd_classify)
     p.add_argument("--metric", default=None, help="comma-separated metric tags")
     p.add_argument("--ensemble-sizes", default=None, help="e.g. 1,4,16,64")
-    p.add_argument("--repetitions", type=int, default=5)
+    p.add_argument("--repetitions", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("predict", cmd_predict)
@@ -404,12 +408,12 @@ def build_parser() -> _Parser:
 
     p = add("latmin", cmd_latmin)
     p.add_argument("--topic", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_positive_int, default=5)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--strict", dest="permissive", action="store_false")
     mode.add_argument("--permissive", dest="permissive", action="store_true")
     p.set_defaults(permissive=False)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("syngen", cmd_syngen, needs_manifest=False)
     p.add_argument("--seed", type=int, required=True)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,48 @@ def test_classify_sizes_require_seed(syn_manifest, tmp_path):
         "--metric", "TIME", "--ensemble-sizes", "1,2",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--repetitions", 0, "--ensemble-sizes", "1,2"),
+     ("--repetitions", -1, "--ensemble-sizes", "1,2"),
+     ("--ensemble-sizes", "0,2,4"),
+     ("--ensemble-sizes", "1,-2")],
+)
+def test_classify_bad_sizes_or_repetitions_exit_1(syn_manifest, tmp_path, capsys, flags):
+    code = run(
+        "classify", "--manifest", syn_manifest, "--out", tmp_path,
+        "--metric", "TIME", "--seed", 7, *flags,
+    )
+    assert code == 1
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["genome", "backbone", "latmin"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_bad_workers_exits_1(syn_manifest, tmp_path, command, workers):
+    extra = ("--topic", "t0") if command == "latmin" else ()
+    code = run(
+        command, "--manifest", syn_manifest, "--out", tmp_path / "out",
+        "--workers", workers, *extra,
+    )
+    assert code == 1
+    assert not (tmp_path / "out").exists()  # rejected before any work
+
+
+def test_import_loads_no_scipy():
+    """Start-up cost: scipy is imported only inside the functions that need it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import genonet.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_missing_manifest_exits_2(tmp_path):

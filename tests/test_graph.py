@@ -163,6 +163,32 @@ def test_kendall_symmetry_and_ties_vs_oracle():
             assert kendall_tau(b, a) == pytest.approx(got, abs=1e-12)
 
 
+def _tau_cases(rng):
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        yield rng.integers(0, 4, n), rng.integers(0, 3, n)  # heavy ties
+        yield rng.integers(0, 5, n), rng.random(n)  # ties on one side
+        yield rng.random(n), rng.random(n)  # no ties
+    yield np.full(9, 2.0), rng.random(9)  # all tied: NaN
+    yield rng.random(9), np.zeros(9)
+    yield [1.0, math.nan, 3.0], [1.0, 2.0, 3.0]  # NaN input: NaN
+    yield [1.0, 2.0], [2.0, 1.0]
+    yield [1.0, 2.0], [1.0, 2.0]
+    yield rng.integers(0, 50, 6000), rng.integers(0, 2000, 6000)
+    yield rng.random(5000), rng.random(5000)
+
+
+def test_kendall_equals_scipy_exactly():
+    """Bit-identical to scipy's tau-b, so backbone reports keep every byte."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for xs, ys in _tau_cases(np.random.default_rng(11)):
+        xs = [float(x) for x in xs]
+        ys = [float(y) for y in ys]
+        got = kendall_tau(dict(enumerate(xs)), dict(enumerate(ys)))
+        want = float(scipy_stats.kendalltau(xs, ys, variant="b").statistic)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (len(xs), got, want)
+
+
 def test_kendall_too_small():
     with pytest.raises(DataError):
         kendall_tau({0: 1.0}, {0: 1.0})
