@@ -253,11 +253,10 @@ def cmd_predict(args) -> None:
 
 def cmd_latmin(args) -> None:
     out = _outdir(args)
-    net, events, topics, index = _load(args)
+    net, _events, topics, index = _load(args)
     if args.topic not in topics.topics:
         raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
-    genome = gt.build_genome(events, index, net, topics, workers=args.workers)
-    latencies = gt.node_topic_latency(genome, args.topic)
+    latencies = gt.node_topic_latency(index, net, topics, args.topic)
     b = bb.extract_backbone(args.topic, index, net, topics)
     if not b.weights:
         raise DataError(f"backbone for topic {args.topic!r} is empty")
@@ -277,10 +276,8 @@ def cmd_latmin(args) -> None:
     k = min(args.k, graph.n)
     if k < 1:
         raise DataError("latency component too small to target")
-    traces = [
-        lm.minimize(lgraph, k, h, strict=not args.permissive, workers=args.workers)
-        for h in lm.Heuristic
-    ]
+    state = lm.prepare(lgraph, strict=not args.permissive)
+    traces = [lm.minimize(lgraph, k, h, prepared=state) for h in lm.Heuristic]
     prov = _provenance(args, {"workers": "any", "mode": "permissive" if args.permissive else "strict"})
     _write_tsv(out / "latmin_trace.tsv", prov, lambda fh: lm.write_trace_tsv(traces, fh))
     summary = {
@@ -288,10 +285,8 @@ def cmd_latmin(args) -> None:
         "component_nodes": graph.n,
         "component_edges": len(edges),
         "k": k,
-        "original_avg_latency": lm.average_network_latency(
-            lgraph, strict=not args.permissive
-        ),
-        "reachable_pairs": lm.count_reachable_pairs(lgraph),
+        "original_avg_latency": lm.average_network_latency(lgraph, prepared=state),
+        "reachable_pairs": lm.count_reachable_pairs(lgraph, prepared=state),
     }
     _write_json(out / "latmin_summary.json", prov, summary)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -247,23 +246,17 @@ def build_genome(
 ) -> Genome:
     """Assemble one genotype per user appearing in the event log.
 
-    The result is identical for any ``workers`` value: users are
-    partitioned deterministically and merged in sorted order.
+    ``workers`` is accepted and ignored: the metrics are pure Python, and
+    threads over them measured no gain.
     """
     mean_lats = hashtag_mean_lats(events, index, net, topics)
     by_user: dict[str, list[str]] = {u: [] for u in events.users}
     for (u, h) in index.first_use:
         by_user[u].append(h)
-    users = sorted(by_user)
-
-    def job(user: str) -> Genotype:
-        return _user_genotype(user, by_user[user], events, index, net, topics, mean_lats)
-
-    if workers > 1 and len(users) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            genotypes = dict(zip(users, pool.map(job, users)))
-    else:
-        genotypes = {u: job(u) for u in users}
+    genotypes = {
+        u: _user_genotype(u, by_user[u], events, index, net, topics, mean_lats)
+        for u in sorted(by_user)
+    }
     provenance = {
         "dataset": hashlib.sha256(
             (net.digest() + events.digest()).encode()
@@ -273,14 +266,20 @@ def build_genome(
     return Genome(genotypes=genotypes, provenance=provenance)
 
 
-def node_topic_latency(genome: Genome, topic: str) -> dict[str, float]:
-    """Per-user mean TIME for one topic; users without values omitted."""
-    out: dict[str, float] = {}
-    for user, gt in genome.genotypes.items():
-        cell = gt.cell(topic, MetricKind.TIME)
-        if cell is not None and cell.count > 0:
-            out[user] = cell.mean
-    return out
+def node_topic_latency(
+    index: AdoptionIndex, net: FollowerNetwork, topics: TopicMap, topic: str
+) -> dict[str, float]:
+    """Per-user mean TIME for one topic; users without values omitted.
+
+    Values are summed in sorted-hashtag order, as in the genome's TIME
+    cell, so each mean equals that cell's mean exactly.
+    """
+    values: dict[str, list[float]] = {}
+    for (u, h) in sorted(index.first_use):
+        if topics.topic_of(h) == topic and _prior_adopters(u, h, index, net):
+            time = float(index.first_use[(u, h)] - index.first_exposure[(u, h)])
+            values.setdefault(u, []).append(time)
+    return {u: sum(vals) / len(vals) for u, vals in values.items()}
 
 
 def _metric_order() -> tuple[MetricKind, ...]:

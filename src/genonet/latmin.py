@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -35,6 +34,8 @@ __all__ = [
     "pair_latency",
     "average_network_latency",
     "count_reachable_pairs",
+    "LatencyState",
+    "prepare",
     "minimize",
     "exact_k_latmin",
     "write_trace_tsv",
@@ -43,6 +44,12 @@ __all__ = [
 
 UNREACHABLE = math.inf
 ENUMERATION_BUDGET = 10**6
+# Largest n x n working set one run may allocate.  Per node pair it holds
+# the APSP matrix and the Greedy scoring buffer (8 B each), the two
+# temporaries of one zero-update (16 B), the reachable mask (1 B) and a
+# masked copy of the matrix (8 B).
+MEMORY_BUDGET_BYTES = 2 * 1024**3
+_BYTES_PER_PAIR = 41
 
 
 class Heuristic(Enum):
@@ -140,26 +147,31 @@ def _apsp_matrix(g: LatencyGraph) -> np.ndarray:
     return d
 
 
-def _masked_mean(d: np.ndarray, mask: np.ndarray) -> float:
-    return float(d[mask].mean())
-
-
 def _offdiag_finite_mask(d: np.ndarray) -> np.ndarray:
     mask = np.isfinite(d)
     np.fill_diagonal(mask, False)
     return mask
 
 
-def average_network_latency(g: LatencyGraph, strict: bool = True) -> float:
-    """Mean pair latency over ordered pairs s != t.
+@dataclass(frozen=True)
+class LatencyState:
+    """What every heuristic and summary of one graph shares.
 
-    Strict mode requires a strongly connected graph; permissive mode
-    averages over the reachable pairs only (see
-    :func:`count_reachable_pairs` for the denominator).
+    ``d`` is the APSP matrix, ``mask`` marks the reachable ordered pairs
+    s != t, ``denom`` counts them and ``base_avg`` is their mean latency
+    (NaN when there are none).
     """
+
+    d: np.ndarray
+    mask: np.ndarray
+    denom: float
+    all_finite: bool
+    base_avg: float
+
+
+def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
+    """Solve the APSP once, after the strict-mode and memory checks."""
     n = g.graph.n
-    if n < 2:
-        raise DataError("average latency needs at least 2 nodes")
     if strict:
         comps = strongly_connected_components(g.graph)
         if len(comps) != 1:
@@ -167,16 +179,40 @@ def average_network_latency(g: LatencyGraph, strict: bool = True) -> float:
                 f"graph is not strongly connected ({len(comps)} components); "
                 "use permissive mode to average over reachable pairs"
             )
+    need = _BYTES_PER_PAIR * n * n
+    if need > MEMORY_BUDGET_BYTES:
+        raise DataError(
+            f"latency graph of n={n} nodes needs about {need:,} bytes for its "
+            f"n x n matrices, over the budget of {MEMORY_BUDGET_BYTES:,} bytes"
+        )
     d = _apsp_matrix(g)
     mask = _offdiag_finite_mask(d)
-    if not mask.any():
+    denom = float(mask.sum())
+    base_avg = float(d[mask].sum() / denom) if denom else math.nan
+    return LatencyState(d, mask, denom, int(denom) == n * (n - 1), base_avg)
+
+
+def average_network_latency(
+    g: LatencyGraph, strict: bool = True, prepared: LatencyState | None = None
+) -> float:
+    """Mean pair latency over ordered pairs s != t.
+
+    Strict mode requires a strongly connected graph; permissive mode
+    averages over the reachable pairs only (see
+    :func:`count_reachable_pairs` for the denominator).  ``prepared`` is
+    :func:`prepare` of the same graph and mode.
+    """
+    if g.graph.n < 2:
+        raise DataError("average latency needs at least 2 nodes")
+    state = prepared if prepared is not None else prepare(g, strict)
+    if not state.denom:
         raise DataError("no reachable ordered pairs")
-    return _masked_mean(d, mask)
+    return state.base_avg
 
 
-def count_reachable_pairs(g: LatencyGraph) -> int:
+def count_reachable_pairs(g: LatencyGraph, prepared: LatencyState | None = None) -> int:
     """Ordered pairs s != t with a directed s -> t path."""
-    return int(_offdiag_finite_mask(_apsp_matrix(g)).sum())
+    return int((prepared if prepared is not None else prepare(g, strict=False)).denom)
 
 
 def _zero_update(d: np.ndarray, idx: int, lat: float) -> np.ndarray:
@@ -193,18 +229,23 @@ def _zero_update(d: np.ndarray, idx: int, lat: float) -> np.ndarray:
     return out
 
 
-def _candidate_average(
-    d: np.ndarray,
-    idx: int,
-    lat: float,
-    mask: np.ndarray,
-    denom: float,
-    all_finite: bool,
-) -> float:
-    out = _zero_update(d, idx, lat)
-    # fully reachable case: diagonal zeros contribute nothing to the sum
-    total = out.sum() if all_finite else out[mask].sum()
-    return float(total / denom)
+def _greedy_scores(d: np.ndarray, lat: np.ndarray, candidates, state: LatencyState,
+                   tmp: np.ndarray, row: np.ndarray):
+    """Average latency after zeroing each candidate, built in ``tmp``.
+
+    The elements and their association are those of :func:`_zero_update`
+    followed by the full or masked sum, so each score equals that
+    formula bit for bit; nothing but ``tmp`` and ``row`` is written.
+    """
+    for i in candidates:
+        np.subtract(d[i], lat[i], out=row)
+        np.add(d[:, i, None], row[None, :], out=tmp)
+        np.minimum(d, tmp, out=tmp)
+        tmp[:, i] = d[:, i]
+        np.fill_diagonal(tmp, 0.0)
+        # fully reachable case: diagonal zeros contribute nothing to the sum
+        total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
+        yield float(total / state.denom)
 
 
 def minimize(
@@ -213,31 +254,25 @@ def minimize(
     heuristic: Heuristic,
     strict: bool = True,
     workers: int = 1,
+    prepared: LatencyState | None = None,
 ) -> MinimizationTrace:
     """Select k nodes to zero and trace the relative average latency.
 
     MaxLat and MaxBC fix their full ordering up front; Greedy re-scores
     every remaining candidate at each step.  All ties break on the node
     identifier.  The trace is relative to the original average, which
-    must be positive.
+    must be positive.  ``prepared`` is :func:`prepare` of the same graph
+    and mode, shared between calls; ``workers`` is accepted and ignored.
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
     n = g.graph.n
     if k > n:
         raise DataError(f"k={k} exceeds node count {n}")
-    if strict:
-        comps = strongly_connected_components(g.graph)
-        if len(comps) != 1:
-            raise DataError("graph is not strongly connected; use permissive mode")
-    d = _apsp_matrix(g)
-    mask = _offdiag_finite_mask(d)
-    if not mask.any():
+    state = prepared if prepared is not None else prepare(g, strict)
+    if not state.denom:
         raise DataError("no reachable ordered pairs")
-    denom = float(mask.sum())
-    all_finite = int(denom) == n * (n - 1)
-    base_avg = float(d[mask].sum() / denom)
-    if base_avg == 0:
+    if state.base_avg == 0:
         raise DataError("original average latency is zero; relative trace undefined")
 
     nodes = g.graph.nodes
@@ -249,7 +284,10 @@ def minimize(
     elif heuristic is Heuristic.MAX_BC:
         bc = betweenness_centrality(g.graph)
         order = sorted(range(n), key=lambda i: (-bc[nodes[i]], nodes[i]))[:k]
+    else:
+        tmp, row = np.empty((n, n)), np.empty(n)
 
+    d = state.d
     selected: list = []
     relative: list[float] = []
     remaining = list(range(n))
@@ -257,24 +295,13 @@ def minimize(
         if order is not None:
             pick = order[step]
         else:
-            def score(i: int) -> tuple[float, object]:
-                return (
-                    _candidate_average(d, i, lat[i], mask, denom, all_finite),
-                    nodes[i],
-                )
-
-            if workers > 1 and len(remaining) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    scored = list(pool.map(score, remaining))
-            else:
-                scored = [score(i) for i in remaining]
-            best = min(scored)
-            pick = g.graph.index_of(best[1])
+            scores = _greedy_scores(d, lat, remaining, state, tmp, row)
+            _score, _node, pick = min(zip(scores, (nodes[i] for i in remaining), remaining))
         d = _zero_update(d, pick, float(lat[pick]))
         lat[pick] = 0.0
         remaining.remove(pick)
         selected.append(nodes[pick])
-        relative.append(float(d[mask].sum() / denom) / base_avg)
+        relative.append(float(d[state.mask].sum() / state.denom) / state.base_avg)
     return MinimizationTrace(
         heuristic=heuristic, selected=tuple(selected), relative=tuple(relative)
     )
@@ -297,20 +324,18 @@ def exact_k_latmin(g: LatencyGraph, k: int) -> tuple[frozenset, float]:
             f"C({n},{k}) = {total} subsets exceeds the enumeration budget "
             f"of {ENUMERATION_BUDGET}"
         )
-    d0 = _apsp_matrix(g)
-    mask = _offdiag_finite_mask(d0)
-    if not mask.any():
+    state = prepare(g, strict=False)
+    if not state.denom:
         raise DataError("no reachable ordered pairs")
-    denom = float(mask.sum())
     lat = {node: float(g.latency[node]) for node in g.graph.nodes}
 
     best_set: tuple | None = None
     best_value = math.inf
     for subset in itertools.combinations(sorted(g.graph.nodes), k):
-        d = d0
+        d = state.d
         for node in subset:
             d = _zero_update(d, g.graph.index_of(node), lat[node])
-        value = float(d[mask].sum() / denom)
+        value = float(d[state.mask].sum() / state.denom)
         if value < best_value:
             best_value = value
             best_set = subset

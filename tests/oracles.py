@@ -324,3 +324,44 @@ def average_latency_oracle(nodes, edges, latency, zeroed=()):
     pairs = floyd_warshall_latency(nodes, edges, lat)
     finite = [v for v in pairs.values() if v != math.inf]
     return sum(finite) / len(finite) if finite else math.nan
+
+
+def zero_update_average(d, idx, lat, mask, denom, all_finite):
+    """Average latency after zeroing node ``idx``, from a fresh array.
+
+    The reference per-candidate formula of Greedy: the exact zero-update
+    min(d(s, t), d(s, c) + (d(c, t) - lat)) with column ``idx`` and the
+    diagonal restored, then the full sum when every pair is reachable or
+    the sum over ``mask``.  Returns (average, updated matrix).
+    """
+    out = np.minimum(d, d[:, idx, None] + (d[None, idx, :] - lat))
+    out[:, idx] = d[:, idx]
+    np.fill_diagonal(out, 0.0)
+    total = out.sum() if all_finite else out[mask].sum()
+    return float(total / denom), out
+
+
+def greedy_steps(d, lat, mask, k, nodes):
+    """Greedy by ``zero_update_average`` over every remaining candidate.
+
+    Yields, per step, the matrix and latencies it scored, the remaining
+    candidate indices, their scores, the pick and the relative average.
+    Ties break on the node identifier.
+    """
+    n = len(nodes)
+    denom = float(mask.sum())
+    all_finite = int(denom) == n * (n - 1)
+    base = float(d[mask].sum() / denom)
+    lat = np.array(lat, dtype=float)
+    remaining = list(range(n))
+    for _ in range(k):
+        scores = [
+            zero_update_average(d, i, lat[i], mask, denom, all_finite)[0]
+            for i in remaining
+        ]
+        _score, _node, pick = min(zip(scores, (nodes[i] for i in remaining), remaining))
+        step = (d, lat.copy(), list(remaining), scores, pick)
+        _avg, d = zero_update_average(d, pick, float(lat[pick]), mask, denom, all_finite)
+        lat[pick] = 0.0
+        remaining.remove(pick)
+        yield step + (float(d[mask].sum() / denom) / base,)

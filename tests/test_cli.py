@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from genonet import latmin
 from genonet.cli import main
 
 
@@ -164,6 +165,24 @@ def test_unknown_topic_exits_2(syn_manifest, tmp_path):
         "--topic", "nope", "--k", 2,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("mode", ["--strict", "--permissive"])
+def test_latmin_solves_one_apsp(syn_manifest, tmp_path, monkeypatch, mode):
+    calls = []
+    apsp = latmin._apsp_matrix
+    monkeypatch.setattr(latmin, "_apsp_matrix", lambda g: calls.append(g) or apsp(g))
+    assert run("latmin", "--manifest", syn_manifest, "--out", tmp_path,
+               "--topic", "t0", "--k", 2, mode) == 0
+    assert len(calls) == 1
+
+
+def test_latmin_memory_guard_exits_2(syn_manifest, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 1000)
+    assert run("latmin", "--manifest", syn_manifest, "--out", tmp_path,
+               "--topic", "t0", "--k", 2) == 2
+    err = capsys.readouterr().err
+    assert "data error: latency graph of n=" in err and "over the budget of 1,000 bytes" in err
 
 
 def test_full_pipeline_deterministic(syn_manifest, tmp_path):

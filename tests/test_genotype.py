@@ -12,6 +12,7 @@ from genonet.genotype import (
     node_topic_latency,
 )
 from genonet.ingest import build_adoption_index, load_events, load_follower_edges, load_topic_map
+from genonet.syngen import GenParams, generate
 
 import oracles
 
@@ -91,9 +92,8 @@ def test_build_genome_empty_log():
 
 def test_node_topic_latency(toy):
     net, events, topics, index = toy
-    genome = build_genome(events, index, net, topics)
-    assert node_topic_latency(genome, "T") == {"B": 10.0}
-    assert node_topic_latency(genome, "other_topic") == {}
+    assert node_topic_latency(index, net, topics, "T") == {"B": 10.0}
+    assert node_topic_latency(index, net, topics, "other_topic") == {}
 
 
 def test_mean_of_multiset():
@@ -105,7 +105,23 @@ def test_mean_of_multiset():
     cell = genome["B"].cell("T", MetricKind.TIME)
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
-    assert node_topic_latency(genome, "T")["B"] == 5.0
+    assert node_topic_latency(index, net, topics, "T")["B"] == 5.0
+
+
+def test_node_topic_latency_equals_genome_time_means():
+    data = generate(GenParams(n_users=60, seed=9, n_topics=3, hashtags_per_topic=4,
+                              cascades_per_hashtag=3, edge_prob=0.15))
+    net, events, topics = data.network, data.events, data.topics
+    index = build_adoption_index(events, net)
+    genome = build_genome(events, index, net, topics)
+    for topic in topics.topics:
+        want = {
+            u: gt.cell(topic, MetricKind.TIME).mean
+            for u, gt in genome.genotypes.items()
+            if gt.cell(topic, MetricKind.TIME) is not None
+        }
+        assert want
+        assert node_topic_latency(index, net, topics, topic) == want
 
 
 def _random_setup(rng, **kw):

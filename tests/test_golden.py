@@ -1,0 +1,72 @@
+"""Golden digests: every CLI output on one small seeded dataset is pinned.
+
+The sha256 of each file written by each command is compared with
+``golden_digests.json``.  A change that moves any output byte fails here,
+so a refactor or speedup shows that its answers did not change.  A change
+that is meant to move outputs regenerates the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the affected files and the size of the difference.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from genonet.cli import main
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+
+SYNGEN = ("--seed", "5", "--users", "40", "--topics", "2",
+          "--hashtags-per-topic", "4", "--cascades", "3", "--edge-prob", "0.25")
+
+# label -> CLI arguments after --manifest/--out
+COMMANDS = {
+    "ingest-check": ("ingest-check",),
+    "genome": ("genome",),
+    "backbone": ("backbone",),
+    "classify": ("classify", "--metric", "TIME,N-USES,LAT",
+                 "--ensemble-sizes", "1,2,4", "--repetitions", "2", "--seed", "3"),
+    "predict": ("predict",),
+    "latmin-strict": ("latmin", "--topic", "t0", "--k", "3"),
+    "latmin-permissive": ("latmin", "--topic", "t1", "--k", "3", "--permissive"),
+}
+
+
+def _digests(path: Path) -> dict[str, str]:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(path.iterdir())
+        if p.is_file()
+    }
+
+
+def compute_digests(root: Path) -> dict[str, dict[str, str]]:
+    data = root / "data"
+    assert main(["syngen", "--out", str(data), *SYNGEN]) == 0
+    manifest = str(data / "dataset.manifest")
+    out = {"syngen": _digests(data)}
+    for label, (command, *flags) in COMMANDS.items():
+        dest = root / label
+        code = main([command, "--manifest", manifest, "--out", str(dest), *flags])
+        assert code == 0, label
+        out[label] = _digests(dest)
+    return out
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    want = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    got = compute_digests(tmp_path)
+    for label in want:
+        assert got[label] == want[label], label
+    assert got.keys() == want.keys()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = compute_digests(Path(tmp))
+    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                       encoding="utf-8")

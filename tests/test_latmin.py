@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genonet import latmin
 from genonet.errors import DataError
 from genonet.graph import DirectedGraph
 from genonet.latmin import (
@@ -14,6 +15,7 @@ from genonet.latmin import (
     minimize,
     pair_latency,
     path_latency,
+    prepare,
 )
 
 import oracles
@@ -261,3 +263,59 @@ def test_minimize_worker_invariance():
     t1 = minimize(g, 4, Heuristic.GREEDY, workers=1)
     t3 = minimize(g, 4, Heuristic.GREEDY, workers=3)
     assert t1 == t3
+
+
+def _scoring_cases():
+    """Seeded graphs: strict and permissive with unreachable pairs, both
+    with fractional latencies (so rounding shows), zero latencies, and
+    uniform cycles and paths where candidates tie."""
+    rng = np.random.default_rng(48)
+    for _ in range(8):
+        n = int(rng.integers(4, 12))
+        for strict, p in ((True, 0.3), (False, 0.15)):
+            _g, edges, _lat = random_latency_graph(rng, n, p, strongly_connected=strict)
+            latency = {i: 10 * float(rng.random()) for i in range(n)}
+            yield lgraph(edges, latency, nodes=range(n)), strict
+        yield random_latency_graph(
+            rng, n, 0.3, strongly_connected=True, zero_frac=0.4
+        )[0], True
+    for n in (3, 5, 8):
+        yield lgraph([(i, (i + 1) % n) for i in range(n)], {i: 2.0 for i in range(n)}), True
+        yield lgraph([(i, i + 1) for i in range(n - 1)], {i: 1.0 for i in range(n)}), False
+
+
+def test_greedy_scores_equal_zero_update_oracle():
+    """Fused scoring equals the fresh-array zero-update formula exactly."""
+    seen = {"graphs": 0, "masked": 0, "tied": 0}
+    for g, strict in _scoring_cases():
+        state = prepare(g, strict)
+        if not state.denom or state.base_avg == 0:
+            continue
+        n, nodes = g.graph.n, g.graph.nodes
+        k = min(4, n)
+        lat = [g.latency[x] for x in nodes]
+        steps = list(oracles.greedy_steps(state.d, lat, state.mask, k, nodes))
+        tmp, row = np.empty((n, n)), np.empty(n)
+        for d, lat_step, remaining, want, _pick, _rel in steps:
+            got = list(latmin._greedy_scores(d, lat_step, remaining, state, tmp, row))
+            assert got == want
+            seen["tied"] += len(set(want)) < len(want)
+        trace = minimize(g, k, Heuristic.GREEDY, strict=strict)
+        assert trace.selected == tuple(nodes[step[4]] for step in steps)
+        assert trace.relative == tuple(step[5] for step in steps)
+        assert minimize(g, k, Heuristic.GREEDY, prepared=state) == trace
+        seen["graphs"] += 1
+        seen["masked"] += not state.all_finite
+    assert seen["graphs"] >= 20 and seen["masked"] >= 5 and seen["tied"] >= 5
+
+
+def test_memory_guard_refuses_before_apsp(monkeypatch):
+    g = lgraph([(0, 1), (1, 2), (2, 0)], {i: 1.0 for i in range(3)})
+    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 41 * 3 * 3)
+    assert prepare(g).denom == 6
+    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 41 * 3 * 3 - 1)
+    monkeypatch.setattr(latmin, "_apsp_matrix", pytest.fail)
+    with pytest.raises(DataError, match=r"n=3 nodes needs about 369 bytes"):
+        prepare(g)
+    with pytest.raises(DataError, match="n=3"):
+        minimize(g, 1, Heuristic.GREEDY, strict=False)
