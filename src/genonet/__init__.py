@@ -55,11 +55,13 @@ from .classify import (
     LeaveOneOutResult,
     LocalClassifier,
     LogisticFit,
+    LooData,
     accuracy_curve,
     classify_local,
     fit_logistic,
     leave_one_out,
     nb_consensus,
+    prepare_loo,
     train_local,
 )
 from .predict import (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,10 +37,12 @@ __all__ = [
     "LeaveOneOutResult",
     "AccuracyCurve",
     "LogisticFit",
+    "LooData",
     "train_local",
     "classify_local",
     "nb_consensus",
     "pair_metric_values",
+    "prepare_loo",
     "leave_one_out",
     "accuracy_curve",
     "fit_logistic",
@@ -252,7 +254,11 @@ class _Fold:
 
 
 @dataclass(frozen=True)
-class _LooData:
+class LooData:
+    """One metric's leave-one-hashtag-out folds, shared by
+    :func:`leave_one_out` and :func:`accuracy_curve`."""
+
+    metric: MetricKind
     topic_order: tuple[str, ...]
     folds: tuple[_Fold, ...]
     skipped: tuple[str, ...]
@@ -270,13 +276,18 @@ def _train_or_none(
         return None
 
 
-def _prepare_loo(
+def prepare_loo(
     metric: MetricKind,
     events: EventLog,
     index: AdoptionIndex,
     net: FollowerNetwork,
     topics: TopicMap,
-) -> _LooData:
+) -> LooData:
+    """Retrain every user affected by each held-out hashtag, once per metric.
+
+    Hashtags whose topic has a single hashtag are skipped.  The train-side
+    error counts of every fold are tallied here.
+    """
     values = pair_metric_values(metric, events, index, net, topics)
     topic_order = topics.topics
     k = len(topic_order)
@@ -392,7 +403,8 @@ def _prepare_loo(
             if _argmax_topic(scores, topic_order) != t2:
                 train_errors[t2] += 1
 
-    return _LooData(
+    return LooData(
+        metric=metric,
         topic_order=tuple(topic_order),
         folds=tuple(folds),
         skipped=skipped,
@@ -418,21 +430,13 @@ def _error_table(
     return ErrorTable(per_topic=per_topic, counts=counts, expected=expected)
 
 
-def leave_one_out(
-    metric: MetricKind,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> LeaveOneOutResult:
+def leave_one_out(data: LooData) -> LeaveOneOutResult:
     """Leave-one-hashtag-out validation of the consensus classifier.
 
     Returns train/test error tables plus the Random baseline (error
-    1 - topic's hashtag share).  Hashtags whose topic has a single
-    hashtag are skipped; held-out hashtags with no voters count as
-    misclassified.
+    1 - topic's hashtag share).  Held-out hashtags with no voters count
+    as misclassified.
     """
-    data = _prepare_loo(metric, events, index, net, topics)
     test_errors = {t: 0 for t in data.topic_order}
     test_totals = {t: 0 for t in data.topic_order}
     predictions: dict[str, tuple[str, str | None]] = {}
@@ -462,7 +466,7 @@ def leave_one_out(
         ),
     )
     return LeaveOneOutResult(
-        metric=metric,
+        metric=data.metric,
         train=_error_table(data.train_errors, data.train_totals, data.topic_order),
         test=_error_table(test_errors, test_totals, data.topic_order),
         random=random_table,
@@ -472,14 +476,7 @@ def leave_one_out(
 
 
 def accuracy_curve(
-    metric: MetricKind,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-    sizes: Sequence[int],
-    repetitions: int,
-    seed: int,
+    data: LooData, sizes: Sequence[int], repetitions: int, seed: int
 ) -> AccuracyCurve:
     """Test accuracy of the consensus restricted to sampled voter subsets.
 
@@ -487,11 +484,10 @@ def accuracy_curve(
     from everyone who votes in at least one fold.  Accuracy divides by
     the full test-hashtag count, so held-out hashtags none of the
     sampled users adopted count as incorrect; at full size this equals
-    1 - E[x] of :func:`leave_one_out`.
+    1 - E[x] of :func:`leave_one_out` on the same data.
     """
     if repetitions <= 0:
         raise DataError("repetitions must be positive")
-    data = _prepare_loo(metric, events, index, net, topics)
     population = sorted({u for fold in data.folds for u in fold.users})
     for s in sizes:
         if s <= 0:
@@ -531,7 +527,89 @@ def accuracy_curve(
                 if per_topic_n[t]:
                     rows.append((t, s, rep, per_topic_ok[t] / per_topic_n[t]))
         points.append((s, sum(rep_acc) / len(rep_acc)))
-    return AccuracyCurve(metric=metric, points=tuple(points), rows=tuple(rows))
+    return AccuracyCurve(metric=data.metric, points=tuple(points), rows=tuple(rows))
+
+
+# Brent's bounded minimiser, ported step for step from scipy 1.17's
+# optimize._optimize._minimize_scalar_bounded (BSD-3-Clause, (c) SciPy
+# Developers), so every fit equals the scipy-backed one bit for bit.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(
+    func: Callable[[float], float], lo: float, hi: float, xatol: float, maxfun: int = 500
+) -> tuple[float, float, int]:
+    """Minimise ``func`` over finite [lo, hi]; returns (x, func(x), evaluations).
+
+    With finite bounds every step stays finite, whatever ``func`` returns,
+    so scipy's ``np.sign(v) + (v == 0)`` is the plain sign with 0 -> +1.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (1.0 if xm - xf >= 0.0 else -1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx, num
 
 
 def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
@@ -541,20 +619,22 @@ def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
     x0, from several deterministic starts.  Returns the parameters and
     the sum of squared residuals.
     """
-    from scipy.optimize import minimize_scalar  # deferred: ~0.3 s to import
     if len(points) < 3:
         raise DataError("fit_logistic needs at least 3 points")
     xs = np.array([float(p[0]) for p in points])
     ys = np.array([float(p[1]) for p in points])
-    if (xs <= 0).any():
-        raise DataError("sizes must be positive")
+    if not ((xs > 0) & (xs < math.inf)).all():  # the x0 search needs finite bounds
+        raise DataError("sizes must be positive and finite")
     lx = np.log(xs)
 
+    # np.clip and np.sum as bare ufunc calls: the same values, without the
+    # Python-level dispatch that dominates on a handful of points
     def sigmoid(z: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
     def sse(l: float, k: float, x0: float) -> float:
-        return float(np.sum((ys - l * sigmoid(k * (lx - x0))) ** 2))
+        r = ys - l * sigmoid(k * (lx - x0))
+        return float(np.add.reduce(r * r))
 
     def best_l(k: float, x0: float) -> float:
         f = sigmoid(k * (lx - x0))
@@ -575,20 +655,8 @@ def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
         l = best_l(k, x0)
         prev = sse(l, k, x0)
         for _ in range(200):
-            res_k = minimize_scalar(
-                lambda kk: sse(l, kk, x0),
-                bounds=(-60.0, 60.0),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            k = float(res_k.x)
-            res_x0 = minimize_scalar(
-                lambda xx: sse(l, k, xx),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            x0 = float(res_x0.x)
+            k = _fminbound(lambda kk: sse(l, kk, x0), -60.0, 60.0, 1e-12)[0]
+            x0 = _fminbound(lambda xx: sse(l, k, xx), lo, hi, 1e-12)[0]
             l = best_l(k, x0)
             cur = sse(l, k, x0)
             if prev - cur < 1e-15:

@@ -195,12 +195,10 @@ def cmd_classify(args) -> None:
     curves: dict[str, cl.AccuracyCurve] = {}
     fits: dict[str, dict] = {}
     for metric in metrics:
-        res = cl.leave_one_out(metric, events, index, net, topics)
-        results[metric.value] = res
+        data = cl.prepare_loo(metric, events, index, net, topics)
+        results[metric.value] = cl.leave_one_out(data)
         if sizes:
-            curve = cl.accuracy_curve(
-                metric, events, index, net, topics, sizes, args.repetitions, args.seed
-            )
+            curve = cl.accuracy_curve(data, sizes, args.repetitions, args.seed)
             curves[metric.value] = curve
             if len(curve.points) >= 3:
                 fit = cl.fit_logistic(curve.points)

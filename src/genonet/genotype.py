@@ -282,10 +282,6 @@ def node_topic_latency(
     return {u: sum(vals) / len(vals) for u, vals in values.items()}
 
 
-def _metric_order() -> tuple[MetricKind, ...]:
-    return tuple(MetricKind)
-
-
 def write_genome_values(genome: Genome, fh) -> None:
     """One row per (user, topic, metric, value), TSV."""
     fh.write("user\ttopic\tmetric\tvalue\n")

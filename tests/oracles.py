@@ -365,3 +365,65 @@ def greedy_steps(d, lat, mask, k, nodes):
         lat[pick] = 0.0
         remaining.remove(pick)
         yield step + (float(d[mask].sum() / denom) / base,)
+
+
+def fit_logistic_scipy(points):
+    """``classify.fit_logistic`` on ``scipy.optimize.minimize_scalar``.
+
+    The same coordinate descent and starts, each 1-D search delegated to
+    scipy's bounded Brent method.  Returns (l, k, x0, residual).
+    """
+    from scipy.optimize import minimize_scalar
+
+    xs = np.array([float(p[0]) for p in points])
+    ys = np.array([float(p[1]) for p in points])
+    lx = np.log(xs)
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+
+    def sse(l, k, x0):
+        return float(np.sum((ys - l * sigmoid(k * (lx - x0))) ** 2))
+
+    def best_l(k, x0):
+        f = sigmoid(k * (lx - x0))
+        denom = float(np.dot(f, f))
+        if denom <= 0:
+            return float(ys.max())
+        return float(np.dot(ys, f) / denom)
+
+    lo, hi = float(lx.min()) - 50.0, float(lx.max()) + 50.0
+    starts = [
+        (1.0, float(np.median(lx))),
+        (0.5, float(lx.min())),
+        (2.0, float(lx.max())),
+        (-1.0, float(np.median(lx))),
+    ]
+    best = None
+    for k, x0 in starts:
+        l = best_l(k, x0)
+        prev = sse(l, k, x0)
+        for _ in range(200):
+            res_k = minimize_scalar(
+                lambda kk: sse(l, kk, x0),
+                bounds=(-60.0, 60.0),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            k = float(res_k.x)
+            res_x0 = minimize_scalar(
+                lambda xx: sse(l, k, xx),
+                bounds=(lo, hi),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            x0 = float(res_x0.x)
+            l = best_l(k, x0)
+            cur = sse(l, k, x0)
+            if prev - cur < 1e-15:
+                break
+            prev = cur
+        if best is None or prev < best[0]:
+            best = (prev, l, k, x0)
+    residual, l, k, x0 = best
+    return l, k, x0, residual

@@ -12,7 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from genonet.classify import accuracy_curve, fit_logistic, leave_one_out, pair_metric_values
+from genonet.classify import (
+    accuracy_curve, fit_logistic, leave_one_out, pair_metric_values, prepare_loo,
+)
 from genonet.cli import main as cli_main
 from genonet.genotype import MetricKind, compute_metric, hashtag_mean_lats
 from genonet.graph import (
@@ -182,7 +184,7 @@ def test_criterion_3_classification_recovery():
             index = build_adoption_index(d.events, d.network)
             sep = _lat_separation(d, index)
             assert sep >= 3.0, f"planted separation {sep:.2f} below 3 sigma"
-            res = leave_one_out(MetricKind.LAT, d.events, index, d.network, d.topics)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
             assert res.test.expected <= 0.15, res.test
         # zero separation: E[x] within +-0.1 of the Random baseline over 5 seeds
         diffs = []
@@ -191,7 +193,7 @@ def test_criterion_3_classification_recovery():
                 datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
             )
             index = build_adoption_index(d.events, d.network)
-            res = leave_one_out(MetricKind.LAT, d.events, index, d.network, d.topics)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
             diffs.append(res.test.expected - res.random.expected)
         assert abs(float(np.mean(diffs))) <= 0.1, diffs
 
@@ -208,7 +210,7 @@ def test_criterion_4_ensemble_effect():
             d = generate(datasets.classification_params(seed))
             index = build_adoption_index(d.events, d.network)
             curve = accuracy_curve(
-                MetricKind.LAT, d.events, index, d.network, d.topics,
+                prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics),
                 sizes=sizes, repetitions=5, seed=seed + 40,
             )
             pts = dict(curve.points)

@@ -5,12 +5,14 @@ import pytest
 
 from genonet.classify import (
     LocalClassifier,
+    _fminbound,
     accuracy_curve,
     classify_local,
     fit_logistic,
     leave_one_out,
     nb_consensus,
     pair_metric_values,
+    prepare_loo,
     train_local,
 )
 from genonet.errors import DataError, DegenerateTrainingError, TrainingError
@@ -19,6 +21,7 @@ from genonet.ingest import TopicMap, build_adoption_index
 from genonet.syngen import generate
 
 import datasets
+import oracles
 
 
 def rows(topic_values):
@@ -155,7 +158,7 @@ def _dataset(params):
 
 def test_loo_perfectly_separated_zero_error():
     d, index = _dataset(datasets.time_separated_params(0))
-    res = leave_one_out(MetricKind.TIME, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
     for topic, err in res.test.per_topic.items():
         assert err == 0.0, f"{topic}: {err}"
     assert res.test.expected == 0.0
@@ -163,7 +166,7 @@ def test_loo_perfectly_separated_zero_error():
 
 def test_loo_train_error_low_on_separated_data():
     d, index = _dataset(datasets.time_separated_params(1))
-    res = leave_one_out(MetricKind.TIME, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
     assert res.train.expected <= 0.05
 
 
@@ -178,7 +181,7 @@ def test_loo_shuffled_labels_match_random_baseline():
         shuffled = TopicMap(
             assignment=dict(zip(tags, labels)), topics=d.topics.topics
         )
-        res = leave_one_out(MetricKind.TIME, d.events, index, d.network, shuffled)
+        res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, shuffled))
         diffs.append(res.test.expected - res.random.expected)
     assert abs(np.mean(diffs)) <= 0.1
     assert max(abs(x) for x in diffs) <= 0.25
@@ -192,7 +195,7 @@ def test_zero_separation_indistinguishable_from_random():
         d, index = _dataset(
             datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
         )
-        res = leave_one_out(MetricKind.LAT, d.events, index, d.network, d.topics)
+        res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
         n = sum(res.test.counts.values())
         correct = round((1 - res.test.expected) * n)
         p0 = sum((c / n) ** 2 for c in res.test.counts.values())
@@ -202,7 +205,7 @@ def test_zero_separation_indistinguishable_from_random():
 def test_random_baseline_even_shares():
     params = datasets.time_separated_params(2, n_topics=2)
     d, index = _dataset(params)
-    res = leave_one_out(MetricKind.TIME, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
     for err in res.random.per_topic.values():
         assert err == pytest.approx(0.5)
 
@@ -211,7 +214,7 @@ def test_loo_matches_manual_holdout_protocol():
     """Oracle re-implementation of the protocol from the public ops."""
     d, index = _dataset(datasets.time_separated_params(3, n_topics=2))
     metric = MetricKind.TIME
-    res = leave_one_out(metric, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(metric, d.events, index, d.network, d.topics))
     values = pair_metric_values(metric, d.events, index, d.network, d.topics)
 
     used = sorted({h for (_u, h) in index.first_use if d.topics.topic_of(h)})
@@ -260,7 +263,7 @@ def test_loo_skips_singleton_topic_hashtags():
     )
     topics = load_topic_map(["h1\tlonely", "h2\tpair", "h3\tpair"])
     index = build_adoption_index(events, net)
-    res = leave_one_out(MetricKind.TIME, events, index, net, topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, events, index, net, topics))
     assert res.skipped == ("h1",)
     assert "h1" not in res.predictions
     assert res.test.counts["lonely"] == 0
@@ -306,13 +309,13 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     per_user = {round(single_user_accuracy(u), 12) for u in pairs_by_user}
     # one repetition isolates a single sampled user's accuracy
     one = accuracy_curve(
-        metric, d.events, index, d.network, d.topics,
+        prepare_loo(metric, d.events, index, d.network, d.topics),
         sizes=[1], repetitions=1, seed=3,
     )
     assert round(one.points[0][1], 12) in per_user
     # the mean over repetitions stays inside the single-user range
     many = accuracy_curve(
-        metric, d.events, index, d.network, d.topics,
+        prepare_loo(metric, d.events, index, d.network, d.topics),
         sizes=[1], repetitions=12, seed=3,
     )
     assert min(per_user) - 1e-12 <= many.points[0][1] <= max(per_user) + 1e-12
@@ -320,11 +323,11 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
 
 def test_accuracy_curve_full_ensemble_equals_loo():
     d, index = _dataset(datasets.time_separated_params(4, n_topics=2))
-    res = leave_one_out(MetricKind.TIME, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
     # population = everyone who ever votes
     values = pair_metric_values(MetricKind.TIME, d.events, index, d.network, d.topics)
     curve = accuracy_curve(
-        MetricKind.TIME, d.events, index, d.network, d.topics,
+        prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
         sizes=[len({u for (u, _h) in values})], repetitions=2, seed=0,
     )
     # full sample can only fail if size exceeds the voting population
@@ -335,12 +338,12 @@ def test_accuracy_curve_errors():
     d, index = _dataset(datasets.time_separated_params(5, n_topics=2))
     with pytest.raises(DataError):
         accuracy_curve(
-            MetricKind.TIME, d.events, index, d.network, d.topics,
+            prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
             sizes=[0], repetitions=1, seed=0,
         )
     with pytest.raises(DataError):
         accuracy_curve(
-            MetricKind.TIME, d.events, index, d.network, d.topics,
+            prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
             sizes=[10**6], repetitions=1, seed=0,
         )
 
@@ -348,8 +351,8 @@ def test_accuracy_curve_errors():
 def test_accuracy_curve_deterministic_in_seed():
     d, index = _dataset(datasets.time_separated_params(6, n_topics=2))
     kw = dict(sizes=[1, 4], repetitions=3, seed=11)
-    c1 = accuracy_curve(MetricKind.TIME, d.events, index, d.network, d.topics, **kw)
-    c2 = accuracy_curve(MetricKind.TIME, d.events, index, d.network, d.topics, **kw)
+    c1 = accuracy_curve(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics), **kw)
+    c2 = accuracy_curve(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics), **kw)
     assert c1 == c2
 
 
@@ -380,8 +383,78 @@ def test_fit_logistic_increasing_points_nondecreasing_fit():
     assert fit.k >= 0
 
 
+def _logistic_point_sets(rng):
+    """Seeded (size, accuracy) sets of 3-9 points in the shapes fits meet."""
+    for i in range(200):
+        n = int(rng.integers(3, 10))
+        xs = np.sort(rng.choice(np.arange(1, 513), n, replace=False)).astype(float)
+        shape = 5 if i == 199 else i % 5  # inf residuals never converge: one set
+        if shape in (0, 1):  # noisy sigmoid, increasing or decreasing
+            k = rng.uniform(0.3, 3.0) * (1 if shape == 0 else -1)
+            ys = rng.uniform(0.5, 1.0) / (1 + np.exp(-k * (np.log(xs) - rng.uniform(0, 5))))
+            ys = ys + rng.normal(0, 0.05, n)
+        elif shape == 2:  # unstructured
+            ys = rng.random(n)
+        elif shape == 3:  # accuracies over 18 held-out hashtags
+            ys = rng.integers(0, 19, n) / 18
+        elif shape == 4:  # flat
+            ys = np.full(n, float(rng.integers(0, 19)) / 18)
+        else:  # squared residuals overflow to inf
+            ys = rng.random(n) * 1e160
+        yield list(zip(xs.tolist(), ys.tolist()))
+
+
+def test_fit_logistic_equals_scipy_backed_fit():
+    """The in-module bounded search reproduces the scipy-backed fit bit for bit."""
+    pytest.importorskip("scipy.optimize")
+    for pts in _logistic_point_sets(np.random.default_rng(23)):
+        fit = fit_logistic(pts)
+        assert (fit.l, fit.k, fit.x0, fit.residual) == oracles.fit_logistic_scipy(pts), pts
+
+
+def _scalar_functions(rng):
+    """Seeded 1-D (func, lo, hi, xatol, maxfun) cases for the bounded search."""
+    for _ in range(60):
+        c, s = rng.uniform(-10, 10), rng.uniform(0.1, 10)
+        lo = rng.uniform(-12, 0)
+        hi = lo + rng.uniform(1e-3, 20)
+        xatol = float(rng.choice([1e-12, 1e-5, 1e-2]))
+        yield lambda x, c=c, s=s: s * (x - c) ** 2, lo, hi, xatol, 500  # min may be outside
+        yield lambda x, c=c: abs(x - c) ** 0.5 + math.sin(5 * x), lo, hi, xatol, 500
+        yield lambda x, c=c: max(0.0, abs(x - c) - 2.0), lo, hi, xatol, 500  # plateau
+        yield lambda x, c=c: math.nan if x > c else (x - c) ** 2, lo, hi, xatol, 500
+        yield lambda x, c=c: math.inf if abs(x - c) > 1 else x * x, lo, hi, xatol, 500
+        yield lambda x, c=c: (x - c) ** 2, lo, hi, xatol, int(rng.integers(1, 8))
+    yield lambda x: 1.0, -3.0, 5.0, 1e-12, 500  # constant
+    yield lambda x: x, 0.0, 1.0, 1e-12, 500  # minimum on the lower bound
+    yield lambda x: -x, 0.0, 1.0, 1e-12, 500  # minimum on the upper bound
+    yield lambda x: math.nan, 0.0, 1.0, 1e-12, 500
+    yield lambda x: math.inf, 0.0, 1.0, 1e-12, 500
+    yield lambda x: 2.0, 1.0, 1.0, 1e-12, 500  # empty interval
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_fminbound_equals_scipy_bounded():
+    """Same minimiser, minimum and evaluation count as scipy's bounded method."""
+    optimize = pytest.importorskip("scipy.optimize")
+    for func, lo, hi, xatol, maxfun in _scalar_functions(np.random.default_rng(5)):
+        want = optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol, "maxiter": maxfun},
+        )
+        x, fx, calls = _fminbound(func, lo, hi, xatol, maxfun)
+        assert _same(x, float(want.x)) and _same(fx, float(want.fun)), (lo, hi, x, want)
+        assert calls == want.nfev
+
+
 def test_fit_logistic_errors():
     with pytest.raises(DataError):
         fit_logistic([(1, 0.5), (2, 0.6)])
     with pytest.raises(DataError):
         fit_logistic([(0, 0.5), (2, 0.6), (4, 0.7)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DataError):
+            fit_logistic([(1, 0.5), (2, 0.6), (bad, 0.7)])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from genonet import latmin
+from genonet import classify, latmin
 from genonet.cli import main
 
 
@@ -128,7 +128,7 @@ def test_bad_workers_exits_1(syn_manifest, tmp_path, command, workers):
 
 
 def test_import_loads_no_scipy():
-    """Start-up cost: scipy is imported only inside the functions that need it."""
+    """Start-up cost: importing the CLI loads no scipy module."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
@@ -139,6 +139,23 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_classify_loads_no_scipy(syn_manifest, tmp_path):
+    """classify, logistic fits included, runs without importing scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["classify", "--manifest", str(syn_manifest), "--out", str(tmp_path),
+            "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", "3"]
+    probe = (
+        f"import genonet.cli, sys; code = genonet.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0 []"
+    assert (tmp_path / "logistic_fits.json").exists()
 
 
 def test_missing_manifest_exits_2(tmp_path):
@@ -175,6 +192,16 @@ def test_latmin_solves_one_apsp(syn_manifest, tmp_path, monkeypatch, mode):
     assert run("latmin", "--manifest", syn_manifest, "--out", tmp_path,
                "--topic", "t0", "--k", 2, mode) == 0
     assert len(calls) == 1
+
+
+def test_classify_prepares_loo_once_per_metric(syn_manifest, tmp_path, monkeypatch):
+    calls = []
+    prepare = classify.prepare_loo
+    monkeypatch.setattr(classify, "prepare_loo",
+                        lambda metric, *rest: calls.append(metric) or prepare(metric, *rest))
+    assert run("classify", "--manifest", syn_manifest, "--out", tmp_path,
+               "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", 3) == 0
+    assert len(calls) == 2
 
 
 def test_latmin_memory_guard_exits_2(syn_manifest, tmp_path, monkeypatch, capsys):

@@ -176,6 +176,7 @@ def _tau_cases(rng):
     yield [1.0, 2.0], [1.0, 2.0]
     yield rng.integers(0, 50, 6000), rng.integers(0, 2000, 6000)
     yield rng.random(5000), rng.random(5000)
+    yield rng.integers(0, 3000, 50000), rng.random(50000)  # 16 rank bits
 
 
 def test_kendall_equals_scipy_exactly():
