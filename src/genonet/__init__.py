@@ -37,8 +37,8 @@ from .genotype import (
     MetricKind,
     build_genome,
     compute_metric,
-    hashtag_mean_lats,
     node_topic_latency,
+    pair_metrics,
 )
 from .backbone import (
     BackboneReport,

@@ -78,25 +78,22 @@ class OverlapMatrix:
     values: tuple[tuple[float, ...], ...]
 
 
-def _extract(
-    topic: str,
-    hashtags: Sequence[str],
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-) -> InfluenceBackbone:
+def _precedence_edges(
+    hashtag: str, index: AdoptionIndex, net: FollowerNetwork
+) -> list[tuple[str, str]]:
+    """Follower edges (u, v) where u first used ``hashtag`` strictly before v."""
     first_use = index.first_use
-    weights: dict[tuple[str, str], int] = {}
-    for u, v in net.edges:
-        count = 0
-        for h in hashtags:
-            tu = first_use.get((u, h))
-            if tu is None:
-                continue
-            tv = first_use.get((v, h))
+    edges = []
+    for u in index.adopters_of(hashtag):
+        tu = first_use[(u, hashtag)]
+        for v in net.followers_of(u):
+            tv = first_use.get((v, hashtag))
             if tv is not None and tu < tv:
-                count += 1
-        if count:
-            weights[(u, v)] = count
+                edges.append((u, v))
+    return edges
+
+
+def _backbone(topic: str, weights: dict[tuple[str, str], int]) -> InfluenceBackbone:
     graph = DirectedGraph.from_edges((u, v, w) for (u, v), w in weights.items())
     return InfluenceBackbone(topic=topic, graph=graph, weights=weights)
 
@@ -108,7 +105,11 @@ def extract_backbone(
     topics: TopicMap,
 ) -> InfluenceBackbone:
     """Backbone for one topic: precedence-carrying follower edges."""
-    return _extract(topic, topics.hashtags_for(topic), index, net)
+    weights: dict[tuple[str, str], int] = {}
+    for h in topics.hashtags_for(topic):
+        for e in _precedence_edges(h, index, net):
+            weights[e] = weights.get(e, 0) + 1
+    return _backbone(topic, weights)
 
 
 def exclude_hashtag(
@@ -118,15 +119,21 @@ def exclude_hashtag(
     net: FollowerNetwork,
     topics: TopicMap,
 ) -> InfluenceBackbone:
-    """Backbone recomputed over the topic's hashtags minus one.
+    """Backbone over the topic's hashtags minus one.
 
-    Weights drop accordingly and zero-weight edges disappear; equivalent
-    to extracting from a topic map with the hashtag deleted.
+    ``b`` must be :func:`extract_backbone` of the same index and network:
+    the hashtag's precedence edges are subtracted from its weights, and
+    zero-weight edges disappear.  Equivalent to extracting from a topic
+    map with the hashtag deleted.
     """
     if topics.topic_of(hashtag) != b.topic:
         raise DataError(f"hashtag {hashtag!r} is not in topic {b.topic!r}")
-    remaining = [h for h in topics.hashtags_for(b.topic) if h != hashtag]
-    return _extract(b.topic, remaining, index, net)
+    weights = dict(b.weights)
+    for e in _precedence_edges(hashtag, index, net):
+        weights[e] -= 1
+        if not weights[e]:
+            del weights[e]
+    return _backbone(b.topic, weights)
 
 
 def _largest_fraction(components: list[frozenset], node_count: int) -> float:

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateTrainingError, TrainingError
-from .genotype import MetricKind, compute_metric, hashtag_mean_lats
-from .ingest import AdoptionIndex, EventLog, FollowerNetwork, TopicMap
+from .genotype import MetricKind
+from .ingest import TopicMap
 
 __all__ = [
     "LocalClassifier",
@@ -41,7 +41,6 @@ __all__ = [
     "train_local",
     "classify_local",
     "nb_consensus",
-    "pair_metric_values",
     "prepare_loo",
     "leave_one_out",
     "accuracy_curve",
@@ -214,36 +213,6 @@ def nb_consensus(
     )
 
 
-def pair_metric_values(
-    metric: MetricKind,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> dict[tuple[str, str], float]:
-    """Defined metric values for every adopted pair with a known topic."""
-    mean_lats = (
-        hashtag_mean_lats(events, index, net, topics)
-        if metric is MetricKind.LOG_LAT
-        else None
-    )
-    out: dict[tuple[str, str], float] = {}
-    for (u, h) in index.first_use:
-        if topics.topic_of(h) is None:
-            continue
-        if metric is MetricKind.LOG_LAT:
-            if h not in mean_lats:
-                continue
-            v = compute_metric(
-                metric, u, h, events, index, net, topics, hashtag_mean_lat=mean_lats[h]
-            )
-        else:
-            v = compute_metric(metric, u, h, events, index, net, topics)
-        if v is not None:
-            out[(u, h)] = v
-    return out
-
-
 @dataclass(frozen=True)
 class _Fold:
     hashtag: str
@@ -278,24 +247,22 @@ def _train_or_none(
 
 def prepare_loo(
     metric: MetricKind,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
+    pairs: Mapping[tuple[str, str], Mapping[MetricKind, float]],
     topics: TopicMap,
 ) -> LooData:
     """Retrain every user affected by each held-out hashtag, once per metric.
 
-    Hashtags whose topic has a single hashtag are skipped.  The train-side
-    error counts of every fold are tallied here.
+    ``pairs`` is :func:`genonet.genotype.pair_metrics` of the dataset;
+    pairs where ``metric`` is undefined cast no vote.  Hashtags whose
+    topic has a single hashtag are skipped.  The train-side error counts
+    of every fold are tallied here.
     """
-    values = pair_metric_values(metric, events, index, net, topics)
+    values = {key: row[metric] for key, row in pairs.items() if metric in row}
     topic_order = topics.topics
     k = len(topic_order)
     topic_pos = {t: i for i, t in enumerate(topic_order)}
 
-    used_hashtags = sorted(
-        {h for (_u, h) in index.first_use if topics.topic_of(h) is not None}
-    )
+    used_hashtags = sorted({h for (_u, h) in pairs})
     topic_counts: dict[str, int] = {t: 0 for t in topic_order}
     for h in used_hashtags:
         topic_counts[topics.topic_of(h)] += 1

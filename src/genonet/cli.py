@@ -194,8 +194,9 @@ def cmd_classify(args) -> None:
     results: dict[str, cl.LeaveOneOutResult] = {}
     curves: dict[str, cl.AccuracyCurve] = {}
     fits: dict[str, dict] = {}
+    pairs = gt.pair_metrics(events, index, net, topics)
     for metric in metrics:
-        data = cl.prepare_loo(metric, events, index, net, topics)
+        data = cl.prepare_loo(metric, pairs, topics)
         results[metric.value] = cl.leave_one_out(data)
         if sizes:
             curve = cl.accuracy_curve(data, sizes, args.repetitions, args.seed)
@@ -239,7 +240,7 @@ def cmd_predict(args) -> None:
     }[args.direction]
     results = []
     for direction in directions:
-        instances = pr.build_instances(direction, events, index, net, topics, ctx)
+        instances = pr.build_instances(direction, ctx)
         for kind in pr.PredictorKind:
             results.append(pr.evaluate(kind, instances, ctx))
     _write_tsv(
@@ -410,9 +411,9 @@ def build_parser() -> _Parser:
 
     p = add("syngen", cmd_syngen, needs_manifest=False)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--users", type=int, default=60)
-    p.add_argument("--topics", type=int, default=2)
-    p.add_argument("--hashtags-per-topic", type=int, default=4)
+    p.add_argument("--users", type=_positive_int, default=60)
+    p.add_argument("--topics", type=_positive_int, default=2)
+    p.add_argument("--hashtags-per-topic", type=_positive_int, default=4)
     p.add_argument("--cascades", type=int, default=2)
     p.add_argument(
         "--graph-model",

@@ -35,7 +35,7 @@ __all__ = [
     "Genotype",
     "Genome",
     "compute_metric",
-    "hashtag_mean_lats",
+    "pair_metrics",
     "build_genome",
     "node_topic_latency",
     "write_genome_values",
@@ -131,110 +131,65 @@ def _timeline_topic_count(
 
 
 def compute_metric(
-    kind: MetricKind,
     user: str,
     hashtag: str,
     events: EventLog,
     index: AdoptionIndex,
     net: FollowerNetwork,
     topics: TopicMap,
-    hashtag_mean_lat: float | None = None,
-) -> float | None:
-    """Evaluate one metric for an adopted (user, hashtag) pair.
+) -> dict[MetricKind, float]:
+    """Every pair-local metric defined for an adopted (user, hashtag) pair.
 
-    Returns None when the metric is undefined for the pair.  LOG-LAT
-    requires ``hashtag_mean_lat`` (the mean LAT of the hashtag across
-    all users with a defined LAT).
+    N-USES is always present; TIME, N-PAR, F-PAR and LAT only when a
+    followee adopted the hashtag before the user.  LOG-LAT needs the
+    hashtag's mean LAT over all adopters and comes from :func:`pair_metrics`.
     """
     key = (user, hashtag)
     if key not in index.first_use:
         raise DataError(f"{user!r} never used {hashtag!r}")
-    if kind is MetricKind.N_USES:
-        return float(index.use_counts[key])
-
-    if kind is MetricKind.F_PAR and not net.followees_of(user):
-        return None
-    prior = _prior_adopters(user, hashtag, index, net)
-    if not prior:
-        return None
-
-    if kind is MetricKind.TIME:
-        return float(index.first_use[key] - index.first_exposure[key])
-    if kind is MetricKind.N_PAR:
-        return float(len(prior))
-    if kind is MetricKind.F_PAR:
-        return len(prior) / len(net.followees_of(user))
-
     topic = topics.topic_of(hashtag)
     if topic is None:
         raise DataError(f"hashtag {hashtag!r} has no topic")
+    row = {MetricKind.N_USES: float(index.use_counts[key])}
+    n_prior = len(_prior_adopters(user, hashtag, index, net))
+    if not n_prior:
+        return row
     lo = index.first_exposure[key]
     hi = index.first_use[key]
-    lat = 1.0 / max(1, _timeline_topic_count(user, topic, lo, hi, events, net, topics))
-    if kind is MetricKind.LAT:
-        return lat
-    if kind is MetricKind.LOG_LAT:
-        if hashtag_mean_lat is None:
-            raise DataError("LOG-LAT requires hashtag_mean_lat")
-        if hashtag_mean_lat <= 0:
-            raise DataError(f"hashtag_mean_lat must be positive, got {hashtag_mean_lat}")
-        return math.log(lat / hashtag_mean_lat)
-    raise DataError(f"unknown metric kind {kind!r}")
+    row[MetricKind.TIME] = float(hi - lo)
+    row[MetricKind.N_PAR] = float(n_prior)
+    row[MetricKind.F_PAR] = n_prior / len(net.followees_of(user))
+    count = _timeline_topic_count(user, topic, lo, hi, events, net, topics)
+    row[MetricKind.LAT] = 1.0 / max(1, count)
+    return row
 
 
-def hashtag_mean_lats(
+def pair_metrics(
     events: EventLog,
     index: AdoptionIndex,
     net: FollowerNetwork,
     topics: TopicMap,
-) -> dict[str, float]:
-    """Mean LAT per hashtag over all users with a defined LAT value."""
-    sums: dict[str, list[float]] = {}
-    for (u, h) in index.first_use:
-        if topics.topic_of(h) is None:
-            continue
-        lat = compute_metric(MetricKind.LAT, u, h, events, index, net, topics)
-        if lat is not None:
-            sums.setdefault(h, []).append(lat)
-    return {h: sum(vals) / len(vals) for h, vals in sums.items()}
+) -> dict[tuple[str, str], dict[MetricKind, float]]:
+    """Metric rows of every adopted pair whose hashtag has a topic.
 
-
-_PAIR_METRICS = (
-    MetricKind.TIME,
-    MetricKind.N_USES,
-    MetricKind.N_PAR,
-    MetricKind.F_PAR,
-    MetricKind.LAT,
-)
-
-
-def _user_genotype(
-    user: str,
-    pairs: list[str],
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-    mean_lats: Mapping[str, float],
-) -> Genotype:
-    raw: dict[tuple[str, MetricKind], list[float]] = {}
-    for h in sorted(pairs):
-        topic = topics.topic_of(h)
-        if topic is None:
-            continue
-        for kind in _PAIR_METRICS:
-            value = compute_metric(kind, user, h, events, index, net, topics)
-            if value is None:
-                continue
-            raw.setdefault((topic, kind), []).append(value)
-            if kind is MetricKind.LAT:
-                log_lat = math.log(value / mean_lats[h])
-                raw.setdefault((topic, MetricKind.LOG_LAT), []).append(log_lat)
-    cells = {
-        key: MetricCell(values=tuple(vals), mean=sum(vals) / len(vals), count=len(vals))
-        for key, vals in raw.items()
+    Rows are keyed and ordered as ``index.first_use``.  Each is
+    :func:`compute_metric`'s row plus LOG-LAT wherever LAT is defined; a
+    hashtag's mean LAT sums its defined values in that same order.
+    """
+    rows = {
+        (u, h): compute_metric(u, h, events, index, net, topics)
+        for (u, h) in index.first_use
+        if topics.topic_of(h) is not None
     }
-    return Genotype(owner=user, cells=cells)
+    lats: dict[str, list[float]] = {}
+    for (_u, h), row in rows.items():
+        if MetricKind.LAT in row:
+            lats.setdefault(h, []).append(row[MetricKind.LAT])
+    mean_lats = {h: sum(vals) / len(vals) for h, vals in lats.items()}
+    for (_u, h), row in rows.items():
+        if MetricKind.LAT in row:
+            row[MetricKind.LOG_LAT] = math.log(row[MetricKind.LAT] / mean_lats[h])
+    return rows
 
 
 def build_genome(
@@ -246,16 +201,30 @@ def build_genome(
 ) -> Genome:
     """Assemble one genotype per user appearing in the event log.
 
-    ``workers`` is accepted and ignored: the metrics are pure Python, and
-    threads over them measured no gain.
+    Each cell lists its values in sorted-hashtag order.  ``workers`` is
+    accepted and ignored: the metrics are pure Python, and threads over
+    them measured no gain.
     """
-    mean_lats = hashtag_mean_lats(events, index, net, topics)
-    by_user: dict[str, list[str]] = {u: [] for u in events.users}
-    for (u, h) in index.first_use:
-        by_user[u].append(h)
+    rows = pair_metrics(events, index, net, topics)
+    raw: dict[str, dict[tuple[str, MetricKind], list[float]]] = {
+        u: {} for u in sorted(events.users)
+    }
+    for (u, h) in sorted(rows):
+        topic = topics.topic_of(h)
+        cells = raw[u]
+        for kind, value in rows[(u, h)].items():
+            cells.setdefault((topic, kind), []).append(value)
     genotypes = {
-        u: _user_genotype(u, by_user[u], events, index, net, topics, mean_lats)
-        for u in sorted(by_user)
+        u: Genotype(
+            owner=u,
+            cells={
+                key: MetricCell(
+                    values=tuple(vals), mean=sum(vals) / len(vals), count=len(vals)
+                )
+                for key, vals in cells.items()
+            },
+        )
+        for u, cells in raw.items()
     }
     provenance = {
         "dataset": hashlib.sha256(

@@ -83,10 +83,6 @@ class DirectedGraph:
     def __contains__(self, node: Node) -> bool:
         return node in self._index
 
-    def out_neighbors(self, node: Node) -> tuple[tuple[Node, float], ...]:
-        i = self._index[node]
-        return tuple((self.nodes[j], w) for j, w in self._adj[i])
-
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Index-based adjacency, aligned with ``nodes``."""
         return self._adj
@@ -104,13 +100,6 @@ class DirectedGraph:
             for i, row in enumerate(self._adj)
             for j, _ in row
         )
-
-    def edge_weights(self) -> dict[tuple[Node, Node], float]:
-        return {
-            (self.nodes[i], self.nodes[j]): w
-            for i, row in enumerate(self._adj)
-            for j, w in row
-        }
 
     def out_degree(self, node: Node) -> int:
         return len(self._adj[self._index[node]])

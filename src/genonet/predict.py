@@ -133,12 +133,7 @@ class PredictionContext:
 
 
 def build_instances(
-    direction: Direction,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-    context: PredictionContext | None = None,
+    direction: Direction, context: PredictionContext
 ) -> list[PredictionInstance]:
     """Qualifying (hashtag, user) prediction cases, ordered by (topic, hashtag, user).
 
@@ -146,7 +141,7 @@ def build_instances(
     hashtag, has a non-empty truth set, and at least one candidate is
     non-isolated in the hashtag-excluded backbone.
     """
-    ctx = context or PredictionContext(events, index, net, topics)
+    index, net, topics = context.index, context.net, context.topics
     instances: list[PredictionInstance] = []
     keyed: list[tuple[str, str, str]] = []
     for (u, h) in index.first_use:
@@ -180,7 +175,7 @@ def build_instances(
             )
         if not truth:
             continue
-        excluded = ctx.excluded_backbone(h)
+        excluded = context.excluded_backbone(h)
         if not any(c in excluded.graph for c in candidates):
             continue
         instances.append(

@@ -138,6 +138,32 @@ class MetricOracle:
         return math.log(lat / self.mean_lat(h))
 
 
+# --- backbone oracle -------------------------------------------------------
+
+
+def backbone_weights(triples, edges, hashtags):
+    """Precedence weights by scanning every follower edge against every hashtag.
+
+    Edge (u, v) weighs the number of ``hashtags`` that u first used
+    strictly before v; zero-weight edges are left out.
+    """
+    first_use = {}
+    for t, u, h in triples:
+        if (u, h) not in first_use or t < first_use[(u, h)]:
+            first_use[(u, h)] = t
+    weights = {}
+    for u, v in edges:
+        count = 0
+        for h in hashtags:
+            tu = first_use.get((u, h))
+            tv = first_use.get((v, h))
+            if tu is not None and tv is not None and tu < tv:
+                count += 1
+        if count:
+            weights[(u, v)] = count
+    return weights
+
+
 # --- graph oracles ---------------------------------------------------------
 
 

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from genonet.classify import (
-    accuracy_curve, fit_logistic, leave_one_out, pair_metric_values, prepare_loo,
+    accuracy_curve, fit_logistic, leave_one_out, prepare_loo,
 )
 from genonet.cli import main as cli_main
-from genonet.genotype import MetricKind, compute_metric, hashtag_mean_lats
+from genonet.genotype import MetricKind, pair_metrics
 from genonet.graph import (
     DirectedGraph,
     betweenness_centrality,
@@ -87,7 +87,7 @@ def test_criterion_1_metric_oracle_equivalence():
                 net.edges,
                 topics.assignment,
             )
-            lib_mean_lats = hashtag_mean_lats(events, index, net, topics)
+            rows = pair_metrics(events, index, net, topics)
             exact = {
                 MetricKind.TIME: oracle.time,
                 MetricKind.N_USES: oracle.n_uses,
@@ -99,17 +99,11 @@ def test_criterion_1_metric_oracle_equivalence():
                 MetricKind.LOG_LAT: oracle.log_lat,
             }
             for (u, h) in index.first_use:
+                row = rows[(u, h)]
                 for kind, fn in exact.items():
-                    got = compute_metric(kind, u, h, events, index, net, topics)
-                    assert got == fn(u, h), (log_i, kind, u, h)
+                    assert row.get(kind) == fn(u, h), (log_i, kind, u, h)
                 for kind, fn in relative.items():
-                    if kind is MetricKind.LOG_LAT:
-                        got = compute_metric(
-                            kind, u, h, events, index, net, topics,
-                            hashtag_mean_lat=lib_mean_lats.get(h),
-                        ) if h in lib_mean_lats else None
-                    else:
-                        got = compute_metric(kind, u, h, events, index, net, topics)
+                    got = row.get(kind)
                     want = fn(u, h)
                     if want is None or got is None:
                         assert got == want, (log_i, kind, u, h)
@@ -158,10 +152,10 @@ def test_criterion_2_graph_kernel_equivalence():
 
 
 def _lat_separation(d, index) -> float:
-    values = pair_metric_values(MetricKind.LAT, d.events, index, d.network, d.topics)
     by_topic: dict = {}
-    for (u, h), v in values.items():
-        by_topic.setdefault(d.topics.topic_of(h), []).append(v)
+    for (u, h), row in pair_metrics(d.events, index, d.network, d.topics).items():
+        if MetricKind.LAT in row:
+            by_topic.setdefault(d.topics.topic_of(h), []).append(row[MetricKind.LAT])
     means = []
     ss = 0.0
     n = 0
@@ -184,7 +178,8 @@ def test_criterion_3_classification_recovery():
             index = build_adoption_index(d.events, d.network)
             sep = _lat_separation(d, index)
             assert sep >= 3.0, f"planted separation {sep:.2f} below 3 sigma"
-            res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
+            pairs = pair_metrics(d.events, index, d.network, d.topics)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
             assert res.test.expected <= 0.15, res.test
         # zero separation: E[x] within +-0.1 of the Random baseline over 5 seeds
         diffs = []
@@ -193,7 +188,8 @@ def test_criterion_3_classification_recovery():
                 datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
             )
             index = build_adoption_index(d.events, d.network)
-            res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
+            pairs = pair_metrics(d.events, index, d.network, d.topics)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
             diffs.append(res.test.expected - res.random.expected)
         assert abs(float(np.mean(diffs))) <= 0.1, diffs
 
@@ -209,8 +205,9 @@ def test_criterion_4_ensemble_effect():
         for seed in range(5):
             d = generate(datasets.classification_params(seed))
             index = build_adoption_index(d.events, d.network)
+            pairs = pair_metrics(d.events, index, d.network, d.topics)
             curve = accuracy_curve(
-                prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics),
+                prepare_loo(MetricKind.LAT, pairs, d.topics),
                 sizes=sizes, repetitions=5, seed=seed + 40,
             )
             pts = dict(curve.points)
@@ -230,9 +227,7 @@ def test_criterion_5_predictor_ordering():
         d = generate(datasets.activity_params(3))
         index = build_adoption_index(d.events, d.network)
         ctx = PredictionContext(d.events, index, d.network, d.topics)
-        instances = build_instances(
-            Direction.INFLUENCER, d.events, index, d.network, d.topics, ctx
-        )
+        instances = build_instances(Direction.INFLUENCER, ctx)
         means = {}
         for kind in PredictorKind:
             mean, count = evaluate(kind, instances, ctx).overall

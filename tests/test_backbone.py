@@ -87,6 +87,30 @@ def test_exclude_equals_extract_on_reduced_map():
             assert dict(direct.weights) == dict(oracle.weights)
 
 
+def test_backbones_equal_edge_scan_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        edge_lines, event_lines, topic_lines = oracles.random_log(
+            rng, n_users=int(rng.integers(5, 25)), n_hashtags=int(rng.integers(2, 12)),
+            n_topics=int(rng.integers(1, 4)), n_lines=int(rng.integers(10, 300)),
+            edge_prob=float(rng.uniform(0.05, 0.4)), max_time=int(rng.integers(5, 200)),
+        )
+        net = load_follower_edges(edge_lines)
+        events = load_events(event_lines)
+        topics = load_topic_map(topic_lines)
+        index = build_adoption_index(events, net)
+        triples = [(e.time, e.user, e.hashtag) for e in events.events]
+        for topic in topics.topics:
+            hashtags = topics.hashtags_for(topic)
+            b = extract_backbone(topic, index, net, topics)
+            assert b.weights == oracles.backbone_weights(triples, net.edges, hashtags)
+            for h in hashtags:
+                want = oracles.backbone_weights(
+                    triples, net.edges, [g for g in hashtags if g != h]
+                )
+                assert exclude_hashtag(b, h, index, net, topics).weights == want
+
+
 def test_backbone_subset_of_follower_and_weight_bound():
     rng = np.random.default_rng(22)
     for _ in range(5):

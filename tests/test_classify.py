@@ -11,12 +11,11 @@ from genonet.classify import (
     fit_logistic,
     leave_one_out,
     nb_consensus,
-    pair_metric_values,
     prepare_loo,
     train_local,
 )
 from genonet.errors import DataError, DegenerateTrainingError, TrainingError
-from genonet.genotype import MetricKind
+from genonet.genotype import MetricKind, pair_metrics
 from genonet.ingest import TopicMap, build_adoption_index
 from genonet.syngen import generate
 
@@ -156,9 +155,18 @@ def _dataset(params):
     return d, index
 
 
+def _pairs(d, index):
+    return pair_metrics(d.events, index, d.network, d.topics)
+
+
+def _column(metric, pairs):
+    """One metric's defined values, keyed by (user, hashtag)."""
+    return {key: row[metric] for key, row in pairs.items() if metric in row}
+
+
 def test_loo_perfectly_separated_zero_error():
     d, index = _dataset(datasets.time_separated_params(0))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
     for topic, err in res.test.per_topic.items():
         assert err == 0.0, f"{topic}: {err}"
     assert res.test.expected == 0.0
@@ -166,7 +174,7 @@ def test_loo_perfectly_separated_zero_error():
 
 def test_loo_train_error_low_on_separated_data():
     d, index = _dataset(datasets.time_separated_params(1))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
     assert res.train.expected <= 0.05
 
 
@@ -181,7 +189,8 @@ def test_loo_shuffled_labels_match_random_baseline():
         shuffled = TopicMap(
             assignment=dict(zip(tags, labels)), topics=d.topics.topics
         )
-        res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, shuffled))
+        pairs = pair_metrics(d.events, index, d.network, shuffled)
+        res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, shuffled))
         diffs.append(res.test.expected - res.random.expected)
     assert abs(np.mean(diffs)) <= 0.1
     assert max(abs(x) for x in diffs) <= 0.25
@@ -195,7 +204,7 @@ def test_zero_separation_indistinguishable_from_random():
         d, index = _dataset(
             datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
         )
-        res = leave_one_out(prepare_loo(MetricKind.LAT, d.events, index, d.network, d.topics))
+        res = leave_one_out(prepare_loo(MetricKind.LAT, _pairs(d, index), d.topics))
         n = sum(res.test.counts.values())
         correct = round((1 - res.test.expected) * n)
         p0 = sum((c / n) ** 2 for c in res.test.counts.values())
@@ -205,7 +214,7 @@ def test_zero_separation_indistinguishable_from_random():
 def test_random_baseline_even_shares():
     params = datasets.time_separated_params(2, n_topics=2)
     d, index = _dataset(params)
-    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
     for err in res.random.per_topic.values():
         assert err == pytest.approx(0.5)
 
@@ -214,8 +223,8 @@ def test_loo_matches_manual_holdout_protocol():
     """Oracle re-implementation of the protocol from the public ops."""
     d, index = _dataset(datasets.time_separated_params(3, n_topics=2))
     metric = MetricKind.TIME
-    res = leave_one_out(prepare_loo(metric, d.events, index, d.network, d.topics))
-    values = pair_metric_values(metric, d.events, index, d.network, d.topics)
+    res = leave_one_out(prepare_loo(metric, _pairs(d, index), d.topics))
+    values = _column(metric, _pairs(d, index))
 
     used = sorted({h for (_u, h) in index.first_use if d.topics.topic_of(h)})
     counts = {t: 0 for t in d.topics.topics}
@@ -263,7 +272,8 @@ def test_loo_skips_singleton_topic_hashtags():
     )
     topics = load_topic_map(["h1\tlonely", "h2\tpair", "h3\tpair"])
     index = build_adoption_index(events, net)
-    res = leave_one_out(prepare_loo(MetricKind.TIME, events, index, net, topics))
+    pairs = pair_metrics(events, index, net, topics)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, topics))
     assert res.skipped == ("h1",)
     assert "h1" not in res.predictions
     assert res.test.counts["lonely"] == 0
@@ -273,7 +283,7 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     """Every size-1 repetition equals some user's standalone accuracy."""
     d, index = _dataset(datasets.time_separated_params(7, n_topics=2))
     metric = MetricKind.TIME
-    values = pair_metric_values(metric, d.events, index, d.network, d.topics)
+    values = _column(metric, _pairs(d, index))
 
     used = sorted({h for (_u, h) in index.first_use if d.topics.topic_of(h)})
     counts = {t: 0 for t in d.topics.topics}
@@ -309,13 +319,13 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     per_user = {round(single_user_accuracy(u), 12) for u in pairs_by_user}
     # one repetition isolates a single sampled user's accuracy
     one = accuracy_curve(
-        prepare_loo(metric, d.events, index, d.network, d.topics),
+        prepare_loo(metric, _pairs(d, index), d.topics),
         sizes=[1], repetitions=1, seed=3,
     )
     assert round(one.points[0][1], 12) in per_user
     # the mean over repetitions stays inside the single-user range
     many = accuracy_curve(
-        prepare_loo(metric, d.events, index, d.network, d.topics),
+        prepare_loo(metric, _pairs(d, index), d.topics),
         sizes=[1], repetitions=12, seed=3,
     )
     assert min(per_user) - 1e-12 <= many.points[0][1] <= max(per_user) + 1e-12
@@ -323,11 +333,11 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
 
 def test_accuracy_curve_full_ensemble_equals_loo():
     d, index = _dataset(datasets.time_separated_params(4, n_topics=2))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
     # population = everyone who ever votes
-    values = pair_metric_values(MetricKind.TIME, d.events, index, d.network, d.topics)
+    values = _column(MetricKind.TIME, _pairs(d, index))
     curve = accuracy_curve(
-        prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
+        prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
         sizes=[len({u for (u, _h) in values})], repetitions=2, seed=0,
     )
     # full sample can only fail if size exceeds the voting population
@@ -338,12 +348,12 @@ def test_accuracy_curve_errors():
     d, index = _dataset(datasets.time_separated_params(5, n_topics=2))
     with pytest.raises(DataError):
         accuracy_curve(
-            prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
+            prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
             sizes=[0], repetitions=1, seed=0,
         )
     with pytest.raises(DataError):
         accuracy_curve(
-            prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics),
+            prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
             sizes=[10**6], repetitions=1, seed=0,
         )
 
@@ -351,8 +361,8 @@ def test_accuracy_curve_errors():
 def test_accuracy_curve_deterministic_in_seed():
     d, index = _dataset(datasets.time_separated_params(6, n_topics=2))
     kw = dict(sizes=[1, 4], repetitions=3, seed=11)
-    c1 = accuracy_curve(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics), **kw)
-    c2 = accuracy_curve(prepare_loo(MetricKind.TIME, d.events, index, d.network, d.topics), **kw)
+    c1 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics), **kw)
+    c2 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics), **kw)
     assert c1 == c2
 
 

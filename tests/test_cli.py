@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from genonet import classify, latmin
+from genonet import classify, genotype, latmin
 from genonet.cli import main
+from genonet.ingest import build_adoption_index, load_dataset
 
 
 def run(*args):
@@ -101,16 +102,22 @@ def test_classify_sizes_require_seed(syn_manifest, tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--repetitions", 0, "--ensemble-sizes", "1,2"),
-     ("--repetitions", -1, "--ensemble-sizes", "1,2"),
-     ("--ensemble-sizes", "0,2,4"),
-     ("--ensemble-sizes", "1,-2")],
+    [("classify", "--repetitions", 0, "--ensemble-sizes", "1,2"),
+     ("classify", "--repetitions", -1, "--ensemble-sizes", "1,2"),
+     ("classify", "--ensemble-sizes", "0,2,4"),
+     ("classify", "--ensemble-sizes", "1,-2"),
+     ("syngen", "--users", 0),
+     ("syngen", "--topics", 0),
+     ("syngen", "--hashtags-per-topic", 0)],
 )
 def test_classify_bad_sizes_or_repetitions_exit_1(syn_manifest, tmp_path, capsys, flags):
-    code = run(
-        "classify", "--manifest", syn_manifest, "--out", tmp_path,
-        "--metric", "TIME", "--seed", 7, *flags,
-    )
+    """A count below 1 is a usage error, for classify and syngen alike."""
+    command, *rest = flags
+    common = {
+        "classify": ("--manifest", syn_manifest, "--metric", "TIME"),
+        "syngen": (),
+    }[command]
+    code = run(command, *common, "--out", tmp_path, "--seed", 7, *rest)
     assert code == 1
     assert "must be >= 1" in capsys.readouterr().err
 
@@ -202,6 +209,23 @@ def test_classify_prepares_loo_once_per_metric(syn_manifest, tmp_path, monkeypat
     assert run("classify", "--manifest", syn_manifest, "--out", tmp_path,
                "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", 3) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["genome", "classify"])
+def test_one_metric_pass_per_pair(syn_manifest, tmp_path, monkeypatch, command):
+    """genome and classify with every metric compute each pair's row once."""
+    net, events, topics = load_dataset(syn_manifest)
+    index = build_adoption_index(events, net)
+    pairs = sum(1 for (_u, h) in index.first_use if topics.topic_of(h) is not None)
+    rows, passes = [], []
+    compute, build = genotype.compute_metric, genotype.pair_metrics
+    monkeypatch.setattr(genotype, "compute_metric",
+                        lambda *args: rows.append(args[:2]) or compute(*args))
+    monkeypatch.setattr(genotype, "pair_metrics",
+                        lambda *args: passes.append(1) or build(*args))
+    assert run(command, "--manifest", syn_manifest, "--out", tmp_path) == 0
+    assert len(rows) == len(set(rows)) == pairs > 0
+    assert len(passes) == 1
 
 
 def test_latmin_memory_guard_exits_2(syn_manifest, tmp_path, monkeypatch, capsys):

@@ -8,8 +8,8 @@ from genonet.genotype import (
     MetricKind,
     build_genome,
     compute_metric,
-    hashtag_mean_lats,
     node_topic_latency,
+    pair_metrics,
 )
 from genonet.ingest import build_adoption_index, load_events, load_follower_edges, load_topic_map
 from genonet.syngen import GenParams, generate
@@ -17,9 +17,9 @@ from genonet.syngen import GenParams, generate
 import oracles
 
 
-def metric(toy, kind, user="B", hashtag="x", **kw):
+def metric(toy, kind, user="B", hashtag="x"):
     net, events, topics, index = toy
-    return compute_metric(kind, user, hashtag, events, index, net, topics, **kw)
+    return compute_metric(user, hashtag, events, index, net, topics).get(kind)
 
 
 def test_time_toy(toy):
@@ -42,14 +42,11 @@ def test_lat_toy(toy):
 
 
 def test_log_lat_toy(toy):
-    assert metric(toy, MetricKind.LOG_LAT, hashtag_mean_lat=0.5) == 0.0
-
-
-def test_log_lat_requires_positive_mean(toy):
-    with pytest.raises(DataError):
-        metric(toy, MetricKind.LOG_LAT, hashtag_mean_lat=0.0)
-    with pytest.raises(DataError):
-        metric(toy, MetricKind.LOG_LAT)
+    # B is the only adopter of x with a defined LAT, so LAT equals its mean
+    net, events, topics, index = toy
+    rows = pair_metrics(events, index, net, topics)
+    assert rows[("B", "x")][MetricKind.LOG_LAT] == 0.0
+    assert MetricKind.LOG_LAT not in compute_metric("B", "x", events, index, net, topics)
 
 
 def test_originator_metrics_undefined(toy):
@@ -62,6 +59,9 @@ def test_originator_metrics_undefined(toy):
 def test_unknown_pair_rejected(toy):
     with pytest.raises(DataError):
         metric(toy, MetricKind.TIME, user="A", hashtag="y")
+    net, events, _topics, index = toy
+    with pytest.raises(DataError):  # no topic for x
+        compute_metric("B", "x", events, index, net, load_topic_map([]))
 
 
 def test_simultaneous_adoption_is_not_exposure():
@@ -69,7 +69,7 @@ def test_simultaneous_adoption_is_not_exposure():
     events = load_events(["10\tA\t#x", "10\tB\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    assert compute_metric(MetricKind.TIME, "B", "x", events, index, net, topics) is None
+    assert compute_metric("B", "x", events, index, net, topics) == {MetricKind.N_USES: 1.0}
 
 
 def test_build_genome_toy(toy):
@@ -137,13 +137,11 @@ def test_metric_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(8):
         net, events, topics, index = _random_setup(rng, n_users=18, n_lines=150)
-        for (u, h) in index.first_use:
-            if topics.topic_of(h) is None:
-                continue
-            t = compute_metric(MetricKind.TIME, u, h, events, index, net, topics)
-            npar = compute_metric(MetricKind.N_PAR, u, h, events, index, net, topics)
-            fpar = compute_metric(MetricKind.F_PAR, u, h, events, index, net, topics)
-            lat = compute_metric(MetricKind.LAT, u, h, events, index, net, topics)
+        for (u, h), row in pair_metrics(events, index, net, topics).items():
+            t = row.get(MetricKind.TIME)
+            npar = row.get(MetricKind.N_PAR)
+            fpar = row.get(MetricKind.F_PAR)
+            lat = row.get(MetricKind.LAT)
             if t is not None:
                 assert t >= 0
             if lat is not None:
@@ -157,38 +155,37 @@ def test_log_lat_normalization_identity():
     # mean over adopters of exp(LOG-LAT(w,h)) is exactly 1 per hashtag
     rng = np.random.default_rng(12)
     net, events, topics, index = _random_setup(rng, n_users=20, n_lines=250)
-    means = hashtag_mean_lats(events, index, net, topics)
-    for h, mean_lat in means.items():
-        ratios = []
-        for u in index.adopters_of(h):
-            v = compute_metric(
-                MetricKind.LOG_LAT, u, h, events, index, net, topics,
-                hashtag_mean_lat=mean_lat,
-            )
-            if v is not None:
-                ratios.append(math.exp(v))
-        assert np.mean(ratios) == pytest.approx(1.0, abs=1e-9)
+    ratios: dict = {}
+    for (_u, h), row in pair_metrics(events, index, net, topics).items():
+        if MetricKind.LOG_LAT in row:
+            ratios.setdefault(h, []).append(math.exp(row[MetricKind.LOG_LAT]))
+    assert ratios
+    for vals in ratios.values():
+        assert np.mean(vals) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
     genome = build_genome(events, index, net, topics)
-    means = hashtag_mean_lats(events, index, net, topics)
+    oracle = oracles.MetricOracle(
+        [(e.time, e.user, e.hashtag) for e in events.events], net.edges, topics.assignment
+    )
+    by_kind = {
+        MetricKind.TIME: oracle.time,
+        MetricKind.N_USES: oracle.n_uses,
+        MetricKind.N_PAR: oracle.n_par,
+        MetricKind.F_PAR: oracle.f_par,
+        MetricKind.LAT: oracle.lat,
+        MetricKind.LOG_LAT: oracle.log_lat,
+    }
     expected: dict = {}
     for (u, h) in index.first_use:
         topic = topics.topic_of(h)
         if topic is None:
             continue
-        for kind in MetricKind:
-            if kind is MetricKind.LOG_LAT:
-                if h not in means:
-                    continue
-                v = compute_metric(
-                    kind, u, h, events, index, net, topics, hashtag_mean_lat=means[h]
-                )
-            else:
-                v = compute_metric(kind, u, h, events, index, net, topics)
+        for kind, fn in by_kind.items():
+            v = fn(u, h)
             if v is not None:
                 expected.setdefault((u, topic, kind), []).append(v)
     for (u, topic, kind), vals in expected.items():

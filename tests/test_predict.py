@@ -51,9 +51,11 @@ def _fixture(n_followees):
 
 def test_minimum_followee_threshold():
     net, events, topics, index = _fixture(9)
-    assert build_instances(Direction.INFLUENCER, events, index, net, topics) == []
+    ctx = PredictionContext(events, index, net, topics)
+    assert build_instances(Direction.INFLUENCER, ctx) == []
     net, events, topics, index = _fixture(10)
-    instances = build_instances(Direction.INFLUENCER, events, index, net, topics)
+    ctx = PredictionContext(events, index, net, topics)
+    instances = build_instances(Direction.INFLUENCER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
     assert mine[0].truth == {"f0", "f1", "f2"}
@@ -62,7 +64,8 @@ def test_minimum_followee_threshold():
 
 def test_adopter_direction_truth():
     net, events, topics, index = _fixture(10)
-    instances = build_instances(Direction.ADOPTER, events, index, net, topics)
+    ctx = PredictionContext(events, index, net, topics)
+    instances = build_instances(Direction.ADOPTER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
     assert mine[0].candidates == ("audience",)
@@ -79,13 +82,15 @@ def test_isolated_candidates_drop_instance():
     events = load_events(event_lines)
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    assert build_instances(Direction.INFLUENCER, events, index, net, topics) == []
+    ctx = PredictionContext(events, index, net, topics)
+    assert build_instances(Direction.INFLUENCER, ctx) == []
 
 
 def test_instances_ordered():
     d = generate(datasets.activity_params(0))
     index = build_adoption_index(d.events, d.network)
-    instances = build_instances(Direction.INFLUENCER, d.events, index, d.network, d.topics)
+    ctx = PredictionContext(d.events, index, d.network, d.topics)
+    instances = build_instances(Direction.INFLUENCER, ctx)
     keys = [(i.topic, i.hashtag, i.user) for i in instances]
     assert keys == sorted(keys)
 
@@ -101,7 +106,7 @@ def test_reciprocal_scores():
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
-    inst = build_instances(Direction.INFLUENCER, events, index, net, topics, ctx)[0]
+    inst = build_instances(Direction.INFLUENCER, ctx)[0]
     scores = score_candidates(PredictorKind.RECIPROCAL, inst, ctx)
     assert scores["f0"] == 1.0
     assert all(scores[c] == 0.0 for c in inst.candidates if c != "f0")
@@ -111,7 +116,7 @@ def test_act_excludes_target_hashtag():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, events, index, net, topics, ctx)
+        i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
     act = score_candidates(PredictorKind.ACT, inst, ctx)
@@ -126,7 +131,7 @@ def test_rw_act_zero_topic_activity_scores_zero():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, events, index, net, topics, ctx)
+        i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
     rw = score_candidates(PredictorKind.RW_ACT, inst, ctx)
@@ -137,7 +142,7 @@ def test_followee_follower_counts():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, events, index, net, topics, ctx)
+        i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target"
     )
     followees = score_candidates(PredictorKind.FOLLOWEES, inst, ctx)
@@ -221,9 +226,7 @@ def test_scores_blind_to_target_hashtag():
     d = generate(datasets.activity_params(1))
     index = build_adoption_index(d.events, d.network)
     ctx = PredictionContext(d.events, index, d.network, d.topics)
-    instances = build_instances(
-        Direction.INFLUENCER, d.events, index, d.network, d.topics, ctx
-    )[:8]
+    instances = build_instances(Direction.INFLUENCER, ctx)[:8]
     for inst in instances:
         filtered = EventLog(
             events=tuple(e for e in d.events.events if e.hashtag != inst.hashtag)
@@ -243,9 +246,7 @@ def test_random_scores_auc_near_half():
     d = generate(datasets.activity_params(2))
     index = build_adoption_index(d.events, d.network)
     ctx = PredictionContext(d.events, index, d.network, d.topics)
-    instances = build_instances(
-        Direction.INFLUENCER, d.events, index, d.network, d.topics, ctx
-    )
+    instances = build_instances(Direction.INFLUENCER, ctx)
     rng = np.random.default_rng(0)
     aucs = []
     for inst in instances:
