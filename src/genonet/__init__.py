@@ -66,6 +66,7 @@ from .classify import (
 )
 from .predict import (
     Direction,
+    InstanceTable,
     PredictionContext,
     PredictionInstance,
     PredictorKind,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DataError
@@ -40,15 +41,15 @@ __all__ = [
 @dataclass(frozen=True)
 class InfluenceBackbone:
     topic: str
-    graph: DirectedGraph
     weights: Mapping[tuple[str, str], int]
+
+    @cached_property
+    def graph(self) -> DirectedGraph:
+        """The weighted backbone graph, built on first use."""
+        return DirectedGraph.from_edges((u, v, w) for (u, v), w in self.weights.items())
 
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.weights)
-
-    @property
-    def node_count(self) -> int:
-        return self.graph.n
 
 
 @dataclass(frozen=True)
@@ -93,11 +94,6 @@ def _precedence_edges(
     return edges
 
 
-def _backbone(topic: str, weights: dict[tuple[str, str], int]) -> InfluenceBackbone:
-    graph = DirectedGraph.from_edges((u, v, w) for (u, v), w in weights.items())
-    return InfluenceBackbone(topic=topic, graph=graph, weights=weights)
-
-
 def extract_backbone(
     topic: str,
     index: AdoptionIndex,
@@ -109,7 +105,7 @@ def extract_backbone(
     for h in topics.hashtags_for(topic):
         for e in _precedence_edges(h, index, net):
             weights[e] = weights.get(e, 0) + 1
-    return _backbone(topic, weights)
+    return InfluenceBackbone(topic=topic, weights=weights)
 
 
 def exclude_hashtag(
@@ -133,7 +129,7 @@ def exclude_hashtag(
         weights[e] -= 1
         if not weights[e]:
             del weights[e]
-    return _backbone(b.topic, weights)
+    return InfluenceBackbone(topic=b.topic, weights=weights)
 
 
 def _largest_fraction(components: list[frozenset], node_count: int) -> float:

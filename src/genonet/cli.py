@@ -233,16 +233,10 @@ def cmd_predict(args) -> None:
     out = _outdir(args)
     net, events, topics, index = _load(args)
     ctx = pr.PredictionContext(events, index, net, topics)
-    directions = {
-        "influencer": [pr.Direction.INFLUENCER],
-        "adopter": [pr.Direction.ADOPTER],
-        "both": [pr.Direction.INFLUENCER, pr.Direction.ADOPTER],
-    }[args.direction]
     results = []
-    for direction in directions:
-        instances = pr.build_instances(direction, ctx)
-        for kind in pr.PredictorKind:
-            results.append(pr.evaluate(kind, instances, ctx))
+    for direction in pr.Direction:
+        if args.direction in ("both", direction.value):
+            results += pr.evaluate(direction, pr.build_instances(direction, ctx), ctx)
     _write_tsv(
         out / "predictor_auc.tsv",
         _provenance(args),

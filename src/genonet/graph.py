@@ -22,6 +22,7 @@ __all__ = [
     "strongly_connected_components",
     "weakly_connected_components",
     "pagerank",
+    "pagerank_arrays",
     "betweenness_centrality",
     "kendall_tau",
     "jaccard_edge_similarity",
@@ -93,13 +94,6 @@ class DirectedGraph:
         if iu is None or iv is None:
             return False
         return any(j == iv for j, _ in self._adj[iu])
-
-    def edge_set(self) -> frozenset[tuple[Node, Node]]:
-        return frozenset(
-            (self.nodes[i], self.nodes[j])
-            for i, row in enumerate(self._adj)
-            for j, _ in row
-        )
 
     def out_degree(self, node: Node) -> int:
         return len(self._adj[self._index[node]])
@@ -203,33 +197,39 @@ def pagerank(
     Dangling mass is redistributed uniformly; iteration stops when the
     L1 change drops below ``tol``.  Scores sum to 1.
     """
-    if g.n == 0:
+    edges = [(i, j) for i, row in enumerate(g.adjacency()) for j, _ in row]
+    src, dst = np.array(edges, np.int64).reshape(-1, 2).T
+    return dict(zip(g.nodes, pagerank_arrays(g.n, src, dst, damping, tol, max_iter).tolist()))
+
+
+def pagerank_arrays(
+    n: int, src: np.ndarray, dst: np.ndarray, damping=0.85, tol=1e-10, max_iter=200
+) -> np.ndarray:
+    """:func:`pagerank` on nodes ``0..n-1`` and edges sorted by (src, dst).
+
+    Each edge's share is scattered in edge order, and the dangling mass
+    and the L1 change are running sums in node order, so every addition
+    happens in the order of a node-by-node loop.
+    """
+    if n == 0:
         raise DataError("pagerank undefined on an empty graph")
     if not (0.0 < damping < 1.0):
         raise DataError(f"damping must be in (0, 1), got {damping}")
     if tol <= 0:
         raise DataError("tol must be positive")
-    n = g.n
-    adj = g.adjacency()
-    out_deg = [len(row) for row in adj]
-    scores = [1.0 / n] * n
+    out_deg = np.bincount(src, minlength=n)
+    dangling = out_deg == 0
+    share, scores = np.zeros(n), np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = [0.0] * n
-        dangling = 0.0
-        for i, row in enumerate(adj):
-            if not row:
-                dangling += scores[i]
-                continue
-            share = scores[i] / out_deg[i]
-            for j, _ in row:
-                nxt[j] += share
-        base = (1.0 - damping) / n + damping * dangling / n
-        nxt = [base + damping * x for x in nxt]
-        delta = sum(abs(a - b) for a, b in zip(nxt, scores))
+        np.divide(scores, out_deg, out=share, where=~dangling)
+        nxt = np.bincount(dst, weights=share[src], minlength=n)
+        mass = np.add.accumulate(np.append(0.0, scores[dangling]))[-1]
+        nxt = (1.0 - damping) / n + damping * mass / n + damping * nxt
+        delta = np.add.accumulate(np.abs(nxt - scores))[-1]
         scores = nxt
         if delta < tol:
             break
-    return {g.nodes[i]: s for i, s in enumerate(scores)}
+    return scores
 
 
 def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:

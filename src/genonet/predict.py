@@ -12,25 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .backbone import InfluenceBackbone, exclude_hashtag, extract_backbone
 from .errors import DataError
-from .graph import pagerank
+from .graph import pagerank_arrays
 from .ingest import AdoptionIndex, EventLog, FollowerNetwork, TopicMap
 
 __all__ = [
-    "Direction",
-    "PredictorKind",
-    "PredictionInstance",
-    "PredictionContext",
-    "build_instances",
-    "score_candidates",
-    "roc_auc",
-    "evaluate",
-    "EvaluationResult",
-    "write_evaluation_tsv",
-    "MIN_FOLLOWEES",
+    "Direction", "PredictorKind", "PredictionInstance", "PredictionContext",
+    "InstanceTable", "build_instances", "score_candidates", "roc_auc", "evaluate",
+    "EvaluationResult", "write_evaluation_tsv", "MIN_FOLLOWEES",
 ]
 
 MIN_FOLLOWEES = 10
@@ -69,190 +64,203 @@ class PredictionInstance:
 
 
 class PredictionContext:
-    """Shared immutable inputs plus per-hashtag exclusion caches."""
+    """Shared inputs as numpy columns over one sorted user order.
+
+    Per user: followee, follower and event counts, and event counts per
+    topic and per hashtag.  Per hashtag, on first use: the PageRank vector
+    of the hashtag-excluded backbone, which is zero exactly off its nodes.
+    """
 
     def __init__(
-        self,
-        events: EventLog,
-        index: AdoptionIndex,
-        net: FollowerNetwork,
-        topics: TopicMap,
+        self, events: EventLog, index: AdoptionIndex, net: FollowerNetwork, topics: TopicMap
     ):
-        self.events = events
-        self.index = index
-        self.net = net
-        self.topics = topics
-        self._backbones: dict[str, InfluenceBackbone] = {}
-        self._excluded: dict[str, InfluenceBackbone] = {}
-        self._excluded_pagerank: dict[str, Mapping[str, float]] = {}
-        # event counts per user, per (user, topic) and per (user, hashtag)
-        self._act_total: dict[str, int] = {}
-        self._act_topic: dict[tuple[str, str], int] = {}
-        self._act_hashtag: dict[tuple[str, str], int] = {}
-        for t, u, h in events.events:
-            self._act_total[u] = self._act_total.get(u, 0) + 1
-            self._act_hashtag[(u, h)] = self._act_hashtag.get((u, h), 0) + 1
-            topic = topics.topic_of(h)
-            if topic is not None:
-                self._act_topic[(u, topic)] = self._act_topic.get((u, topic), 0) + 1
-
-    def backbone(self, topic: str) -> InfluenceBackbone:
-        if topic not in self._backbones:
-            self._backbones[topic] = extract_backbone(
-                topic, self.index, self.net, self.topics
-            )
-        return self._backbones[topic]
-
-    def excluded_backbone(self, hashtag: str) -> InfluenceBackbone:
-        if hashtag not in self._excluded:
-            topic = self.topics.topic_of(hashtag)
-            if topic is None:
-                raise DataError(f"hashtag {hashtag!r} has no topic")
-            self._excluded[hashtag] = exclude_hashtag(
-                self.backbone(topic), hashtag, self.index, self.net, self.topics
-            )
-        return self._excluded[hashtag]
-
-    def excluded_pagerank(self, hashtag: str) -> Mapping[str, float]:
-        if hashtag not in self._excluded_pagerank:
-            g = self.excluded_backbone(hashtag).graph
-            self._excluded_pagerank[hashtag] = pagerank(g) if g.n else {}
-        return self._excluded_pagerank[hashtag]
-
-    def activity(self, user: str, exclude: str) -> int:
-        """Total hashtag-use events of the user, minus the target hashtag's."""
-        return self._act_total.get(user, 0) - self._act_hashtag.get(
-            (user, exclude), 0
+        self.events, self.index, self.net, self.topics = events, index, net, topics
+        self.users = tuple(sorted(net.nodes | events.users))
+        self.user_ids = {u: i for i, u in enumerate(self.users)}
+        self.hashtags = tuple(sorted(events.hashtags | topics.assignment.keys()))
+        self.hashtag_ids = {h: i for i, h in enumerate(self.hashtags)}
+        self.topic_ids = {t: i for i, t in enumerate(topics.topics)}
+        n, n_tags, n_topics = len(self.users), len(self.hashtags), len(self.topic_ids)
+        # a hashtag without a topic counts in an extra last topic column
+        self.hashtag_topic = np.array(
+            [self.topic_ids.get(topics.topic_of(h), n_topics) for h in self.hashtags], np.int64
         )
+        src, dst = self._edge_ids(net.edges)
+        self.followers, self.followees = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
+        self.mutual = np.intersect1d(src * n + dst, dst * n + src)  # keys of reciprocal edges
+        ev = events.events
+        user = _column(self.user_ids, (e.user for e in ev), len(ev))
+        tag = _column(self.hashtag_ids, (e.hashtag for e in ev), len(ev))
+        self.uses = np.bincount(user * n_tags + tag, minlength=n * n_tags).reshape(n, n_tags)
+        self.activity = self.uses.sum(axis=1)
+        self.topic_activity = self.uses @ (self.hashtag_topic[:, None] == np.arange(n_topics + 1))
+        # topic -> backbone, its edges in (followee, follower) order, their ids
+        self._backbones: dict[str, tuple] = {}
+        self._excluded: dict[int, np.ndarray] = {}
 
-    def topic_activity(self, user: str, topic: str, exclude: str) -> int:
-        n = self._act_topic.get((user, topic), 0)
-        if self.topics.topic_of(exclude) == topic:
-            n -= self._act_hashtag.get((user, exclude), 0)
-        return n
+    def _edge_ids(self, edges) -> tuple[np.ndarray, ...]:
+        """Followee and follower id columns of (followee, follower) pairs."""
+        return tuple(_column(self.user_ids, (e[i] for e in edges), len(edges)) for i in (0, 1))
+
+    def excluded_pagerank(self, tag: int) -> np.ndarray:
+        """PageRank over users of the backbone without a hashtag, 0 off it.
+
+        The edges keep the topic backbone's (followee, follower) id order,
+        which is :meth:`DirectedGraph.from_edges`'s node and edge order, so
+        the PageRank equals ``graph.pagerank`` of the excluded backbone.
+        """
+        if tag not in self._excluded:
+            h = self.hashtags[tag]
+            topic = self.topics.topic_of(h)
+            if topic is None:
+                raise DataError(f"hashtag {h!r} has no topic")
+            if topic not in self._backbones:
+                b = extract_backbone(topic, self.index, self.net, self.topics)
+                edges = sorted(b.weights)
+                self._backbones[topic] = (b, edges, *self._edge_ids(edges))
+            b, edges, src, dst = self._backbones[topic]
+            weights = exclude_hashtag(b, h, self.index, self.net, self.topics).weights
+            kept = np.fromiter(map(weights.__contains__, edges), bool, count=len(edges))
+            src, dst = src[kept], dst[kept]
+            nodes = np.union1d(src, dst)
+            self._excluded[tag] = pr = np.zeros(len(self.users))
+            if len(nodes):
+                pr[nodes] = pagerank_arrays(
+                    len(nodes), np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
+                )
+        return self._excluded[tag]
 
 
-def build_instances(
-    direction: Direction, context: PredictionContext
-) -> list[PredictionInstance]:
+def _column(ids: Mapping, names, count: int) -> np.ndarray:
+    try:
+        return np.fromiter(map(ids.__getitem__, names), np.int64, count=count)
+    except KeyError as exc:
+        raise DataError(f"unknown user, hashtag or topic {exc}") from None
+
+
+def build_instances(direction: Direction, context: PredictionContext) -> list[PredictionInstance]:
     """Qualifying (hashtag, user) prediction cases, ordered by (topic, hashtag, user).
 
     A case qualifies when the user has >= 10 followees, adopted the
     hashtag, has a non-empty truth set, and at least one candidate is
     non-isolated in the hashtag-excluded backbone.
     """
-    index, net, topics = context.index, context.net, context.topics
+    net, first_use, topic_of = context.net, context.index.first_use, context.topics.topic_of
+    keyed = sorted((topic_of(h), h, u) for (u, h) in first_use if topic_of(h) is not None)
     instances: list[PredictionInstance] = []
-    keyed: list[tuple[str, str, str]] = []
-    for (u, h) in index.first_use:
-        topic = topics.topic_of(h)
-        if topic is None:
-            continue
-        keyed.append((topic, h, u))
-    keyed.sort()
-
+    current, linked = None, frozenset()
     for topic, h, u in keyed:
         followees = net.followees_of(u)
         if len(followees) < MIN_FOLLOWEES:
             continue
-        candidates = (
-            followees if direction is Direction.INFLUENCER else net.followers_of(u)
-        )
-        if not candidates:
-            continue
-        t_use = index.first_use[(u, h)]
+        t_use = first_use[(u, h)]
         if direction is Direction.INFLUENCER:
-            truth = frozenset(
-                c
-                for c in candidates
-                if (c, h) in index.first_use and index.first_use[(c, h)] < t_use
-            )
+            candidates = followees
+            truth = frozenset(c for c in candidates if first_use.get((c, h), t_use) < t_use)
         else:
-            truth = frozenset(
-                c
-                for c in candidates
-                if (c, h) in index.first_use and index.first_use[(c, h)] > t_use
-            )
+            candidates = net.followers_of(u)
+            truth = frozenset(c for c in candidates if first_use.get((c, h), t_use) > t_use)
         if not truth:
             continue
-        excluded = context.excluded_backbone(h)
-        if not any(c in excluded.graph for c in candidates):
-            continue
-        instances.append(
-            PredictionInstance(
-                user=u,
-                hashtag=h,
-                topic=topic,
-                direction=direction,
-                candidates=tuple(candidates),
-                truth=truth,
-            )
-        )
+        if h != current:
+            pr = context.excluded_pagerank(context.hashtag_ids[h])
+            current, linked = h, frozenset(compress(context.users, (pr > 0).tolist()))
+        if not linked.isdisjoint(candidates):
+            instances.append(PredictionInstance(u, h, topic, direction, candidates, truth))
     return instances
 
 
+@dataclass(frozen=True)
+class InstanceTable:
+    """Instances as CSR candidate lists over the context's user order.
+
+    Instance ``i`` owns slots ``indptr[i]:indptr[i + 1]``: its candidates'
+    user ids and positive flags.  The other columns hold instance ids.
+    """
+
+    indptr: np.ndarray
+    candidate: np.ndarray
+    truth: np.ndarray
+    user: np.ndarray
+    hashtag: np.ndarray
+    topic: np.ndarray
+
+    @classmethod
+    def build(cls, instances: Sequence[PredictionInstance], context: PredictionContext):
+        k, ids = len(instances), context.user_ids
+        sizes = np.fromiter((len(i.candidates) for i in instances), np.int64, count=k)
+        if not sizes.all():
+            raise DataError("a prediction instance has no candidates")
+        slots = int(sizes.sum())
+        return cls(
+            indptr=np.concatenate(([0], np.cumsum(sizes))),
+            candidate=_column(ids, chain.from_iterable(i.candidates for i in instances), slots),
+            truth=np.fromiter(
+                chain.from_iterable(map(i.truth.__contains__, i.candidates) for i in instances),
+                bool, count=slots,
+            ),
+            user=_column(ids, (i.user for i in instances), k),
+            hashtag=_column(context.hashtag_ids, (i.hashtag for i in instances), k),
+            topic=_column(context.topic_ids, (i.topic for i in instances), k),
+        )
+
+
 def score_candidates(
-    kind: PredictorKind,
-    inst: PredictionInstance,
-    context: PredictionContext,
-) -> dict[str, float]:
-    """Per-candidate score under one predictor, higher = ranked first."""
-    net = context.net
-    h = inst.hashtag
+    kind: PredictorKind, table: InstanceTable, context: PredictionContext
+) -> np.ndarray:
+    """Every slot's score under one predictor, higher = ranked first."""
+    cand, sizes = table.candidate, np.diff(table.indptr)
     if kind is PredictorKind.FOLLOWEES:
-        return {c: float(len(net.followees_of(c))) for c in inst.candidates}
+        return context.followees[cand].astype(float)
     if kind is PredictorKind.FOLLOWERS:
-        return {c: float(len(net.followers_of(c))) for c in inst.candidates}
+        return context.followers[cand].astype(float)
     if kind is PredictorKind.RECIPROCAL:
-        return {
-            c: float(net.has_edge(c, inst.user) and net.has_edge(inst.user, c))
-            for c in inst.candidates
-        }
+        keys = cand * len(context.users) + np.repeat(table.user, sizes)
+        return np.isin(keys, context.mutual).astype(float)
+    # the target hashtag's own events never count
+    tag, topic = np.repeat(table.hashtag, sizes), np.repeat(table.topic, sizes)
+    uses = context.uses[cand, tag]
     if kind is PredictorKind.ACT:
-        return {c: float(context.activity(c, exclude=h)) for c in inst.candidates}
+        return (context.activity[cand] - uses).astype(float)
+    own = context.hashtag_topic[tag] == topic
+    topic_act = (context.topic_activity[cand, topic] - uses * own).astype(float)
     if kind is PredictorKind.TOPIC_ACT:
-        return {
-            c: float(context.topic_activity(c, inst.topic, exclude=h))
-            for c in inst.candidates
-        }
+        return topic_act
     if kind is PredictorKind.RW_ACT:
-        pr = context.excluded_pagerank(h)
-        raw_pr = {c: pr.get(c, 0.0) for c in inst.candidates}
-        raw_act = {
-            c: float(context.topic_activity(c, inst.topic, exclude=h))
-            for c in inst.candidates
-        }
-        max_pr = max(raw_pr.values())
-        max_act = max(raw_act.values())
-        return {
-            c: (raw_pr[c] / max_pr if max_pr > 0 else 0.0)
-            * (raw_act[c] / max_act if max_act > 0 else 0.0)
-            for c in inst.candidates
-        }
+        tags, row = np.unique(table.hashtag, return_inverse=True)
+        pr = np.stack([context.excluded_pagerank(t) for t in tags.tolist()] or [np.zeros(0)])
+        raw_pr = pr[np.repeat(row, sizes), cand]
+        return _over_max(raw_pr, table.indptr) * _over_max(topic_act, table.indptr)
     raise DataError(f"unknown predictor kind {kind!r}")
 
 
-def roc_auc(scores: Mapping[str, float], truth: frozenset[str] | set[str]) -> float:
-    """Mann-Whitney AUC of a candidate ranking against the positives.
+def _over_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each slot over its instance's maximum; 0 where that maximum is 0."""
+    top = np.repeat(np.maximum.reduceat(x, indptr[:-1]), np.diff(indptr))
+    return np.divide(x, top, out=np.zeros_like(x), where=top > 0)
 
-    Tied positive-negative score pairs contribute 0.5 each.
+
+def roc_auc(scores: np.ndarray, truth: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of every instance's ranking of slots ``indptr[i]:indptr[i + 1]``.
+
+    Tied positive-negative pairs contribute 0.5 each.  One sort by
+    (instance, score) gives each run of tied scores its midrank.  The
+    midranks are half-integers, so every rank sum, and each AUC, is exact.
     """
-    positives = [s for c, s in scores.items() if c in truth]
-    negatives = [s for c, s in scores.items() if c not in truth]
-    if not positives or not negatives:
+    sizes = np.diff(indptr)
+    inst = np.repeat(np.arange(len(sizes)), sizes)
+    n_pos = np.bincount(inst[truth], minlength=len(sizes))
+    n_neg = sizes - n_pos
+    if not (n_pos.all() and n_neg.all()):
         raise DataError("AUC undefined: needs at least one positive and one negative")
-    # rank-sum with midranks over the pooled scores
-    values = sorted(positives + negatives)
-    ranks: dict[float, float] = {}
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        ranks[values[i]] = (i + 1 + j) / 2.0
-        i = j
-    rank_sum = sum(ranks[s] for s in positives)
-    n_pos, n_neg = len(positives), len(negatives)
+    values, dense = np.unique(scores, return_inverse=True)
+    key = inst * len(values) + dense  # ordered as (instance, score)
+    order = np.argsort(key)
+    run = np.diff(key[order], prepend=-1) != 0  # a run of tied scores starts here
+    first = np.flatnonzero(run)
+    last = np.append(first[1:], len(key))
+    rank = ((first + last + 1 - 2 * indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
+    rank_sum = np.bincount(inst, weights=rank * truth[order], minlength=len(sizes))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -272,32 +280,31 @@ class EvaluationResult:
 
 
 def evaluate(
-    kind: PredictorKind,
-    instances: Sequence[PredictionInstance],
-    context: PredictionContext,
-) -> EvaluationResult:
-    """Mean AUC per topic; instances with undefined AUC are excluded."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    direction = instances[0].direction if instances else Direction.INFLUENCER
-    for inst in instances:
-        if not inst.truth or len(inst.truth) == len(inst.candidates):
-            continue
-        auc = roc_auc(score_candidates(kind, inst, context), inst.truth)
-        sums[inst.topic] = sums.get(inst.topic, 0.0) + auc
-        counts[inst.topic] = counts.get(inst.topic, 0) + 1
-    per_topic = {t: (sums[t] / counts[t], counts[t]) for t in sorted(counts)}
-    return EvaluationResult(direction=direction, predictor=kind, per_topic=per_topic)
+    direction: Direction, instances: Sequence[PredictionInstance], context: PredictionContext
+) -> list[EvaluationResult]:
+    """Mean AUC per topic under every predictor, labelled ``direction``.
+
+    Instances whose truth is empty or covers every candidate are
+    skipped.  A topic's mean adds its AUCs one by one in instance order.
+    """
+    kept = [i for i in instances if i.truth and len(i.truth) != len(i.candidates)]
+    table = InstanceTable.build(kept, context)
+    names = context.topics.topics
+    groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))
+    results = []
+    for kind in PredictorKind:
+        auc = roc_auc(score_candidates(kind, table, context), table.truth, table.indptr)
+        per_topic = {
+            name: (float(np.add.accumulate(auc[rows])[-1]) / len(rows), len(rows))
+            for name, rows in groups
+        }
+        results.append(EvaluationResult(direction, kind, per_topic))
+    return results
 
 
 def write_evaluation_tsv(results: Sequence[EvaluationResult], fh) -> None:
     fh.write("direction\ttopic\tpredictor\tmean_auc\tinstances\n")
-    ordered = sorted(
-        results, key=lambda r: (r.direction.value, r.predictor.value)
-    )
-    for r in ordered:
+    for r in sorted(results, key=lambda r: (r.direction.value, r.predictor.value)):
         for topic in sorted(r.per_topic):
             mean, n = r.per_topic[topic]
-            fh.write(
-                f"{r.direction.value}\t{topic}\t{r.predictor.value}\t{mean!r}\t{n}\n"
-            )
+            fh.write(f"{r.direction.value}\t{topic}\t{r.predictor.value}\t{mean!r}\t{n}\n")

@@ -291,6 +291,31 @@ def pagerank_dense(n, edges, damping=0.85, tol=1e-12, max_iter=500):
     return x
 
 
+def pagerank_loop(g, damping=0.85, tol=1e-10, max_iter=200):
+    """``graph.pagerank`` as a node-by-node Python loop over ``g.adjacency()``."""
+    n = g.n
+    adj = g.adjacency()
+    out_deg = [len(row) for row in adj]
+    scores = [1.0 / n] * n
+    for _ in range(max_iter):
+        nxt = [0.0] * n
+        dangling = 0.0
+        for i, row in enumerate(adj):
+            if not row:
+                dangling += scores[i]
+                continue
+            share = scores[i] / out_deg[i]
+            for j, _ in row:
+                nxt[j] += share
+        base = (1.0 - damping) / n + damping * dangling / n
+        nxt = [base + damping * x for x in nxt]
+        delta = sum(abs(a - b) for a, b in zip(nxt, scores))
+        scores = nxt
+        if delta < tol:
+            break
+    return {g.nodes[i]: s for i, s in enumerate(scores)}
+
+
 def kendall_tau_pairs(xs, ys):
     """Tau-b straight from the O(n^2) pair-count definition."""
     n = len(xs)
@@ -453,3 +478,117 @@ def fit_logistic_scipy(points):
             best = (prev, l, k, x0)
     residual, l, k, x0 = best
     return l, k, x0, residual
+
+
+# --- prediction oracles ------------------------------------------------------
+
+
+class PredictionOracleContext:
+    """Per-user activity dicts and per-hashtag excluded PageRank dicts.
+
+    Backbones come from ``backbone.exclude_hashtag``; PageRank is
+    :func:`pagerank_loop` on the excluded backbone's graph.
+    """
+
+    def __init__(self, events, index, net, topics):
+        from genonet.backbone import exclude_hashtag, extract_backbone
+
+        self.net = net
+        self.topics = topics
+        self._excluded_pagerank = {}
+        self._exclude = lambda h: exclude_hashtag(
+            extract_backbone(topics.topic_of(h), index, net, topics), h, index, net, topics
+        )
+        self._act_total = {}
+        self._act_topic = {}
+        self._act_hashtag = {}
+        for t, u, h in events.events:
+            self._act_total[u] = self._act_total.get(u, 0) + 1
+            self._act_hashtag[(u, h)] = self._act_hashtag.get((u, h), 0) + 1
+            topic = topics.topic_of(h)
+            if topic is not None:
+                self._act_topic[(u, topic)] = self._act_topic.get((u, topic), 0) + 1
+
+    def excluded_pagerank(self, hashtag):
+        if hashtag not in self._excluded_pagerank:
+            g = self._exclude(hashtag).graph
+            self._excluded_pagerank[hashtag] = pagerank_loop(g) if g.n else {}
+        return self._excluded_pagerank[hashtag]
+
+    def activity(self, user, exclude):
+        return self._act_total.get(user, 0) - self._act_hashtag.get((user, exclude), 0)
+
+    def topic_activity(self, user, topic, exclude):
+        n = self._act_topic.get((user, topic), 0)
+        if self.topics.topic_of(exclude) == topic:
+            n -= self._act_hashtag.get((user, exclude), 0)
+        return n
+
+
+def score_candidates(kind, inst, context):
+    """Per-candidate scores of one instance, one predictor (a dict)."""
+    from genonet.predict import PredictorKind
+
+    net = context.net
+    h = inst.hashtag
+    if kind is PredictorKind.FOLLOWEES:
+        return {c: float(len(net.followees_of(c))) for c in inst.candidates}
+    if kind is PredictorKind.FOLLOWERS:
+        return {c: float(len(net.followers_of(c))) for c in inst.candidates}
+    if kind is PredictorKind.RECIPROCAL:
+        return {
+            c: float(net.has_edge(c, inst.user) and net.has_edge(inst.user, c))
+            for c in inst.candidates
+        }
+    if kind is PredictorKind.ACT:
+        return {c: float(context.activity(c, exclude=h)) for c in inst.candidates}
+    if kind is PredictorKind.TOPIC_ACT:
+        return {
+            c: float(context.topic_activity(c, inst.topic, exclude=h))
+            for c in inst.candidates
+        }
+    pr = context.excluded_pagerank(h)
+    raw_pr = {c: pr.get(c, 0.0) for c in inst.candidates}
+    raw_act = {
+        c: float(context.topic_activity(c, inst.topic, exclude=h))
+        for c in inst.candidates
+    }
+    max_pr = max(raw_pr.values())
+    max_act = max(raw_act.values())
+    return {
+        c: (raw_pr[c] / max_pr if max_pr > 0 else 0.0)
+        * (raw_act[c] / max_act if max_act > 0 else 0.0)
+        for c in inst.candidates
+    }
+
+
+def roc_auc(scores, truth):
+    """Mann-Whitney AUC of one candidate ranking, midranks for ties."""
+    positives = [s for c, s in scores.items() if c in truth]
+    negatives = [s for c, s in scores.items() if c not in truth]
+    if not positives or not negatives:
+        raise ValueError("AUC undefined: needs at least one positive and one negative")
+    values = sorted(positives + negatives)
+    ranks = {}
+    i = 0
+    while i < len(values):
+        j = i
+        while j < len(values) and values[j] == values[i]:
+            j += 1
+        ranks[values[i]] = (i + 1 + j) / 2.0
+        i = j
+    rank_sum = sum(ranks[s] for s in positives)
+    n_pos, n_neg = len(positives), len(negatives)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def mean_auc_per_topic(kind, instances, context):
+    """topic -> (mean AUC, instances), AUCs added one by one in instance order."""
+    sums, counts = {}, {}
+    for inst in instances:
+        if not inst.truth or len(inst.truth) == len(inst.candidates):
+            continue
+        auc = roc_auc(score_candidates(kind, inst, context), inst.truth)
+        sums[inst.topic] = sums.get(inst.topic, 0.0) + auc
+        counts[inst.topic] = counts.get(inst.topic, 0) + 1
+    return {t: (sums[t] / counts[t], counts[t]) for t in sorted(counts)}

@@ -38,7 +38,6 @@ from genonet.predict import (
     PredictorKind,
     build_instances,
     evaluate,
-    roc_auc,
 )
 from genonet.syngen import generate
 
@@ -229,10 +228,10 @@ def test_criterion_5_predictor_ordering():
         ctx = PredictionContext(d.events, index, d.network, d.topics)
         instances = build_instances(Direction.INFLUENCER, ctx)
         means = {}
-        for kind in PredictorKind:
-            mean, count = evaluate(kind, instances, ctx).overall
-            means[kind] = mean
-            assert count >= 200, (kind, count)
+        for res in evaluate(Direction.INFLUENCER, instances, ctx):
+            mean, count = res.overall
+            means[res.predictor] = mean
+            assert count >= 200, (res.predictor, count)
         for genotype_kind in (PredictorKind.TOPIC_ACT, PredictorKind.RW_ACT):
             for structural in (PredictorKind.FOLLOWEES, PredictorKind.FOLLOWERS):
                 gap = means[genotype_kind] - means[structural]
@@ -240,7 +239,7 @@ def test_criterion_5_predictor_ordering():
         # a random scorer sits at chance
         rng = np.random.default_rng(55)
         aucs = [
-            roc_auc({c: float(rng.random()) for c in inst.candidates}, inst.truth)
+            oracles.roc_auc({c: float(rng.random()) for c in inst.candidates}, inst.truth)
             for inst in instances
             if inst.truth and len(inst.truth) < len(inst.candidates)
         ]

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from genonet import classify, genotype, latmin
+from genonet import classify, genotype, latmin, predict
 from genonet.cli import main
+from genonet.graph import DirectedGraph
 from genonet.ingest import build_adoption_index, load_dataset
 
 
@@ -272,3 +273,24 @@ def test_commands_do_not_touch_inputs(syn_manifest, tmp_path):
     before = digest_dir(syn_manifest.parent)
     assert run("genome", "--manifest", syn_manifest, "--out", tmp_path) == 0
     assert digest_dir(syn_manifest.parent) == before
+
+
+def test_predict_builds_no_graph_per_hashtag(syn_manifest, tmp_path, monkeypatch):
+    """predict builds at most one graph per topic and scores and ranks
+    each (direction, predictor) once."""
+    _net, _events, topics = load_dataset(syn_manifest)
+    graphs, scored, ranked = [], [], []
+    from_edges, score, auc = DirectedGraph.from_edges, predict.score_candidates, predict.roc_auc
+    monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(
+        lambda cls, *args, **kw: graphs.append(1) or from_edges(*args, **kw)))
+    monkeypatch.setattr(predict, "score_candidates",
+                        lambda kind, *rest: scored.append(kind) or score(kind, *rest))
+    monkeypatch.setattr(predict, "roc_auc", lambda *args: ranked.append(1) or auc(*args))
+    assert run("predict", "--manifest", syn_manifest, "--out", tmp_path,
+               "--direction", "both") == 0
+    rows = (tmp_path / "predictor_auc.tsv").read_text().splitlines()
+    assert {r.split("\t")[0] for r in rows[2:]} == {"influencer", "adopter"}
+    assert len(graphs) <= len(topics.topics)
+    assert len(ranked) == 12 and sorted(scored, key=list(predict.PredictorKind).index) == [
+        kind for kind in predict.PredictorKind for _ in range(2)
+    ]

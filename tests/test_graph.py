@@ -105,6 +105,23 @@ def test_pagerank_bad_params():
         pagerank(graph, tol=0.0)
 
 
+def test_pagerank_equals_loop_oracle():
+    """The array power iteration equals the node-by-node loop bit for bit,
+    whether it stops at ``tol`` or at ``max_iter``."""
+    rng = np.random.default_rng(404)
+    graphs = [g([], nodes=[0]), g([], nodes="abc"), g([("b", "a"), ("c", "a"), ("a", "d")])]
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        edges = oracles.random_digraph_edges(rng, n, float(rng.uniform(0.01, 0.4)))
+        graphs.append(g(edges, nodes=range(n)))  # low densities leave dangling nodes
+    graphs.append(g(oracles.random_digraph_edges(rng, 300, 0.02), nodes=range(300)))
+    assert any(any(not row for row in x.adjacency()) for x in graphs[3:])
+    settings = ({}, {"tol": 1e-3}, {"max_iter": 3}, {"damping": 0.5, "tol": 1e-15, "max_iter": 400})
+    for graph in graphs:
+        for kwargs in settings:
+            assert pagerank(graph, **kwargs) == oracles.pagerank_loop(graph, **kwargs)
+
+
 def test_betweenness_path():
     bc = betweenness_centrality(g([("a", "b"), ("b", "c")]))
     assert bc == {"a": 0.0, "b": 1.0, "c": 0.0}

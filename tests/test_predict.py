@@ -12,6 +12,7 @@ from genonet.ingest import (
 )
 from genonet.predict import (
     Direction,
+    InstanceTable,
     PredictionContext,
     PredictionInstance,
     PredictorKind,
@@ -23,6 +24,24 @@ from genonet.predict import (
 from genonet.syngen import generate
 
 import datasets
+import oracles
+
+
+def scores_of(kind, inst, ctx):
+    """One instance's scores by candidate, read off a one-instance table."""
+    scores = score_candidates(kind, InstanceTable.build([inst], ctx), ctx)
+    return dict(zip(inst.candidates, scores.tolist()))
+
+
+def auc_of(scores, truth):
+    """``roc_auc`` of one candidate -> score map, as a one-instance table."""
+    values = np.array(list(scores.values()), dtype=float)
+    flags = np.array([c in truth for c in scores], dtype=bool)
+    return roc_auc(values, flags, np.array([0, len(values)]))[0]
+
+
+def result_of(kind, direction, instances, ctx):
+    return {r.predictor: r for r in evaluate(direction, instances, ctx)}[kind]
 
 
 def _fixture(n_followees):
@@ -107,7 +126,7 @@ def test_reciprocal_scores():
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
     inst = build_instances(Direction.INFLUENCER, ctx)[0]
-    scores = score_candidates(PredictorKind.RECIPROCAL, inst, ctx)
+    scores = scores_of(PredictorKind.RECIPROCAL, inst, ctx)
     assert scores["f0"] == 1.0
     assert all(scores[c] == 0.0 for c in inst.candidates if c != "f0")
 
@@ -119,11 +138,11 @@ def test_act_excludes_target_hashtag():
         i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
-    act = score_candidates(PredictorKind.ACT, inst, ctx)
+    act = scores_of(PredictorKind.ACT, inst, ctx)
     # f0 posted #x once and #y once; excluding #x leaves 1
     assert act["f0"] == 1.0
     assert act["f9"] == 0.0
-    topic_act = score_candidates(PredictorKind.TOPIC_ACT, inst, ctx)
+    topic_act = scores_of(PredictorKind.TOPIC_ACT, inst, ctx)
     assert topic_act["f0"] == 1.0
 
 
@@ -134,7 +153,7 @@ def test_rw_act_zero_topic_activity_scores_zero():
         i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
-    rw = score_candidates(PredictorKind.RW_ACT, inst, ctx)
+    rw = scores_of(PredictorKind.RW_ACT, inst, ctx)
     assert rw["f9"] == 0.0  # no topic activity at all
 
 
@@ -145,8 +164,8 @@ def test_followee_follower_counts():
         i for i in build_instances(Direction.INFLUENCER, ctx)
         if i.user == "target"
     )
-    followees = score_candidates(PredictorKind.FOLLOWEES, inst, ctx)
-    followers = score_candidates(PredictorKind.FOLLOWERS, inst, ctx)
+    followees = scores_of(PredictorKind.FOLLOWEES, inst, ctx)
+    followers = scores_of(PredictorKind.FOLLOWERS, inst, ctx)
     assert followees["f0"] == float(len(net.followees_of("f0")))
     assert followers["f0"] == float(len(net.followers_of("f0")))
 
@@ -158,14 +177,14 @@ def test_predictor_tag_parsing():
 
 
 def test_roc_auc_examples():
-    assert roc_auc({"p": 2.0, "n": 1.0}, {"p"}) == 1.0
-    assert roc_auc({"p": 1.0, "n": 2.0}, {"p"}) == 0.0
+    assert auc_of({"p": 2.0, "n": 1.0}, {"p"}) == 1.0
+    assert auc_of({"p": 1.0, "n": 2.0}, {"p"}) == 0.0
     # candidates {p,q,r}, truth {p,q}, scores q=3, r=2, p=1
-    assert roc_auc({"q": 3.0, "r": 2.0, "p": 1.0}, {"p", "q"}) == 0.5
+    assert auc_of({"q": 3.0, "r": 2.0, "p": 1.0}, {"p", "q"}) == 0.5
     with pytest.raises(DataError):
-        roc_auc({"p": 1.0}, {"p"})
+        auc_of({"p": 1.0}, {"p"})
     with pytest.raises(DataError):
-        roc_auc({"p": 1.0, "q": 2.0}, set())
+        auc_of({"p": 1.0, "q": 2.0}, set())
 
 
 def test_roc_auc_ties_and_monotone_invariance():
@@ -178,15 +197,15 @@ def test_roc_auc_ties_and_monotone_invariance():
         truth = set(rng.choice(cands, size=k, replace=False))
         if len(truth) == n:
             continue
-        base = roc_auc(scores, truth)
+        base = auc_of(scores, truth)
         squashed = {c: np.tanh(s) + 7.0 for c, s in scores.items()}
-        assert roc_auc(squashed, truth) == pytest.approx(base, abs=1e-12)
-        flipped = roc_auc(scores, set(cands) - truth)
+        assert auc_of(squashed, truth) == pytest.approx(base, abs=1e-12)
+        flipped = auc_of(scores, set(cands) - truth)
         assert flipped == pytest.approx(1.0 - base, abs=1e-12)
 
 
 def test_all_tied_scores_auc_half():
-    assert roc_auc({"a": 1.0, "b": 1.0, "c": 1.0}, {"a"}) == 0.5
+    assert auc_of({"a": 1.0, "b": 1.0, "c": 1.0}, {"a"}) == 0.5
 
 
 def test_evaluate_single_instance():
@@ -199,10 +218,10 @@ def test_evaluate_single_instance():
     topics = load_topic_map(["h\tT"])
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
-    res = evaluate(PredictorKind.FOLLOWERS, [inst], ctx)
+    res = result_of(PredictorKind.FOLLOWERS, Direction.INFLUENCER, [inst], ctx)
     assert res.per_topic["T"][1] == 1
-    assert res.overall[0] == roc_auc(
-        score_candidates(PredictorKind.FOLLOWERS, inst, ctx), inst.truth
+    assert res.overall[0] == auc_of(
+        scores_of(PredictorKind.FOLLOWERS, inst, ctx), inst.truth
     )
 
 
@@ -216,7 +235,7 @@ def test_degenerate_truth_instances_skipped():
     topics = load_topic_map(["h\tT"])
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
-    res = evaluate(PredictorKind.FOLLOWERS, [inst], ctx)
+    res = result_of(PredictorKind.FOLLOWERS, Direction.INFLUENCER, [inst], ctx)
     assert res.per_topic == {}
 
 
@@ -234,8 +253,8 @@ def test_scores_blind_to_target_hashtag():
         blind_index = build_adoption_index(filtered, d.network)
         blind_ctx = PredictionContext(filtered, blind_index, d.network, d.topics)
         for kind in PredictorKind:
-            full = score_candidates(kind, inst, ctx)
-            blind = score_candidates(kind, inst, blind_ctx)
+            full = scores_of(kind, inst, ctx)
+            blind = scores_of(kind, inst, blind_ctx)
             for c in inst.candidates:
                 assert full[c] == pytest.approx(blind[c], abs=1e-12), (
                     kind, inst.hashtag, c,
@@ -253,6 +272,120 @@ def test_random_scores_auc_near_half():
         if not inst.truth or len(inst.truth) == len(inst.candidates):
             continue
         scores = {c: float(rng.random()) for c in inst.candidates}
-        aucs.append(roc_auc(scores, inst.truth))
+        aucs.append(oracles.roc_auc(scores, inst.truth))
     assert len(aucs) >= 200
     assert abs(np.mean(aucs) - 0.5) <= 0.05
+
+
+def test_adopter_run_without_cases_is_labelled_adopter():
+    net, events, topics, index = _fixture(9)  # too few followees: no cases
+    ctx = PredictionContext(events, index, net, topics)
+    instances = build_instances(Direction.ADOPTER, ctx)
+    assert instances == []
+    results = evaluate(Direction.ADOPTER, instances, ctx)
+    assert [r.predictor for r in results] == list(PredictorKind)
+    assert all(r.direction is Direction.ADOPTER and r.per_topic == {} for r in results)
+
+
+def _oracle_dataset(rng):
+    """A seeded random log with small integer counts and many tied times,
+    plus event-less isolated users z0-z3 and a hashtag alone in its topic,
+    whose excluded backbone is empty."""
+    edge_lines, event_lines, topic_lines = oracles.random_log(
+        rng, n_users=36, n_hashtags=8, n_topics=2, n_lines=260, edge_prob=0.4, max_time=30
+    )
+    edge_lines += [f"z{i}" for i in range(4)]
+    event_lines += [f"{int(rng.integers(0, 30))}\tu{i}\t#solo" for i in range(0, 36, 3)]
+    topic_lines.append("solo\tlone")
+    net = load_follower_edges(edge_lines)
+    events = load_events(event_lines)
+    topics = load_topic_map(topic_lines)
+    return net, events, topics, build_adoption_index(events, net)
+
+
+def _edge_case_instances(rng, instances, direction):
+    """Hand-built instances: one positive, one negative, all scores tied
+    and RWAct maxima 0 (event-less candidates off every backbone), and a
+    hashtag whose excluded backbone is empty."""
+    extra = []
+    for inst in instances[:: max(1, len(instances) // 6)]:
+        cands = inst.candidates
+        if len(cands) < 2:
+            continue
+        extra.append(PredictionInstance(inst.user, inst.hashtag, inst.topic, direction,
+                                        cands, frozenset(cands[:1])))
+        extra.append(PredictionInstance(inst.user, inst.hashtag, inst.topic, direction,
+                                        cands, frozenset(cands[1:])))
+        extra.append(PredictionInstance(inst.user, inst.hashtag, inst.topic, direction,
+                                        ("z0", "z1", "z2") + cands[:2], frozenset({"z1", cands[0]})))
+    extra.append(PredictionInstance("u0", "h0", "topic0", direction,
+                                    ("z0", "z1", "z2", "z3"), frozenset({"z2"})))
+    users = tuple(f"u{i}" for i in rng.choice(36, size=7, replace=False))
+    extra.append(PredictionInstance("u1", "solo", "lone", direction, users,
+                                    frozenset(users[::2])))
+    return extra
+
+
+def test_table_equals_scalar_oracle():
+    """Table scores, per-instance AUCs and per-topic means equal the
+    per-instance dict computation bit for bit, for both directions and
+    all six predictors."""
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        net, events, topics, index = _oracle_dataset(rng)
+        ctx = PredictionContext(events, index, net, topics)
+        octx = oracles.PredictionOracleContext(events, index, net, topics)
+        for direction in Direction:
+            built = build_instances(direction, ctx)
+            assert len(built) >= 40
+            instances = built + _edge_case_instances(rng, built, direction)
+            table = InstanceTable.build(instances, ctx)
+            kept = [i for i in instances if len(i.truth) < len(i.candidates)]
+            kept_table = InstanceTable.build(kept, ctx)
+            for kind in PredictorKind:
+                scores = score_candidates(kind, table, ctx)
+                for i, inst in enumerate(instances):
+                    expected = oracles.score_candidates(kind, inst, octx)
+                    got = scores[table.indptr[i]:table.indptr[i + 1]].tolist()
+                    assert got == list(expected.values()), (kind, inst)
+                aucs = roc_auc(score_candidates(kind, kept_table, ctx),
+                               kept_table.truth, kept_table.indptr).tolist()
+                assert aucs == [
+                    oracles.roc_auc(oracles.score_candidates(kind, inst, octx), inst.truth)
+                    for inst in kept
+                ], kind
+            for res in evaluate(direction, instances, ctx):
+                assert res.direction is direction
+                assert res.per_topic == oracles.mean_auc_per_topic(
+                    res.predictor, instances, octx
+                ), res.predictor
+    # heavily tied random scores on random CSR lists
+    for _ in range(300):
+        sizes = rng.integers(2, 12, size=int(rng.integers(1, 30)))
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        scores = rng.integers(0, 4, size=int(indptr[-1])) / 2.0
+        truth = rng.random(int(indptr[-1])) < 0.4
+        for a, b in zip(indptr[:-1], indptr[1:]):  # at least one of each per instance
+            truth[a], truth[b - 1] = True, False
+        got = roc_auc(scores, truth, indptr).tolist()
+        assert got == [
+            oracles.roc_auc({j: scores[j] for j in range(a, b)}, set(np.flatnonzero(truth[a:b]) + a))
+            for a, b in zip(indptr[:-1], indptr[1:])
+        ]
+
+
+def test_table_rejects_unknown_names_and_empty_candidates():
+    net, events, topics, index = _fixture(10)
+    ctx = PredictionContext(events, index, net, topics)
+    inst = build_instances(Direction.INFLUENCER, ctx)[0]
+    for bad in (
+        PredictionInstance(inst.user, inst.hashtag, inst.topic, inst.direction,
+                           inst.candidates + ("nobody",), inst.truth),
+        PredictionInstance(inst.user, "nohashtag", inst.topic, inst.direction,
+                           inst.candidates, inst.truth),
+        PredictionInstance(inst.user, inst.hashtag, "notopic", inst.direction,
+                           inst.candidates, inst.truth),
+        PredictionInstance(inst.user, inst.hashtag, inst.topic, inst.direction, (), inst.truth),
+    ):
+        with pytest.raises(DataError):
+            InstanceTable.build([inst, bad], ctx)
