@@ -79,11 +79,12 @@ from .latmin import (
     Heuristic,
     LatencyGraph,
     MinimizationTrace,
-    average_network_latency,
+    LatencyState,
     exact_k_latmin,
     minimize,
     pair_latency,
     path_latency,
+    prepare,
 )
 from .syngen import GenParams, GeneratedDataset, PlantedTruth, TopicProfile, generate
 

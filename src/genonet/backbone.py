@@ -45,8 +45,8 @@ class InfluenceBackbone:
 
     @cached_property
     def graph(self) -> DirectedGraph:
-        """The weighted backbone graph, built on first use."""
-        return DirectedGraph.from_edges((u, v, w) for (u, v), w in self.weights.items())
+        """The backbone graph, built on first use."""
+        return DirectedGraph.from_edges(self.weights)
 
     def edge_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.weights)

@@ -626,7 +626,7 @@ def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
             x0 = _fminbound(lambda xx: sse(l, k, xx), lo, hi, 1e-12)[0]
             l = best_l(k, x0)
             cur = sse(l, k, x0)
-            if prev - cur < 1e-15:
+            if not prev - cur >= 1e-15:  # NaN (inf - inf) is no improvement
                 break
             prev = cur
         if best is None or prev < best[0]:

@@ -3,8 +3,7 @@
 Every command reads the three dataset files named by ``--manifest``,
 writes only into ``--out``, and embeds the input digests (plus the seed,
 where sampling is involved) into each output for provenance.  Outputs
-are byte-identical across re-runs with the same inputs, seed and any
-worker count.
+are byte-identical across re-runs with the same inputs and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 internal invariant violation.
@@ -60,6 +59,10 @@ def _sha256_file(path: Path) -> str:
 def _input_digests(manifest: Path) -> dict[str, str]:
     paths = load_manifest(manifest)
     return {key: _sha256_file(Path(p)) for key, p in sorted(paths.items())}
+
+
+# tag of the removed --workers option; pinned output digests include its bytes
+_ANY_WORKERS = {"workers": "any"}
 
 
 def _provenance(args, extra: Mapping[str, object] | None = None) -> dict[str, object]:
@@ -135,8 +138,8 @@ def cmd_ingest_check(args) -> None:
 def cmd_genome(args) -> None:
     out = _outdir(args)
     net, events, topics, index = _load(args)
-    genome = gt.build_genome(events, index, net, topics, workers=args.workers)
-    prov = _provenance(args, {"workers": "any"})
+    genome = gt.build_genome(events, index, net, topics)
+    prov = _provenance(args, _ANY_WORKERS)
     _write_tsv(out / "genome_values.tsv", prov, lambda fh: gt.write_genome_values(genome, fh))
     _write_tsv(
         out / "genome_summary.tsv", prov, lambda fh: gt.write_genome_summary(genome, fh)
@@ -150,7 +153,7 @@ def cmd_backbone(args) -> None:
     for t in wanted:
         if t not in topics.topics:
             raise DataError(f"unknown topic {t!r}; dataset has {list(topics.topics)}")
-    prov = _provenance(args, {"workers": "any"})
+    prov = _provenance(args, _ANY_WORKERS)
     backbones = {t: bb.extract_backbone(t, index, net, topics) for t in wanted}
     for t, b in backbones.items():
         _write_tsv(out / f"backbone_{t}.tsv", prov, lambda fh, b=b: bb.write_backbone_tsv(b, fh))
@@ -259,9 +262,7 @@ def cmd_latmin(args) -> None:
         comps = strongly_connected_components(b.graph)
     keep = max(comps, key=lambda c: (len(c), sorted(c)))
     keep = {n for n in keep if n in latencies}
-    edges = [
-        (u, v, w) for (u, v), w in b.weights.items() if u in keep and v in keep
-    ]
+    edges = [(u, v) for (u, v) in b.weights if u in keep and v in keep]
     graph = DirectedGraph.from_edges(edges, nodes=keep)
     lgraph = lm.LatencyGraph(
         graph=graph, latency={n: latencies[n] for n in graph.nodes}
@@ -270,16 +271,16 @@ def cmd_latmin(args) -> None:
     if k < 1:
         raise DataError("latency component too small to target")
     state = lm.prepare(lgraph, strict=not args.permissive)
-    traces = [lm.minimize(lgraph, k, h, prepared=state) for h in lm.Heuristic]
-    prov = _provenance(args, {"workers": "any", "mode": "permissive" if args.permissive else "strict"})
+    traces = [lm.minimize(state, k, h) for h in lm.Heuristic]
+    prov = _provenance(args, {**_ANY_WORKERS, "mode": "permissive" if args.permissive else "strict"})
     _write_tsv(out / "latmin_trace.tsv", prov, lambda fh: lm.write_trace_tsv(traces, fh))
     summary = {
         "topic": args.topic,
         "component_nodes": graph.n,
         "component_edges": len(edges),
         "k": k,
-        "original_avg_latency": lm.average_network_latency(lgraph, prepared=state),
-        "reachable_pairs": lm.count_reachable_pairs(lgraph, prepared=state),
+        "original_avg_latency": state.base_avg,
+        "reachable_pairs": int(state.denom),
     }
     _write_json(out / "latmin_summary.json", prov, summary)
 
@@ -376,12 +377,10 @@ def build_parser() -> _Parser:
 
     add("ingest-check", cmd_ingest_check)
 
-    p = add("genome", cmd_genome)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    add("genome", cmd_genome)
 
     p = add("backbone", cmd_backbone)
     p.add_argument("--topic", default=None)
-    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("classify", cmd_classify)
     p.add_argument("--metric", default=None, help="comma-separated metric tags")
@@ -401,7 +400,6 @@ def build_parser() -> _Parser:
     mode.add_argument("--strict", dest="permissive", action="store_false")
     mode.add_argument("--permissive", dest="permissive", action="store_true")
     p.set_defaults(permissive=False)
-    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = add("syngen", cmd_syngen, needs_manifest=False)
     p.add_argument("--seed", type=int, required=True)

@@ -197,13 +197,10 @@ def build_genome(
     index: AdoptionIndex,
     net: FollowerNetwork,
     topics: TopicMap,
-    workers: int = 1,
 ) -> Genome:
     """Assemble one genotype per user appearing in the event log.
 
-    Each cell lists its values in sorted-hashtag order.  ``workers`` is
-    accepted and ignored: the metrics are pure Python, and threads over
-    them measured no gain.
+    Each cell lists its values in sorted-hashtag order.
     """
     rows = pair_metrics(events, index, net, topics)
     raw: dict[str, dict[tuple[str, MetricKind], list[float]]] = {

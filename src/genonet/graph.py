@@ -31,48 +31,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Adjacency-list digraph with non-negative edge weights."""
+    """Adjacency-list digraph; each row holds a node's sorted successor ids."""
 
     nodes: tuple[Node, ...]
     _index: dict[Node, int] = field(repr=False)
-    _adj: tuple[tuple[tuple[int, float], ...], ...] = field(repr=False)
+    _adj: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple],
+        edges: Iterable[tuple[Node, Node]],
         nodes: Iterable[Node] = (),
     ) -> "DirectedGraph":
-        """Build from (u, v) or (u, v, weight) tuples plus extra nodes.
-
-        Unweighted edges get weight 1.0.  Duplicate (u, v) pairs and
-        negative weights are rejected.
-        """
-        edge_list: list[tuple[Node, Node, float]] = []
+        """Build from (u, v) pairs plus extra nodes; duplicate pairs are rejected."""
         node_set: set[Node] = set(nodes)
         seen: set[tuple[Node, Node]] = set()
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
+        for u, v in edges:
             if (u, v) in seen:
                 raise DataError(f"duplicate edge ({u!r}, {v!r})")
-            if w < 0:
-                raise DataError(f"negative weight on ({u!r}, {v!r})")
             seen.add((u, v))
-            edge_list.append((u, v, float(w)))
-            node_set.add(u)
-            node_set.add(v)
+            node_set.update((u, v))
         order = tuple(sorted(node_set))
         index = {n: i for i, n in enumerate(order)}
-        adj: list[list[tuple[int, float]]] = [[] for _ in order]
-        for u, v, w in edge_list:
-            adj[index[u]].append((index[v], w))
-        for lst in adj:
-            lst.sort()
-        return cls(nodes=order, _index=index, _adj=tuple(tuple(a) for a in adj))
+        adj: list[list[int]] = [[] for _ in order]
+        for u, v in seen:
+            adj[index[u]].append(index[v])
+        return cls(nodes=order, _index=index, _adj=tuple(tuple(sorted(a)) for a in adj))
 
     @property
     def n(self) -> int:
@@ -84,7 +68,7 @@ class DirectedGraph:
     def __contains__(self, node: Node) -> bool:
         return node in self._index
 
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Index-based adjacency, aligned with ``nodes``."""
         return self._adj
 
@@ -93,7 +77,7 @@ class DirectedGraph:
         iv = self._index.get(v)
         if iu is None or iv is None:
             return False
-        return any(j == iv for j, _ in self._adj[iu])
+        return iv in self._adj[iu]
 
     def out_degree(self, node: Node) -> int:
         return len(self._adj[self._index[node]])
@@ -101,7 +85,7 @@ class DirectedGraph:
     def in_degrees(self) -> dict[Node, int]:
         counts = [0] * self.n
         for row in self._adj:
-            for j, _ in row:
+            for j in row:
                 counts[j] += 1
         return {self.nodes[i]: c for i, c in enumerate(counts)}
 
@@ -130,7 +114,7 @@ def strongly_connected_components(g: DirectedGraph) -> list[frozenset]:
                 on_stack[v] = True
             advanced = False
             while ei < len(adj[v]):
-                w = adj[v][ei][0]
+                w = adj[v][ei]
                 ei += 1
                 if index[w] == -1:
                     work[-1] = (v, ei)
@@ -163,7 +147,7 @@ def weakly_connected_components(g: DirectedGraph) -> list[frozenset]:
     n = g.n
     undirected: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(g.adjacency()):
-        for j, _ in row:
+        for j in row:
             undirected[i].append(j)
             undirected[j].append(i)
     seen = [False] * n
@@ -197,7 +181,7 @@ def pagerank(
     Dangling mass is redistributed uniformly; iteration stops when the
     L1 change drops below ``tol``.  Scores sum to 1.
     """
-    edges = [(i, j) for i, row in enumerate(g.adjacency()) for j, _ in row]
+    edges = [(i, j) for i, row in enumerate(g.adjacency()) for j in row]
     src, dst = np.array(edges, np.int64).reshape(-1, 2).T
     return dict(zip(g.nodes, pagerank_arrays(g.n, src, dst, damping, tol, max_iter).tolist()))
 
@@ -235,8 +219,7 @@ def pagerank_arrays(
 def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
     """Exact directed betweenness on hop-count shortest paths.
 
-    Brandes accumulation; endpoints excluded, no normalization, edge
-    weights ignored.
+    Brandes accumulation; endpoints excluded, no normalization.
     """
     n = g.n
     adj = g.adjacency()
@@ -254,7 +237,7 @@ def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
             v = queue[head]
             head += 1
             order.append(v)
-            for w, _ in adj[v]:
+            for w in adj[v]:
                 if dist[w] == -1:
                     dist[w] = dist[v] + 1
                     queue.append(w)

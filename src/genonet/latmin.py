@@ -32,22 +32,18 @@ __all__ = [
     "MinimizationTrace",
     "path_latency",
     "pair_latency",
-    "average_network_latency",
-    "count_reachable_pairs",
     "LatencyState",
     "prepare",
     "minimize",
     "exact_k_latmin",
     "write_trace_tsv",
-    "UNREACHABLE",
 ]
 
-UNREACHABLE = math.inf
 ENUMERATION_BUDGET = 10**6
 # Largest n x n working set one run may allocate.  Per node pair it holds
-# the APSP matrix and the Greedy scoring buffer (8 B each), the two
-# temporaries of one zero-update (16 B), the reachable mask (1 B) and a
-# masked copy of the matrix (8 B).
+# the APSP matrix, the Greedy scoring buffer and the two matrices of one
+# pick update (8 B each), the reachable mask (1 B) and a masked copy of
+# the matrix (8 B).
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _BYTES_PER_PAIR = 41
 
@@ -97,10 +93,6 @@ class MinimizationTrace:
     selected: tuple
     relative: tuple[float, ...]  # average latency after each pick / original
 
-    @property
-    def final_relative(self) -> float:
-        return self.relative[-1] if self.relative else 1.0
-
 
 def path_latency(g: LatencyGraph, path: Sequence) -> float:
     """Sum of latencies along a path, destination excluded."""
@@ -123,7 +115,7 @@ def _single_source(g: LatencyGraph, source_idx: int) -> list[float]:
         if d > dist[u]:
             continue
         step = d + lat[u]
-        for v, _w in adj[u]:
+        for v in adj[u]:
             if step < dist[v]:
                 dist[v] = step
                 heapq.heappush(heap, (step, v))
@@ -155,13 +147,14 @@ def _offdiag_finite_mask(d: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LatencyState:
-    """What every heuristic and summary of one graph shares.
+    """One graph's solved latency problem, shared by every heuristic.
 
-    ``d`` is the APSP matrix, ``mask`` marks the reachable ordered pairs
-    s != t, ``denom`` counts them and ``base_avg`` is their mean latency
-    (NaN when there are none).
+    ``d`` is the APSP matrix of ``g``, ``mask`` marks the reachable
+    ordered pairs s != t, ``denom`` counts them (at least one) and
+    ``base_avg`` is their mean latency.
     """
 
+    g: LatencyGraph
     d: np.ndarray
     mask: np.ndarray
     denom: float
@@ -170,7 +163,13 @@ class LatencyState:
 
 
 def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
-    """Solve the APSP once, after the strict-mode and memory checks."""
+    """Check every precondition of a latency run, then solve the APSP once.
+
+    Strict mode requires a strongly connected graph; permissive mode
+    averages over the reachable pairs only.  Either way the n x n
+    matrices must fit the memory budget and some ordered pair must be
+    reachable.
+    """
     n = g.graph.n
     if strict:
         comps = strongly_connected_components(g.graph)
@@ -188,90 +187,45 @@ def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
     d = _apsp_matrix(g)
     mask = _offdiag_finite_mask(d)
     denom = float(mask.sum())
-    base_avg = float(d[mask].sum() / denom) if denom else math.nan
-    return LatencyState(d, mask, denom, int(denom) == n * (n - 1), base_avg)
-
-
-def average_network_latency(
-    g: LatencyGraph, strict: bool = True, prepared: LatencyState | None = None
-) -> float:
-    """Mean pair latency over ordered pairs s != t.
-
-    Strict mode requires a strongly connected graph; permissive mode
-    averages over the reachable pairs only (see
-    :func:`count_reachable_pairs` for the denominator).  ``prepared`` is
-    :func:`prepare` of the same graph and mode.
-    """
-    if g.graph.n < 2:
-        raise DataError("average latency needs at least 2 nodes")
-    state = prepared if prepared is not None else prepare(g, strict)
-    if not state.denom:
+    if not denom:
         raise DataError("no reachable ordered pairs")
-    return state.base_avg
+    return LatencyState(
+        g, d, mask, denom, int(denom) == n * (n - 1), float(d[mask].sum() / denom)
+    )
 
 
-def count_reachable_pairs(g: LatencyGraph, prepared: LatencyState | None = None) -> int:
-    """Ordered pairs s != t with a directed s -> t path."""
-    return int((prepared if prepared is not None else prepare(g, strict=False)).denom)
-
-
-def _zero_update(d: np.ndarray, idx: int, lat: float) -> np.ndarray:
-    """Exact APSP after zeroing one node's latency.
+def _zero_update(d: np.ndarray, idx: int, lat: float, out: np.ndarray,
+                 row: np.ndarray) -> np.ndarray:
+    """Exact APSP after zeroing node ``idx`` of latency ``lat``, into ``out``.
 
     Any path improved by the zeroing leaves the node at some point, so
-    d'(s, t) = min(d(s, t), d(s, c) + d(c, t) - latency(c)).  Distances
-    INTO the node never pay its latency and stay as they were.
+    d'(s, t) = min(d(s, t), d(s, c) + (d(c, t) - latency(c))).  Distances
+    INTO the node never pay its latency and stay as they were.  The
+    result is written into ``out`` (n x n, must not alias ``d``); ``row``
+    (n) is scratch.
     """
-    detour = d[:, idx, None] + (d[None, idx, :] - lat)
-    out = np.minimum(d, detour)
+    np.subtract(d[idx], lat, out=row)
+    np.add(d[:, idx, None], row[None, :], out=out)
+    np.minimum(d, out, out=out)
     out[:, idx] = d[:, idx]
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def _greedy_scores(d: np.ndarray, lat: np.ndarray, candidates, state: LatencyState,
-                   tmp: np.ndarray, row: np.ndarray):
-    """Average latency after zeroing each candidate, built in ``tmp``.
-
-    The elements and their association are those of :func:`_zero_update`
-    followed by the full or masked sum, so each score equals that
-    formula bit for bit; nothing but ``tmp`` and ``row`` is written.
-    """
-    for i in candidates:
-        np.subtract(d[i], lat[i], out=row)
-        np.add(d[:, i, None], row[None, :], out=tmp)
-        np.minimum(d, tmp, out=tmp)
-        tmp[:, i] = d[:, i]
-        np.fill_diagonal(tmp, 0.0)
-        # fully reachable case: diagonal zeros contribute nothing to the sum
-        total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
-        yield float(total / state.denom)
-
-
-def minimize(
-    g: LatencyGraph,
-    k: int,
-    heuristic: Heuristic,
-    strict: bool = True,
-    workers: int = 1,
-    prepared: LatencyState | None = None,
-) -> MinimizationTrace:
+def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationTrace:
     """Select k nodes to zero and trace the relative average latency.
 
     MaxLat and MaxBC fix their full ordering up front; Greedy re-scores
     every remaining candidate at each step.  All ties break on the node
-    identifier.  The trace is relative to the original average, which
-    must be positive.  ``prepared`` is :func:`prepare` of the same graph
-    and mode, shared between calls; ``workers`` is accepted and ignored.
+    identifier.  The trace is relative to ``state.base_avg``, which must
+    be positive.
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
+    g = state.g
     n = g.graph.n
     if k > n:
         raise DataError(f"k={k} exceeds node count {n}")
-    state = prepared if prepared is not None else prepare(g, strict)
-    if not state.denom:
-        raise DataError("no reachable ordered pairs")
     if state.base_avg == 0:
         raise DataError("original average latency is zero; relative trace undefined")
 
@@ -285,7 +239,8 @@ def minimize(
         bc = betweenness_centrality(g.graph)
         order = sorted(range(n), key=lambda i: (-bc[nodes[i]], nodes[i]))[:k]
     else:
-        tmp, row = np.empty((n, n)), np.empty(n)
+        tmp = np.empty((n, n))
+    row = np.empty(n)
 
     d = state.d
     selected: list = []
@@ -295,9 +250,14 @@ def minimize(
         if order is not None:
             pick = order[step]
         else:
-            scores = _greedy_scores(d, lat, remaining, state, tmp, row)
+            scores = []
+            for i in remaining:
+                _zero_update(d, i, lat[i], tmp, row)
+                # fully reachable case: diagonal zeros contribute nothing to the sum
+                total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
+                scores.append(float(total / state.denom))
             _score, _node, pick = min(zip(scores, (nodes[i] for i in remaining), remaining))
-        d = _zero_update(d, pick, float(lat[pick]))
+        d = _zero_update(d, pick, float(lat[pick]), np.empty((n, n)), row)
         lat[pick] = 0.0
         remaining.remove(pick)
         selected.append(nodes[pick])
@@ -325,16 +285,15 @@ def exact_k_latmin(g: LatencyGraph, k: int) -> tuple[frozenset, float]:
             f"of {ENUMERATION_BUDGET}"
         )
     state = prepare(g, strict=False)
-    if not state.denom:
-        raise DataError("no reachable ordered pairs")
     lat = {node: float(g.latency[node]) for node in g.graph.nodes}
+    row = np.empty(n)
 
     best_set: tuple | None = None
     best_value = math.inf
     for subset in itertools.combinations(sorted(g.graph.nodes), k):
         d = state.d
         for node in subset:
-            d = _zero_update(d, g.graph.index_of(node), lat[node])
+            d = _zero_update(d, g.graph.index_of(node), lat[node], np.empty((n, n)), row)
         value = float(d[state.mask].sum() / state.denom)
         if value < best_value:
             best_value = value

@@ -305,7 +305,7 @@ def pagerank_loop(g, damping=0.85, tol=1e-10, max_iter=200):
                 dangling += scores[i]
                 continue
             share = scores[i] / out_deg[i]
-            for j, _ in row:
+            for j in row:
                 nxt[j] += share
         base = (1.0 - damping) / n + damping * dangling / n
         nxt = [base + damping * x for x in nxt]
@@ -471,7 +471,7 @@ def fit_logistic_scipy(points):
             x0 = float(res_x0.x)
             l = best_l(k, x0)
             cur = sse(l, k, x0)
-            if prev - cur < 1e-15:
+            if not prev - cur >= 1e-15:  # NaN (inf - inf) is no improvement
                 break
             prev = cur
         if best is None or prev < best[0]:

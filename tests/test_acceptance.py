@@ -31,7 +31,7 @@ from genonet.ingest import (
     load_follower_edges,
     load_topic_map,
 )
-from genonet.latmin import Heuristic, exact_k_latmin, minimize, pair_latency
+from genonet.latmin import Heuristic, exact_k_latmin, minimize, pair_latency, prepare
 from genonet.predict import (
     Direction,
     PredictionContext,
@@ -271,9 +271,7 @@ def test_criterion_6_latency_suite():
         while total < 100:
             n = int(rng.integers(4, 11))
             g, _e, _l = random_latency_graph(rng, n, 0.3, strongly_connected=True)
-            from genonet.latmin import average_network_latency
-
-            base = average_network_latency(g)
+            base = prepare(g).base_avg
             if base == 0:
                 continue
             k = int(rng.integers(1, 4))
@@ -281,7 +279,7 @@ def test_criterion_6_latency_suite():
             _best, opt = exact_k_latmin(g, k)
             finals = {}
             for heuristic in Heuristic:
-                finals[heuristic] = minimize(g, k, heuristic).relative[-1] * base
+                finals[heuristic] = minimize(prepare(g), k, heuristic).relative[-1] * base
                 assert opt <= finals[heuristic] + 1e-9
             if finals[Heuristic.GREEDY] <= opt + 1e-9:
                 hits += 1
@@ -291,10 +289,10 @@ def test_criterion_6_latency_suite():
         # and dominates MaxLat/MaxBC at every k <= 25
         k5 = []
         for seed in range(5):
-            lg = datasets.latency_benchmark(seed)
-            greedy = minimize(lg, 25, Heuristic.GREEDY)
-            maxlat = minimize(lg, 25, Heuristic.MAX_LAT)
-            maxbc = minimize(lg, 25, Heuristic.MAX_BC)
+            state = prepare(datasets.latency_benchmark(seed))
+            greedy = minimize(state, 25, Heuristic.GREEDY)
+            maxlat = minimize(state, 25, Heuristic.MAX_LAT)
+            maxbc = minimize(state, 25, Heuristic.MAX_BC)
             k5.append(greedy.relative[4])
             for i in range(25):
                 assert greedy.relative[i] <= maxlat.relative[i] + 1e-12
@@ -332,20 +330,17 @@ def test_criterion_7_cli_determinism(tmp_path):
 
         manifest = str(data / "dataset.manifest")
         digests = []
-        for run, workers in (("r1", "1"), ("r2", "4")):
+        for run in ("r1", "r2"):
             out = str(tmp_path / run)
             assert cli_main(["ingest-check", "--manifest", manifest, "--out", out]) == 0
-            assert cli_main(["genome", "--manifest", manifest, "--out", out,
-                             "--workers", workers]) == 0
-            assert cli_main(["backbone", "--manifest", manifest, "--out", out,
-                             "--workers", workers]) == 0
+            assert cli_main(["genome", "--manifest", manifest, "--out", out]) == 0
+            assert cli_main(["backbone", "--manifest", manifest, "--out", out]) == 0
             assert cli_main(["classify", "--manifest", manifest, "--out", out,
                              "--metric", "TIME,LAT", "--ensemble-sizes", "1,4",
                              "--repetitions", "3", "--seed", "9"]) == 0
             assert cli_main(["predict", "--manifest", manifest, "--out", out]) == 0
             assert cli_main(["latmin", "--manifest", manifest, "--out", out,
-                             "--topic", "t0", "--k", "2", "--permissive",
-                             "--workers", workers]) == 0
+                             "--topic", "t0", "--k", "2", "--permissive"]) == 0
             assert cli_main(["report", "--out", out]) == 0
             digests.append(_digest_dir(tmp_path / run))
         assert digests[0] == digests[1]

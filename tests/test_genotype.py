@@ -195,12 +195,3 @@ def test_build_genome_matches_per_pair_composition():
     # no extra cells
     total_cells = sum(len(gt.cells) for gt in genome.genotypes.values())
     assert total_cells == len(expected)
-
-
-def test_build_genome_worker_count_invariance():
-    rng = np.random.default_rng(14)
-    net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
-    g1 = build_genome(events, index, net, topics, workers=1)
-    g3 = build_genome(events, index, net, topics, workers=3)
-    assert g1.genotypes == g3.genotypes
-    assert g1.provenance == g3.provenance

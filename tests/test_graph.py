@@ -227,5 +227,3 @@ def test_jaccard():
 def test_duplicate_edge_rejected():
     with pytest.raises(DataError):
         DirectedGraph.from_edges([("a", "b"), ("a", "b")])
-    with pytest.raises(DataError):
-        DirectedGraph.from_edges([("a", "b", -1.0)])

@@ -9,8 +9,6 @@ from genonet.graph import DirectedGraph
 from genonet.latmin import (
     Heuristic,
     LatencyGraph,
-    average_network_latency,
-    count_reachable_pairs,
     exact_k_latmin,
     minimize,
     pair_latency,
@@ -79,23 +77,30 @@ def test_pair_latency_matches_floyd_warshall():
 
 def test_average_latency_examples():
     two = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
-    assert average_network_latency(two) == 1.5
+    assert prepare(two).base_avg == 1.5
     zeros = lgraph([("a", "b"), ("b", "a")], {"a": 0.0, "b": 0.0})
-    assert average_network_latency(zeros) == 0.0
+    assert prepare(zeros).base_avg == 0.0
     # directed 4-cycle with unit latencies: distances 1,2,3 from each node
     cyc = lgraph([(0, 1), (1, 2), (2, 3), (3, 0)], {i: 1.0 for i in range(4)})
     oracle = oracles.average_latency_oracle(list(range(4)), [(0, 1), (1, 2), (2, 3), (3, 0)], {i: 1.0 for i in range(4)})
     assert oracle == 2.0
-    assert average_network_latency(cyc) == oracle
+    assert prepare(cyc).base_avg == oracle
 
 
 def test_average_latency_strict_and_permissive():
     dag = lgraph([("a", "b"), ("b", "c")], {"a": 1.0, "b": 2.0, "c": 3.0})
     with pytest.raises(DataError):
-        average_network_latency(dag, strict=True)
+        prepare(dag, strict=True)
     # reachable pairs: (a,b)=1, (a,c)=3, (b,c)=2
-    assert average_network_latency(dag, strict=False) == pytest.approx(2.0)
-    assert count_reachable_pairs(dag) == 3
+    assert prepare(dag, strict=False).base_avg == pytest.approx(2.0)
+    assert prepare(dag, strict=False).denom == 3
+    # no ordered pair to average over: one node, or no edges at all
+    for empty in (lgraph([], {"a": 1.0}, nodes=["a"]),
+                  lgraph([], {"a": 1.0, "b": 2.0}, nodes=["a", "b"])):
+        with pytest.raises(DataError, match="no reachable ordered pairs"):
+            prepare(empty, strict=False)
+    with pytest.raises(DataError, match="no reachable ordered pairs"):
+        prepare(lgraph([], {"a": 1.0}, nodes=["a"]), strict=True)
 
 
 def test_triangle_property():
@@ -135,19 +140,19 @@ def test_minimize_star_center():
         edges += [("a", leaf), (leaf, "a")]
     latency = {"a": 10.0, "b": 1.0, "c": 1.0, "d": 1.0}
     for heuristic in Heuristic:
-        trace = minimize(lgraph(edges, latency), 1, heuristic)
+        trace = minimize(prepare(lgraph(edges, latency)), 1, heuristic)
         assert trace.selected == ("a",), heuristic
 
 
 def test_minimize_tie_breaks_by_identifier():
     cyc = lgraph([(0, 1), (1, 2), (2, 0)], {i: 5.0 for i in range(3)})
     for heuristic in Heuristic:
-        assert minimize(cyc, 1, heuristic).selected == (0,)
+        assert minimize(prepare(cyc), 1, heuristic).selected == (0,)
 
 
 def test_minimize_greedy_two_cycle():
     g = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
-    trace = minimize(g, 1, Heuristic.GREEDY)
+    trace = minimize(prepare(g), 1, Heuristic.GREEDY)
     assert trace.selected == ("b",)
     assert trace.relative == (pytest.approx(0.5 / 1.5),)
 
@@ -155,15 +160,15 @@ def test_minimize_greedy_two_cycle():
 def test_minimize_errors():
     g = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
     with pytest.raises(DataError):
-        minimize(g, 0, Heuristic.GREEDY)
+        minimize(prepare(g), 0, Heuristic.GREEDY)
     with pytest.raises(DataError):
-        minimize(g, 3, Heuristic.GREEDY)
+        minimize(prepare(g), 3, Heuristic.GREEDY)
     zeros = lgraph([("a", "b"), ("b", "a")], {"a": 0.0, "b": 0.0})
     with pytest.raises(DataError):
-        minimize(zeros, 1, Heuristic.GREEDY)
+        minimize(prepare(zeros), 1, Heuristic.GREEDY)
     dag = lgraph([("a", "b")], {"a": 1.0, "b": 1.0})
     with pytest.raises(DataError):
-        minimize(dag, 1, Heuristic.GREEDY, strict=True)
+        minimize(prepare(dag, strict=True), 1, Heuristic.GREEDY)
 
 
 def test_traces_non_increasing_and_full_zeroing():
@@ -171,10 +176,10 @@ def test_traces_non_increasing_and_full_zeroing():
     for _ in range(10):
         n = int(rng.integers(3, 9))
         g, _e, _l = random_latency_graph(rng, n, 0.35, strongly_connected=True)
-        if average_network_latency(g) == 0:
+        if prepare(g).base_avg == 0:
             continue
         for heuristic in Heuristic:
-            trace = minimize(g, n, heuristic)
+            trace = minimize(prepare(g), n, heuristic)
             rel = (1.0,) + trace.relative
             for a, b in zip(rel, rel[1:]):
                 assert b <= a + 1e-12
@@ -187,24 +192,24 @@ def test_greedy_matches_naive_recomputation():
     for _ in range(10):
         n = int(rng.integers(3, 8))
         g, edges, latency = random_latency_graph(rng, n, 0.4, strongly_connected=True)
-        base = average_network_latency(g)
+        base = prepare(g).base_avg
         if base == 0:
             continue
-        trace = minimize(g, min(3, n), Heuristic.GREEDY)
+        trace = minimize(prepare(g), min(3, n), Heuristic.GREEDY)
         zeroed: list = []
         for step, node in enumerate(trace.selected):
             # naive: try every remaining candidate by full recomputation
             remaining = [x for x in g.graph.nodes if x not in zeroed]
             best = min(
                 (
-                    average_network_latency(g.with_zeroed(zeroed + [c])),
+                    prepare(g.with_zeroed(zeroed + [c])).base_avg,
                     c,
                 )
                 for c in remaining
             )
             assert node == best[1]
             zeroed.append(node)
-            naive_avg = average_network_latency(g.with_zeroed(zeroed))
+            naive_avg = prepare(g.with_zeroed(zeroed)).base_avg
             assert trace.relative[step] == pytest.approx(naive_avg / base, abs=1e-9)
 
 
@@ -228,13 +233,13 @@ def test_exact_lower_bounds_heuristics():
     for _ in range(12):
         n = int(rng.integers(4, 9))
         g, _e, _l = random_latency_graph(rng, n, 0.35, strongly_connected=True)
-        base = average_network_latency(g)
+        base = prepare(g).base_avg
         if base == 0:
             continue
         k = int(rng.integers(1, 4))
         _best, opt = exact_k_latmin(g, k)
         for heuristic in Heuristic:
-            final = minimize(g, k, heuristic).relative[-1] * base
+            final = minimize(prepare(g), k, heuristic).relative[-1] * base
             assert opt <= final + 1e-9
 
 
@@ -257,14 +262,6 @@ def test_latency_graph_validation():
         )
 
 
-def test_minimize_worker_invariance():
-    rng = np.random.default_rng(47)
-    g, _e, _l = random_latency_graph(rng, 8, 0.4, strongly_connected=True)
-    t1 = minimize(g, 4, Heuristic.GREEDY, workers=1)
-    t3 = minimize(g, 4, Heuristic.GREEDY, workers=3)
-    assert t1 == t3
-
-
 def _scoring_cases():
     """Seeded graphs: strict and permissive with unreachable pairs, both
     with fractional latencies (so rounding shows), zero latencies, and
@@ -285,7 +282,8 @@ def _scoring_cases():
 
 
 def test_greedy_scores_equal_zero_update_oracle():
-    """Fused scoring equals the fresh-array zero-update formula exactly."""
+    """The buffered zero-update kernel scores each candidate exactly as the
+    fresh-array formula does."""
     seen = {"graphs": 0, "masked": 0, "tied": 0}
     for g, strict in _scoring_cases():
         state = prepare(g, strict)
@@ -297,13 +295,16 @@ def test_greedy_scores_equal_zero_update_oracle():
         steps = list(oracles.greedy_steps(state.d, lat, state.mask, k, nodes))
         tmp, row = np.empty((n, n)), np.empty(n)
         for d, lat_step, remaining, want, _pick, _rel in steps:
-            got = list(latmin._greedy_scores(d, lat_step, remaining, state, tmp, row))
+            got = []
+            for i in remaining:
+                out = latmin._zero_update(d, i, lat_step[i], tmp, row)
+                total = out.sum() if state.all_finite else out[state.mask].sum()
+                got.append(float(total / state.denom))
             assert got == want
             seen["tied"] += len(set(want)) < len(want)
-        trace = minimize(g, k, Heuristic.GREEDY, strict=strict)
+        trace = minimize(state, k, Heuristic.GREEDY)
         assert trace.selected == tuple(nodes[step[4]] for step in steps)
         assert trace.relative == tuple(step[5] for step in steps)
-        assert minimize(g, k, Heuristic.GREEDY, prepared=state) == trace
         seen["graphs"] += 1
         seen["masked"] += not state.all_finite
     assert seen["graphs"] >= 20 and seen["masked"] >= 5 and seen["tied"] >= 5
@@ -317,5 +318,3 @@ def test_memory_guard_refuses_before_apsp(monkeypatch):
     monkeypatch.setattr(latmin, "_apsp_matrix", pytest.fail)
     with pytest.raises(DataError, match=r"n=3 nodes needs about 369 bytes"):
         prepare(g)
-    with pytest.raises(DataError, match="n=3"):
-        minimize(g, 1, Heuristic.GREEDY, strict=False)
