@@ -46,6 +46,15 @@ ENUMERATION_BUDGET = 10**6
 # the matrix (8 B).
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _BYTES_PER_PAIR = 41
+# Greedy skips a candidate only when its savings bound misses the best
+# score by more than this share of the current latency sum.  Rounding
+# can make a true bound look too small only by a tiny share of that
+# sum: fl(d(s, c) + d(c, t)) may undercut the stored d(s, t) by
+# path-length rounding, about n * eps ~ 1e-12 relative at the memory
+# guard's n ~ 7,200, and each pairwise numpy sum of the n^2 terms adds
+# about log2(n^2) ~ 26 eps.  With a margin 1,000 times that, a candidate
+# whose score could tie the best is always scored.
+_PRUNE_MARGIN = 1e-9
 
 
 class Heuristic(Enum):
@@ -73,8 +82,8 @@ class LatencyGraph:
             lat = self.latency.get(node)
             if lat is None:
                 raise DataError(f"node {node!r} has no latency")
-            if lat < 0:
-                raise DataError(f"negative latency on {node!r}")
+            if not (0 <= lat < math.inf):
+                raise DataError(f"latency on {node!r} is {lat!r}, not finite and >= 0")
         for node in self.targeted:
             if self.latency[node] != 0:
                 raise DataError(f"targeted node {node!r} has nonzero latency")
@@ -102,12 +111,9 @@ def path_latency(g: LatencyGraph, path: Sequence) -> float:
     return float(sum(g.latency[n] for n in path[:-1]))
 
 
-def _single_source(g: LatencyGraph, source_idx: int) -> list[float]:
-    """Dijkstra over w(u -> v) = latency(u); returns distances by node index."""
-    nodes = g.graph.nodes
-    adj = g.graph.adjacency()
-    lat = [g.latency[n] for n in nodes]
-    dist = [math.inf] * len(nodes)
+def _single_source(adj, lat: list[float], source_idx: int) -> list[float]:
+    """Dijkstra over w(u -> v) = lat[u]; returns distances by node index."""
+    dist = [math.inf] * len(lat)
     dist[source_idx] = 0.0
     heap = [(0.0, source_idx)]
     while heap:
@@ -126,15 +132,17 @@ def pair_latency(g: LatencyGraph, s, t) -> float:
     """Minimum latency over all directed s -> t paths; inf if unreachable."""
     if s == t:
         raise DataError("pair latency needs distinct endpoints")
-    dist = _single_source(g, g.graph.index_of(s))
+    lat = [g.latency[n] for n in g.graph.nodes]
+    dist = _single_source(g.graph.adjacency(), lat, g.graph.index_of(s))
     return dist[g.graph.index_of(t)]
 
 
 def _apsp_matrix(g: LatencyGraph) -> np.ndarray:
-    n = g.graph.n
+    n, adj = g.graph.n, g.graph.adjacency()
+    lat = [g.latency[nd] for nd in g.graph.nodes]
     d = np.empty((n, n))
     for i in range(n):
-        d[i] = _single_source(g, i)
+        d[i] = _single_source(adj, lat, i)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -215,10 +223,16 @@ def _zero_update(d: np.ndarray, idx: int, lat: float, out: np.ndarray,
 def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationTrace:
     """Select k nodes to zero and trace the relative average latency.
 
-    MaxLat and MaxBC fix their full ordering up front; Greedy re-scores
-    every remaining candidate at each step.  All ties break on the node
-    identifier.  The trace is relative to ``state.base_avg``, which must
-    be positive.
+    MaxLat and MaxBC fix their full ordering up front.  Greedy picks, at
+    each step, the candidate whose zeroing leaves the lowest average.
+    Zeroing c lowers a pair by at most lat(c), and only pairs from
+    reach_in(c) + {c} to reach_out(c), so its savings are at most
+    lat(c) * (|reach_in(c)| + 1) * |reach_out(c)|.  Candidates are scored
+    in descending bound, stopping once the current latency sum minus the
+    next bound exceeds the best total so far by more than
+    ``_PRUNE_MARGIN`` of that sum; so the picks and trace are those of
+    scoring every candidate.  All ties break on the node identifier.
+    The trace is relative to ``state.base_avg``, which must be positive.
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
@@ -240,6 +254,9 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
         order = sorted(range(n), key=lambda i: (-bc[nodes[i]], nodes[i]))[:k]
     else:
         tmp = np.empty((n, n))
+        # reachability survives every zeroing, so the pair counts are fixed
+        pairs = (state.mask.sum(axis=0) + 1.0) * state.mask.sum(axis=1)
+        cur = state.base_avg * state.denom  # within 2 eps of the masked sum
     row = np.empty(n)
 
     d = state.d
@@ -250,18 +267,24 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
         if order is not None:
             pick = order[step]
         else:
-            scores = []
-            for i in remaining:
+            bound = lat[remaining] * pairs[remaining]
+            best = None
+            for j in np.argsort(-bound, kind="stable"):
+                if best and cur - bound[j] > best[0] * state.denom + _PRUNE_MARGIN * cur:
+                    break
+                i = remaining[j]
                 _zero_update(d, i, lat[i], tmp, row)
                 # fully reachable case: diagonal zeros contribute nothing to the sum
                 total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
-                scores.append(float(total / state.denom))
-            _score, _node, pick = min(zip(scores, (nodes[i] for i in remaining), remaining))
+                scored = (float(total / state.denom), nodes[i], i)
+                best = scored if best is None else min(best, scored)
+            pick = best[2]
         d = _zero_update(d, pick, float(lat[pick]), np.empty((n, n)), row)
         lat[pick] = 0.0
         remaining.remove(pick)
         selected.append(nodes[pick])
-        relative.append(float(d[state.mask].sum() / state.denom) / state.base_avg)
+        cur = float(d[state.mask].sum())
+        relative.append(cur / state.denom / state.base_avg)
     return MinimizationTrace(
         heuristic=heuristic, selected=tuple(selected), relative=tuple(relative)
     )

@@ -16,6 +16,7 @@ from genonet.latmin import (
     prepare,
 )
 
+import datasets
 import oracles
 
 
@@ -254,6 +255,9 @@ def test_latency_graph_validation():
         lgraph([("a", "b")], {"a": 1.0})  # b missing
     with pytest.raises(DataError):
         lgraph([("a", "b")], {"a": -1.0, "b": 0.0})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DataError, match="not finite"):
+            lgraph([(0, 1), (1, 2), (2, 0)], {0: bad, 1: 1.0, 2: 2.0})
     with pytest.raises(DataError):
         LatencyGraph(
             graph=DirectedGraph.from_edges([("a", "b")]),
@@ -308,6 +312,46 @@ def test_greedy_scores_equal_zero_update_oracle():
         seen["graphs"] += 1
         seen["masked"] += not state.all_finite
     assert seen["graphs"] >= 20 and seen["masked"] >= 5 and seen["tied"] >= 5
+
+
+def _pruning_cases():
+    """Seeded Pareto-latency trees large enough for the savings bound to
+    skip candidates: both edge directions (strict) and only u -> v with
+    u < v (permissive, sparse reachability)."""
+    for seed in range(12):
+        for n, both in ((120, True), (120, False), (60, False)):
+            g = datasets.latency_benchmark(seed, n)
+            if both:
+                yield g, True
+                continue
+            adj, nodes = g.graph.adjacency(), g.graph.nodes
+            edges = [(nodes[u], nodes[v]) for u in range(n) for v in adj[u] if u < v]
+            graph = DirectedGraph.from_edges(edges, nodes=nodes)
+            yield LatencyGraph(graph=graph, latency=g.latency), False
+
+
+def test_pruned_greedy_equals_all_candidate_oracle(monkeypatch):
+    """Bound-ordered Greedy picks and traces exactly what scoring every
+    remaining candidate does, while scoring fewer of them."""
+    calls = []
+    zero_update = latmin._zero_update
+    monkeypatch.setattr(
+        latmin, "_zero_update", lambda *a: calls.append(a[1]) or zero_update(*a)
+    )
+    k, cases, pruned = 5, 0, 0
+    for g, strict in _pruning_cases():
+        state = prepare(g, strict)
+        n, nodes = g.graph.n, g.graph.nodes
+        lat = [g.latency[x] for x in nodes]
+        steps = list(oracles.greedy_steps(state.d, lat, state.mask, k, nodes))
+        calls.clear()
+        trace = minimize(state, k, Heuristic.GREEDY)
+        assert trace.selected == tuple(nodes[step[4]] for step in steps)
+        assert trace.relative == tuple(step[5] for step in steps)
+        cases += 1
+        # every step scores its n - step candidates and then applies the pick
+        pruned += len(calls) < sum(n - step for step in range(k)) + k
+    assert cases == 36 and pruned >= 30
 
 
 def test_memory_guard_refuses_before_apsp(monkeypatch):
