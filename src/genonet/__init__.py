@@ -50,7 +50,6 @@ from .backbone import (
 )
 from .classify import (
     AccuracyCurve,
-    ConsensusResult,
     ErrorTable,
     LeaveOneOutResult,
     LocalClassifier,
@@ -60,7 +59,6 @@ from .classify import (
     classify_local,
     fit_logistic,
     leave_one_out,
-    nb_consensus,
     prepare_loo,
     train_local,
 )

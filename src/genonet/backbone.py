@@ -79,53 +79,29 @@ class OverlapMatrix:
     values: tuple[tuple[float, ...], ...]
 
 
-def _precedence_edges(
-    hashtag: str, index: AdoptionIndex, net: FollowerNetwork
-) -> list[tuple[str, str]]:
-    """Follower edges (u, v) where u first used ``hashtag`` strictly before v."""
-    first_use = index.first_use
-    edges = []
-    for u in index.adopters_of(hashtag):
-        tu = first_use[(u, hashtag)]
-        for v in net.followers_of(u):
-            tv = first_use.get((v, hashtag))
-            if tv is not None and tu < tv:
-                edges.append((u, v))
-    return edges
-
-
-def extract_backbone(
-    topic: str,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> InfluenceBackbone:
-    """Backbone for one topic: precedence-carrying follower edges."""
+def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> InfluenceBackbone:
+    """Backbone for one topic: the sum of its hashtags' precedence edges."""
     weights: dict[tuple[str, str], int] = {}
     for h in topics.hashtags_for(topic):
-        for e in _precedence_edges(h, index, net):
+        for e in index.precedence_edges(h):
             weights[e] = weights.get(e, 0) + 1
     return InfluenceBackbone(topic=topic, weights=weights)
 
 
 def exclude_hashtag(
-    b: InfluenceBackbone,
-    hashtag: str,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
+    b: InfluenceBackbone, hashtag: str, index: AdoptionIndex, topics: TopicMap
 ) -> InfluenceBackbone:
     """Backbone over the topic's hashtags minus one.
 
-    ``b`` must be :func:`extract_backbone` of the same index and network:
-    the hashtag's precedence edges are subtracted from its weights, and
+    ``b`` must be :func:`extract_backbone` of the same index: the
+    hashtag's precedence edges are subtracted from its weights, and
     zero-weight edges disappear.  Equivalent to extracting from a topic
     map with the hashtag deleted.
     """
     if topics.topic_of(hashtag) != b.topic:
         raise DataError(f"hashtag {hashtag!r} is not in topic {b.topic!r}")
     weights = dict(b.weights)
-    for e in _precedence_edges(hashtag, index, net):
+    for e in index.precedence_edges(hashtag):
         weights[e] -= 1
         if not weights[e]:
             del weights[e]

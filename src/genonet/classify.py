@@ -32,7 +32,6 @@ from .ingest import TopicMap
 
 __all__ = [
     "LocalClassifier",
-    "ConsensusResult",
     "ErrorTable",
     "LeaveOneOutResult",
     "AccuracyCurve",
@@ -40,7 +39,6 @@ __all__ = [
     "LooData",
     "train_local",
     "classify_local",
-    "nb_consensus",
     "prepare_loo",
     "leave_one_out",
     "accuracy_curve",
@@ -59,14 +57,6 @@ class LocalClassifier:
     class_stats: Mapping[str, tuple[float, int]]  # topic -> (mean, count)
     pooled_variance: float
     priors: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class ConsensusResult:
-    hashtag: str
-    predicted_topic: str
-    log_scores: Mapping[str, float]
-    contributing_users: int
 
 
 @dataclass(frozen=True)
@@ -180,37 +170,6 @@ def _argmax_topic(scores: np.ndarray, topic_order: Sequence[str]) -> str:
         if scores[i] > scores[best]:
             best = i
     return topic_order[best]
-
-
-def nb_consensus(
-    hashtag: str,
-    locals_: Sequence[tuple[LocalClassifier, float]],
-    topic_order: Sequence[str],
-    global_prior: Mapping[str, float] | None = None,
-) -> ConsensusResult:
-    """Combine per-user posteriors into one topic vote.
-
-    ``global_prior`` defaults to uniform; ties break by topic order.
-    """
-    if not locals_:
-        raise DataError(f"no local observations for {hashtag!r}")
-    k = len(topic_order)
-    if global_prior is None:
-        prior_logs = np.full(k, -math.log(k))
-    else:
-        prior_logs = np.array(
-            [math.log(max(global_prior[t], 1e-300)) for t in topic_order]
-        )
-    scores = prior_logs.copy()
-    for clf, value in locals_:
-        scores += _evidence_vector(clf, value, topic_order)
-    predicted = _argmax_topic(scores, topic_order)
-    return ConsensusResult(
-        hashtag=hashtag,
-        predicted_topic=predicted,
-        log_scores={t: float(scores[i]) for i, t in enumerate(topic_order)},
-        contributing_users=len(locals_),
-    )
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def cmd_backbone(args) -> None:
         if t not in topics.topics:
             raise DataError(f"unknown topic {t!r}; dataset has {list(topics.topics)}")
     prov = _provenance(args, _ANY_WORKERS)
-    backbones = {t: bb.extract_backbone(t, index, net, topics) for t in wanted}
+    backbones = {t: bb.extract_backbone(t, index, topics) for t in wanted}
     for t, b in backbones.items():
         _write_tsv(out / f"backbone_{t}.tsv", prov, lambda fh, b=b: bb.write_backbone_tsv(b, fh))
         if b.weights:
@@ -249,11 +249,11 @@ def cmd_predict(args) -> None:
 
 def cmd_latmin(args) -> None:
     out = _outdir(args)
-    net, _events, topics, index = _load(args)
+    _net, _events, topics, index = _load(args)
     if args.topic not in topics.topics:
         raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
-    latencies = gt.node_topic_latency(index, net, topics, args.topic)
-    b = bb.extract_backbone(args.topic, index, net, topics)
+    latencies = gt.node_topic_latency(index, topics, args.topic)
+    b = bb.extract_backbone(args.topic, index, topics)
     if not b.weights:
         raise DataError(f"backbone for topic {args.topic!r} is empty")
     if args.permissive:

@@ -92,20 +92,6 @@ class Genome:
         return user in self.genotypes
 
 
-def _prior_adopters(
-    user: str,
-    hashtag: str,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-) -> list[str]:
-    t_use = index.first_use[(user, hashtag)]
-    return [
-        v
-        for v in net.followees_of(user)
-        if (v, hashtag) in index.first_use and index.first_use[(v, hashtag)] < t_use
-    ]
-
-
 def _timeline_topic_count(
     user: str,
     topic: str,
@@ -141,8 +127,11 @@ def compute_metric(
     """Every pair-local metric defined for an adopted (user, hashtag) pair.
 
     N-USES is always present; TIME, N-PAR, F-PAR and LAT only when a
-    followee adopted the hashtag before the user.  LOG-LAT needs the
-    hashtag's mean LAT over all adopters and comes from :func:`pair_metrics`.
+    followee adopted the hashtag before the user, that is when
+    ``index.prior_adopters`` of the pair is non-empty; N-PAR is its
+    length.  LAT is the only scan of the user's followees (one timeline
+    count).  LOG-LAT needs the hashtag's mean LAT over all adopters and
+    comes from :func:`pair_metrics`.
     """
     key = (user, hashtag)
     if key not in index.first_use:
@@ -151,7 +140,7 @@ def compute_metric(
     if topic is None:
         raise DataError(f"hashtag {hashtag!r} has no topic")
     row = {MetricKind.N_USES: float(index.use_counts[key])}
-    n_prior = len(_prior_adopters(user, hashtag, index, net))
+    n_prior = len(index.prior_adopters[key])
     if not n_prior:
         return row
     lo = index.first_exposure[key]
@@ -232,9 +221,7 @@ def build_genome(
     return Genome(genotypes=genotypes, provenance=provenance)
 
 
-def node_topic_latency(
-    index: AdoptionIndex, net: FollowerNetwork, topics: TopicMap, topic: str
-) -> dict[str, float]:
+def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:
     """Per-user mean TIME for one topic; users without values omitted.
 
     Values are summed in sorted-hashtag order, as in the genome's TIME
@@ -242,7 +229,7 @@ def node_topic_latency(
     """
     values: dict[str, list[float]] = {}
     for (u, h) in sorted(index.first_use):
-        if topics.topic_of(h) == topic and _prior_adopters(u, h, index, net):
+        if topics.topic_of(h) == topic and index.prior_adopters[(u, h)]:
             time = float(index.first_use[(u, h)] - index.first_exposure[(u, h)])
             values.setdefault(u, []).append(time)
     return {u: sum(vals) / len(vals) for u, vals in values.items()}

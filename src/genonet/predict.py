@@ -115,11 +115,11 @@ class PredictionContext:
             if topic is None:
                 raise DataError(f"hashtag {h!r} has no topic")
             if topic not in self._backbones:
-                b = extract_backbone(topic, self.index, self.net, self.topics)
+                b = extract_backbone(topic, self.index, self.topics)
                 edges = sorted(b.weights)
                 self._backbones[topic] = (b, edges, *self._edge_ids(edges))
             b, edges, src, dst = self._backbones[topic]
-            weights = exclude_hashtag(b, h, self.index, self.net, self.topics).weights
+            weights = exclude_hashtag(b, h, self.index, self.topics).weights
             kept = np.fromiter(map(weights.__contains__, edges), bool, count=len(edges))
             src, dst = src[kept], dst[kept]
             nodes = np.union1d(src, dst)
@@ -143,23 +143,27 @@ def build_instances(direction: Direction, context: PredictionContext) -> list[Pr
 
     A case qualifies when the user has >= 10 followees, adopted the
     hashtag, has a non-empty truth set, and at least one candidate is
-    non-isolated in the hashtag-excluded backbone.
+    non-isolated in the hashtag-excluded backbone.  Influencer truth is
+    the user's prior adopters; adopter truth is the followers whose prior
+    adopters include the user, read off the hashtag's precedence edges.
     """
-    net, first_use, topic_of = context.net, context.index.first_use, context.topics.topic_of
-    keyed = sorted((topic_of(h), h, u) for (u, h) in first_use if topic_of(h) is not None)
+    net, index, topic_of = context.net, context.index, context.topics.topic_of
+    keyed = sorted((topic_of(h), h, u) for (u, h) in index.first_use if topic_of(h) is not None)
     instances: list[PredictionInstance] = []
     current, linked = None, frozenset()
+    grouped, later = None, {}  # adopters: followee -> followers that adopted after it
     for topic, h, u in keyed:
         followees = net.followees_of(u)
         if len(followees) < MIN_FOLLOWEES:
             continue
-        t_use = first_use[(u, h)]
         if direction is Direction.INFLUENCER:
-            candidates = followees
-            truth = frozenset(c for c in candidates if first_use.get((c, h), t_use) < t_use)
+            candidates, truth = followees, frozenset(index.prior_adopters[(u, h)])
         else:
-            candidates = net.followers_of(u)
-            truth = frozenset(c for c in candidates if first_use.get((c, h), t_use) > t_use)
+            if h != grouped:
+                grouped, later = h, {}
+                for a, v in index.precedence_edges(h):
+                    later.setdefault(a, []).append(v)
+            candidates, truth = net.followers_of(u), frozenset(later.get(u, ()))
         if not truth:
             continue
         if h != current:

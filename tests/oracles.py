@@ -7,6 +7,8 @@ data structures and algorithms.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -480,25 +482,73 @@ def fit_logistic_scipy(points):
     return l, k, x0, residual
 
 
+# --- consensus oracle --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConsensusResult:
+    hashtag: str
+    predicted_topic: str
+    log_scores: Mapping[str, float]
+    contributing_users: int
+
+
+def nb_consensus(hashtag, locals_, topic_order, global_prior=None):
+    """The network-wide vote for one hashtag, one voter at a time.
+
+    score(t) = log prior(t) + sum_u [log post_u(t) - log(1/K)], with each
+    user neutral (a zero term) on topics they did not train on and each
+    posterior floored at 1e-300.  ``global_prior`` defaults to uniform;
+    ties break by topic order.
+    """
+    from genonet.classify import classify_local
+    from genonet.errors import DataError
+
+    if not locals_:
+        raise DataError(f"no local observations for {hashtag!r}")
+    k = len(topic_order)
+    log_uniform = -math.log(k)
+    if global_prior is None:
+        scores = np.full(k, log_uniform)
+    else:
+        scores = np.array([math.log(max(global_prior[t], 1e-300)) for t in topic_order])
+    for clf, value in locals_:
+        post = classify_local(clf, value)
+        evidence = np.zeros(k)
+        for i, topic in enumerate(topic_order):
+            if topic in post:
+                evidence[i] = math.log(max(post[topic], 1e-300)) - log_uniform
+        scores += evidence
+    best = max(range(k), key=lambda i: scores[i])  # first maximum
+    return ConsensusResult(
+        hashtag=hashtag,
+        predicted_topic=topic_order[best],
+        log_scores={t: float(scores[i]) for i, t in enumerate(topic_order)},
+        contributing_users=len(locals_),
+    )
+
+
 # --- prediction oracles ------------------------------------------------------
+
+
+def excluded_backbone_weights(hashtag, events, net, topics):
+    """:func:`backbone_weights` over the hashtag's topic minus the hashtag."""
+    others = [h for h in topics.hashtags_for(topics.topic_of(hashtag)) if h != hashtag]
+    return backbone_weights(events.events, sorted(net.edges), others)
 
 
 class PredictionOracleContext:
     """Per-user activity dicts and per-hashtag excluded PageRank dicts.
 
-    Backbones come from ``backbone.exclude_hashtag``; PageRank is
+    Backbones come from :func:`excluded_backbone_weights`; PageRank is
     :func:`pagerank_loop` on the excluded backbone's graph.
     """
 
-    def __init__(self, events, index, net, topics):
-        from genonet.backbone import exclude_hashtag, extract_backbone
-
+    def __init__(self, events, net, topics):
+        self.events = events
         self.net = net
         self.topics = topics
         self._excluded_pagerank = {}
-        self._exclude = lambda h: exclude_hashtag(
-            extract_backbone(topics.topic_of(h), index, net, topics), h, index, net, topics
-        )
         self._act_total = {}
         self._act_topic = {}
         self._act_hashtag = {}
@@ -510,8 +560,11 @@ class PredictionOracleContext:
                 self._act_topic[(u, topic)] = self._act_topic.get((u, topic), 0) + 1
 
     def excluded_pagerank(self, hashtag):
+        from genonet.graph import DirectedGraph
+
         if hashtag not in self._excluded_pagerank:
-            g = self._exclude(hashtag).graph
+            weights = excluded_backbone_weights(hashtag, self.events, self.net, self.topics)
+            g = DirectedGraph.from_edges(weights)
             self._excluded_pagerank[hashtag] = pagerank_loop(g) if g.n else {}
         return self._excluded_pagerank[hashtag]
 
@@ -592,3 +645,44 @@ def mean_auc_per_topic(kind, instances, context):
         sums[inst.topic] = sums.get(inst.topic, 0.0) + auc
         counts[inst.topic] = counts.get(inst.topic, 0) + 1
     return {t: (sums[t] / counts[t], counts[t]) for t in sorted(counts)}
+
+
+def build_instances(direction, events, net, topics):
+    """Prediction cases by direct enumeration, ordered by (topic, hashtag, user).
+
+    A user qualifies with at least 10 followees.  Candidates
+    are the sorted followees (influencer) or followers (adopter); the
+    truth is the candidates whose first use is strictly before (after) the
+    user's.  A case needs a non-empty truth and a candidate incident to an
+    edge of :func:`excluded_backbone_weights`.
+    """
+    from genonet.predict import Direction, PredictionInstance
+
+    first_use = {}
+    for t, u, h in events.events:
+        if (u, h) not in first_use or t < first_use[(u, h)]:
+            first_use[(u, h)] = t
+    followees, followers = {}, {}
+    for a, b in net.edges:
+        followees.setdefault(b, []).append(a)
+        followers.setdefault(a, []).append(b)
+    linked = {}
+    out = []
+    topic_of = topics.topic_of
+    for topic, h, u in sorted((topic_of(h), h, u) for (u, h) in first_use if topic_of(h)):
+        if len(followees.get(u, ())) < 10:
+            continue
+        t_use = first_use[(u, h)]
+        if direction is Direction.INFLUENCER:
+            candidates = tuple(sorted(followees[u]))
+            truth = {c for c in candidates if first_use.get((c, h), t_use) < t_use}
+        else:
+            candidates = tuple(sorted(followers.get(u, ())))
+            truth = {c for c in candidates if first_use.get((c, h), t_use) > t_use}
+        if not truth:
+            continue
+        if h not in linked:
+            linked[h] = {n for e in excluded_backbone_weights(h, events, net, topics) for n in e}
+        if linked[h] & set(candidates):
+            out.append(PredictionInstance(u, h, topic, direction, candidates, frozenset(truth)))
+    return out

@@ -20,7 +20,7 @@ import oracles
 
 def test_extract_toy(toy):
     net, _events, topics, index = toy
-    b = extract_backbone("T", index, net, topics)
+    b = extract_backbone("T", index, topics)
     assert dict(b.weights) == {("A", "B"): 1, ("C", "B"): 1}
     assert set(b.graph.nodes) == {"A", "B", "C"}
 
@@ -28,7 +28,7 @@ def test_extract_toy(toy):
 def test_unknown_topic(toy):
     net, _events, topics, index = toy
     with pytest.raises(DataError):
-        extract_backbone("nope", index, net, topics)
+        extract_backbone("nope", index, topics)
 
 
 def test_empty_topic_gives_empty_backbone():
@@ -36,7 +36,7 @@ def test_empty_topic_gives_empty_backbone():
     events = load_events(["5\tA\t#x"])
     topics = load_topic_map(["x\tT", "z\tquiet"])
     index = build_adoption_index(events, net)
-    b = extract_backbone("quiet", index, net, topics)
+    b = extract_backbone("quiet", index, topics)
     assert not b.weights
 
 
@@ -46,18 +46,18 @@ def test_reversed_times_remove_edges():
     events = load_events(["1\tB\t#x", "2\tB\t#x", "8\tC\t#y", "10\tC\t#x", "12\tA\t#x"])
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    b = extract_backbone("T", index, net, topics)
+    b = extract_backbone("T", index, topics)
     assert not b.weights
 
 
 def test_exclude_hashtag_toy(toy):
     net, _events, topics, index = toy
-    b = extract_backbone("T", index, net, topics)
-    assert not exclude_hashtag(b, "x", index, net, topics).weights
+    b = extract_backbone("T", index, topics)
+    assert not exclude_hashtag(b, "x", index, topics).weights
     # y created no precedence, so removing it changes nothing
-    assert dict(exclude_hashtag(b, "y", index, net, topics).weights) == dict(b.weights)
+    assert dict(exclude_hashtag(b, "y", index, topics).weights) == dict(b.weights)
     with pytest.raises(DataError):
-        exclude_hashtag(b, "unrelated", index, net, topics)
+        exclude_hashtag(b, "unrelated", index, topics)
 
 
 def test_exclude_decrements_weight():
@@ -65,9 +65,9 @@ def test_exclude_decrements_weight():
     events = load_events(["0\tA\t#x", "1\tA\t#y", "5\tB\t#x", "6\tB\t#y"])
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    b = extract_backbone("T", index, net, topics)
+    b = extract_backbone("T", index, topics)
     assert b.weights[("A", "B")] == 2
-    b2 = exclude_hashtag(b, "y", index, net, topics)
+    b2 = exclude_hashtag(b, "y", index, topics)
     assert b2.weights[("A", "B")] == 1
 
 
@@ -80,10 +80,10 @@ def test_exclude_equals_extract_on_reduced_map():
         topics = load_topic_map(topic_lines)
         index = build_adoption_index(events, net)
         topic = topics.topics[0]
-        b = extract_backbone(topic, index, net, topics)
+        b = extract_backbone(topic, index, topics)
         for h in topics.hashtags_for(topic):
-            direct = exclude_hashtag(b, h, index, net, topics)
-            oracle = extract_backbone(topic, index, net, topics.without(h))
+            direct = exclude_hashtag(b, h, index, topics)
+            oracle = extract_backbone(topic, index, topics.without(h))
             assert dict(direct.weights) == dict(oracle.weights)
 
 
@@ -102,13 +102,13 @@ def test_backbones_equal_edge_scan_oracle():
         triples = [(e.time, e.user, e.hashtag) for e in events.events]
         for topic in topics.topics:
             hashtags = topics.hashtags_for(topic)
-            b = extract_backbone(topic, index, net, topics)
+            b = extract_backbone(topic, index, topics)
             assert b.weights == oracles.backbone_weights(triples, net.edges, hashtags)
             for h in hashtags:
                 want = oracles.backbone_weights(
                     triples, net.edges, [g for g in hashtags if g != h]
                 )
-                assert exclude_hashtag(b, h, index, net, topics).weights == want
+                assert exclude_hashtag(b, h, index, topics).weights == want
 
 
 def test_backbone_subset_of_follower_and_weight_bound():
@@ -120,7 +120,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
         topics = load_topic_map(topic_lines)
         index = build_adoption_index(events, net)
         for topic in topics.topics:
-            b = extract_backbone(topic, index, net, topics)
+            b = extract_backbone(topic, index, topics)
             assert b.edge_set() <= net.edges
             for (u, _v), w in b.weights.items():
                 used = sum(
@@ -131,7 +131,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
 
 def test_compare_with_follower_toy(toy):
     net, _events, topics, index = toy
-    report = compare_with_follower(extract_backbone("T", index, net, topics), net)
+    report = compare_with_follower(extract_backbone("T", index, topics), net)
     assert report.jaccard == 1.0
     assert report.wcc_fraction["influence"] == 1.0
     assert report.wcc_fraction["follower"] == 1.0
@@ -147,7 +147,7 @@ def test_compare_empty_backbone_errors():
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
     with pytest.raises(DataError):
-        compare_with_follower(extract_backbone("T", index, net, topics), net)
+        compare_with_follower(extract_backbone("T", index, topics), net)
 
 
 def test_follower_counterpart_restricted_to_touched_nodes():
@@ -155,7 +155,7 @@ def test_follower_counterpart_restricted_to_touched_nodes():
     events = load_events(["0\tA\t#x", "5\tB\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    report = compare_with_follower(extract_backbone("T", index, net, topics), net)
+    report = compare_with_follower(extract_backbone("T", index, topics), net)
     # only the A-B edge carries precedence; C and D/E are untouched
     assert report.influence_edges == 1
     assert report.follower_edges == 1
@@ -169,8 +169,8 @@ def test_cross_topic_overlap():
     )
     topics = load_topic_map(["x\tT1", "y\tT2"])
     index = build_adoption_index(events, net)
-    b1 = extract_backbone("T1", index, net, topics)
-    b2 = extract_backbone("T2", index, net, topics)
+    b1 = extract_backbone("T1", index, topics)
+    b2 = extract_backbone("T2", index, topics)
     assert dict(b1.weights) == {("a", "b"): 1, ("b", "c"): 1}
     assert dict(b2.weights) == {("b", "c"): 1, ("c", "d"): 1}
     overlap = cross_topic_overlap([b1, b2])
@@ -181,7 +181,7 @@ def test_cross_topic_overlap():
 
 def test_cross_topic_overlap_identical_and_disjoint(toy):
     net, _events, topics, index = toy
-    b = extract_backbone("T", index, net, topics)
+    b = extract_backbone("T", index, topics)
     same = cross_topic_overlap([b, b])
     assert same.values[0][1] == 1.0
     with pytest.raises(DataError):
@@ -193,8 +193,8 @@ def test_cross_topic_overlap_edge_disjoint():
     events = load_events(["0\ta\t#x", "5\tb\t#x", "0\tc\t#y", "5\td\t#y"])
     topics = load_topic_map(["x\tT1", "y\tT2"])
     index = build_adoption_index(events, net)
-    b1 = extract_backbone("T1", index, net, topics)
-    b2 = extract_backbone("T2", index, net, topics)
+    b1 = extract_backbone("T1", index, topics)
+    b2 = extract_backbone("T2", index, topics)
     assert b1.weights and b2.weights
     overlap = cross_topic_overlap([b1, b2])
     assert overlap.values[0][1] == 0.0

@@ -10,7 +10,6 @@ from genonet.classify import (
     classify_local,
     fit_logistic,
     leave_one_out,
-    nb_consensus,
     prepare_loo,
     train_local,
 )
@@ -21,6 +20,7 @@ from genonet.syngen import generate
 
 import datasets
 import oracles
+from oracles import nb_consensus
 
 
 def rows(topic_values):

@@ -92,8 +92,8 @@ def test_build_genome_empty_log():
 
 def test_node_topic_latency(toy):
     net, events, topics, index = toy
-    assert node_topic_latency(index, net, topics, "T") == {"B": 10.0}
-    assert node_topic_latency(index, net, topics, "other_topic") == {}
+    assert node_topic_latency(index, topics, "T") == {"B": 10.0}
+    assert node_topic_latency(index, topics, "other_topic") == {}
 
 
 def test_mean_of_multiset():
@@ -105,7 +105,7 @@ def test_mean_of_multiset():
     cell = genome["B"].cell("T", MetricKind.TIME)
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
-    assert node_topic_latency(index, net, topics, "T")["B"] == 5.0
+    assert node_topic_latency(index, topics, "T")["B"] == 5.0
 
 
 def test_node_topic_latency_equals_genome_time_means():
@@ -121,7 +121,7 @@ def test_node_topic_latency_equals_genome_time_means():
             if gt.cell(topic, MetricKind.TIME) is not None
         }
         assert want
-        assert node_topic_latency(index, net, topics, topic) == want
+        assert node_topic_latency(index, topics, topic) == want
 
 
 def _random_setup(rng, **kw):

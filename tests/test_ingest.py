@@ -148,6 +148,37 @@ def test_exposure_has_witness():
             assert witnesses, f"no witness for exposure of {(u, h)}"
 
 
+def test_prior_adopters_equal_brute_force_scan():
+    """Every adopted pair's prior adopters are exactly the followees with a
+    strictly earlier first use, and a hashtag's precedence edges are the
+    follower edges it spread along; with 12 distinct times, ties are
+    common and never count."""
+    rng = np.random.default_rng(17)
+    ties = 0
+    for _ in range(10):
+        edge_lines, event_lines, _ = oracles.random_log(
+            rng, n_users=20, n_lines=120, edge_prob=0.25, max_time=12
+        )
+        net = load_follower_edges(edge_lines)
+        log = load_events(event_lines)
+        index = build_adoption_index(log, net)
+        oracle = oracles.MetricOracle(log.events, net.edges, {})
+        first = oracle.first_use
+        assert index.prior_adopters.keys() == index.first_use.keys()
+        for (u, h), prior in index.prior_adopters.items():
+            assert sorted(prior) == sorted(oracle._prior_parents(u, h)), (u, h)
+            ties += sum(
+                index.first_use.get((v, h)) == index.first_use[(u, h)]
+                for v in net.followees_of(u)
+            )
+        for h in log.hashtags:
+            assert sorted(index.precedence_edges(h)) == sorted(
+                (a, b) for a, b in net.edges
+                if None not in (first(a, h), first(b, h)) and first(a, h) < first(b, h)
+            ), h
+    assert ties >= 50
+
+
 def test_network_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(5):

@@ -334,7 +334,7 @@ def test_table_equals_scalar_oracle():
     for _ in range(4):
         net, events, topics, index = _oracle_dataset(rng)
         ctx = PredictionContext(events, index, net, topics)
-        octx = oracles.PredictionOracleContext(events, index, net, topics)
+        octx = oracles.PredictionOracleContext(events, net, topics)
         for direction in Direction:
             built = build_instances(direction, ctx)
             assert len(built) >= 40
@@ -372,6 +372,25 @@ def test_table_equals_scalar_oracle():
             oracles.roc_auc({j: scores[j] for j in range(a, b)}, set(np.flatnonzero(truth[a:b]) + a))
             for a, b in zip(indptr[:-1], indptr[1:])
         ]
+
+
+def test_build_instances_equals_brute_force_oracle():
+    """Order, candidates and truth sets of both directions equal direct
+    enumeration on seeded random logs with many tied first uses."""
+    rng = np.random.default_rng(808)
+    tied = 0
+    for _ in range(4):
+        net, events, topics, index = _oracle_dataset(rng)
+        ctx = PredictionContext(events, index, net, topics)
+        for direction in Direction:
+            built = build_instances(direction, ctx)
+            assert len(built) >= 40
+            assert built == oracles.build_instances(direction, events, net, topics)
+            tied += sum(
+                index.first_use.get((c, i.hashtag)) == index.first_use[(i.user, i.hashtag)]
+                for i in built for c in i.candidates
+            )
+    assert tied >= 100
 
 
 def test_table_rejects_unknown_names_and_empty_candidates():
