@@ -45,7 +45,6 @@ from .backbone import (
     InfluenceBackbone,
     compare_with_follower,
     cross_topic_overlap,
-    exclude_hashtag,
     extract_backbone,
 )
 from .classify import (
@@ -66,7 +65,6 @@ from .predict import (
     Direction,
     InstanceTable,
     PredictionContext,
-    PredictionInstance,
     PredictorKind,
     build_instances,
     evaluate,

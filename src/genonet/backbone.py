@@ -31,7 +31,6 @@ __all__ = [
     "BackboneReport",
     "OverlapMatrix",
     "extract_backbone",
-    "exclude_hashtag",
     "compare_with_follower",
     "cross_topic_overlap",
     "write_backbone_tsv",
@@ -86,26 +85,6 @@ def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> Infl
         for e in index.precedence_edges(h):
             weights[e] = weights.get(e, 0) + 1
     return InfluenceBackbone(topic=topic, weights=weights)
-
-
-def exclude_hashtag(
-    b: InfluenceBackbone, hashtag: str, index: AdoptionIndex, topics: TopicMap
-) -> InfluenceBackbone:
-    """Backbone over the topic's hashtags minus one.
-
-    ``b`` must be :func:`extract_backbone` of the same index: the
-    hashtag's precedence edges are subtracted from its weights, and
-    zero-weight edges disappear.  Equivalent to extracting from a topic
-    map with the hashtag deleted.
-    """
-    if topics.topic_of(hashtag) != b.topic:
-        raise DataError(f"hashtag {hashtag!r} is not in topic {b.topic!r}")
-    weights = dict(b.weights)
-    for e in index.precedence_edges(hashtag):
-        weights[e] -= 1
-        if not weights[e]:
-            del weights[e]
-    return InfluenceBackbone(topic=b.topic, weights=weights)
 
 
 def _largest_fraction(components: list[frozenset], node_count: int) -> float:

@@ -272,10 +272,11 @@ def load_events(source: Iterable[str]) -> EventLog:
         if len(parts) != 3:
             raise ParseError(f"expected 3 fields, got {len(parts)}", line_no)
         time_raw, user, tags_raw = (p.strip() for p in parts)
-        try:
-            time = int(time_raw)
-        except ValueError:
-            raise ParseError(f"non-integer time {time_raw!r}", line_no) from None
+        # int() alone would also take "1_000", "+5" and non-ASCII digits
+        digits = time_raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"non-integer time {time_raw!r}", line_no)
+        time = int(time_raw)
         if time < 0:
             raise ParseError(f"negative time {time}", line_no)
         if not user:

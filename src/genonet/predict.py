@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backbone import InfluenceBackbone, exclude_hashtag, extract_backbone
 from .errors import DataError
 from .graph import pagerank_arrays
 from .ingest import AdoptionIndex, EventLog, FollowerNetwork, TopicMap
 
 __all__ = [
-    "Direction", "PredictorKind", "PredictionInstance", "PredictionContext",
-    "InstanceTable", "build_instances", "score_candidates", "roc_auc", "evaluate",
+    "Direction", "PredictorKind", "PredictionContext", "InstanceTable",
+    "build_instances", "score_candidates", "roc_auc", "evaluate",
     "EvaluationResult", "write_evaluation_tsv", "MIN_FOLLOWEES",
 ]
 
@@ -53,77 +52,81 @@ class PredictorKind(Enum):
         raise DataError(f"unknown predictor {tag!r}; valid: {valid}")
 
 
-@dataclass(frozen=True)
-class PredictionInstance:
-    user: str
-    hashtag: str
-    topic: str
-    direction: Direction
-    candidates: tuple[str, ...]
-    truth: frozenset[str]
-
-
 class PredictionContext:
     """Shared inputs as numpy columns over one sorted user order.
 
-    Per user: followee, follower and event counts, and event counts per
-    topic and per hashtag.  Per hashtag, on first use: the PageRank vector
-    of the hashtag-excluded backbone, which is zero exactly off its nodes.
+    Per user: followee, follower and event counts, event counts per topic
+    and per hashtag, and the sorted followee and follower id lists.  Per
+    adopted (user, hashtag) pair, and per precedence triple (hashtag,
+    followee, follower) of the adoption index: id columns.  Per hashtag,
+    on first use: the PageRank vector of the hashtag-excluded backbone,
+    which is zero exactly off its nodes.
     """
 
     def __init__(
         self, events: EventLog, index: AdoptionIndex, net: FollowerNetwork, topics: TopicMap
     ):
-        self.events, self.index, self.net, self.topics = events, index, net, topics
+        self.topics = topics
         self.users = tuple(sorted(net.nodes | events.users))
         self.user_ids = {u: i for i, u in enumerate(self.users)}
         self.hashtags = tuple(sorted(events.hashtags | topics.assignment.keys()))
         self.hashtag_ids = {h: i for i, h in enumerate(self.hashtags)}
-        self.topic_ids = {t: i for i, t in enumerate(topics.topics)}
-        n, n_tags, n_topics = len(self.users), len(self.hashtags), len(self.topic_ids)
+        n, n_tags, n_topics = len(self.users), len(self.hashtags), len(topics.topics)
         # a hashtag without a topic counts in an extra last topic column
+        topic_ids = {t: i for i, t in enumerate(topics.topics)}
         self.hashtag_topic = np.array(
-            [self.topic_ids.get(topics.topic_of(h), n_topics) for h in self.hashtags], np.int64
+            [topic_ids.get(topics.topic_of(h), n_topics) for h in self.hashtags], np.int64
         )
-        src, dst = self._edge_ids(net.edges)
+        ids = self.user_ids
+        src, dst = (_column(ids, (e[i] for e in net.edges), len(net.edges)) for i in (0, 1))
         self.followers, self.followees = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
         self.mutual = np.intersect1d(src * n + dst, dst * n + src)  # keys of reciprocal edges
+        # CSR lists over the user order, each sorted by id = by name
+        self.followee_ids = src[np.lexsort((src, dst))]
+        self.follower_ids = dst[np.lexsort((dst, src))]
         ev = events.events
-        user = _column(self.user_ids, (e.user for e in ev), len(ev))
+        user = _column(ids, (e.user for e in ev), len(ev))
         tag = _column(self.hashtag_ids, (e.hashtag for e in ev), len(ev))
         self.uses = np.bincount(user * n_tags + tag, minlength=n * n_tags).reshape(n, n_tags)
         self.activity = self.uses.sum(axis=1)
         self.topic_activity = self.uses @ (self.hashtag_topic[:, None] == np.arange(n_topics + 1))
-        # topic -> backbone, its edges in (followee, follower) order, their ids
-        self._backbones: dict[str, tuple] = {}
+        prior = index.prior_adopters
+        sizes = np.fromiter(map(len, prior.values()), np.int64, count=len(prior))
+        self.pair_user = _column(ids, (v for v, _h in prior), len(prior))
+        self.pair_hashtag = _column(self.hashtag_ids, (h for _v, h in prior), len(prior))
+        followee = chain.from_iterable(prior.values())
+        self.precedence_followee = _column(ids, followee, int(sizes.sum()))
+        self.precedence_follower = np.repeat(self.pair_user, sizes)
+        self.precedence_hashtag = np.repeat(self.pair_hashtag, sizes)
+        # topic id -> backbone edge keys (followee * n + follower, sorted),
+        # their weights, and each topic precedence triple's edge and hashtag
+        self._backbones: dict[int, tuple] = {}
         self._excluded: dict[int, np.ndarray] = {}
-
-    def _edge_ids(self, edges) -> tuple[np.ndarray, ...]:
-        """Followee and follower id columns of (followee, follower) pairs."""
-        return tuple(_column(self.user_ids, (e[i] for e in edges), len(edges)) for i in (0, 1))
 
     def excluded_pagerank(self, tag: int) -> np.ndarray:
         """PageRank over users of the backbone without a hashtag, 0 off it.
 
-        The edges keep the topic backbone's (followee, follower) id order,
-        which is :meth:`DirectedGraph.from_edges`'s node and edge order, so
-        the PageRank equals ``graph.pagerank`` of the excluded backbone.
+        The topic backbone keeps the (followee, follower) edges of the
+        topic's precedence triples, in id order, which is
+        :meth:`DirectedGraph.from_edges`'s node and edge order, so the
+        PageRank equals ``graph.pagerank`` of the excluded backbone.  An
+        edge survives the exclusion when its weight exceeds the hashtag's
+        own count, which is 0 or 1: a pair occurs once per hashtag.
         """
         if tag not in self._excluded:
-            h = self.hashtags[tag]
-            topic = self.topics.topic_of(h)
-            if topic is None:
-                raise DataError(f"hashtag {h!r} has no topic")
+            topic, n = int(self.hashtag_topic[tag]), len(self.users)
+            if topic == len(self.topics.topics):
+                raise DataError(f"hashtag {self.hashtags[tag]!r} has no topic")
             if topic not in self._backbones:
-                b = extract_backbone(topic, self.index, self.topics)
-                edges = sorted(b.weights)
-                self._backbones[topic] = (b, edges, *self._edge_ids(edges))
-            b, edges, src, dst = self._backbones[topic]
-            weights = exclude_hashtag(b, h, self.index, self.topics).weights
-            kept = np.fromiter(map(weights.__contains__, edges), bool, count=len(edges))
-            src, dst = src[kept], dst[kept]
+                on = self.hashtag_topic[self.precedence_hashtag] == topic
+                edges = self.precedence_followee[on] * n + self.precedence_follower[on]
+                keys, edge = np.unique(edges, return_inverse=True)
+                self._backbones[topic] = keys, np.bincount(edge), edge, self.precedence_hashtag[on]
+            keys, weight, edge, tags = self._backbones[topic]
+            kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
+            src, dst = kept // n, kept % n
             nodes = np.union1d(src, dst)
-            self._excluded[tag] = pr = np.zeros(len(self.users))
+            self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
                 pr[nodes] = pagerank_arrays(
                     len(nodes), np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
@@ -135,43 +138,20 @@ def _column(ids: Mapping, names, count: int) -> np.ndarray:
     try:
         return np.fromiter(map(ids.__getitem__, names), np.int64, count=count)
     except KeyError as exc:
-        raise DataError(f"unknown user, hashtag or topic {exc}") from None
+        raise DataError(f"unknown user or hashtag {exc}") from None
 
 
-def build_instances(direction: Direction, context: PredictionContext) -> list[PredictionInstance]:
-    """Qualifying (hashtag, user) prediction cases, ordered by (topic, hashtag, user).
+def _ranges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of ``rows`` laid end to end, and the source slot of each."""
+    sizes = np.diff(indptr)[rows]
+    out = np.concatenate(([0], np.cumsum(sizes)))
+    return out, np.repeat(indptr[:-1][rows] - out[:-1], sizes) + np.arange(out[-1])
 
-    A case qualifies when the user has >= 10 followees, adopted the
-    hashtag, has a non-empty truth set, and at least one candidate is
-    non-isolated in the hashtag-excluded backbone.  Influencer truth is
-    the user's prior adopters; adopter truth is the followers whose prior
-    adopters include the user, read off the hashtag's precedence edges.
-    """
-    net, index, topic_of = context.net, context.index, context.topics.topic_of
-    keyed = sorted((topic_of(h), h, u) for (u, h) in index.first_use if topic_of(h) is not None)
-    instances: list[PredictionInstance] = []
-    current, linked = None, frozenset()
-    grouped, later = None, {}  # adopters: followee -> followers that adopted after it
-    for topic, h, u in keyed:
-        followees = net.followees_of(u)
-        if len(followees) < MIN_FOLLOWEES:
-            continue
-        if direction is Direction.INFLUENCER:
-            candidates, truth = followees, frozenset(index.prior_adopters[(u, h)])
-        else:
-            if h != grouped:
-                grouped, later = h, {}
-                for a, v in index.precedence_edges(h):
-                    later.setdefault(a, []).append(v)
-            candidates, truth = net.followers_of(u), frozenset(later.get(u, ()))
-        if not truth:
-            continue
-        if h != current:
-            pr = context.excluded_pagerank(context.hashtag_ids[h])
-            current, linked = h, frozenset(compress(context.users, (pr > 0).tolist()))
-        if not linked.isdisjoint(candidates):
-            instances.append(PredictionInstance(u, h, topic, direction, candidates, truth))
-    return instances
+
+def _row_sums(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Number of set slots in every row."""
+    total = np.concatenate(([0], np.cumsum(flags)))
+    return total[indptr[1:]] - total[indptr[:-1]]
 
 
 @dataclass(frozen=True)
@@ -179,7 +159,8 @@ class InstanceTable:
     """Instances as CSR candidate lists over the context's user order.
 
     Instance ``i`` owns slots ``indptr[i]:indptr[i + 1]``: its candidates'
-    user ids and positive flags.  The other columns hold instance ids.
+    user ids and positive flags.  The other columns hold instance ids;
+    ``topic`` indexes ``TopicMap.topics``.
     """
 
     indptr: np.ndarray
@@ -189,24 +170,54 @@ class InstanceTable:
     hashtag: np.ndarray
     topic: np.ndarray
 
-    @classmethod
-    def build(cls, instances: Sequence[PredictionInstance], context: PredictionContext):
-        k, ids = len(instances), context.user_ids
-        sizes = np.fromiter((len(i.candidates) for i in instances), np.int64, count=k)
-        if not sizes.all():
-            raise DataError("a prediction instance has no candidates")
-        slots = int(sizes.sum())
-        return cls(
-            indptr=np.concatenate(([0], np.cumsum(sizes))),
-            candidate=_column(ids, chain.from_iterable(i.candidates for i in instances), slots),
-            truth=np.fromiter(
-                chain.from_iterable(map(i.truth.__contains__, i.candidates) for i in instances),
-                bool, count=slots,
-            ),
-            user=_column(ids, (i.user for i in instances), k),
-            hashtag=_column(context.hashtag_ids, (i.hashtag for i in instances), k),
-            topic=_column(context.topic_ids, (i.topic for i in instances), k),
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def take(self, rows: np.ndarray) -> "InstanceTable":
+        """The table of the selected instances (a mask or ids), in that order."""
+        indptr, slots = _ranges(self.indptr, rows)
+        return InstanceTable(
+            indptr, self.candidate[slots], self.truth[slots],
+            self.user[rows], self.hashtag[rows], self.topic[rows],
         )
+
+
+def build_instances(direction: Direction, context: PredictionContext) -> InstanceTable:
+    """Qualifying (hashtag, user) prediction cases, ordered by (topic, hashtag, user).
+
+    A case qualifies when the user has >= 10 followees, adopted the
+    hashtag, has a non-empty truth set, and at least one candidate is
+    non-isolated in the hashtag-excluded backbone.  Influencer truth is
+    the user's prior adopters; adopter truth is the followers whose prior
+    adopters include the user.  Both are read off the precedence triples.
+    """
+    ctx, n = context, len(context.users)
+    if direction is Direction.INFLUENCER:
+        owner, degree, lists = ctx.precedence_follower, ctx.followees, ctx.followee_ids
+    else:
+        owner, degree, lists = ctx.precedence_followee, ctx.followers, ctx.follower_ids
+    user, tag = ctx.pair_user, ctx.pair_hashtag
+    topic = ctx.hashtag_topic[tag]
+    # the filters that need no candidate slot run first
+    keep = np.flatnonzero(
+        (topic < len(ctx.topics.topics))
+        & (ctx.followees[user] >= MIN_FOLLOWEES)
+        & np.isin(tag * n + user, ctx.precedence_hashtag * n + owner)  # a non-empty truth
+    )
+    by_name = sorted(ctx.topics.topics)
+    rank = np.array([by_name.index(t) for t in ctx.topics.topics], np.int64)
+    rows = keep[np.lexsort((user[keep], tag[keep], rank[topic[keep]]))]
+    user, tag = user[rows], tag[rows]
+    indptr, slots = _ranges(np.concatenate(([0], np.cumsum(degree))), user)
+    cand = lists[slots]
+    slot_user, slot_tag = np.repeat(user, np.diff(indptr)), np.repeat(tag, np.diff(indptr))
+    pair = (slot_user, cand) if direction is Direction.ADOPTER else (cand, slot_user)
+    truth = np.isin(
+        (slot_tag * n + pair[0]) * n + pair[1],
+        (ctx.precedence_hashtag * n + ctx.precedence_followee) * n + ctx.precedence_follower,
+    )
+    table = InstanceTable(indptr, cand, truth, user, tag, topic[rows])
+    return table.take(_row_sums(_slot_pagerank(table, ctx) > 0, indptr) > 0)
 
 
 def score_candidates(
@@ -231,11 +242,16 @@ def score_candidates(
     if kind is PredictorKind.TOPIC_ACT:
         return topic_act
     if kind is PredictorKind.RW_ACT:
-        tags, row = np.unique(table.hashtag, return_inverse=True)
-        pr = np.stack([context.excluded_pagerank(t) for t in tags.tolist()] or [np.zeros(0)])
-        raw_pr = pr[np.repeat(row, sizes), cand]
+        raw_pr = _slot_pagerank(table, context)
         return _over_max(raw_pr, table.indptr) * _over_max(topic_act, table.indptr)
     raise DataError(f"unknown predictor kind {kind!r}")
+
+
+def _slot_pagerank(table: InstanceTable, context: PredictionContext) -> np.ndarray:
+    """Each candidate's PageRank in its instance's hashtag-excluded backbone."""
+    tags, row = np.unique(table.hashtag, return_inverse=True)
+    pr = np.stack([context.excluded_pagerank(t) for t in tags.tolist()] or [np.zeros(0)])
+    return pr[np.repeat(row, np.diff(table.indptr)), table.candidate]
 
 
 def _over_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -284,15 +300,15 @@ class EvaluationResult:
 
 
 def evaluate(
-    direction: Direction, instances: Sequence[PredictionInstance], context: PredictionContext
+    direction: Direction, table: InstanceTable, context: PredictionContext
 ) -> list[EvaluationResult]:
     """Mean AUC per topic under every predictor, labelled ``direction``.
 
     Instances whose truth is empty or covers every candidate are
     skipped.  A topic's mean adds its AUCs one by one in instance order.
     """
-    kept = [i for i in instances if i.truth and len(i.truth) != len(i.candidates)]
-    table = InstanceTable.build(kept, context)
+    positives = _row_sums(table.truth, table.indptr)
+    table = table.take((positives > 0) & (positives < np.diff(table.indptr)))
     names = context.topics.topics
     groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))
     results = []

@@ -531,6 +531,47 @@ def nb_consensus(hashtag, locals_, topic_order, global_prior=None):
 # --- prediction oracles ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PredictionInstance:
+    """One prediction case by name: the reference form of an ``InstanceTable`` row."""
+
+    user: str
+    hashtag: str
+    topic: str
+    direction: object
+    candidates: tuple
+    truth: frozenset
+
+
+def instance_table(instances, context):
+    """The ``InstanceTable`` of named instances, on a ``PredictionContext``'s ids."""
+    from genonet.predict import InstanceTable
+
+    ids, slots = context.user_ids, [(c, i) for i in instances for c in i.candidates]
+    return InstanceTable(
+        indptr=np.cumsum([0] + [len(i.candidates) for i in instances]),
+        candidate=np.array([ids[c] for c, _i in slots], np.int64),
+        truth=np.array([c in i.truth for c, i in slots], bool),
+        user=np.array([ids[i.user] for i in instances], np.int64),
+        hashtag=np.array([context.hashtag_ids[i.hashtag] for i in instances], np.int64),
+        topic=np.array([context.topics.topics.index(i.topic) for i in instances], np.int64),
+    )
+
+
+def table_instances(table, context, direction):
+    """The named instances of an ``InstanceTable``'s rows, in row order."""
+    users, out = context.users, []
+    for i in range(len(table)):
+        rows = slice(table.indptr[i], table.indptr[i + 1])
+        cands = [users[c] for c in table.candidate[rows].tolist()]
+        out.append(PredictionInstance(
+            users[table.user[i]], context.hashtags[table.hashtag[i]],
+            context.topics.topics[table.topic[i]], direction, tuple(cands),
+            frozenset(c for c, t in zip(cands, table.truth[rows].tolist()) if t),
+        ))
+    return out
+
+
 def excluded_backbone_weights(hashtag, events, net, topics):
     """:func:`backbone_weights` over the hashtag's topic minus the hashtag."""
     others = [h for h in topics.hashtags_for(topics.topic_of(hashtag)) if h != hashtag]
@@ -656,7 +697,7 @@ def build_instances(direction, events, net, topics):
     user's.  A case needs a non-empty truth and a candidate incident to an
     edge of :func:`excluded_backbone_weights`.
     """
-    from genonet.predict import Direction, PredictionInstance
+    from genonet.predict import Direction
 
     first_use = {}
     for t, u, h in events.events:

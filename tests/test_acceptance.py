@@ -226,9 +226,10 @@ def test_criterion_5_predictor_ordering():
         d = generate(datasets.activity_params(3))
         index = build_adoption_index(d.events, d.network)
         ctx = PredictionContext(d.events, index, d.network, d.topics)
-        instances = build_instances(Direction.INFLUENCER, ctx)
+        table = build_instances(Direction.INFLUENCER, ctx)
+        instances = oracles.table_instances(table, ctx, Direction.INFLUENCER)
         means = {}
-        for res in evaluate(Direction.INFLUENCER, instances, ctx):
+        for res in evaluate(Direction.INFLUENCER, table, ctx):
             mean, count = res.overall
             means[res.predictor] = mean
             assert count >= 200, (res.predictor, count)

@@ -4,7 +4,6 @@ import pytest
 from genonet.backbone import (
     compare_with_follower,
     cross_topic_overlap,
-    exclude_hashtag,
     extract_backbone,
 )
 from genonet.errors import DataError
@@ -50,43 +49,6 @@ def test_reversed_times_remove_edges():
     assert not b.weights
 
 
-def test_exclude_hashtag_toy(toy):
-    net, _events, topics, index = toy
-    b = extract_backbone("T", index, topics)
-    assert not exclude_hashtag(b, "x", index, topics).weights
-    # y created no precedence, so removing it changes nothing
-    assert dict(exclude_hashtag(b, "y", index, topics).weights) == dict(b.weights)
-    with pytest.raises(DataError):
-        exclude_hashtag(b, "unrelated", index, topics)
-
-
-def test_exclude_decrements_weight():
-    net = load_follower_edges(["A\tB"])
-    events = load_events(["0\tA\t#x", "1\tA\t#y", "5\tB\t#x", "6\tB\t#y"])
-    topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
-    b = extract_backbone("T", index, topics)
-    assert b.weights[("A", "B")] == 2
-    b2 = exclude_hashtag(b, "y", index, topics)
-    assert b2.weights[("A", "B")] == 1
-
-
-def test_exclude_equals_extract_on_reduced_map():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        edge_lines, event_lines, topic_lines = oracles.random_log(rng, n_users=12)
-        net = load_follower_edges(edge_lines)
-        events = load_events(event_lines)
-        topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
-        topic = topics.topics[0]
-        b = extract_backbone(topic, index, topics)
-        for h in topics.hashtags_for(topic):
-            direct = exclude_hashtag(b, h, index, topics)
-            oracle = extract_backbone(topic, index, topics.without(h))
-            assert dict(direct.weights) == dict(oracle.weights)
-
-
 def test_backbones_equal_edge_scan_oracle():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -104,11 +66,6 @@ def test_backbones_equal_edge_scan_oracle():
             hashtags = topics.hashtags_for(topic)
             b = extract_backbone(topic, index, topics)
             assert b.weights == oracles.backbone_weights(triples, net.edges, hashtags)
-            for h in hashtags:
-                want = oracles.backbone_weights(
-                    triples, net.edges, [g for g in hashtags if g != h]
-                )
-                assert exclude_hashtag(b, h, index, topics).weights == want
 
 
 def test_backbone_subset_of_follower_and_weight_bound():

@@ -275,9 +275,8 @@ def test_commands_do_not_touch_inputs(syn_manifest, tmp_path):
 
 
 def test_predict_builds_no_graph_per_hashtag(syn_manifest, tmp_path, monkeypatch):
-    """predict builds at most one graph per topic and scores and ranks
+    """predict builds no ``DirectedGraph`` at all and scores and ranks
     each (direction, predictor) once."""
-    _net, _events, topics = load_dataset(syn_manifest)
     graphs, scored, ranked = [], [], []
     from_edges, score, auc = DirectedGraph.from_edges, predict.score_candidates, predict.roc_auc
     monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(
@@ -289,7 +288,7 @@ def test_predict_builds_no_graph_per_hashtag(syn_manifest, tmp_path, monkeypatch
                "--direction", "both") == 0
     rows = (tmp_path / "predictor_auc.tsv").read_text().splitlines()
     assert {r.split("\t")[0] for r in rows[2:]} == {"influencer", "adopter"}
-    assert len(graphs) <= len(topics.topics)
+    assert len(graphs) == 0
     assert len(ranked) == 12 and sorted(scored, key=list(predict.PredictorKind).index) == [
         kind for kind in predict.PredictorKind for _ in range(2)
     ]

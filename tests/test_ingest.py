@@ -78,10 +78,14 @@ def test_events_sorted():
 def test_non_integer_time():
     with pytest.raises(ParseError, match="line 1"):
         load_events(["soon\tA\t#x"])
+    # int() accepts these, but times are plain ASCII decimal integers
+    for raw in ("1_000", "+5", "\u0663"):
+        with pytest.raises(ParseError, match=r"line 2: non-integer time"):
+            load_events(["1\tA\t#x", f"{raw}\tA\t#y"])
 
 
 def test_negative_time():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="negative time"):
         load_events(["-3\tA\t#x"])
 
 

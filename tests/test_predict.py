@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from genonet.backbone import extract_backbone
 from genonet.errors import DataError
+from genonet.graph import DirectedGraph, pagerank
 from genonet.ingest import (
     Event,
     EventLog,
@@ -12,9 +14,7 @@ from genonet.ingest import (
 )
 from genonet.predict import (
     Direction,
-    InstanceTable,
     PredictionContext,
-    PredictionInstance,
     PredictorKind,
     build_instances,
     evaluate,
@@ -25,11 +25,17 @@ from genonet.syngen import generate
 
 import datasets
 import oracles
+from oracles import PredictionInstance
+
+
+def built(direction, ctx):
+    """``build_instances``, read back as named instances."""
+    return oracles.table_instances(build_instances(direction, ctx), ctx, direction)
 
 
 def scores_of(kind, inst, ctx):
     """One instance's scores by candidate, read off a one-instance table."""
-    scores = score_candidates(kind, InstanceTable.build([inst], ctx), ctx)
+    scores = score_candidates(kind, oracles.instance_table([inst], ctx), ctx)
     return dict(zip(inst.candidates, scores.tolist()))
 
 
@@ -41,7 +47,8 @@ def auc_of(scores, truth):
 
 
 def result_of(kind, direction, instances, ctx):
-    return {r.predictor: r for r in evaluate(direction, instances, ctx)}[kind]
+    table = oracles.instance_table(instances, ctx)
+    return {r.predictor: r for r in evaluate(direction, table, ctx)}[kind]
 
 
 def _fixture(n_followees):
@@ -71,10 +78,10 @@ def _fixture(n_followees):
 def test_minimum_followee_threshold():
     net, events, topics, index = _fixture(9)
     ctx = PredictionContext(events, index, net, topics)
-    assert build_instances(Direction.INFLUENCER, ctx) == []
+    assert len(build_instances(Direction.INFLUENCER, ctx)) == 0
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
-    instances = build_instances(Direction.INFLUENCER, ctx)
+    instances = built(Direction.INFLUENCER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
     assert mine[0].truth == {"f0", "f1", "f2"}
@@ -84,7 +91,7 @@ def test_minimum_followee_threshold():
 def test_adopter_direction_truth():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
-    instances = build_instances(Direction.ADOPTER, ctx)
+    instances = built(Direction.ADOPTER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
     assert mine[0].candidates == ("audience",)
@@ -102,14 +109,14 @@ def test_isolated_candidates_drop_instance():
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
-    assert build_instances(Direction.INFLUENCER, ctx) == []
+    assert len(build_instances(Direction.INFLUENCER, ctx)) == 0
 
 
 def test_instances_ordered():
     d = generate(datasets.activity_params(0))
     index = build_adoption_index(d.events, d.network)
     ctx = PredictionContext(d.events, index, d.network, d.topics)
-    instances = build_instances(Direction.INFLUENCER, ctx)
+    instances = built(Direction.INFLUENCER, ctx)
     keys = [(i.topic, i.hashtag, i.user) for i in instances]
     assert keys == sorted(keys)
 
@@ -125,7 +132,7 @@ def test_reciprocal_scores():
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
     ctx = PredictionContext(events, index, net, topics)
-    inst = build_instances(Direction.INFLUENCER, ctx)[0]
+    inst = built(Direction.INFLUENCER, ctx)[0]
     scores = scores_of(PredictorKind.RECIPROCAL, inst, ctx)
     assert scores["f0"] == 1.0
     assert all(scores[c] == 0.0 for c in inst.candidates if c != "f0")
@@ -135,7 +142,7 @@ def test_act_excludes_target_hashtag():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, ctx)
+        i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
     act = scores_of(PredictorKind.ACT, inst, ctx)
@@ -150,7 +157,7 @@ def test_rw_act_zero_topic_activity_scores_zero():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, ctx)
+        i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
     )
     rw = scores_of(PredictorKind.RW_ACT, inst, ctx)
@@ -161,7 +168,7 @@ def test_followee_follower_counts():
     net, events, topics, index = _fixture(10)
     ctx = PredictionContext(events, index, net, topics)
     inst = next(
-        i for i in build_instances(Direction.INFLUENCER, ctx)
+        i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target"
     )
     followees = scores_of(PredictorKind.FOLLOWEES, inst, ctx)
@@ -245,7 +252,7 @@ def test_scores_blind_to_target_hashtag():
     d = generate(datasets.activity_params(1))
     index = build_adoption_index(d.events, d.network)
     ctx = PredictionContext(d.events, index, d.network, d.topics)
-    instances = build_instances(Direction.INFLUENCER, ctx)[:8]
+    instances = built(Direction.INFLUENCER, ctx)[:8]
     for inst in instances:
         filtered = EventLog(
             events=tuple(e for e in d.events.events if e.hashtag != inst.hashtag)
@@ -265,7 +272,7 @@ def test_random_scores_auc_near_half():
     d = generate(datasets.activity_params(2))
     index = build_adoption_index(d.events, d.network)
     ctx = PredictionContext(d.events, index, d.network, d.topics)
-    instances = build_instances(Direction.INFLUENCER, ctx)
+    instances = built(Direction.INFLUENCER, ctx)
     rng = np.random.default_rng(0)
     aucs = []
     for inst in instances:
@@ -280,9 +287,9 @@ def test_random_scores_auc_near_half():
 def test_adopter_run_without_cases_is_labelled_adopter():
     net, events, topics, index = _fixture(9)  # too few followees: no cases
     ctx = PredictionContext(events, index, net, topics)
-    instances = build_instances(Direction.ADOPTER, ctx)
-    assert instances == []
-    results = evaluate(Direction.ADOPTER, instances, ctx)
+    table = build_instances(Direction.ADOPTER, ctx)
+    assert len(table) == 0
+    results = evaluate(Direction.ADOPTER, table, ctx)
     assert [r.predictor for r in results] == list(PredictorKind)
     assert all(r.direction is Direction.ADOPTER and r.per_topic == {} for r in results)
 
@@ -336,12 +343,12 @@ def test_table_equals_scalar_oracle():
         ctx = PredictionContext(events, index, net, topics)
         octx = oracles.PredictionOracleContext(events, net, topics)
         for direction in Direction:
-            built = build_instances(direction, ctx)
-            assert len(built) >= 40
-            instances = built + _edge_case_instances(rng, built, direction)
-            table = InstanceTable.build(instances, ctx)
+            cases = built(direction, ctx)
+            assert len(cases) >= 40
+            instances = cases + _edge_case_instances(rng, cases, direction)
+            table = oracles.instance_table(instances, ctx)
             kept = [i for i in instances if len(i.truth) < len(i.candidates)]
-            kept_table = InstanceTable.build(kept, ctx)
+            kept_table = oracles.instance_table(kept, ctx)
             for kind in PredictorKind:
                 scores = score_candidates(kind, table, ctx)
                 for i, inst in enumerate(instances):
@@ -354,7 +361,7 @@ def test_table_equals_scalar_oracle():
                     oracles.roc_auc(oracles.score_candidates(kind, inst, octx), inst.truth)
                     for inst in kept
                 ], kind
-            for res in evaluate(direction, instances, ctx):
+            for res in evaluate(direction, table, ctx):
                 assert res.direction is direction
                 assert res.per_topic == oracles.mean_auc_per_topic(
                     res.predictor, instances, octx
@@ -383,28 +390,87 @@ def test_build_instances_equals_brute_force_oracle():
         net, events, topics, index = _oracle_dataset(rng)
         ctx = PredictionContext(events, index, net, topics)
         for direction in Direction:
-            built = build_instances(direction, ctx)
-            assert len(built) >= 40
-            assert built == oracles.build_instances(direction, events, net, topics)
+            cases = built(direction, ctx)
+            assert len(cases) >= 40
+            assert cases == oracles.build_instances(direction, events, net, topics)
             tied += sum(
                 index.first_use.get((c, i.hashtag)) == index.first_use[(i.user, i.hashtag)]
-                for i in built for c in i.candidates
+                for i in cases for c in i.candidates
             )
     assert tied >= 100
 
 
-def test_table_rejects_unknown_names_and_empty_candidates():
-    net, events, topics, index = _fixture(10)
+
+def _pagerank_on_users(weights, ctx):
+    """``graph.pagerank`` of a backbone's graph placed on user ids; zeros when empty."""
+    out = np.zeros(len(ctx.users))
+    g = DirectedGraph.from_edges(weights)
+    if g.n:
+        for node, value in pagerank(g).items():
+            out[ctx.user_ids[node]] = value
+    return out.tolist()
+
+
+def _excluded(ctx, hashtag):
+    return ctx.excluded_pagerank(ctx.hashtag_ids[hashtag]).tolist()
+
+
+def test_excluded_pagerank_toy(toy):
+    net, events, topics, index = toy
     ctx = PredictionContext(events, index, net, topics)
-    inst = build_instances(Direction.INFLUENCER, ctx)[0]
-    for bad in (
-        PredictionInstance(inst.user, inst.hashtag, inst.topic, inst.direction,
-                           inst.candidates + ("nobody",), inst.truth),
-        PredictionInstance(inst.user, "nohashtag", inst.topic, inst.direction,
-                           inst.candidates, inst.truth),
-        PredictionInstance(inst.user, inst.hashtag, "notopic", inst.direction,
-                           inst.candidates, inst.truth),
-        PredictionInstance(inst.user, inst.hashtag, inst.topic, inst.direction, (), inst.truth),
-    ):
-        with pytest.raises(DataError):
-            InstanceTable.build([inst, bad], ctx)
+    # x carried both weight-1 edges: its exclusion empties the backbone
+    assert _excluded(ctx, "x") == [0.0] * len(ctx.users)
+    # y created no precedence, so removing it changes nothing
+    full = extract_backbone("T", index, topics).weights
+    assert _excluded(ctx, "y") == _pagerank_on_users(full, ctx)
+    assert any(_excluded(ctx, "y"))
+
+
+def test_excluded_pagerank_keeps_weight_two_edge():
+    net = load_follower_edges(["A\tB"])
+    events = load_events(["0\tA\t#x", "1\tA\t#y", "5\tB\t#x", "6\tB\t#y", "7\tA\t#z"])
+    topics = load_topic_map(["x\tT", "y\tT"])
+    index = build_adoption_index(events, net)
+    assert extract_backbone("T", index, topics).weights[("A", "B")] == 2
+    ctx = PredictionContext(events, index, net, topics)
+    assert _excluded(ctx, "y") == _pagerank_on_users({("A", "B"): 1}, ctx)
+    with pytest.raises(DataError, match="no topic"):
+        _excluded(ctx, "z")
+
+
+def test_excluded_pagerank_equals_extract_on_reduced_map():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        edge_lines, event_lines, topic_lines = oracles.random_log(rng, n_users=12)
+        net = load_follower_edges(edge_lines)
+        events = load_events(event_lines)
+        topics = load_topic_map(topic_lines)
+        index = build_adoption_index(events, net)
+        ctx = PredictionContext(events, index, net, topics)
+        topic = topics.topics[0]
+        for h in topics.hashtags_for(topic):
+            reduced = extract_backbone(topic, index, topics.without(h)).weights
+            assert _excluded(ctx, h) == _pagerank_on_users(reduced, ctx)
+
+
+def test_excluded_pagerank_equals_edge_scan_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        edge_lines, event_lines, topic_lines = oracles.random_log(
+            rng, n_users=int(rng.integers(5, 25)), n_hashtags=int(rng.integers(2, 12)),
+            n_topics=int(rng.integers(1, 4)), n_lines=int(rng.integers(10, 300)),
+            edge_prob=float(rng.uniform(0.05, 0.4)), max_time=int(rng.integers(5, 200)),
+        )
+        net = load_follower_edges(edge_lines)
+        events = load_events(event_lines)
+        topics = load_topic_map(topic_lines)
+        index = build_adoption_index(events, net)
+        ctx = PredictionContext(events, index, net, topics)
+        triples = [(e.time, e.user, e.hashtag) for e in events.events]
+        for topic in topics.topics:
+            hashtags = topics.hashtags_for(topic)
+            for h in hashtags:
+                want = oracles.backbone_weights(
+                    triples, net.edges, [g for g in hashtags if g != h]
+                )
+                assert _excluded(ctx, h) == _pagerank_on_users(want, ctx)
