@@ -78,8 +78,6 @@ from .latmin import (
     LatencyState,
     exact_k_latmin,
     minimize,
-    pair_latency,
-    path_latency,
     prepare,
 )
 from .syngen import GenParams, GeneratedDataset, PlantedTruth, TopicProfile, generate

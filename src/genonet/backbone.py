@@ -47,9 +47,6 @@ class InfluenceBackbone:
         """The backbone graph, built on first use."""
         return DirectedGraph.from_edges(self.weights)
 
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.weights)
-
 
 @dataclass(frozen=True)
 class BackboneReport:
@@ -107,8 +104,7 @@ def compare_with_follower(b: InfluenceBackbone, net: FollowerNetwork) -> Backbon
     follower_edges = [(u, v) for (u, v) in net.edges if u in touched and v in touched]
     follower_graph = DirectedGraph.from_edges(follower_edges, nodes=touched)
 
-    influence_edge_set = b.edge_set()
-    jac = jaccard_edge_similarity(influence_edge_set, follower_edges)
+    jac = jaccard_edge_similarity(b.weights, follower_edges)
 
     scc = {
         "influence": _largest_fraction(
@@ -154,11 +150,11 @@ def cross_topic_overlap(backbones: Sequence[InfluenceBackbone]) -> OverlapMatrix
     """Pairwise Jaccard edge overlap; unit diagonal, empty-empty pairs 0."""
     if len(backbones) < 2:
         raise DataError("cross_topic_overlap needs at least 2 backbones")
-    edge_sets = [b.edge_set() for b in backbones]
+    edges = [b.weights for b in backbones]
     rows = []
-    for i, ei in enumerate(edge_sets):
+    for i, ei in enumerate(edges):
         row = []
-        for j, ej in enumerate(edge_sets):
+        for j, ej in enumerate(edges):
             if i == j:
                 row.append(1.0)
             elif not ei and not ej:

@@ -90,10 +90,6 @@ class LogisticFit:
     x0: float
     residual: float
 
-    def value(self, x: float) -> float:
-        z = self.k * (math.log(x) - self.x0)
-        return self.l / (1.0 + math.exp(-z))
-
 
 def train_local(
     user: str,

@@ -19,7 +19,6 @@ adoption.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -72,24 +71,10 @@ class Genotype:
     owner: str
     cells: Mapping[tuple[str, MetricKind], MetricCell]
 
-    def cell(self, topic: str, kind: MetricKind) -> MetricCell | None:
-        return self.cells.get((topic, kind))
-
-    def values(self, topic: str, kind: MetricKind) -> tuple[float, ...]:
-        c = self.cells.get((topic, kind))
-        return c.values if c else ()
-
 
 @dataclass(frozen=True)
 class Genome:
     genotypes: Mapping[str, Genotype]
-    provenance: Mapping[str, str]
-
-    def __getitem__(self, user: str) -> Genotype:
-        return self.genotypes[user]
-
-    def __contains__(self, user: str) -> bool:
-        return user in self.genotypes
 
 
 def _timeline_topic_count(
@@ -212,13 +197,7 @@ def build_genome(
         )
         for u, cells in raw.items()
     }
-    provenance = {
-        "dataset": hashlib.sha256(
-            (net.digest() + events.digest()).encode()
-        ).hexdigest(),
-        "topics": topics.digest(),
-    }
-    return Genome(genotypes=genotypes, provenance=provenance)
+    return Genome(genotypes=genotypes)
 
 
 def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:

@@ -62,22 +62,9 @@ class DirectedGraph:
     def n(self) -> int:
         return len(self.nodes)
 
-    def index_of(self, node: Node) -> int:
-        return self._index[node]
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._index
-
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Index-based adjacency, aligned with ``nodes``."""
         return self._adj
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        iu = self._index.get(u)
-        iv = self._index.get(v)
-        if iu is None or iv is None:
-            return False
-        return iv in self._adj[iu]
 
     def out_degree(self, node: Node) -> int:
         return len(self._adj[self._index[node]])

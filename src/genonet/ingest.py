@@ -18,8 +18,7 @@ share between threads.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -103,18 +102,6 @@ class FollowerNetwork:
     def followers_of(self, user: str) -> tuple[str, ...]:
         return self._followers.get(user, ())
 
-    def has_edge(self, followee: str, follower: str) -> bool:
-        return (followee, follower) in self.edges
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for n in sorted(self.nodes):
-            h.update(b"n")
-            h.update(n.encode())
-        for u, v in sorted(self.edges):
-            h.update(f"e{u}\t{v}".encode())
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
 class EventLog:
@@ -142,12 +129,6 @@ class EventLog:
     def times_by_user(self) -> dict[str, list[int]]:
         # aligned with by_user, for bisect windows
         return {u: [e.time for e in es] for u, es in self.by_user.items()}
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for t, u, tag in self.events:
-            h.update(f"{t}\t{u}\t{tag}\n".encode())
-        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -181,19 +162,6 @@ class TopicMap:
             raise DataError(f"unknown topic {topic!r}")
         return self.by_topic[topic]
 
-    def without(self, hashtag: str) -> "TopicMap":
-        """Copy with one hashtag removed (topic order preserved)."""
-        assignment = {h: t for h, t in self.assignment.items() if h != hashtag}
-        return TopicMap(assignment=assignment, topics=self.topics)
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for topic in self.topics:
-            h.update(f"t{topic}\n".encode())
-        for tag in sorted(self.assignment):
-            h.update(f"{tag}\t{self.assignment[tag]}\n".encode())
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
 class AdoptionIndex:
@@ -219,13 +187,11 @@ class AdoptionIndex:
             out.setdefault(h, []).append(u)
         return {h: tuple(sorted(us)) for h, us in out.items()}
 
-    def adopters_of(self, hashtag: str) -> tuple[str, ...]:
-        return self.users_by_hashtag.get(hashtag, ())
-
     def precedence_edges(self, hashtag: str) -> list[tuple[str, str]]:
         """Follower edges (u, v) where u first used ``hashtag`` strictly before v."""
         prior = self.prior_adopters
-        return [(u, v) for v in self.adopters_of(hashtag) for u in prior[(v, hashtag)]]
+        adopters = self.users_by_hashtag.get(hashtag, ())
+        return [(u, v) for v in adopters for u in prior[(v, hashtag)]]
 
 
 def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:

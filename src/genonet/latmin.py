@@ -30,8 +30,6 @@ __all__ = [
     "LatencyGraph",
     "Heuristic",
     "MinimizationTrace",
-    "path_latency",
-    "pair_latency",
     "LatencyState",
     "prepare",
     "minimize",
@@ -62,20 +60,11 @@ class Heuristic(Enum):
     MAX_BC = "MaxBC"
     GREEDY = "Greedy"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "Heuristic":
-        for h in cls:
-            if h.value.lower() == tag.strip().lower():
-                return h
-        valid = ", ".join(h.value for h in cls)
-        raise DataError(f"unknown heuristic {tag!r}; valid: {valid}")
-
 
 @dataclass(frozen=True)
 class LatencyGraph:
     graph: DirectedGraph
     latency: Mapping[object, float]
-    targeted: frozenset = frozenset()
 
     def __post_init__(self):
         for node in self.graph.nodes:
@@ -84,16 +73,6 @@ class LatencyGraph:
                 raise DataError(f"node {node!r} has no latency")
             if not (0 <= lat < math.inf):
                 raise DataError(f"latency on {node!r} is {lat!r}, not finite and >= 0")
-        for node in self.targeted:
-            if self.latency[node] != 0:
-                raise DataError(f"targeted node {node!r} has nonzero latency")
-
-    def with_zeroed(self, nodes) -> "LatencyGraph":
-        nodes = frozenset(nodes)
-        latency = {n: (0.0 if n in nodes else v) for n, v in self.latency.items()}
-        return LatencyGraph(
-            graph=self.graph, latency=latency, targeted=self.targeted | nodes
-        )
 
 
 @dataclass(frozen=True)
@@ -101,14 +80,6 @@ class MinimizationTrace:
     heuristic: Heuristic
     selected: tuple
     relative: tuple[float, ...]  # average latency after each pick / original
-
-
-def path_latency(g: LatencyGraph, path: Sequence) -> float:
-    """Sum of latencies along a path, destination excluded."""
-    for a, b in zip(path, path[1:]):
-        if not g.graph.has_edge(a, b):
-            raise DataError(f"no edge ({a!r}, {b!r}) on path")
-    return float(sum(g.latency[n] for n in path[:-1]))
 
 
 def _single_source(adj, lat: list[float], source_idx: int) -> list[float]:
@@ -128,18 +99,9 @@ def _single_source(adj, lat: list[float], source_idx: int) -> list[float]:
     return dist
 
 
-def pair_latency(g: LatencyGraph, s, t) -> float:
-    """Minimum latency over all directed s -> t paths; inf if unreachable."""
-    if s == t:
-        raise DataError("pair latency needs distinct endpoints")
-    lat = [g.latency[n] for n in g.graph.nodes]
-    dist = _single_source(g.graph.adjacency(), lat, g.graph.index_of(s))
-    return dist[g.graph.index_of(t)]
-
-
-def _apsp_matrix(g: LatencyGraph) -> np.ndarray:
-    n, adj = g.graph.n, g.graph.adjacency()
-    lat = [g.latency[nd] for nd in g.graph.nodes]
+def _apsp_matrix(g: DirectedGraph, lat: np.ndarray) -> np.ndarray:
+    """Pair latencies by node index: row s holds the Dijkstra minima from s."""
+    n, adj, lat = g.n, g.adjacency(), lat.tolist()
     d = np.empty((n, n))
     for i in range(n):
         d[i] = _single_source(adj, lat, i)
@@ -157,12 +119,14 @@ def _offdiag_finite_mask(d: np.ndarray) -> np.ndarray:
 class LatencyState:
     """One graph's solved latency problem, shared by every heuristic.
 
-    ``d`` is the APSP matrix of ``g``, ``mask`` marks the reachable
-    ordered pairs s != t, ``denom`` counts them (at least one) and
-    ``base_avg`` is their mean latency.
+    ``lat`` holds the node latencies in node order, ``d`` is the APSP
+    matrix of ``g``, ``mask`` marks the reachable ordered pairs s != t,
+    ``denom`` counts them (at least one) and ``base_avg`` is their mean
+    latency.
     """
 
     g: LatencyGraph
+    lat: np.ndarray
     d: np.ndarray
     mask: np.ndarray
     denom: float
@@ -192,13 +156,14 @@ def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
             f"latency graph of n={n} nodes needs about {need:,} bytes for its "
             f"n x n matrices, over the budget of {MEMORY_BUDGET_BYTES:,} bytes"
         )
-    d = _apsp_matrix(g)
+    lat = np.array([g.latency[nd] for nd in g.graph.nodes], dtype=float)
+    d = _apsp_matrix(g.graph, lat)
     mask = _offdiag_finite_mask(d)
     denom = float(mask.sum())
     if not denom:
         raise DataError("no reachable ordered pairs")
     return LatencyState(
-        g, d, mask, denom, int(denom) == n * (n - 1), float(d[mask].sum() / denom)
+        g, lat, d, mask, denom, int(denom) == n * (n - 1), float(d[mask].sum() / denom)
     )
 
 
@@ -244,7 +209,7 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
         raise DataError("original average latency is zero; relative trace undefined")
 
     nodes = g.graph.nodes
-    lat = np.array([g.latency[nd] for nd in nodes], dtype=float)
+    lat = state.lat.copy()  # each pick zeroes its entry
 
     order: list[int] | None = None
     if heuristic is Heuristic.MAX_LAT:
@@ -308,20 +273,20 @@ def exact_k_latmin(g: LatencyGraph, k: int) -> tuple[frozenset, float]:
             f"of {ENUMERATION_BUDGET}"
         )
     state = prepare(g, strict=False)
-    lat = {node: float(g.latency[node]) for node in g.graph.nodes}
     row = np.empty(n)
 
     best_set: tuple | None = None
     best_value = math.inf
-    for subset in itertools.combinations(sorted(g.graph.nodes), k):
+    # node order is sorted, so index order is lexicographic order
+    for subset in itertools.combinations(range(n), k):
         d = state.d
-        for node in subset:
-            d = _zero_update(d, g.graph.index_of(node), lat[node], np.empty((n, n)), row)
+        for i in subset:
+            d = _zero_update(d, i, state.lat[i], np.empty((n, n)), row)
         value = float(d[state.mask].sum() / state.denom)
         if value < best_value:
             best_value = value
             best_set = subset
-    return frozenset(best_set), best_value
+    return frozenset(g.graph.nodes[i] for i in best_set), best_value
 
 
 def write_trace_tsv(traces: Sequence[MinimizationTrace], fh) -> None:

@@ -43,14 +43,6 @@ class PredictorKind(Enum):
     TOPIC_ACT = "TopicAct"
     RW_ACT = "RWAct"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "PredictorKind":
-        for kind in cls:
-            if kind.value.lower() == tag.strip().lower():
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise DataError(f"unknown predictor {tag!r}; valid: {valid}")
-
 
 class PredictionContext:
     """Shared inputs as numpy columns over one sorted user order.
@@ -289,14 +281,6 @@ class EvaluationResult:
     direction: Direction
     predictor: PredictorKind
     per_topic: Mapping[str, tuple[float, int]]  # topic -> (mean AUC, instances)
-
-    @property
-    def overall(self) -> tuple[float, int]:
-        total = sum(n for _m, n in self.per_topic.values())
-        if not total:
-            return 0.0, 0
-        mean = sum(m * n for m, n in self.per_topic.values()) / total
-        return mean, total
 
 
 def evaluate(

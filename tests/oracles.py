@@ -482,6 +482,12 @@ def fit_logistic_scipy(points):
     return l, k, x0, residual
 
 
+def logistic_value(fit, x):
+    """A fitted curve l / (1 + exp(-k (ln x - x0))) at ``x``."""
+    z = fit.k * (math.log(x) - fit.x0)
+    return fit.l / (1.0 + math.exp(-z))
+
+
 # --- consensus oracle --------------------------------------------------------
 
 
@@ -631,7 +637,7 @@ def score_candidates(kind, inst, context):
         return {c: float(len(net.followers_of(c))) for c in inst.candidates}
     if kind is PredictorKind.RECIPROCAL:
         return {
-            c: float(net.has_edge(c, inst.user) and net.has_edge(inst.user, c))
+            c: float((c, inst.user) in net.edges and (inst.user, c) in net.edges)
             for c in inst.candidates
         }
     if kind is PredictorKind.ACT:

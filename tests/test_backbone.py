@@ -78,7 +78,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
         index = build_adoption_index(events, net)
         for topic in topics.topics:
             b = extract_backbone(topic, index, topics)
-            assert b.edge_set() <= net.edges
+            assert b.weights.keys() <= net.edges
             for (u, _v), w in b.weights.items():
                 used = sum(
                     1 for h in topics.hashtags_for(topic) if (u, h) in index.first_use

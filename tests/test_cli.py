@@ -198,7 +198,7 @@ def test_unknown_topic_exits_2(syn_manifest, tmp_path):
 def test_latmin_solves_one_apsp(syn_manifest, tmp_path, monkeypatch, mode):
     calls = []
     apsp = latmin._apsp_matrix
-    monkeypatch.setattr(latmin, "_apsp_matrix", lambda g: calls.append(g) or apsp(g))
+    monkeypatch.setattr(latmin, "_apsp_matrix", lambda *a: calls.append(a) or apsp(*a))
     assert run("latmin", "--manifest", syn_manifest, "--out", tmp_path,
                "--topic", "t0", "--k", 2, mode) == 0
     assert len(calls) == 1

@@ -76,9 +76,9 @@ def test_build_genome_toy(toy):
     net, events, topics, index = toy
     genome = build_genome(events, index, net, topics)
     assert set(genome.genotypes) == {"A", "B", "C"}
-    assert genome["B"].values("T", MetricKind.N_USES) == (2.0,)
-    assert genome["A"].values("T", MetricKind.TIME) == ()
-    cell = genome["B"].cell("T", MetricKind.TIME)
+    assert genome.genotypes["B"].cells[("T", MetricKind.N_USES)].values == (2.0,)
+    assert ("T", MetricKind.TIME) not in genome.genotypes["A"].cells
+    cell = genome.genotypes["B"].cells[("T", MetricKind.TIME)]
     assert cell.mean == 10.0 and cell.count == 1
 
 
@@ -102,7 +102,7 @@ def test_mean_of_multiset():
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
     genome = build_genome(events, index, net, topics)
-    cell = genome["B"].cell("T", MetricKind.TIME)
+    cell = genome.genotypes["B"].cells[("T", MetricKind.TIME)]
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
     assert node_topic_latency(index, topics, "T")["B"] == 5.0
@@ -116,9 +116,9 @@ def test_node_topic_latency_equals_genome_time_means():
     genome = build_genome(events, index, net, topics)
     for topic in topics.topics:
         want = {
-            u: gt.cell(topic, MetricKind.TIME).mean
+            u: gt.cells[(topic, MetricKind.TIME)].mean
             for u, gt in genome.genotypes.items()
-            if gt.cell(topic, MetricKind.TIME) is not None
+            if (topic, MetricKind.TIME) in gt.cells
         }
         assert want
         assert node_topic_latency(index, topics, topic) == want
@@ -189,9 +189,9 @@ def test_build_genome_matches_per_pair_composition():
             if v is not None:
                 expected.setdefault((u, topic, kind), []).append(v)
     for (u, topic, kind), vals in expected.items():
-        got = genome[u].values(topic, kind)
-        assert sorted(got) == pytest.approx(sorted(vals))
-        assert genome[u].cell(topic, kind).mean == pytest.approx(np.mean(vals))
+        cell = genome.genotypes[u].cells[(topic, kind)]
+        assert sorted(cell.values) == pytest.approx(sorted(vals))
+        assert cell.mean == pytest.approx(np.mean(vals))
     # no extra cells
     total_cells = sum(len(gt.cells) for gt in genome.genotypes.values())
     assert total_cells == len(expected)

@@ -8,6 +8,11 @@ that is meant to move outputs regenerates the fixture with
     PYTHONPATH=src python tests/test_golden.py
 
 and names the affected files and the size of the difference.
+
+The fixture was made with Python 3.11.7 and numpy 2.4.6.  Outputs hold
+float sums whose last bits can depend on the interpreter (CPython 3.12
+compensates ``sum()`` of floats) and on numpy's pairwise summation, so a
+mismatch under other versions may come from the environment alone.
 """
 
 import hashlib

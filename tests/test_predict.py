@@ -7,6 +7,7 @@ from genonet.graph import DirectedGraph, pagerank
 from genonet.ingest import (
     Event,
     EventLog,
+    TopicMap,
     build_adoption_index,
     load_events,
     load_follower_edges,
@@ -177,12 +178,6 @@ def test_followee_follower_counts():
     assert followers["f0"] == float(len(net.followers_of("f0")))
 
 
-def test_predictor_tag_parsing():
-    assert PredictorKind.from_tag("topicact") is PredictorKind.TOPIC_ACT
-    with pytest.raises(DataError, match="RWAct"):
-        PredictorKind.from_tag("zzz")
-
-
 def test_roc_auc_examples():
     assert auc_of({"p": 2.0, "n": 1.0}, {"p"}) == 1.0
     assert auc_of({"p": 1.0, "n": 2.0}, {"p"}) == 0.0
@@ -227,7 +222,7 @@ def test_evaluate_single_instance():
     ctx = PredictionContext(events, index, net, topics)
     res = result_of(PredictorKind.FOLLOWERS, Direction.INFLUENCER, [inst], ctx)
     assert res.per_topic["T"][1] == 1
-    assert res.overall[0] == auc_of(
+    assert res.per_topic["T"][0] == auc_of(
         scores_of(PredictorKind.FOLLOWERS, inst, ctx), inst.truth
     )
 
@@ -449,7 +444,10 @@ def test_excluded_pagerank_equals_extract_on_reduced_map():
         ctx = PredictionContext(events, index, net, topics)
         topic = topics.topics[0]
         for h in topics.hashtags_for(topic):
-            reduced = extract_backbone(topic, index, topics.without(h)).weights
+            without_h = TopicMap(
+                {g: t for g, t in topics.assignment.items() if g != h}, topics.topics
+            )
+            reduced = extract_backbone(topic, index, without_h).weights
             assert _excluded(ctx, h) == _pagerank_on_users(reduced, ctx)
 
 

@@ -87,7 +87,7 @@ def test_time_metric_converges_to_planted_mean():
     genome = build_genome(d.events, index, d.network, d.topics)
     checked = 0
     for user, gt in genome.genotypes.items():
-        cell = gt.cell("t0", MetricKind.TIME)
+        cell = gt.cells.get(("t0", MetricKind.TIME))
         if cell is None or cell.count < 50:
             continue
         planted = d.truth.latency_mean[(user, "t0")]
