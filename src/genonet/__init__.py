@@ -32,11 +32,9 @@ from .graph import (
     weakly_connected_components,
 )
 from .genotype import (
-    Genome,
     Genotype,
     MetricKind,
     build_genome,
-    compute_metric,
     node_topic_latency,
     pair_metrics,
 )

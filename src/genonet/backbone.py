@@ -15,6 +15,8 @@ from dataclasses import dataclass, asdict
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError
 from .graph import (
     DirectedGraph,
@@ -30,6 +32,7 @@ __all__ = [
     "InfluenceBackbone",
     "BackboneReport",
     "OverlapMatrix",
+    "topic_backbone",
     "extract_backbone",
     "compare_with_follower",
     "cross_topic_overlap",
@@ -75,12 +78,25 @@ class OverlapMatrix:
     values: tuple[tuple[float, ...], ...]
 
 
+def topic_backbone(index: AdoptionIndex, in_topic: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The precedence edges of the hashtag ids flagged by ``in_topic``.
+
+    Returns the sorted edge keys ``followee * n + follower`` over user
+    ids, each edge's weight (its number of hashtags), and for each of the
+    hashtags' precedence triples its edge's position and its hashtag.
+    """
+    tag, followee, follower = index.precedence
+    on = in_topic[tag]
+    keys, edge = np.unique(followee[on] * len(index.users) + follower[on], return_inverse=True)
+    return keys, np.bincount(edge, minlength=len(keys)), edge, tag[on]
+
+
 def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> InfluenceBackbone:
     """Backbone for one topic: the sum of its hashtags' precedence edges."""
-    weights: dict[tuple[str, str], int] = {}
-    for h in topics.hashtags_for(topic):
-        for e in index.precedence_edges(h):
-            weights[e] = weights.get(e, 0) + 1
+    wanted = set(topics.hashtags_for(topic))
+    keys, weight, _, _ = topic_backbone(index, np.array([h in wanted for h in index.hashtags], bool))
+    users, n = index.users, len(index.users)
+    weights = {(users[k // n], users[k % n]): w for k, w in zip(keys.tolist(), weight.tolist())}
     return InfluenceBackbone(topic=topic, weights=weights)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateTrainingError, TrainingError
-from .genotype import MetricKind
+from .genotype import MetricKind, float_sum
 from .ingest import TopicMap
 
 __all__ = [
@@ -118,9 +118,9 @@ def train_local(
     stats: dict[str, tuple[float, int]] = {}
     ss_within = 0.0
     for topic, vals in by_topic.items():
-        mean = sum(vals) / len(vals)
+        mean = float_sum(vals) / len(vals)
         stats[topic] = (mean, len(vals))
-        ss_within += sum((v - mean) ** 2 for v in vals)
+        ss_within += float_sum((v - mean) ** 2 for v in vals)
     variance = max(VARIANCE_FLOOR, ss_within / max(1, n - t))
     priors = {topic: len(vals) / n for topic, vals in by_topic.items()}
     return LocalClassifier(
@@ -141,7 +141,7 @@ def classify_local(c: LocalClassifier, value: float) -> dict[str, float]:
         )
     top = max(logs.values())
     expd = {t: math.exp(v - top) for t, v in logs.items()}
-    z = sum(expd.values())
+    z = float_sum(expd.values())
     return {t: v / z for t, v in expd.items()}
 
 
@@ -347,7 +347,7 @@ def _error_table(
         per_topic[t] = errors.get(t, 0) / n if n else 0.0
     total = sum(counts.values())
     expected = (
-        sum(per_topic[t] * counts[t] for t in topic_order) / total if total else 0.0
+        float_sum(per_topic[t] * counts[t] for t in topic_order) / total if total else 0.0
     )
     return ErrorTable(per_topic=per_topic, counts=counts, expected=expected)
 
@@ -382,7 +382,7 @@ def leave_one_out(data: LooData) -> LeaveOneOutResult:
         per_topic=random_per_topic,
         counts=dict(test_totals),
         expected=(
-            sum(random_per_topic[t] * test_totals[t] for t in data.topic_order) / total
+            float_sum(random_per_topic[t] * test_totals[t] for t in data.topic_order) / total
             if total
             else 0.0
         ),
@@ -448,7 +448,7 @@ def accuracy_curve(
             for t in data.topic_order:
                 if per_topic_n[t]:
                     rows.append((t, s, rep, per_topic_ok[t] / per_topic_n[t]))
-        points.append((s, sum(rep_acc) / len(rep_acc)))
+        points.append((s, float_sum(rep_acc) / len(rep_acc)))
     return AccuracyCurve(metric=data.metric, points=tuple(points), rows=tuple(rows))
 
 

@@ -129,7 +129,7 @@ def cmd_ingest_check(args) -> None:
         "unmapped_hashtags": unmapped,
         "skipped_event_lines": events.skipped_lines,
         "adopted_pairs": len(index.first_use),
-        "exposed_pairs": len(index.first_exposure),
+        "exposed_pairs": index.exposed_pairs,
         "topics": list(topics.topics),
     }
     _write_json(out / "ingest_check.json", _provenance(args), doc)
@@ -137,8 +137,8 @@ def cmd_ingest_check(args) -> None:
 
 def cmd_genome(args) -> None:
     out = _outdir(args)
-    net, events, topics, index = _load(args)
-    genome = gt.build_genome(events, index, net, topics)
+    _net, _events, topics, index = _load(args)
+    genome = gt.build_genome(index, topics)
     prov = _provenance(args, _ANY_WORKERS)
     _write_tsv(out / "genome_values.tsv", prov, lambda fh: gt.write_genome_values(genome, fh))
     _write_tsv(
@@ -148,7 +148,7 @@ def cmd_genome(args) -> None:
 
 def cmd_backbone(args) -> None:
     out = _outdir(args)
-    net, events, topics, index = _load(args)
+    net, _events, topics, index = _load(args)
     wanted = [args.topic] if args.topic else list(topics.topics)
     for t in wanted:
         if t not in topics.topics:
@@ -193,11 +193,11 @@ def cmd_classify(args) -> None:
             raise UsageError(f"bad --ensemble-sizes: {exc}") from exc
         if args.seed is None:
             raise UsageError("--seed is required with --ensemble-sizes")
-    net, events, topics, index = _load(args)
+    _net, _events, topics, index = _load(args)
     results: dict[str, cl.LeaveOneOutResult] = {}
     curves: dict[str, cl.AccuracyCurve] = {}
     fits: dict[str, dict] = {}
-    pairs = gt.pair_metrics(events, index, net, topics)
+    pairs = gt.pair_metrics(index, topics)
     for metric in metrics:
         data = cl.prepare_loo(metric, pairs, topics)
         results[metric.value] = cl.leave_one_out(data)
@@ -234,8 +234,8 @@ def cmd_classify(args) -> None:
 
 def cmd_predict(args) -> None:
     out = _outdir(args)
-    net, events, topics, index = _load(args)
-    ctx = pr.PredictionContext(events, index, net, topics)
+    _net, _events, topics, index = _load(args)
+    ctx = pr.PredictionContext(index, topics)
     results = []
     for direction in pr.Direction:
         if args.direction in ("both", direction.value):

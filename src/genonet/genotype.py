@@ -20,20 +20,20 @@ adoption.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DataError
-from .ingest import AdoptionIndex, EventLog, FollowerNetwork, TopicMap
+from .ingest import AdoptionIndex, TopicMap, gather_rows, row_sums
 
 __all__ = [
     "MetricKind",
     "MetricCell",
     "Genotype",
-    "Genome",
-    "compute_metric",
+    "float_sum",
     "pair_metrics",
     "build_genome",
     "node_topic_latency",
@@ -72,132 +72,117 @@ class Genotype:
     cells: Mapping[tuple[str, MetricKind], MetricCell]
 
 
-@dataclass(frozen=True)
-class Genome:
-    genotypes: Mapping[str, Genotype]
+def float_sum(values: Iterable[float]) -> float:
+    """Floats added left to right, as ``sum()`` does up to Python 3.11.
 
-
-def _timeline_topic_count(
-    user: str,
-    topic: str,
-    lo: int,
-    hi: int,
-    events: EventLog,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> int:
-    """Posts by ``user``'s followees with a same-topic hashtag, time in (lo, hi)."""
-    count = 0
-    for v in net.followees_of(user):
-        times = events.times_by_user.get(v)
-        if not times:
-            continue
-        start = bisect_right(times, lo)
-        end = bisect_left(times, hi)
-        evs = events.by_user[v]
-        for i in range(start, end):
-            if topics.topic_of(evs[i].hashtag) == topic:
-                count += 1
-    return count
-
-
-def compute_metric(
-    user: str,
-    hashtag: str,
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> dict[MetricKind, float]:
-    """Every pair-local metric defined for an adopted (user, hashtag) pair.
-
-    N-USES is always present; TIME, N-PAR, F-PAR and LAT only when a
-    followee adopted the hashtag before the user, that is when
-    ``index.prior_adopters`` of the pair is non-empty; N-PAR is its
-    length.  LAT is the only scan of the user's followees (one timeline
-    count).  LOG-LAT needs the hashtag's mean LAT over all adopters and
-    comes from :func:`pair_metrics`.
+    Python 3.12's ``sum()`` compensates float sums and ``math.fsum`` is
+    exact; either would move the last bits of every mean written.
     """
-    key = (user, hashtag)
-    if key not in index.first_use:
-        raise DataError(f"{user!r} never used {hashtag!r}")
-    topic = topics.topic_of(hashtag)
-    if topic is None:
-        raise DataError(f"hashtag {hashtag!r} has no topic")
-    row = {MetricKind.N_USES: float(index.use_counts[key])}
-    n_prior = len(index.prior_adopters[key])
-    if not n_prior:
-        return row
-    lo = index.first_exposure[key]
-    hi = index.first_use[key]
-    row[MetricKind.TIME] = float(hi - lo)
-    row[MetricKind.N_PAR] = float(n_prior)
-    row[MetricKind.F_PAR] = n_prior / len(net.followees_of(user))
-    count = _timeline_topic_count(user, topic, lo, hi, events, net, topics)
-    row[MetricKind.LAT] = 1.0 / max(1, count)
-    return row
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _lat_counts(index: AdoptionIndex, tag_topic: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Per pair, the posts by the user's followees with a hashtag of the
+    pair's topic and a time strictly between first exposure and first use.
+
+    Posts are keyed by the rank of their (topic, user) group times the
+    number of distinct times plus the rank of their time, so no key
+    overflows whatever the times; each (pair, followee) slot counts its
+    posts with two binary searches in the sorted keys.
+    """
+    times, time_rank = np.unique(index.event_time, return_inverse=True)
+    n, width = len(index.users), len(times)
+    groups, group_rank = np.unique(
+        tag_topic[index.event_hashtag] * n + index.event_user, return_inverse=True
+    )
+    keys = np.sort(group_rank * width + time_rank)
+    # the slot columns dominate memory, so each is dropped once read
+    indptr, slots = gather_rows(index.followee_ptr, index.pair_user[pairs])
+    sizes = np.diff(indptr)
+    group = np.repeat(tag_topic[index.pair_hashtag[pairs]] * n, sizes) + index.followee_ids[slots]
+    del slots
+    at = np.minimum(np.searchsorted(groups, group), len(groups) - 1)
+    found = groups[at] == group
+    del group
+    at *= width
+
+    def bound(time: np.ndarray, side: str) -> np.ndarray:
+        return np.searchsorted(keys, at + np.repeat(np.searchsorted(times, time), sizes), side)
+
+    count = bound(index.first_use[pairs], "left") - bound(index.first_exposure[pairs], "right")
+    return row_sums(count * found, indptr)
 
 
 def pair_metrics(
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
+    index: AdoptionIndex, topics: TopicMap
 ) -> dict[tuple[str, str], dict[MetricKind, float]]:
     """Metric rows of every adopted pair whose hashtag has a topic.
 
-    Rows are keyed and ordered as ``index.first_use``.  Each is
-    :func:`compute_metric`'s row plus LOG-LAT wherever LAT is defined; a
-    hashtag's mean LAT sums its defined values in that same order.
+    Rows are keyed by (user, hashtag) name and ordered as the index's
+    pairs, in first-use order.  Each row holds N-USES and, when a followee
+    adopted the hashtag strictly before the user, TIME, N-PAR, F-PAR, LAT
+    and LOG-LAT; a hashtag's mean LAT adds its values in row order.
     """
-    rows = {
-        (u, h): compute_metric(u, h, events, index, net, topics)
-        for (u, h) in index.first_use
-        if topics.topic_of(h) is not None
-    }
+    tag_topic = topics.topic_ids(index.hashtags)
+    pairs = np.flatnonzero(tag_topic[index.pair_hashtag] < len(topics.topics))
+    user, tag = index.pair_user[pairs], index.pair_hashtag[pairs]
+    n_prior = np.diff(index.prior_ptr)[pairs]
+    reacted = n_prior > 0
+    f_par = np.divide(n_prior, np.diff(index.followee_ptr)[user], out=np.zeros(len(pairs)),
+                      where=reacted)
+    lat = np.zeros(len(pairs))
+    lat[reacted] = 1.0 / np.maximum(1, _lat_counts(index, tag_topic, pairs[reacted]))
+    time = index.first_use[pairs] - index.first_exposure[pairs]
+    users, tags = index.users, index.hashtags
+    rows: dict[tuple[str, str], dict[MetricKind, float]] = {}
     lats: dict[str, list[float]] = {}
-    for (_u, h), row in rows.items():
-        if MetricKind.LAT in row:
-            lats.setdefault(h, []).append(row[MetricKind.LAT])
-    mean_lats = {h: sum(vals) / len(vals) for h, vals in lats.items()}
+    for u, h, uses, npar, t, fpar, lat_value in zip(
+        user.tolist(), tag.tolist(), index.use_count[pairs].tolist(), n_prior.tolist(),
+        time.tolist(), f_par.tolist(), lat.tolist(),
+    ):
+        row = rows[(users[u], tags[h])] = {MetricKind.N_USES: float(uses)}
+        if npar:
+            row[MetricKind.TIME] = float(t)
+            row[MetricKind.N_PAR] = float(npar)
+            row[MetricKind.F_PAR] = fpar
+            row[MetricKind.LAT] = lat_value
+            lats.setdefault(tags[h], []).append(lat_value)
+    mean_lats = {h: float_sum(vals) / len(vals) for h, vals in lats.items()}
     for (_u, h), row in rows.items():
         if MetricKind.LAT in row:
             row[MetricKind.LOG_LAT] = math.log(row[MetricKind.LAT] / mean_lats[h])
     return rows
 
 
-def build_genome(
-    events: EventLog,
-    index: AdoptionIndex,
-    net: FollowerNetwork,
-    topics: TopicMap,
-) -> Genome:
-    """Assemble one genotype per user appearing in the event log.
+def build_genome(index: AdoptionIndex, topics: TopicMap) -> dict[str, Genotype]:
+    """One genotype per user appearing in the event log, by user name.
 
     Each cell lists its values in sorted-hashtag order.
     """
-    rows = pair_metrics(events, index, net, topics)
+    rows = pair_metrics(index, topics)
     raw: dict[str, dict[tuple[str, MetricKind], list[float]]] = {
-        u: {} for u in sorted(events.users)
+        index.users[u]: {} for u in np.unique(index.event_user).tolist()
     }
     for (u, h) in sorted(rows):
         topic = topics.topic_of(h)
         cells = raw[u]
         for kind, value in rows[(u, h)].items():
             cells.setdefault((topic, kind), []).append(value)
-    genotypes = {
+    return {
         u: Genotype(
             owner=u,
             cells={
                 key: MetricCell(
-                    values=tuple(vals), mean=sum(vals) / len(vals), count=len(vals)
+                    values=tuple(vals), mean=float_sum(vals) / len(vals), count=len(vals)
                 )
                 for key, vals in cells.items()
             },
         )
         for u, cells in raw.items()
     }
-    return Genome(genotypes=genotypes)
 
 
 def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:
@@ -206,29 +191,31 @@ def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> di
     Values are summed in sorted-hashtag order, as in the genome's TIME
     cell, so each mean equals that cell's mean exactly.
     """
+    in_topic = np.array([topics.topic_of(h) == topic for h in index.hashtags], bool)
+    pairs = np.flatnonzero(in_topic[index.pair_hashtag] & (index.first_exposure >= 0))
+    pairs = pairs[np.lexsort((index.pair_hashtag[pairs], index.pair_user[pairs]))]
+    times = (index.first_use[pairs] - index.first_exposure[pairs]).tolist()
     values: dict[str, list[float]] = {}
-    for (u, h) in sorted(index.first_use):
-        if topics.topic_of(h) == topic and index.prior_adopters[(u, h)]:
-            time = float(index.first_use[(u, h)] - index.first_exposure[(u, h)])
-            values.setdefault(u, []).append(time)
-    return {u: sum(vals) / len(vals) for u, vals in values.items()}
+    for u, time in zip(index.pair_user[pairs].tolist(), times):
+        values.setdefault(index.users[u], []).append(float(time))
+    return {u: float_sum(vals) / len(vals) for u, vals in values.items()}
 
 
-def write_genome_values(genome: Genome, fh) -> None:
+def write_genome_values(genome: Mapping[str, Genotype], fh) -> None:
     """One row per (user, topic, metric, value), TSV."""
     fh.write("user\ttopic\tmetric\tvalue\n")
-    for user in sorted(genome.genotypes):
-        gt = genome.genotypes[user]
+    for user in sorted(genome):
+        gt = genome[user]
         for (topic, kind) in sorted(gt.cells, key=lambda k: (k[0], k[1].value)):
             for value in gt.cells[(topic, kind)].values:
                 fh.write(f"{user}\t{topic}\t{kind.value}\t{value!r}\n")
 
 
-def write_genome_summary(genome: Genome, fh) -> None:
+def write_genome_summary(genome: Mapping[str, Genotype], fh) -> None:
     """One row per (user, topic, metric) with mean and count, TSV."""
     fh.write("user\ttopic\tmetric\tmean\tcount\n")
-    for user in sorted(genome.genotypes):
-        gt = genome.genotypes[user]
+    for user in sorted(genome):
+        gt = genome[user]
         for (topic, kind) in sorted(gt.cells, key=lambda k: (k[0], k[1].value)):
             cell = gt.cells[(topic, kind)]
             fh.write(f"{user}\t{topic}\t{kind.value}\t{cell.mean!r}\t{cell.count}\n")

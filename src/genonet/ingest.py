@@ -6,14 +6,15 @@ A dataset consists of three TSV files:
   Information flows followee -> follower.  Lines with a single field
   declare isolated nodes.
 * ``events.tsv``  -- one post per line, ``time<TAB>user<TAB>hashtag[,...]``.
-  Times are integer seconds; hashtags are case-insensitive and may carry
-  a leading ``#``.
+  Times are integer seconds in [0, 2^63-1]; hashtags are case-insensitive
+  and may carry a leading ``#``.
 * ``topics.tsv``  -- ``hashtag<TAB>topic``, each hashtag in exactly one
   topic.
 
 Lines starting with ``#`` are comments, empty lines are skipped.  All
-structures returned here are immutable after construction and safe to
-share between threads.
+structures returned here, the adoption index's numpy columns included,
+are never modified after construction and are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -35,6 +38,8 @@ __all__ = [
     "load_events",
     "load_topic_map",
     "build_adoption_index",
+    "gather_rows",
+    "row_sums",
     "load_manifest",
     "load_dataset",
     "normalize_hashtag",
@@ -81,27 +86,6 @@ class FollowerNetwork:
             if u not in self.nodes or v not in self.nodes:
                 raise DataError(f"edge ({u!r}, {v!r}) references unknown node")
 
-    @cached_property
-    def _followees(self) -> dict[str, tuple[str, ...]]:
-        by_node: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            by_node[v].append(u)
-        return {n: tuple(sorted(vs)) for n, vs in by_node.items()}
-
-    @cached_property
-    def _followers(self) -> dict[str, tuple[str, ...]]:
-        by_node: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            by_node[u].append(v)
-        return {n: tuple(sorted(vs)) for n, vs in by_node.items()}
-
-    def followees_of(self, user: str) -> tuple[str, ...]:
-        """Users that ``user`` follows (its information sources)."""
-        return self._followees.get(user, ())
-
-    def followers_of(self, user: str) -> tuple[str, ...]:
-        return self._followers.get(user, ())
-
 
 @dataclass(frozen=True)
 class EventLog:
@@ -117,18 +101,6 @@ class EventLog:
     @cached_property
     def hashtags(self) -> frozenset[str]:
         return frozenset(e.hashtag for e in self.events)
-
-    @cached_property
-    def by_user(self) -> dict[str, tuple[Event, ...]]:
-        out: dict[str, list[Event]] = {}
-        for e in self.events:
-            out.setdefault(e.user, []).append(e)
-        return {u: tuple(es) for u, es in out.items()}
-
-    @cached_property
-    def times_by_user(self) -> dict[str, list[int]]:
-        # aligned with by_user, for bisect windows
-        return {u: [e.time for e in es] for u, es in self.by_user.items()}
 
 
 @dataclass(frozen=True)
@@ -162,36 +134,77 @@ class TopicMap:
             raise DataError(f"unknown topic {topic!r}")
         return self.by_topic[topic]
 
+    def topic_ids(self, hashtags: Iterable[str]) -> np.ndarray:
+        """Each hashtag's position in ``topics``; ``len(topics)`` without a topic."""
+        pos = {t: i for i, t in enumerate(self.topics)}
+        return np.array([pos.get(self.topic_of(h), len(pos)) for h in hashtags], np.int64)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class AdoptionIndex:
-    """First-use / first-exposure / use-count / precedence maps derived from a log.
+    """The dataset as integer columns over one id space.
 
-    ``first_exposure[(u, h)]`` is the earliest first use of ``h`` among
-    the followees of ``u``; the key is absent when no followee ever used
-    the hashtag.  ``prior_adopters[(u, h)]`` holds, for every adopted
-    pair, the followees of ``u`` whose first use of ``h`` is strictly
-    earlier than ``u``'s (ties never count), ordered as ``first_use``;
-    the tuple is empty for an originator.
+    Users (``sorted(net.nodes | events.users)``) and hashtags
+    (``sorted(events.hashtags)``) get ids in sorted-name order, so id
+    order is name order.  The columns:
+
+    * ``event_time``, ``event_user``, ``event_hashtag``: the log, in log order;
+    * ``followee_ptr``/``followee_ids`` and ``follower_ptr``/``follower_ids``:
+      each user's followees and followers as CSR rows, sorted by id;
+    * per adopted (user, hashtag) pair, in first-use order (first use,
+      user, hashtag): ``pair_user``, ``pair_hashtag``, ``first_use``,
+      ``use_count``; ``prior_ptr``/``prior_ids``, the followees whose first
+      use is strictly earlier than the user's (ties never count), in
+      first-use order and empty for an originator; and ``first_exposure``,
+      the earliest of those first uses, -1 where there is none.
+
+    ``exposed_pairs`` counts the (user, hashtag) pairs with a followee
+    that used the hashtag, adopted or not.
     """
 
-    first_use: Mapping[tuple[str, str], int]
-    first_exposure: Mapping[tuple[str, str], int]
-    use_counts: Mapping[tuple[str, str], int]
-    prior_adopters: Mapping[tuple[str, str], tuple[str, ...]]
+    users: tuple[str, ...]
+    hashtags: tuple[str, ...]
+    event_time: np.ndarray
+    event_user: np.ndarray
+    event_hashtag: np.ndarray
+    followee_ptr: np.ndarray
+    followee_ids: np.ndarray
+    follower_ptr: np.ndarray
+    follower_ids: np.ndarray
+    pair_user: np.ndarray
+    pair_hashtag: np.ndarray
+    first_use: np.ndarray
+    use_count: np.ndarray
+    first_exposure: np.ndarray
+    prior_ptr: np.ndarray
+    prior_ids: np.ndarray
+    exposed_pairs: int
 
     @cached_property
-    def users_by_hashtag(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for (u, h) in self.first_use:
-            out.setdefault(h, []).append(u)
-        return {h: tuple(sorted(us)) for h, us in out.items()}
+    def precedence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hashtag, followee, follower) id columns of every prior adopter."""
+        sizes = np.diff(self.prior_ptr)
+        return (
+            np.repeat(self.pair_hashtag, sizes), self.prior_ids, np.repeat(self.pair_user, sizes)
+        )
 
-    def precedence_edges(self, hashtag: str) -> list[tuple[str, str]]:
-        """Follower edges (u, v) where u first used ``hashtag`` strictly before v."""
-        prior = self.prior_adopters
-        adopters = self.users_by_hashtag.get(hashtag, ())
-        return [(u, v) for v in adopters for u in prior[(v, hashtag)]]
+
+def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR offsets of ``rows`` laid end to end, and the source slot of each."""
+    sizes = np.diff(indptr)[rows]
+    out = np.concatenate(([0], np.cumsum(sizes)))
+    return out, np.repeat(indptr[:-1][rows] - out[:-1], sizes) + np.arange(out[-1])
+
+
+def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sum of every CSR row of integer or boolean ``values``."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    return total[indptr[1:]] - total[indptr[:-1]]
+
+
+def _csr(row: np.ndarray, col: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row pointers over ``0..n-1`` and each row's columns, sorted."""
+    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))), col[np.lexsort((col, row))]
 
 
 def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:
@@ -245,6 +258,8 @@ def load_events(source: Iterable[str]) -> EventLog:
         time = int(time_raw)
         if time < 0:
             raise ParseError(f"negative time {time}", line_no)
+        if time >= 2**63:  # times are indexed as int64
+            raise ParseError(f"time {time} above 2^63-1", line_no)
         if not user:
             raise ParseError("empty user", line_no)
         tags = [normalize_hashtag(t) for t in tags_raw.split(",")]
@@ -281,37 +296,62 @@ def load_topic_map(source: Iterable[str]) -> TopicMap:
 
 
 def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionIndex:
-    """Derive first-use, first-exposure, use-count and prior-adopter maps.
+    """Intern the log and the follow edges and derive every pair column.
 
     Output is independent of input event order: only minima and counts
-    over (user, hashtag) groups are used.  One walk over every (adopter,
-    hashtag, follower) triple fills both first exposure and prior
-    adopters; the strict first-use comparison lives only here.
+    over (user, hashtag) groups are used.  One join of each hashtag's
+    adopters with their followers fills the prior adopters, first
+    exposure and the exposed-pair count; the strict first-use comparison
+    lives only here.
     """
-    first_use: dict[tuple[str, str], int] = {}
-    use_counts: dict[tuple[str, str], int] = {}
-    for t, u, h in events.events:
-        key = (u, h)
-        use_counts[key] = use_counts.get(key, 0) + 1
-        if key not in first_use or t < first_use[key]:
-            first_use[key] = t
+    users = tuple(sorted(net.nodes | events.users))
+    hashtags = tuple(sorted(events.hashtags))
+    user_ids = {u: i for i, u in enumerate(users)}
+    hashtag_ids = {h: i for i, h in enumerate(hashtags)}
+    n, ev, edges = len(users), events.events, net.edges
+    time = np.fromiter((e.time for e in ev), np.int64, len(ev))
+    user = np.fromiter((user_ids[e.user] for e in ev), np.int64, len(ev))
+    tag = np.fromiter((hashtag_ids[e.hashtag] for e in ev), np.int64, len(ev))
+    src, dst = (np.fromiter((user_ids[e[i]] for e in edges), np.int64, len(edges)) for i in (0, 1))
+    follower_ptr, follower_ids = _csr(src, dst, n)
 
-    first_exposure: dict[tuple[str, str], int] = {}
-    # one tuple per pair, extended by concatenation: a list per pair
-    # converted at the end nearly triples the peak memory of this map
-    prior: dict[tuple[str, str], tuple[str, ...]] = dict.fromkeys(first_use, ())
-    for (v, h), t in first_use.items():
-        for w in net.followers_of(v):
-            key = (w, h)
-            if key not in first_exposure or t < first_exposure[key]:
-                first_exposure[key] = t
-            if t < first_use.get(key, t):
-                prior[key] += (v,)
+    _keys, first, pair, use_count = np.unique(
+        user * len(hashtags) + tag, return_index=True, return_inverse=True, return_counts=True
+    )
+    first_use = np.full(len(first), np.iinfo(np.int64).max)
+    np.minimum.at(first_use, pair, time)
+    order = np.lexsort((tag[first], user[first], first_use))
+    pair_user, pair_hashtag = user[first][order], tag[first][order]
+    first_use, use_count = first_use[order], use_count[order]
+
+    # each hashtag's adopters, in first-use order, joined with their followers
+    by_tag = np.argsort(pair_hashtag, kind="stable")
+    bounds = np.searchsorted(pair_hashtag[by_tag], np.arange(len(hashtags) + 1))
+    pair_of = np.full(n, -1)  # the current hashtag's pair of each user
+    targets, sources, exposed = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        adopters = by_tag[lo:hi]
+        pair_of[pair_user[adopters]] = adopters
+        indptr, slots = gather_rows(follower_ptr, pair_user[adopters])
+        follower = follower_ids[slots]
+        source, target = np.repeat(adopters, np.diff(indptr)), pair_of[follower]
+        prior = (target >= 0) & (first_use[source] < first_use[target])
+        targets.append(target[prior])
+        sources.append(source[prior])
+        exposed += len(np.unique(follower))
+        pair_of[pair_user[adopters]] = -1
+    target = np.concatenate(targets)
+    # a stable sort keeps each pair's prior adopters in first-use order
+    source = np.concatenate(sources)[np.argsort(target, kind="stable")]
+    prior_ptr = np.concatenate(([0], np.cumsum(np.bincount(target, minlength=len(first_use)))))
+    first_exposure = np.full(len(first_use), -1)
+    has_prior = np.flatnonzero(np.diff(prior_ptr))
+    first_exposure[has_prior] = first_use[source[prior_ptr[has_prior]]]
     return AdoptionIndex(
-        first_use=first_use,
-        first_exposure=first_exposure,
-        use_counts=use_counts,
-        prior_adopters=prior,
+        users, hashtags, time, user, tag,
+        *_csr(dst, src, n), follower_ptr, follower_ids,
+        pair_user, pair_hashtag, first_use, use_count, first_exposure,
+        prior_ptr, pair_user[source], exposed,
     )
 
 

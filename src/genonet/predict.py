@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import backbone as bb
 from .errors import DataError
 from .graph import pagerank_arrays
-from .ingest import AdoptionIndex, EventLog, FollowerNetwork, TopicMap
+from .ingest import AdoptionIndex, TopicMap, gather_rows, row_sums
 
 __all__ = [
     "Direction", "PredictorKind", "PredictionContext", "InstanceTable",
@@ -45,76 +45,47 @@ class PredictorKind(Enum):
 
 
 class PredictionContext:
-    """Shared inputs as numpy columns over one sorted user order.
+    """Per-user score inputs as numpy columns over the adoption index's ids.
 
-    Per user: followee, follower and event counts, event counts per topic
-    and per hashtag, and the sorted followee and follower id lists.  Per
-    adopted (user, hashtag) pair, and per precedence triple (hashtag,
-    followee, follower) of the adoption index: id columns.  Per hashtag,
-    on first use: the PageRank vector of the hashtag-excluded backbone,
-    which is zero exactly off its nodes.
+    Per user: followee, follower and event counts, and event counts per
+    topic and per hashtag.  Per hashtag, on first use: the PageRank
+    vector of the hashtag-excluded backbone, which is zero exactly off
+    its nodes.  Pairs, follow lists and precedence triples are read off
+    ``index``.
     """
 
-    def __init__(
-        self, events: EventLog, index: AdoptionIndex, net: FollowerNetwork, topics: TopicMap
-    ):
-        self.topics = topics
-        self.users = tuple(sorted(net.nodes | events.users))
-        self.user_ids = {u: i for i, u in enumerate(self.users)}
-        self.hashtags = tuple(sorted(events.hashtags | topics.assignment.keys()))
-        self.hashtag_ids = {h: i for i, h in enumerate(self.hashtags)}
-        n, n_tags, n_topics = len(self.users), len(self.hashtags), len(topics.topics)
+    def __init__(self, index: AdoptionIndex, topics: TopicMap):
+        self.index, self.topics = index, topics
+        n, n_tags, n_topics = len(index.users), len(index.hashtags), len(topics.topics)
         # a hashtag without a topic counts in an extra last topic column
-        topic_ids = {t: i for i, t in enumerate(topics.topics)}
-        self.hashtag_topic = np.array(
-            [topic_ids.get(topics.topic_of(h), n_topics) for h in self.hashtags], np.int64
-        )
-        ids = self.user_ids
-        src, dst = (_column(ids, (e[i] for e in net.edges), len(net.edges)) for i in (0, 1))
-        self.followers, self.followees = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
+        self.hashtag_topic = topics.topic_ids(index.hashtags)
+        self.followees, self.followers = np.diff(index.followee_ptr), np.diff(index.follower_ptr)
+        src, dst = index.followee_ids, np.repeat(np.arange(n), self.followees)
         self.mutual = np.intersect1d(src * n + dst, dst * n + src)  # keys of reciprocal edges
-        # CSR lists over the user order, each sorted by id = by name
-        self.followee_ids = src[np.lexsort((src, dst))]
-        self.follower_ids = dst[np.lexsort((dst, src))]
-        ev = events.events
-        user = _column(ids, (e.user for e in ev), len(ev))
-        tag = _column(self.hashtag_ids, (e.hashtag for e in ev), len(ev))
-        self.uses = np.bincount(user * n_tags + tag, minlength=n * n_tags).reshape(n, n_tags)
+        uses = np.bincount(index.event_user * n_tags + index.event_hashtag, minlength=n * n_tags)
+        self.uses = uses.reshape(n, n_tags)
         self.activity = self.uses.sum(axis=1)
         self.topic_activity = self.uses @ (self.hashtag_topic[:, None] == np.arange(n_topics + 1))
-        prior = index.prior_adopters
-        sizes = np.fromiter(map(len, prior.values()), np.int64, count=len(prior))
-        self.pair_user = _column(ids, (v for v, _h in prior), len(prior))
-        self.pair_hashtag = _column(self.hashtag_ids, (h for _v, h in prior), len(prior))
-        followee = chain.from_iterable(prior.values())
-        self.precedence_followee = _column(ids, followee, int(sizes.sum()))
-        self.precedence_follower = np.repeat(self.pair_user, sizes)
-        self.precedence_hashtag = np.repeat(self.pair_hashtag, sizes)
-        # topic id -> backbone edge keys (followee * n + follower, sorted),
-        # their weights, and each topic precedence triple's edge and hashtag
-        self._backbones: dict[int, tuple] = {}
+        self._topic_backbones: dict[int, tuple] = {}
         self._excluded: dict[int, np.ndarray] = {}
 
     def excluded_pagerank(self, tag: int) -> np.ndarray:
         """PageRank over users of the backbone without a hashtag, 0 off it.
 
-        The topic backbone keeps the (followee, follower) edges of the
-        topic's precedence triples, in id order, which is
+        The topic backbone keeps its edges in id order, which is
         :meth:`DirectedGraph.from_edges`'s node and edge order, so the
         PageRank equals ``graph.pagerank`` of the excluded backbone.  An
         edge survives the exclusion when its weight exceeds the hashtag's
         own count, which is 0 or 1: a pair occurs once per hashtag.
         """
         if tag not in self._excluded:
-            topic, n = int(self.hashtag_topic[tag]), len(self.users)
+            topic, n = int(self.hashtag_topic[tag]), len(self.index.users)
             if topic == len(self.topics.topics):
-                raise DataError(f"hashtag {self.hashtags[tag]!r} has no topic")
-            if topic not in self._backbones:
-                on = self.hashtag_topic[self.precedence_hashtag] == topic
-                edges = self.precedence_followee[on] * n + self.precedence_follower[on]
-                keys, edge = np.unique(edges, return_inverse=True)
-                self._backbones[topic] = keys, np.bincount(edge), edge, self.precedence_hashtag[on]
-            keys, weight, edge, tags = self._backbones[topic]
+                raise DataError(f"hashtag {self.index.hashtags[tag]!r} has no topic")
+            if topic not in self._topic_backbones:
+                backbone = bb.topic_backbone(self.index, self.hashtag_topic == topic)
+                self._topic_backbones[topic] = backbone
+            keys, weight, edge, tags = self._topic_backbones[topic]
             kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
             src, dst = kept // n, kept % n
             nodes = np.union1d(src, dst)
@@ -124,26 +95,6 @@ class PredictionContext:
                     len(nodes), np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
                 )
         return self._excluded[tag]
-
-
-def _column(ids: Mapping, names, count: int) -> np.ndarray:
-    try:
-        return np.fromiter(map(ids.__getitem__, names), np.int64, count=count)
-    except KeyError as exc:
-        raise DataError(f"unknown user or hashtag {exc}") from None
-
-
-def _ranges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR offsets of ``rows`` laid end to end, and the source slot of each."""
-    sizes = np.diff(indptr)[rows]
-    out = np.concatenate(([0], np.cumsum(sizes)))
-    return out, np.repeat(indptr[:-1][rows] - out[:-1], sizes) + np.arange(out[-1])
-
-
-def _row_sums(flags: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Number of set slots in every row."""
-    total = np.concatenate(([0], np.cumsum(flags)))
-    return total[indptr[1:]] - total[indptr[:-1]]
 
 
 @dataclass(frozen=True)
@@ -167,7 +118,7 @@ class InstanceTable:
 
     def take(self, rows: np.ndarray) -> "InstanceTable":
         """The table of the selected instances (a mask or ids), in that order."""
-        indptr, slots = _ranges(self.indptr, rows)
+        indptr, slots = gather_rows(self.indptr, rows)
         return InstanceTable(
             indptr, self.candidate[slots], self.truth[slots],
             self.user[rows], self.hashtag[rows], self.topic[rows],
@@ -183,33 +134,34 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     the user's prior adopters; adopter truth is the followers whose prior
     adopters include the user.  Both are read off the precedence triples.
     """
-    ctx, n = context, len(context.users)
+    ctx, index, n = context, context.index, len(context.index.users)
+    prior_tag, prior_followee, prior_follower = index.precedence
     if direction is Direction.INFLUENCER:
-        owner, degree, lists = ctx.precedence_follower, ctx.followees, ctx.followee_ids
+        owner, indptr, lists = prior_follower, index.followee_ptr, index.followee_ids
     else:
-        owner, degree, lists = ctx.precedence_followee, ctx.followers, ctx.follower_ids
-    user, tag = ctx.pair_user, ctx.pair_hashtag
+        owner, indptr, lists = prior_followee, index.follower_ptr, index.follower_ids
+    user, tag = index.pair_user, index.pair_hashtag
     topic = ctx.hashtag_topic[tag]
     # the filters that need no candidate slot run first
     keep = np.flatnonzero(
         (topic < len(ctx.topics.topics))
         & (ctx.followees[user] >= MIN_FOLLOWEES)
-        & np.isin(tag * n + user, ctx.precedence_hashtag * n + owner)  # a non-empty truth
+        & np.isin(tag * n + user, prior_tag * n + owner)  # a non-empty truth
     )
     by_name = sorted(ctx.topics.topics)
     rank = np.array([by_name.index(t) for t in ctx.topics.topics], np.int64)
     rows = keep[np.lexsort((user[keep], tag[keep], rank[topic[keep]]))]
     user, tag = user[rows], tag[rows]
-    indptr, slots = _ranges(np.concatenate(([0], np.cumsum(degree))), user)
+    indptr, slots = gather_rows(indptr, user)
     cand = lists[slots]
     slot_user, slot_tag = np.repeat(user, np.diff(indptr)), np.repeat(tag, np.diff(indptr))
     pair = (slot_user, cand) if direction is Direction.ADOPTER else (cand, slot_user)
     truth = np.isin(
         (slot_tag * n + pair[0]) * n + pair[1],
-        (ctx.precedence_hashtag * n + ctx.precedence_followee) * n + ctx.precedence_follower,
+        (prior_tag * n + prior_followee) * n + prior_follower,
     )
     table = InstanceTable(indptr, cand, truth, user, tag, topic[rows])
-    return table.take(_row_sums(_slot_pagerank(table, ctx) > 0, indptr) > 0)
+    return table.take(row_sums(_slot_pagerank(table, ctx) > 0, indptr) > 0)
 
 
 def score_candidates(
@@ -222,7 +174,7 @@ def score_candidates(
     if kind is PredictorKind.FOLLOWERS:
         return context.followers[cand].astype(float)
     if kind is PredictorKind.RECIPROCAL:
-        keys = cand * len(context.users) + np.repeat(table.user, sizes)
+        keys = cand * len(context.index.users) + np.repeat(table.user, sizes)
         return np.isin(keys, context.mutual).astype(float)
     # the target hashtag's own events never count
     tag, topic = np.repeat(table.hashtag, sizes), np.repeat(table.topic, sizes)
@@ -291,7 +243,7 @@ def evaluate(
     Instances whose truth is empty or covers every candidate are
     skipped.  A topic's mean adds its AUCs one by one in instance order.
     """
-    positives = _row_sums(table.truth, table.indptr)
+    positives = row_sums(table.truth, table.indptr)
     table = table.take((positives > 0) & (positives < np.diff(table.indptr)))
     names = context.topics.topics
     groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))

@@ -13,6 +13,54 @@ from typing import Mapping
 import numpy as np
 
 
+# --- interpreter arithmetic -----------------------------------------------
+
+
+def compensated_sum(iterable, /, start=0):
+    """``builtins.sum`` as CPython 3.12 computes it.
+
+    A port of ``builtin_sum_impl`` in 3.12's ``Python/bltinmodule.c``.
+    An int start adds int items exactly while the total fits a C long.
+    A float total then adds exact float items with Neumaier compensation
+    and ints that fit a C long as doubles; the compensation joins the
+    total, when it is nonzero and finite, at the end or before any other
+    item.  Everything after such an item is added plainly.
+    """
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if not (isinstance(item, int) and -2**63 <= result < 2**63):
+                break
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                if comp and math.isfinite(comp):
+                    total += comp
+                result = total + item
+                break
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
 # --- random dataset material ----------------------------------------------
 
 
@@ -138,6 +186,103 @@ class MetricOracle:
         if lat is None:
             return None
         return math.log(lat / self.mean_lat(h))
+
+
+# --- name-keyed adoption index and pair metrics ----------------------------
+
+
+def adoption_index_dicts(events, net):
+    """The adoption index as name-keyed dicts, in first-use order.
+
+    ``first_use``, ``use_counts`` and ``prior_adopters`` (each tuple in
+    first-use order) hold every adopted pair; ``first_exposure[(u, h)]``
+    is the earliest first use of ``h`` among u's followees, for every
+    (user, hashtag) key of the follower join, adopted or not.
+    """
+    first_use, use_counts = {}, {}
+    for t, u, h in events.events:
+        key = (u, h)
+        use_counts[key] = use_counts.get(key, 0) + 1
+        if key not in first_use or t < first_use[key]:
+            first_use[key] = t
+    followers = {}
+    for u, v in net.edges:
+        followers.setdefault(u, []).append(v)
+    first_exposure = {}
+    prior = {key: () for key in first_use}
+    for (v, h), t in first_use.items():
+        for w in sorted(followers.get(v, ())):
+            key = (w, h)
+            if key not in first_exposure or t < first_exposure[key]:
+                first_exposure[key] = t
+            if t < first_use.get(key, t):
+                prior[key] += (v,)
+    return {"first_use": first_use, "first_exposure": first_exposure,
+            "use_counts": use_counts, "prior_adopters": prior}
+
+
+def index_dicts(index):
+    """An ``AdoptionIndex``'s pair columns read back as name-keyed dicts in
+    pair order; ``first_exposure`` holds the pairs with prior adopters."""
+    users, tags = index.users, index.hashtags
+    keys = [(users[u], tags[h]) for u, h in
+            zip(index.pair_user.tolist(), index.pair_hashtag.tolist())]
+    ptr, ids = index.prior_ptr.tolist(), index.prior_ids.tolist()
+    prior = {k: tuple(users[v] for v in ids[a:b]) for k, a, b in zip(keys, ptr, ptr[1:])}
+    return {
+        "first_use": dict(zip(keys, index.first_use.tolist())),
+        "first_exposure": {k: t for k, t in zip(keys, index.first_exposure.tolist())
+                           if prior[k]},
+        "use_counts": dict(zip(keys, index.use_count.tolist())),
+        "prior_adopters": prior,
+    }
+
+
+def pair_metric_rows(events, net, topics):
+    """Every adopted pair's metric row by name, one timeline scan per pair.
+
+    Rows follow first-use order and hold N-USES, then TIME, N-PAR, F-PAR
+    and LAT where a followee adopted strictly earlier, then LOG-LAT; a
+    hashtag's mean LAT adds its LAT values in row order.
+    """
+    from genonet.genotype import MetricKind
+
+    index = adoption_index_dicts(events, net)
+    followees = {}
+    for u, v in net.edges:
+        followees.setdefault(v, []).append(u)
+    by_user = {}
+    for e in events.events:
+        by_user.setdefault(e.user, []).append(e)
+    rows = {}
+    for (u, h), hi in index["first_use"].items():
+        topic = topics.topic_of(h)
+        if topic is None:
+            continue
+        row = rows[(u, h)] = {MetricKind.N_USES: float(index["use_counts"][(u, h)])}
+        n_prior = len(index["prior_adopters"][(u, h)])
+        if not n_prior:
+            continue
+        lo = index["first_exposure"][(u, h)]
+        row[MetricKind.TIME] = float(hi - lo)
+        row[MetricKind.N_PAR] = float(n_prior)
+        row[MetricKind.F_PAR] = n_prior / len(followees[u])
+        count = sum(
+            1 for v in followees[u] for e in by_user.get(v, ())
+            if lo < e.time < hi and topics.topic_of(e.hashtag) == topic
+        )
+        row[MetricKind.LAT] = 1.0 / max(1, count)
+    lats = {}
+    for (_u, h), row in rows.items():
+        if MetricKind.LAT in row:
+            lats.setdefault(h, []).append(row[MetricKind.LAT])
+    for (_u, h), row in rows.items():
+        if MetricKind.LAT in row:
+            total = 0.0
+            for value in lats[h]:
+                total += value
+            row[MetricKind.LOG_LAT] = math.log(row[MetricKind.LAT] / (total / len(lats[h])))
+    return rows
 
 
 # --- backbone oracle -------------------------------------------------------
@@ -553,25 +698,26 @@ def instance_table(instances, context):
     """The ``InstanceTable`` of named instances, on a ``PredictionContext``'s ids."""
     from genonet.predict import InstanceTable
 
-    ids, slots = context.user_ids, [(c, i) for i in instances for c in i.candidates]
+    ids = {u: i for i, u in enumerate(context.index.users)}
+    slots = [(c, i) for i in instances for c in i.candidates]
     return InstanceTable(
         indptr=np.cumsum([0] + [len(i.candidates) for i in instances]),
         candidate=np.array([ids[c] for c, _i in slots], np.int64),
         truth=np.array([c in i.truth for c, i in slots], bool),
         user=np.array([ids[i.user] for i in instances], np.int64),
-        hashtag=np.array([context.hashtag_ids[i.hashtag] for i in instances], np.int64),
+        hashtag=np.array([context.index.hashtags.index(i.hashtag) for i in instances], np.int64),
         topic=np.array([context.topics.topics.index(i.topic) for i in instances], np.int64),
     )
 
 
 def table_instances(table, context, direction):
     """The named instances of an ``InstanceTable``'s rows, in row order."""
-    users, out = context.users, []
+    users, out = context.index.users, []
     for i in range(len(table)):
         rows = slice(table.indptr[i], table.indptr[i + 1])
         cands = [users[c] for c in table.candidate[rows].tolist()]
         out.append(PredictionInstance(
-            users[table.user[i]], context.hashtags[table.hashtag[i]],
+            users[table.user[i]], context.index.hashtags[table.hashtag[i]],
             context.topics.topics[table.topic[i]], direction, tuple(cands),
             frozenset(c for c, t in zip(cands, table.truth[rows].tolist()) if t),
         ))
@@ -585,7 +731,7 @@ def excluded_backbone_weights(hashtag, events, net, topics):
 
 
 class PredictionOracleContext:
-    """Per-user activity dicts and per-hashtag excluded PageRank dicts.
+    """Per-user follow and activity counts and per-hashtag excluded PageRank dicts.
 
     Backbones come from :func:`excluded_backbone_weights`; PageRank is
     :func:`pagerank_loop` on the excluded backbone's graph.
@@ -599,6 +745,10 @@ class PredictionOracleContext:
         self._act_total = {}
         self._act_topic = {}
         self._act_hashtag = {}
+        self.followee_count, self.follower_count = {}, {}
+        for a, b in net.edges:
+            self.followee_count[b] = self.followee_count.get(b, 0) + 1
+            self.follower_count[a] = self.follower_count.get(a, 0) + 1
         for t, u, h in events.events:
             self._act_total[u] = self._act_total.get(u, 0) + 1
             self._act_hashtag[(u, h)] = self._act_hashtag.get((u, h), 0) + 1
@@ -632,9 +782,9 @@ def score_candidates(kind, inst, context):
     net = context.net
     h = inst.hashtag
     if kind is PredictorKind.FOLLOWEES:
-        return {c: float(len(net.followees_of(c))) for c in inst.candidates}
+        return {c: float(context.followee_count.get(c, 0)) for c in inst.candidates}
     if kind is PredictorKind.FOLLOWERS:
-        return {c: float(len(net.followers_of(c))) for c in inst.candidates}
+        return {c: float(context.follower_count.get(c, 0)) for c in inst.candidates}
     if kind is PredictorKind.RECIPROCAL:
         return {
             c: float((c, inst.user) in net.edges and (inst.user, c) in net.edges)

@@ -86,7 +86,7 @@ def test_criterion_1_metric_oracle_equivalence():
                 net.edges,
                 topics.assignment,
             )
-            rows = pair_metrics(events, index, net, topics)
+            rows = pair_metrics(index, topics)
             exact = {
                 MetricKind.TIME: oracle.time,
                 MetricKind.N_USES: oracle.n_uses,
@@ -97,7 +97,8 @@ def test_criterion_1_metric_oracle_equivalence():
                 MetricKind.LAT: oracle.lat,
                 MetricKind.LOG_LAT: oracle.log_lat,
             }
-            for (u, h) in index.first_use:
+            assert len(rows) == len(oracle.pairs())
+            for (u, h) in oracle.pairs():
                 row = rows[(u, h)]
                 for kind, fn in exact.items():
                     assert row.get(kind) == fn(u, h), (log_i, kind, u, h)
@@ -152,7 +153,7 @@ def test_criterion_2_graph_kernel_equivalence():
 
 def _lat_separation(d, index) -> float:
     by_topic: dict = {}
-    for (u, h), row in pair_metrics(d.events, index, d.network, d.topics).items():
+    for (u, h), row in pair_metrics(index, d.topics).items():
         if MetricKind.LAT in row:
             by_topic.setdefault(d.topics.topic_of(h), []).append(row[MetricKind.LAT])
     means = []
@@ -177,7 +178,7 @@ def test_criterion_3_classification_recovery():
             index = build_adoption_index(d.events, d.network)
             sep = _lat_separation(d, index)
             assert sep >= 3.0, f"planted separation {sep:.2f} below 3 sigma"
-            pairs = pair_metrics(d.events, index, d.network, d.topics)
+            pairs = pair_metrics(index, d.topics)
             res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
             assert res.test.expected <= 0.15, res.test
         # zero separation: E[x] within +-0.1 of the Random baseline over 5 seeds
@@ -187,7 +188,7 @@ def test_criterion_3_classification_recovery():
                 datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
             )
             index = build_adoption_index(d.events, d.network)
-            pairs = pair_metrics(d.events, index, d.network, d.topics)
+            pairs = pair_metrics(index, d.topics)
             res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
             diffs.append(res.test.expected - res.random.expected)
         assert abs(float(np.mean(diffs))) <= 0.1, diffs
@@ -204,7 +205,7 @@ def test_criterion_4_ensemble_effect():
         for seed in range(5):
             d = generate(datasets.classification_params(seed))
             index = build_adoption_index(d.events, d.network)
-            pairs = pair_metrics(d.events, index, d.network, d.topics)
+            pairs = pair_metrics(index, d.topics)
             curve = accuracy_curve(
                 prepare_loo(MetricKind.LAT, pairs, d.topics),
                 sizes=sizes, repetitions=5, seed=seed + 40,
@@ -225,7 +226,7 @@ def test_criterion_5_predictor_ordering():
     with criterion(5, "predictor ordering"):
         d = generate(datasets.activity_params(3))
         index = build_adoption_index(d.events, d.network)
-        ctx = PredictionContext(d.events, index, d.network, d.topics)
+        ctx = PredictionContext(index, d.topics)
         table = build_instances(Direction.INFLUENCER, ctx)
         instances = oracles.table_instances(table, ctx, Direction.INFLUENCER)
         means = {}

@@ -76,12 +76,13 @@ def test_backbone_subset_of_follower_and_weight_bound():
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
         index = build_adoption_index(events, net)
+        first_use = oracles.index_dicts(index)["first_use"]
         for topic in topics.topics:
             b = extract_backbone(topic, index, topics)
             assert b.weights.keys() <= net.edges
             for (u, _v), w in b.weights.items():
                 used = sum(
-                    1 for h in topics.hashtags_for(topic) if (u, h) in index.first_use
+                    1 for h in topics.hashtags_for(topic) if (u, h) in first_use
                 )
                 assert 0 < w <= used
 

@@ -156,7 +156,7 @@ def _dataset(params):
 
 
 def _pairs(d, index):
-    return pair_metrics(d.events, index, d.network, d.topics)
+    return pair_metrics(index, d.topics)
 
 
 def _column(metric, pairs):
@@ -189,7 +189,7 @@ def test_loo_shuffled_labels_match_random_baseline():
         shuffled = TopicMap(
             assignment=dict(zip(tags, labels)), topics=d.topics.topics
         )
-        pairs = pair_metrics(d.events, index, d.network, shuffled)
+        pairs = pair_metrics(index, shuffled)
         res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, shuffled))
         diffs.append(res.test.expected - res.random.expected)
     assert abs(np.mean(diffs)) <= 0.1
@@ -226,7 +226,7 @@ def test_loo_matches_manual_holdout_protocol():
     res = leave_one_out(prepare_loo(metric, _pairs(d, index), d.topics))
     values = _column(metric, _pairs(d, index))
 
-    used = sorted({h for (_u, h) in index.first_use if d.topics.topic_of(h)})
+    used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
         counts[d.topics.topic_of(h)] += 1
@@ -272,7 +272,7 @@ def test_loo_skips_singleton_topic_hashtags():
     )
     topics = load_topic_map(["h1\tlonely", "h2\tpair", "h3\tpair"])
     index = build_adoption_index(events, net)
-    pairs = pair_metrics(events, index, net, topics)
+    pairs = pair_metrics(index, topics)
     res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, topics))
     assert res.skipped == ("h1",)
     assert "h1" not in res.predictions
@@ -285,7 +285,7 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     metric = MetricKind.TIME
     values = _column(metric, _pairs(d, index))
 
-    used = sorted({h for (_u, h) in index.first_use if d.topics.topic_of(h)})
+    used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
         counts[d.topics.topic_of(h)] += 1

@@ -10,7 +10,7 @@ import pytest
 from genonet import classify, genotype, latmin, predict
 from genonet.cli import main
 from genonet.graph import DirectedGraph
-from genonet.ingest import build_adoption_index, load_dataset
+from genonet.ingest import load_dataset
 
 
 def run(*args):
@@ -173,13 +173,24 @@ def test_missing_manifest_exits_2(tmp_path):
     assert code == 2
 
 
-def test_parse_error_exits_2(tmp_path):
-    (tmp_path / "edges.tsv").write_text("a\ta\n")
-    (tmp_path / "events.tsv").write_text("")
-    (tmp_path / "topics.tsv").write_text("")
-    manifest = tmp_path / "m"
+def _write_dataset(root: Path, edges: str, events: str, topics: str) -> Path:
+    (root / "edges.tsv").write_text(edges)
+    (root / "events.tsv").write_text(events)
+    (root / "topics.tsv").write_text(topics)
+    manifest = root / "m"
     manifest.write_text("edges = edges.tsv\nevents = events.tsv\ntopics = topics.tsv\n")
+    return manifest
+
+
+def test_parse_error_exits_2(tmp_path):
+    manifest = _write_dataset(tmp_path, "a\ta\n", "", "")
     assert run("genome", "--manifest", manifest, "--out", tmp_path / "out") == 2
+
+
+def test_time_above_int64_exits_2(tmp_path, capsys):
+    manifest = _write_dataset(tmp_path, "a\tb\n", f"1\ta\t#x\n{2**63}\tb\t#x\n", "x\tT\n")
+    assert run("genome", "--manifest", manifest, "--out", tmp_path / "out") == 2
+    assert "data error: line 2: time 9223372036854775808 above 2^63-1" in capsys.readouterr().err
 
 
 def test_bad_flag_exits_1(tmp_path):
@@ -216,19 +227,19 @@ def test_classify_prepares_loo_once_per_metric(syn_manifest, tmp_path, monkeypat
 
 @pytest.mark.parametrize("command", ["genome", "classify"])
 def test_one_metric_pass_per_pair(syn_manifest, tmp_path, monkeypatch, command):
-    """genome and classify with every metric compute each pair's row once."""
-    net, events, topics = load_dataset(syn_manifest)
-    index = build_adoption_index(events, net)
-    pairs = sum(1 for (_u, h) in index.first_use if topics.topic_of(h) is not None)
-    rows, passes = [], []
-    compute, build = genotype.compute_metric, genotype.pair_metrics
-    monkeypatch.setattr(genotype, "compute_metric",
-                        lambda *args: rows.append(args[:2]) or compute(*args))
+    """genome and classify with every metric compute each pair's row once,
+    in one timeline count."""
+    _net, events, topics = load_dataset(syn_manifest)
+    pairs = len({(e.user, e.hashtag) for e in events.events if topics.topic_of(e.hashtag)})
+    rows, counts = [], []
+    build, lat_counts = genotype.pair_metrics, genotype._lat_counts
     monkeypatch.setattr(genotype, "pair_metrics",
-                        lambda *args: passes.append(1) or build(*args))
+                        lambda *args: rows.append(build(*args)) or rows[-1])
+    monkeypatch.setattr(genotype, "_lat_counts",
+                        lambda *args: counts.append(1) or lat_counts(*args))
     assert run(command, "--manifest", syn_manifest, "--out", tmp_path) == 0
-    assert len(rows) == len(set(rows)) == pairs > 0
-    assert len(passes) == 1
+    assert len(rows) == len(counts) == 1
+    assert len(rows[0]) == pairs > 0
 
 
 def test_latmin_memory_guard_exits_2(syn_manifest, tmp_path, monkeypatch, capsys):

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from genonet.errors import DataError
 from genonet.genotype import (
     MetricKind,
     build_genome,
-    compute_metric,
     node_topic_latency,
     pair_metrics,
 )
@@ -18,8 +16,8 @@ import oracles
 
 
 def metric(toy, kind, user="B", hashtag="x"):
-    net, events, topics, index = toy
-    return compute_metric(user, hashtag, events, index, net, topics).get(kind)
+    _net, _events, topics, index = toy
+    return pair_metrics(index, topics)[(user, hashtag)].get(kind)
 
 
 def test_time_toy(toy):
@@ -43,10 +41,9 @@ def test_lat_toy(toy):
 
 def test_log_lat_toy(toy):
     # B is the only adopter of x with a defined LAT, so LAT equals its mean
-    net, events, topics, index = toy
-    rows = pair_metrics(events, index, net, topics)
+    _net, _events, topics, index = toy
+    rows = pair_metrics(index, topics)
     assert rows[("B", "x")][MetricKind.LOG_LAT] == 0.0
-    assert MetricKind.LOG_LAT not in compute_metric("B", "x", events, index, net, topics)
 
 
 def test_originator_metrics_undefined(toy):
@@ -57,11 +54,11 @@ def test_originator_metrics_undefined(toy):
 
 
 def test_unknown_pair_rejected(toy):
-    with pytest.raises(DataError):
-        metric(toy, MetricKind.TIME, user="A", hashtag="y")
-    net, events, _topics, index = toy
-    with pytest.raises(DataError):  # no topic for x
-        compute_metric("B", "x", events, index, net, load_topic_map([]))
+    """A pair never adopted, or whose hashtag has no topic, gets no row."""
+    _net, _events, topics, index = toy
+    assert list(pair_metrics(index, topics)) == [("A", "x"), ("C", "x"), ("C", "y"), ("B", "x")]
+    assert pair_metrics(index, load_topic_map([])) == {}
+    assert list(pair_metrics(index, load_topic_map(["y\tT"]))) == [("C", "y")]
 
 
 def test_simultaneous_adoption_is_not_exposure():
@@ -69,16 +66,16 @@ def test_simultaneous_adoption_is_not_exposure():
     events = load_events(["10\tA\t#x", "10\tB\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    assert compute_metric("B", "x", events, index, net, topics) == {MetricKind.N_USES: 1.0}
+    assert pair_metrics(index, topics)[("B", "x")] == {MetricKind.N_USES: 1.0}
 
 
 def test_build_genome_toy(toy):
     net, events, topics, index = toy
-    genome = build_genome(events, index, net, topics)
-    assert set(genome.genotypes) == {"A", "B", "C"}
-    assert genome.genotypes["B"].cells[("T", MetricKind.N_USES)].values == (2.0,)
-    assert ("T", MetricKind.TIME) not in genome.genotypes["A"].cells
-    cell = genome.genotypes["B"].cells[("T", MetricKind.TIME)]
+    genome = build_genome(index, topics)
+    assert set(genome) == {"A", "B", "C"}
+    assert genome["B"].cells[("T", MetricKind.N_USES)].values == (2.0,)
+    assert ("T", MetricKind.TIME) not in genome["A"].cells
+    cell = genome["B"].cells[("T", MetricKind.TIME)]
     assert cell.mean == 10.0 and cell.count == 1
 
 
@@ -86,8 +83,8 @@ def test_build_genome_empty_log():
     net = load_follower_edges(["A\tB"])
     events = load_events([])
     topics = load_topic_map(["x\tT"])
-    genome = build_genome(events, build_adoption_index(events, net), net, topics)
-    assert genome.genotypes == {}
+    genome = build_genome(build_adoption_index(events, net), topics)
+    assert genome == {}
 
 
 def test_node_topic_latency(toy):
@@ -101,8 +98,8 @@ def test_mean_of_multiset():
     events = load_events(["0\tA\t#x", "0\tA\t#y", "4\tB\t#x", "6\tB\t#y"])
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    genome = build_genome(events, index, net, topics)
-    cell = genome.genotypes["B"].cells[("T", MetricKind.TIME)]
+    genome = build_genome(index, topics)
+    cell = genome["B"].cells[("T", MetricKind.TIME)]
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
     assert node_topic_latency(index, topics, "T")["B"] == 5.0
@@ -113,11 +110,11 @@ def test_node_topic_latency_equals_genome_time_means():
                               cascades_per_hashtag=3, edge_prob=0.15))
     net, events, topics = data.network, data.events, data.topics
     index = build_adoption_index(events, net)
-    genome = build_genome(events, index, net, topics)
+    genome = build_genome(index, topics)
     for topic in topics.topics:
         want = {
             u: gt.cells[(topic, MetricKind.TIME)].mean
-            for u, gt in genome.genotypes.items()
+            for u, gt in genome.items()
             if (topic, MetricKind.TIME) in gt.cells
         }
         assert want
@@ -137,7 +134,7 @@ def test_metric_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(8):
         net, events, topics, index = _random_setup(rng, n_users=18, n_lines=150)
-        for (u, h), row in pair_metrics(events, index, net, topics).items():
+        for (u, h), row in pair_metrics(index, topics).items():
             t = row.get(MetricKind.TIME)
             npar = row.get(MetricKind.N_PAR)
             fpar = row.get(MetricKind.F_PAR)
@@ -148,7 +145,8 @@ def test_metric_invariants_random():
                 assert 0 < lat <= 1
             if fpar is not None:
                 assert 0 <= fpar <= 1
-                assert fpar * len(net.followees_of(u)) == pytest.approx(npar, abs=1e-12)
+                followees = sum(v == u for _a, v in net.edges)
+                assert fpar * followees == pytest.approx(npar, abs=1e-12)
 
 
 def test_log_lat_normalization_identity():
@@ -156,7 +154,7 @@ def test_log_lat_normalization_identity():
     rng = np.random.default_rng(12)
     net, events, topics, index = _random_setup(rng, n_users=20, n_lines=250)
     ratios: dict = {}
-    for (_u, h), row in pair_metrics(events, index, net, topics).items():
+    for (_u, h), row in pair_metrics(index, topics).items():
         if MetricKind.LOG_LAT in row:
             ratios.setdefault(h, []).append(math.exp(row[MetricKind.LOG_LAT]))
     assert ratios
@@ -167,7 +165,7 @@ def test_log_lat_normalization_identity():
 def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
-    genome = build_genome(events, index, net, topics)
+    genome = build_genome(index, topics)
     oracle = oracles.MetricOracle(
         [(e.time, e.user, e.hashtag) for e in events.events], net.edges, topics.assignment
     )
@@ -180,7 +178,7 @@ def test_build_genome_matches_per_pair_composition():
         MetricKind.LOG_LAT: oracle.log_lat,
     }
     expected: dict = {}
-    for (u, h) in index.first_use:
+    for (u, h) in oracle.pairs():
         topic = topics.topic_of(h)
         if topic is None:
             continue
@@ -189,9 +187,9 @@ def test_build_genome_matches_per_pair_composition():
             if v is not None:
                 expected.setdefault((u, topic, kind), []).append(v)
     for (u, topic, kind), vals in expected.items():
-        cell = genome.genotypes[u].cells[(topic, kind)]
+        cell = genome[u].cells[(topic, kind)]
         assert sorted(cell.values) == pytest.approx(sorted(vals))
         assert cell.mean == pytest.approx(np.mean(vals))
     # no extra cells
-    total_cells = sum(len(gt.cells) for gt in genome.genotypes.values())
+    total_cells = sum(len(gt.cells) for gt in genome.values())
     assert total_cells == len(expected)

@@ -9,17 +9,20 @@ that is meant to move outputs regenerates the fixture with
 
 and names the affected files and the size of the difference.
 
-The fixture was made with Python 3.11.7 and numpy 2.4.6.  Outputs hold
-float sums whose last bits can depend on the interpreter (CPython 3.12
-compensates ``sum()`` of floats) and on numpy's pairwise summation, so a
-mismatch under other versions may come from the environment alone.
+The fixture was made with Python 3.11.7 and numpy 2.4.6.  Float means
+add left to right through ``genotype.float_sum``, so CPython 3.12's
+compensated ``sum()`` moves no byte; numpy's pairwise summation can
+still make a mismatch under other numpy versions.
 """
 
+import builtins
 import hashlib
 import json
 from pathlib import Path
 
 from genonet.cli import main
+
+import oracles
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 
@@ -66,6 +69,13 @@ def test_outputs_match_golden_digests(tmp_path):
     for label in want:
         assert got[label] == want[label], label
     assert got.keys() == want.keys()
+
+
+def test_golden_digests_under_compensated_sum(tmp_path, monkeypatch):
+    """The outputs do not move when ``sum()`` compensates float sums, as
+    it does from CPython 3.12 on."""
+    monkeypatch.setattr(builtins, "sum", oracles.compensated_sum)
+    assert compute_digests(tmp_path) == json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 import io
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from genonet.errors import DataError, ParseError
+from genonet.genotype import pair_metrics
 from genonet.ingest import (
     Event,
+    EventLog,
     build_adoption_index,
     load_events,
     load_follower_edges,
@@ -17,6 +20,33 @@ from genonet.ingest import (
 )
 
 import oracles
+
+
+def _row(ptr, ids, i):
+    return ids[ptr[i]:ptr[i + 1]].tolist()
+
+
+def _edge_case_logs(seed, count=10):
+    """Seeded random logs with 12 distinct times, so first-use ties are
+    common, and multi-hashtag lines; every other hashtag has no topic,
+    two declared isolated nodes (one posting) and three posting users
+    without any follow edge."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        edge_lines, event_lines, topic_lines = oracles.random_log(
+            rng, n_users=20, n_lines=120, edge_prob=0.25, max_time=12
+        )
+        edge_lines += ["iso0", "iso1"]
+        event_lines += [
+            f"{int(rng.integers(12))}\t{u}\th{int(rng.integers(12))},h{int(rng.integers(12))}"
+            for u in ("iso0", "loner0", "loner1", "loner2") for _ in range(3)
+        ]
+        yield edge_lines, event_lines, topic_lines[::2]
+
+
+def _load_log(edge_lines, event_lines, topic_lines):
+    net, events = load_follower_edges(edge_lines), load_events(event_lines)
+    return net, events, load_topic_map(topic_lines), build_adoption_index(events, net)
 
 
 def test_duplicate_edges_collapse():
@@ -38,7 +68,10 @@ def test_two_line_parse():
 def test_isolated_node_declaration():
     net = load_follower_edges(["lonely", "a\tb"])
     assert "lonely" in net.nodes
-    assert net.followees_of("lonely") == ()
+    index = build_adoption_index(load_events([]), net)
+    lonely = index.users.index("lonely")
+    assert _row(index.followee_ptr, index.followee_ids, lonely) == []
+    assert _row(index.follower_ptr, index.follower_ids, lonely) == []
 
 
 def test_edge_field_errors():
@@ -56,8 +89,10 @@ def test_comments_and_blanks_skipped():
 def test_followee_orientation():
     # edge (followee, follower): b follows a
     net = load_follower_edges(["a\tb"])
-    assert net.followees_of("b") == ("a",)
-    assert net.followers_of("a") == ("b",)
+    index = build_adoption_index(load_events([]), net)
+    a, b = index.users.index("a"), index.users.index("b")
+    assert _row(index.followee_ptr, index.followee_ids, b) == [a]
+    assert _row(index.follower_ptr, index.follower_ids, a) == [b]
 
 
 def test_event_fanout():
@@ -89,6 +124,12 @@ def test_negative_time():
         load_events(["-3\tA\t#x"])
 
 
+def test_time_above_int64_rejected():
+    assert load_events([f"{2**63 - 1}\tA\t#x"]).events[0].time == 2**63 - 1
+    with pytest.raises(ParseError, match=r"^line 2: time 9223372036854775808 above 2\^63-1$"):
+        load_events(["1\tA\t#x", f"{2**63}\tA\t#y"])
+
+
 def test_empty_hashtag_list_skipped_with_count():
     log = load_events(["10\tA\t#", "11\tB\t#x"])
     assert log.skipped_lines == 1
@@ -116,67 +157,101 @@ def test_topic_order_is_first_appearance():
 
 def test_adoption_index_toy(toy):
     _net, _events, _topics, index = toy
-    assert index.first_use[("B", "x")] == 20
-    assert index.first_exposure[("B", "x")] == 10
-    assert ("A", "x") not in index.first_exposure
-    assert index.use_counts[("B", "x")] == 2
+    maps = oracles.index_dicts(index)
+    assert maps["first_use"][("B", "x")] == 20
+    assert maps["first_exposure"] == {("B", "x"): 10}
+    assert maps["use_counts"][("B", "x")] == 2
+    assert maps["prior_adopters"][("B", "x")] == ("A", "C")
+    assert index.exposed_pairs == 2  # (B, x) and (B, y)
+
+
+def _columns(index):
+    return {f.name: getattr(index, f.name) for f in fields(index)}
 
 
 def test_index_order_independence():
+    """Shuffled events and edge lines give the same int64 columns, and the
+    pair columns equal the name-keyed reference index."""
     lines = ["10\tA\t#x", "12\tC\t#x", "14\tC\t#y", "20\tB\t#x", "21\tB\t#x"]
-    net = load_follower_edges(["A\tB", "C\tB"])
-    base = build_adoption_index(load_events(lines), net)
+    logs = [(["A\tB", "C\tB"], lines, [])] + list(_edge_case_logs(3))
     rng = random.Random(0)
-    for _ in range(5):
-        shuffled = lines[:]
-        rng.shuffle(shuffled)
-        other = build_adoption_index(load_events(shuffled), net)
-        assert other.first_use == base.first_use
-        assert other.first_exposure == base.first_exposure
-        assert other.use_counts == base.use_counts
+    for edge_lines, event_lines, _ in logs:
+        net, events = load_follower_edges(edge_lines), load_events(event_lines)
+        index = build_adoption_index(events, net)
+        got, want = oracles.index_dicts(index), oracles.adoption_index_dicts(events, net)
+        assert list(got["first_use"].items()) == list(want["first_use"].items())
+        assert got["use_counts"] == want["use_counts"]
+        base = _columns(index)
+        for _ in range(3):
+            shuffled_edges, shuffled_events = edge_lines[:], list(events.events)
+            rng.shuffle(shuffled_edges)
+            rng.shuffle(shuffled_events)
+            other = _columns(build_adoption_index(
+                EventLog(tuple(shuffled_events)), load_follower_edges(shuffled_edges)
+            ))
+            for name in ("event_time", "event_user", "event_hashtag"):  # log order
+                base[name], other[name] = np.sort(base[name]), np.sort(other[name])
+            assert other.keys() == base.keys()
+            for name, column in base.items():
+                if isinstance(column, np.ndarray):
+                    assert column.dtype == other[name].dtype == np.int64, name
+                    assert column.tolist() == other[name].tolist(), name
+                else:
+                    assert column == other[name], name
 
 
 def test_exposure_has_witness():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        edge_lines, event_lines, _ = oracles.random_log(rng, n_users=15, n_lines=80)
-        net = load_follower_edges(edge_lines)
-        log = load_events(event_lines)
-        index = build_adoption_index(log, net)
-        for (u, h), t in index.first_exposure.items():
-            witnesses = [
-                v
-                for v in net.followees_of(u)
-                if index.first_use.get((v, h)) == t
-            ]
-            assert witnesses, f"no witness for exposure of {(u, h)}"
+    """First exposure is the first use of the earliest prior adopter, -1
+    without one; every other followee used the hashtag no earlier than
+    the user."""
+    for logs in _edge_case_logs(5):
+        net, _events, _topics, index = _load_log(*logs)
+        maps = oracles.index_dicts(index)
+        first = maps["first_use"]
+        for (u, h), prior in maps["prior_adopters"].items():
+            exposure = maps["first_exposure"].get((u, h))
+            if prior:
+                assert exposure == min(first[(v, h)] for v in prior) == first[(prior[0], h)]
+            others = [v for v, w in net.edges if w == u and v not in prior and (v, h) in first]
+            assert all(first[(v, h)] >= first[(u, h)] for v in others), (u, h)
+        assert (index.first_exposure == -1).tolist() == (np.diff(index.prior_ptr) == 0).tolist()
 
 
 def test_prior_adopters_equal_brute_force_scan():
-    """Every adopted pair's prior adopters are exactly the followees with a
-    strictly earlier first use, and a hashtag's precedence edges are the
+    """The index columns equal the name-keyed reference index and every
+    pair_metrics row equals the reference row, in order.  Every adopted
+    pair's prior adopters are exactly the followees with a strictly
+    earlier first use, and each hashtag's precedence triples are the
     follower edges it spread along; with 12 distinct times, ties are
     common and never count."""
-    rng = np.random.default_rng(17)
     ties = 0
-    for _ in range(10):
-        edge_lines, event_lines, _ = oracles.random_log(
-            rng, n_users=20, n_lines=120, edge_prob=0.25, max_time=12
-        )
-        net = load_follower_edges(edge_lines)
-        log = load_events(event_lines)
-        index = build_adoption_index(log, net)
-        oracle = oracles.MetricOracle(log.events, net.edges, {})
+    for logs in _edge_case_logs(17):
+        net, events, topics, index = _load_log(*logs)
+        got, want = oracles.index_dicts(index), oracles.adoption_index_dicts(events, net)
+        assert list(got["first_use"].items()) == list(want["first_use"].items())
+        assert got["use_counts"] == want["use_counts"]
+        assert got["prior_adopters"] == want["prior_adopters"]
+        assert got["first_exposure"] == {
+            k: t for k, t in want["first_exposure"].items() if want["prior_adopters"].get(k)
+        }
+        assert index.exposed_pairs == len(want["first_exposure"])
+        rows, want_rows = pair_metrics(index, topics), oracles.pair_metric_rows(events, net, topics)
+        assert rows == want_rows
+        assert [(k, list(r)) for k, r in rows.items()] == [
+            (k, list(r)) for k, r in want_rows.items()
+        ]
+
+        oracle = oracles.MetricOracle(events.events, net.edges, {})
         first = oracle.first_use
-        assert index.prior_adopters.keys() == index.first_use.keys()
-        for (u, h), prior in index.prior_adopters.items():
+        for (u, h), prior in got["prior_adopters"].items():
             assert sorted(prior) == sorted(oracle._prior_parents(u, h)), (u, h)
-            ties += sum(
-                index.first_use.get((v, h)) == index.first_use[(u, h)]
-                for v in net.followees_of(u)
-            )
-        for h in log.hashtags:
-            assert sorted(index.precedence_edges(h)) == sorted(
+            ties += sum(first(v, h) == first(u, h) for v, w in net.edges if w == u)
+        tag, followee, follower = (c.tolist() for c in index.precedence)
+        for h in events.hashtags:
+            assert sorted(
+                (index.users[a], index.users[b])
+                for t, a, b in zip(tag, followee, follower) if index.hashtags[t] == h
+            ) == sorted(
                 (a, b) for a, b in net.edges
                 if None not in (first(a, h), first(b, h)) and first(a, h) < first(b, h)
             ), h

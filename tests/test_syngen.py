@@ -12,6 +12,7 @@ from genonet.syngen import (
 )
 
 import datasets
+import oracles
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -68,10 +69,11 @@ def test_every_adoption_has_causal_exposure():
     d = generate(datasets.activity_params(5))
     index = build_adoption_index(d.events, d.network)
     seeds = {(c.hashtag, c.seed_user) for c in d.truth.cascades}
-    for (u, h), t in index.first_use.items():
+    maps = oracles.index_dicts(index)
+    for (u, h), t in maps["first_use"].items():
         if (h, u) in seeds:
             continue
-        exposure = index.first_exposure.get((u, h))
+        exposure = maps["first_exposure"].get((u, h))
         assert exposure is not None and exposure < t, (u, h)
 
 
@@ -84,9 +86,9 @@ def test_time_metric_converges_to_planted_mean():
                   topic_profiles=(prof,))
     d = generate(p)
     index = build_adoption_index(d.events, d.network)
-    genome = build_genome(d.events, index, d.network, d.topics)
+    genome = build_genome(index, d.topics)
     checked = 0
-    for user, gt in genome.genotypes.items():
+    for user, gt in genome.items():
         cell = gt.cells.get(("t0", MetricKind.TIME))
         if cell is None or cell.count < 50:
             continue
