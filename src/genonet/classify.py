@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, DegenerateTrainingError, TrainingError
-from .genotype import MetricKind, float_sum
+from .genotype import MetricKind, PairMetrics, float_sum
 from .ingest import TopicMap
 
 __all__ = [
@@ -200,11 +200,7 @@ def _train_or_none(
         return None
 
 
-def prepare_loo(
-    metric: MetricKind,
-    pairs: Mapping[tuple[str, str], Mapping[MetricKind, float]],
-    topics: TopicMap,
-) -> LooData:
+def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> LooData:
     """Retrain every user affected by each held-out hashtag, once per metric.
 
     ``pairs`` is :func:`genonet.genotype.pair_metrics` of the dataset;
@@ -212,29 +208,29 @@ def prepare_loo(
     topic has a single hashtag are skipped.  The train-side error counts
     of every fold are tallied here.
     """
-    values = {key: row[metric] for key, row in pairs.items() if metric in row}
     topic_order = topics.topics
     k = len(topic_order)
     topic_pos = {t: i for i, t in enumerate(topic_order)}
 
-    used_hashtags = sorted({h for (_u, h) in pairs})
-    topic_counts: dict[str, int] = {t: 0 for t in topic_order}
-    for h in used_hashtags:
-        topic_counts[topics.topic_of(h)] += 1
-    skipped = tuple(h for h in used_hashtags if topic_counts[topics.topic_of(h)] < 2)
-    eligible = [h for h in used_hashtags if topic_counts[topics.topic_of(h)] >= 2]
+    users, tags = pairs.users, pairs.hashtags
+    used, first = np.unique(pairs.hashtag, return_index=True)
+    counts = np.bincount(pairs.topic[first], minlength=k)
+    topic_counts: dict[str, int] = dict(zip(topic_order, counts.tolist()))
+    single = counts[pairs.topic[first]] < 2
+    skipped = tuple(tags[h] for h in used[single].tolist())
+    eligible = [tags[h] for h in used[~single].tolist()]
     n_eligible = len(eligible)
 
+    # each user's rows in first-use order; each hashtag's voters in id order
+    value = pairs.values[:, list(MetricKind).index(metric)]
+    voted = np.flatnonzero(~np.isnan(value) & (counts[pairs.topic] >= 2))
     pairs_by_user: dict[str, list[tuple[str, str, float]]] = {}
-    users_by_hashtag: dict[str, list[str]] = {h: [] for h in eligible}
-    eligible_set = set(eligible)
-    for (u, h), v in values.items():
-        if h not in eligible_set:
-            continue
-        pairs_by_user.setdefault(u, []).append((h, topics.topic_of(h), v))
-        users_by_hashtag[h].append(u)
-    for lst in users_by_hashtag.values():
-        lst.sort()
+    users_by_hashtag: dict[str, dict[str, float]] = {h: {} for h in eligible}
+    for u, h, t, v in zip(pairs.user[voted].tolist(), pairs.hashtag[voted].tolist(),
+                          pairs.topic[voted].tolist(), value[voted].tolist()):
+        pairs_by_user.setdefault(users[u], []).append((tags[h], topic_order[t], v))
+        users_by_hashtag[tags[h]][users[u]] = v
+    users_by_hashtag = {h: dict(sorted(votes.items())) for h, votes in users_by_hashtag.items()}
 
     base_clf: dict[str, LocalClassifier | None] = {
         u: _train_or_none(u, metric, rows) for u, rows in pairs_by_user.items()
@@ -252,7 +248,6 @@ def prepare_loo(
             base_sum[h] += vec
             base_voters[h] += 1
 
-    value_of = {(u, h): v for (u, h), v in values.items() if h in eligible_set}
     folds: list[_Fold] = []
     train_errors = {t: 0 for t in topic_order}
     train_totals = {t: 0 for t in topic_order}
@@ -280,7 +275,7 @@ def prepare_loo(
                 continue
             contrib_users.append(u)
             contrib_rows.append(
-                _evidence_vector(clf, value_of[(u, h)], topic_order)
+                _evidence_vector(clf, affected[u], topic_order)
             )
         evidence = (
             np.vstack(contrib_rows) if contrib_rows else np.zeros((0, k))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -285,25 +286,47 @@ def cmd_latmin(args) -> None:
     _write_json(out / "latmin_summary.json", prov, summary)
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of ``kinds``; booleans, NaN and infinities are not."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _is_range(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+# the TopicProfile fields a profiles file may set, with the check of each value
+_PROFILE_FIELDS = {
+    "latency_mean": _is_range, "latency_jitter": _is_number, "adoption_prob": _is_range,
+    "repeat_rate": _is_range, "repeat_horizon": lambda value: _is_number(value, int),
+}
+
+
 def _parse_profiles(path: str | None, n_topics: int) -> tuple[sg.TopicProfile, ...] | None:
+    """One ``TopicProfile`` per topic from a JSON list of objects; each
+    object sets any of ``_PROFILE_FIELDS``, and the rest keep their defaults."""
     if not path:
         return None
-    with Path(path).open(encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise UsageError(f"profiles file {path} is not JSON: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != n_topics:
-        raise UsageError(f"profiles file must hold a list of {n_topics} objects")
-    profiles = []
-    for entry in raw:
-        profiles.append(
-            sg.TopicProfile(
-                latency_mean=tuple(entry.get("latency_mean", (5.0, 15.0))),
-                latency_jitter=entry.get("latency_jitter", 2.0),
-                adoption_prob=tuple(entry.get("adoption_prob", (0.3, 0.9))),
-                repeat_rate=tuple(entry.get("repeat_rate", (0.0, 0.3))),
-                repeat_horizon=entry.get("repeat_horizon", 5),
-            )
-        )
-    return tuple(profiles)
+        raise UsageError(f"profiles file {path} must hold a list of {n_topics} objects")
+    for i, entry in enumerate(raw):
+        where = f"profiles file {path}, entry {i}"
+        if not isinstance(entry, dict):
+            raise UsageError(f"{where}: expected an object, got {entry!r}")
+        for key, value in entry.items():
+            if key not in _PROFILE_FIELDS:
+                raise UsageError(f"{where}: unknown key {key!r}")
+            if not _PROFILE_FIELDS[key](value):
+                raise UsageError(f"{where}: bad {key} {value!r}")
+    return tuple(
+        sg.TopicProfile(**{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()})
+        for entry in raw
+    )
 
 
 def cmd_syngen(args) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "MetricCell",
     "Genotype",
     "float_sum",
+    "PairMetrics",
     "pair_metrics",
     "build_genome",
     "node_topic_latency",
@@ -116,89 +117,92 @@ def _lat_counts(index: AdoptionIndex, tag_topic: np.ndarray, pairs: np.ndarray) 
     return row_sums(count * found, indptr)
 
 
-def pair_metrics(
-    index: AdoptionIndex, topics: TopicMap
-) -> dict[tuple[str, str], dict[MetricKind, float]]:
-    """Metric rows of every adopted pair whose hashtag has a topic.
+@dataclass(frozen=True, eq=False)
+class PairMetrics:
+    """The six metrics of every adopted pair whose hashtag has a topic.
 
-    Rows are keyed by (user, hashtag) name and ordered as the index's
-    pairs, in first-use order.  Each row holds N-USES and, when a followee
-    adopted the hashtag strictly before the user, TIME, N-PAR, F-PAR, LAT
-    and LOG-LAT; a hashtag's mean LAT adds its values in row order.
+    One row per pair in the index's first-use order: int64 ids into
+    ``users``, ``hashtags`` (the index's names) and the topic map's
+    ``topics``, and one float64 ``values`` column per :class:`MetricKind`
+    in declaration order, NaN where a metric is undefined.  No defined
+    value is NaN: TIME, N-USES and N-PAR are positive integers, F-PAR and
+    LAT lie in (0, 1] and LOG-LAT is finite.
+    """
+
+    users: tuple[str, ...]
+    hashtags: tuple[str, ...]
+    user: np.ndarray
+    hashtag: np.ndarray
+    topic: np.ndarray
+    values: np.ndarray
+
+
+def _cells(keys: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator[tuple[tuple, MetricCell]]:
+    """(group ids, cell) of ``values`` grouped by every key column but the
+    last, which orders each cell's values; one ``np.lexsort`` puts the
+    groups in id order, the first column primary."""
+    order = np.lexsort(keys[::-1])
+    groups = [key[order] for key in keys[:-1]]
+    changed = np.any([g[1:] != g[:-1] for g in groups], axis=0)
+    starts = np.flatnonzero(np.concatenate(([len(order) > 0], changed)))
+    flat = values[order].tolist()
+    ends = starts[1:].tolist() + [len(flat)]
+    for ids, lo, hi in zip(zip(*(g[starts].tolist() for g in groups)), starts.tolist(), ends):
+        vals = tuple(flat[lo:hi])
+        yield ids, MetricCell(values=vals, mean=float_sum(vals) / len(vals), count=len(vals))
+
+
+def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
+    """The metric table of every adopted pair whose hashtag has a topic.
+
+    N-USES is defined for every row; TIME, N-PAR, F-PAR, LAT and LOG-LAT
+    where a followee adopted the hashtag strictly before the user.  A
+    hashtag's mean LAT adds its values in row order.
     """
     tag_topic = topics.topic_ids(index.hashtags)
     pairs = np.flatnonzero(tag_topic[index.pair_hashtag] < len(topics.topics))
     user, tag = index.pair_user[pairs], index.pair_hashtag[pairs]
     n_prior = np.diff(index.prior_ptr)[pairs]
-    reacted = n_prior > 0
-    f_par = np.divide(n_prior, np.diff(index.followee_ptr)[user], out=np.zeros(len(pairs)),
-                      where=reacted)
-    lat = np.zeros(len(pairs))
-    lat[reacted] = 1.0 / np.maximum(1, _lat_counts(index, tag_topic, pairs[reacted]))
-    time = index.first_use[pairs] - index.first_exposure[pairs]
-    users, tags = index.users, index.hashtags
-    rows: dict[tuple[str, str], dict[MetricKind, float]] = {}
-    lats: dict[str, list[float]] = {}
-    for u, h, uses, npar, t, fpar, lat_value in zip(
-        user.tolist(), tag.tolist(), index.use_count[pairs].tolist(), n_prior.tolist(),
-        time.tolist(), f_par.tolist(), lat.tolist(),
-    ):
-        row = rows[(users[u], tags[h])] = {MetricKind.N_USES: float(uses)}
-        if npar:
-            row[MetricKind.TIME] = float(t)
-            row[MetricKind.N_PAR] = float(npar)
-            row[MetricKind.F_PAR] = fpar
-            row[MetricKind.LAT] = lat_value
-            lats.setdefault(tags[h], []).append(lat_value)
-    mean_lats = {h: float_sum(vals) / len(vals) for h, vals in lats.items()}
-    for (_u, h), row in rows.items():
-        if MetricKind.LAT in row:
-            row[MetricKind.LOG_LAT] = math.log(row[MetricKind.LAT] / mean_lats[h])
-    return rows
+    reacted = np.flatnonzero(n_prior)
+    prior, adopted = n_prior[reacted], pairs[reacted]
+    lat = 1.0 / np.maximum(1, _lat_counts(index, tag_topic, adopted))
+    mean_lat = np.ones(len(index.hashtags))
+    for (h,), cell in _cells((tag[reacted], reacted), lat):
+        mean_lat[h] = cell.mean
+    columns = np.full((len(MetricKind), len(pairs)), np.nan)
+    time_col, uses_col, n_par_col, f_par_col, lat_col, log_lat_col = columns
+    uses_col[:] = index.use_count[pairs]
+    time_col[reacted] = index.first_use[adopted] - index.first_exposure[adopted]
+    n_par_col[reacted] = prior
+    f_par_col[reacted] = prior / np.diff(index.followee_ptr)[user[reacted]]
+    lat_col[reacted] = lat
+    log_lat_col[reacted] = list(map(math.log, (lat / mean_lat[tag[reacted]]).tolist()))
+    return PairMetrics(index.users, index.hashtags, user, tag, tag_topic[tag], columns.T)
 
 
 def build_genome(index: AdoptionIndex, topics: TopicMap) -> dict[str, Genotype]:
-    """One genotype per user appearing in the event log, by user name.
-
-    Each cell lists its values in sorted-hashtag order.
-    """
-    rows = pair_metrics(index, topics)
-    raw: dict[str, dict[tuple[str, MetricKind], list[float]]] = {
-        index.users[u]: {} for u in np.unique(index.event_user).tolist()
-    }
-    for (u, h) in sorted(rows):
-        topic = topics.topic_of(h)
-        cells = raw[u]
-        for kind, value in rows[(u, h)].items():
-            cells.setdefault((topic, kind), []).append(value)
-    return {
-        u: Genotype(
-            owner=u,
-            cells={
-                key: MetricCell(
-                    values=tuple(vals), mean=float_sum(vals) / len(vals), count=len(vals)
-                )
-                for key, vals in cells.items()
-            },
-        )
-        for u, cells in raw.items()
-    }
+    """One genotype per user appearing in the event log, by user name;
+    each cell lists its values in hashtag-id order, which is name order."""
+    table = pair_metrics(index, topics)
+    row, kind = np.nonzero(~np.isnan(table.values))
+    kinds = tuple(MetricKind)
+    cells: dict = {index.users[u]: {} for u in np.unique(index.event_user).tolist()}
+    for (u, t, k), cell in _cells(
+        (table.user[row], table.topic[row], kind, table.hashtag[row]), table.values[row, kind]
+    ):
+        cells[index.users[u]][(topics.topics[t], kinds[k])] = cell
+    return {u: Genotype(owner=u, cells=c) for u, c in cells.items()}
 
 
 def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:
     """Per-user mean TIME for one topic; users without values omitted.
-
-    Values are summed in sorted-hashtag order, as in the genome's TIME
-    cell, so each mean equals that cell's mean exactly.
-    """
+    The values group as the genome's cells do, so each mean equals the
+    user's TIME cell mean exactly."""
     in_topic = np.array([topics.topic_of(h) == topic for h in index.hashtags], bool)
     pairs = np.flatnonzero(in_topic[index.pair_hashtag] & (index.first_exposure >= 0))
-    pairs = pairs[np.lexsort((index.pair_hashtag[pairs], index.pair_user[pairs]))]
-    times = (index.first_use[pairs] - index.first_exposure[pairs]).tolist()
-    values: dict[str, list[float]] = {}
-    for u, time in zip(index.pair_user[pairs].tolist(), times):
-        values.setdefault(index.users[u], []).append(float(time))
-    return {u: float_sum(vals) / len(vals) for u, vals in values.items()}
+    time = (index.first_use[pairs] - index.first_exposure[pairs]).astype(float)
+    keys = (index.pair_user[pairs], index.pair_hashtag[pairs])
+    return {index.users[u]: cell.mean for (u,), cell in _cells(keys, time)}
 
 
 def write_genome_values(genome: Mapping[str, Genotype], fh) -> None:

@@ -285,6 +285,48 @@ def pair_metric_rows(events, net, topics):
     return rows
 
 
+
+def metric_rows(table):
+    """A ``PairMetrics`` table read back as name-keyed rows in table order,
+    each with its defined (non-NaN) metrics in ``pair_metric_rows``' key
+    order: N-USES, TIME, N-PAR, F-PAR, LAT, LOG-LAT."""
+    from genonet.genotype import MetricKind
+
+    order = (MetricKind.N_USES, MetricKind.TIME, MetricKind.N_PAR,
+             MetricKind.F_PAR, MetricKind.LAT, MetricKind.LOG_LAT)
+    columns = [list(MetricKind).index(kind) for kind in order]
+    return {
+        (table.users[u], table.hashtags[h]): {
+            kind: values[c] for kind, c in zip(order, columns) if not math.isnan(values[c])
+        }
+        for u, h, values in zip(table.user.tolist(), table.hashtag.tolist(),
+                                table.values.tolist())
+    }
+
+
+def build_genome(rows, users, topics):
+    """The genome regrouped from name-keyed metric rows: one genotype per
+    posting user in ``users``, each cell's values in sorted-hashtag order
+    and its mean added left to right."""
+    from genonet.genotype import Genotype, MetricCell
+
+    raw = {u: {} for u in sorted(users)}
+    for (u, h) in sorted(rows):
+        topic = topics.topic_of(h)
+        for kind, value in rows[(u, h)].items():
+            raw[u].setdefault((topic, kind), []).append(value)
+    genome = {}
+    for u, cells in raw.items():
+        out = {}
+        for key, vals in cells.items():
+            total = 0.0
+            for value in vals:
+                total += value
+            out[key] = MetricCell(values=tuple(vals), mean=total / len(vals), count=len(vals))
+        genome[u] = Genotype(owner=u, cells=out)
+    return genome
+
+
 # --- backbone oracle -------------------------------------------------------
 
 

@@ -161,7 +161,7 @@ def _pairs(d, index):
 
 def _column(metric, pairs):
     """One metric's defined values, keyed by (user, hashtag)."""
-    return {key: row[metric] for key, row in pairs.items() if metric in row}
+    return {key: row[metric] for key, row in oracles.metric_rows(pairs).items() if metric in row}
 
 
 def test_loo_perfectly_separated_zero_error():
@@ -220,10 +220,13 @@ def test_random_baseline_even_shares():
 
 
 def test_loo_matches_manual_holdout_protocol():
-    """Oracle re-implementation of the protocol from the public ops."""
+    """Oracle re-implementation of the protocol from the public ops; each
+    fold's voters are the adopters that still train, in name order."""
     d, index = _dataset(datasets.time_separated_params(3, n_topics=2))
     metric = MetricKind.TIME
-    res = leave_one_out(prepare_loo(metric, _pairs(d, index), d.topics))
+    data = prepare_loo(metric, _pairs(d, index), d.topics)
+    res = leave_one_out(data)
+    folds = {fold.hashtag: fold for fold in data.folds}
     values = _column(metric, _pairs(d, index))
 
     used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
@@ -246,6 +249,7 @@ def test_loo_matches_manual_holdout_protocol():
             except TrainingError:
                 continue
             voters.append((clf, values[(u, h)]))
+        assert folds[h].users == tuple(clf.owner for clf, _v in voters)
         truth, predicted = res.predictions[h]
         assert truth == d.topics.topic_of(h)
         if not voters:

@@ -11,6 +11,7 @@ from genonet import classify, genotype, latmin, predict
 from genonet.cli import main
 from genonet.graph import DirectedGraph
 from genonet.ingest import load_dataset
+from genonet.syngen import GenParams, TopicProfile, generate
 
 
 def run(*args):
@@ -239,7 +240,7 @@ def test_one_metric_pass_per_pair(syn_manifest, tmp_path, monkeypatch, command):
                         lambda *args: counts.append(1) or lat_counts(*args))
     assert run(command, "--manifest", syn_manifest, "--out", tmp_path) == 0
     assert len(rows) == len(counts) == 1
-    assert len(rows[0]) == pairs > 0
+    assert len(rows[0].user) == pairs > 0
 
 
 def test_latmin_memory_guard_exits_2(syn_manifest, tmp_path, monkeypatch, capsys):
@@ -277,6 +278,48 @@ def test_syngen_deterministic(tmp_path):
         assert run("syngen", "--out", out, "--seed", 11, "--users", 20,
                    "--topics", 2, "--hashtags-per-topic", 3, "--cascades", 2) == 0
     assert digest_dir(outs[0]) == digest_dir(outs[1])
+
+
+@pytest.mark.parametrize("body, code", [
+    ("[1, 2]", 1),
+    ("{bad", 1),
+    ('[{"latency_mean": 5}, {}]', 1),
+    ('[{"adoption_prob": [0.3, 0.9, 1]}, {}]', 1),
+    ('[{"latency_mean": [5, 15], "latency_spread": 3}, {}]', 1),
+    ('[{"latency_jitter": Infinity}, {}]', 1),
+    ('[{"adoption_prob": [0.9, 0.3]}, {}]', 2),
+])
+def test_syngen_malformed_profiles_file(tmp_path, capsys, body, code):
+    """A malformed profiles file is a usage error naming the file; an
+    out-of-range value is still a data error."""
+    path = tmp_path / "profiles.json"
+    path.write_text(body)
+    assert run("syngen", "--out", tmp_path / "out", "--seed", 1, "--topics", 2,
+               "--profiles-file", path) == code
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    if code == 1:
+        assert str(path) in err
+
+
+def test_syngen_profiles_file_matches_generate(tmp_path):
+    profiles = (
+        TopicProfile(latency_mean=(2.0, 4.0), latency_jitter=1.5, adoption_prob=(0.5, 1.0),
+                     repeat_rate=(0.1, 0.2), repeat_horizon=3),
+        TopicProfile(latency_mean=(20, 30)),
+    )
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps([
+        {"latency_mean": [2.0, 4.0], "latency_jitter": 1.5, "adoption_prob": [0.5, 1.0],
+         "repeat_rate": [0.1, 0.2], "repeat_horizon": 3},
+        {"latency_mean": [20, 30]},
+    ]))
+    assert run("syngen", "--out", tmp_path / "cli", "--seed", 4, "--users", 30, "--topics", 2,
+               "--cascades", 2, "--profiles-file", path) == 0
+    generate(GenParams(n_users=30, seed=4, edge_prob=0.08, n_topics=2, hashtags_per_topic=4,
+                       cascades_per_hashtag=2, topic_profiles=profiles)).write(tmp_path / "api")
+    written = digest_dir(tmp_path / "api")
+    assert {k: v for k, v in digest_dir(tmp_path / "cli").items() if k in written} == written
 
 
 def test_commands_do_not_touch_inputs(syn_manifest, tmp_path):

@@ -17,7 +17,7 @@ import oracles
 
 def metric(toy, kind, user="B", hashtag="x"):
     _net, _events, topics, index = toy
-    return pair_metrics(index, topics)[(user, hashtag)].get(kind)
+    return oracles.metric_rows(pair_metrics(index, topics))[(user, hashtag)].get(kind)
 
 
 def test_time_toy(toy):
@@ -42,7 +42,7 @@ def test_lat_toy(toy):
 def test_log_lat_toy(toy):
     # B is the only adopter of x with a defined LAT, so LAT equals its mean
     _net, _events, topics, index = toy
-    rows = pair_metrics(index, topics)
+    rows = oracles.metric_rows(pair_metrics(index, topics))
     assert rows[("B", "x")][MetricKind.LOG_LAT] == 0.0
 
 
@@ -56,9 +56,13 @@ def test_originator_metrics_undefined(toy):
 def test_unknown_pair_rejected(toy):
     """A pair never adopted, or whose hashtag has no topic, gets no row."""
     _net, _events, topics, index = toy
-    assert list(pair_metrics(index, topics)) == [("A", "x"), ("C", "x"), ("C", "y"), ("B", "x")]
-    assert pair_metrics(index, load_topic_map([])) == {}
-    assert list(pair_metrics(index, load_topic_map(["y\tT"]))) == [("C", "y")]
+
+    def rows(topics):
+        return oracles.metric_rows(pair_metrics(index, topics))
+
+    assert list(rows(topics)) == [("A", "x"), ("C", "x"), ("C", "y"), ("B", "x")]
+    assert rows(load_topic_map([])) == {}
+    assert list(rows(load_topic_map(["y\tT"]))) == [("C", "y")]
 
 
 def test_simultaneous_adoption_is_not_exposure():
@@ -66,7 +70,7 @@ def test_simultaneous_adoption_is_not_exposure():
     events = load_events(["10\tA\t#x", "10\tB\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    assert pair_metrics(index, topics)[("B", "x")] == {MetricKind.N_USES: 1.0}
+    assert oracles.metric_rows(pair_metrics(index, topics))[("B", "x")] == {MetricKind.N_USES: 1.0}
 
 
 def test_build_genome_toy(toy):
@@ -134,7 +138,7 @@ def test_metric_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(8):
         net, events, topics, index = _random_setup(rng, n_users=18, n_lines=150)
-        for (u, h), row in pair_metrics(index, topics).items():
+        for (u, h), row in oracles.metric_rows(pair_metrics(index, topics)).items():
             t = row.get(MetricKind.TIME)
             npar = row.get(MetricKind.N_PAR)
             fpar = row.get(MetricKind.F_PAR)
@@ -154,7 +158,7 @@ def test_log_lat_normalization_identity():
     rng = np.random.default_rng(12)
     net, events, topics, index = _random_setup(rng, n_users=20, n_lines=250)
     ratios: dict = {}
-    for (_u, h), row in pair_metrics(index, topics).items():
+    for (_u, h), row in oracles.metric_rows(pair_metrics(index, topics)).items():
         if MetricKind.LOG_LAT in row:
             ratios.setdefault(h, []).append(math.exp(row[MetricKind.LOG_LAT]))
     assert ratios

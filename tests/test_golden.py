@@ -36,6 +36,7 @@ COMMANDS = {
     "backbone": ("backbone",),
     "classify": ("classify", "--metric", "TIME,N-USES,LAT",
                  "--ensemble-sizes", "1,2,4", "--repetitions", "2", "--seed", "3"),
+    "classify-rest": ("classify", "--metric", "N-PAR,F-PAR,LOG-LAT"),
     "predict": ("predict",),
     "latmin-strict": ("latmin", "--topic", "t0", "--k", "3"),
     "latmin-permissive": ("latmin", "--topic", "t1", "--k", "3", "--permissive"),

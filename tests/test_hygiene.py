@@ -1,7 +1,8 @@
 """Export and import hygiene of the ``genonet`` modules.
 
-No linter runs on this project, so these checks stand in for two of its
-rules: every name a module exports in ``__all__`` exists, and every
+No linter runs on this project, so these checks stand in for three of its
+rules: every name a module exports in ``__all__`` exists, a module with
+``__all__`` lists each public function and class it defines, and every
 module-level import is used by the module that makes it.
 """
 
@@ -15,6 +16,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "genonet"
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _defines_all(tree):
+    return any(
+        isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for node in tree.body
+    )
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_exist(name):
     module = importlib.import_module(f"genonet.{name}")
@@ -24,7 +37,7 @@ def test_all_names_exist(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_level_imports_are_used(name):
-    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    tree = _tree(name)
     imported = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -36,3 +49,14 @@ def test_module_level_imports_are_used(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = sorted(f"{b} (line {line})" for b, line in imported.items() if b not in used)
     assert not unused, f"genonet.{name} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if _defines_all(_tree(n))])
+def test_public_definitions_are_exported(name):
+    exported = importlib.import_module(f"genonet.{name}").__all__
+    unlisted = [
+        node.name for node in _tree(name).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in exported
+    ]
+    assert not unlisted, f"genonet.{name} defines but does not export {unlisted}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genonet.errors import DataError, ParseError
-from genonet.genotype import pair_metrics
+from genonet.genotype import MetricKind, build_genome, node_topic_latency, pair_metrics
 from genonet.ingest import (
     Event,
     EventLog,
@@ -29,8 +29,10 @@ def _row(ptr, ids, i):
 def _edge_case_logs(seed, count=10):
     """Seeded random logs with 12 distinct times, so first-use ties are
     common, and multi-hashtag lines; every other hashtag has no topic,
-    two declared isolated nodes (one posting) and three posting users
-    without any follow edge."""
+    two declared isolated nodes (one posting) and four posting users
+    without any follow edge.  Of those, loner3 posts only a hashtag
+    without a topic, and loner0 and loner1 are the only adopters of the
+    topical hashtag ``solo``, so both are its originators."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         edge_lines, event_lines, topic_lines = oracles.random_log(
@@ -41,7 +43,8 @@ def _edge_case_logs(seed, count=10):
             f"{int(rng.integers(12))}\t{u}\th{int(rng.integers(12))},h{int(rng.integers(12))}"
             for u in ("iso0", "loner0", "loner1", "loner2") for _ in range(3)
         ]
-        yield edge_lines, event_lines, topic_lines[::2]
+        event_lines += ["3\tloner0\tsolo", "5\tloner1\tsolo", "7\tloner3\th1"]
+        yield edge_lines, event_lines, topic_lines[::2] + ["solo\ttopic0"]
 
 
 def _load_log(edge_lines, event_lines, topic_lines):
@@ -218,13 +221,16 @@ def test_exposure_has_witness():
 
 
 def test_prior_adopters_equal_brute_force_scan():
-    """The index columns equal the name-keyed reference index and every
-    pair_metrics row equals the reference row, in order.  Every adopted
-    pair's prior adopters are exactly the followees with a strictly
-    earlier first use, and each hashtag's precedence triples are the
-    follower edges it spread along; with 12 distinct times, ties are
-    common and never count."""
-    ties = 0
+    """The index columns equal the name-keyed reference index; the
+    pair_metrics table, read back as rows, equals the reference rows in
+    order, the genome equals the one regrouped from them, and latmin's
+    TIME means equal the genome's TIME cell means.  Every adopted pair's
+    prior adopters are exactly the followees with a strictly earlier
+    first use, and each hashtag's precedence triples are the follower
+    edges it spread along; with 12 distinct times, ties are common and
+    never count.  The logs hold users with no topical pair and hashtags
+    whose adopters are all originators."""
+    ties = empty_genotypes = originator_hashtags = 0
     for logs in _edge_case_logs(17):
         net, events, topics, index = _load_log(*logs)
         got, want = oracles.index_dicts(index), oracles.adoption_index_dicts(events, net)
@@ -235,11 +241,23 @@ def test_prior_adopters_equal_brute_force_scan():
             k: t for k, t in want["first_exposure"].items() if want["prior_adopters"].get(k)
         }
         assert index.exposed_pairs == len(want["first_exposure"])
-        rows, want_rows = pair_metrics(index, topics), oracles.pair_metric_rows(events, net, topics)
+        want_rows = oracles.pair_metric_rows(events, net, topics)
+        rows = oracles.metric_rows(pair_metrics(index, topics))
         assert rows == want_rows
         assert [(k, list(r)) for k, r in rows.items()] == [
             (k, list(r)) for k, r in want_rows.items()
         ]
+        genome = build_genome(index, topics)
+        assert genome == oracles.build_genome(want_rows, events.users, topics)
+        for topic in topics.topics:
+            assert node_topic_latency(index, topics, topic) == {
+                u: g.cells[(topic, MetricKind.TIME)].mean
+                for u, g in genome.items() if (topic, MetricKind.TIME) in g.cells
+            }
+        empty_genotypes += sum(not g.cells for g in genome.values())
+        originator_hashtags += len(
+            {h for (_u, h) in rows} - {h for (_u, h), r in rows.items() if MetricKind.LOG_LAT in r}
+        )
 
         oracle = oracles.MetricOracle(events.events, net.edges, {})
         first = oracle.first_use
@@ -256,6 +274,7 @@ def test_prior_adopters_equal_brute_force_scan():
                 if None not in (first(a, h), first(b, h)) and first(a, h) < first(b, h)
             ), h
     assert ties >= 50
+    assert empty_genotypes and originator_hashtags
 
 
 def test_network_round_trip():
