@@ -49,15 +49,12 @@ from .classify import (
     AccuracyCurve,
     ErrorTable,
     LeaveOneOutResult,
-    LocalClassifier,
     LogisticFit,
     LooData,
     accuracy_curve,
-    classify_local,
     fit_logistic,
     leave_one_out,
     prepare_loo,
-    train_local,
 )
 from .predict import (
     Direction,

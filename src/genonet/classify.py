@@ -22,23 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, DegenerateTrainingError, TrainingError
+from .errors import DataError
 from .genotype import MetricKind, PairMetrics, float_sum
 from .ingest import TopicMap
 
 __all__ = [
-    "LocalClassifier",
     "ErrorTable",
     "LeaveOneOutResult",
     "AccuracyCurve",
     "LogisticFit",
     "LooData",
-    "train_local",
-    "classify_local",
     "prepare_loo",
     "leave_one_out",
     "accuracy_curve",
@@ -48,15 +46,6 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class LocalClassifier:
-    owner: str
-    metric: MetricKind
-    class_stats: Mapping[str, tuple[float, int]]  # topic -> (mean, count)
-    pooled_variance: float
-    priors: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -91,75 +80,6 @@ class LogisticFit:
     residual: float
 
 
-def train_local(
-    user: str,
-    metric: MetricKind,
-    training: Iterable[tuple[str, str, float]],
-) -> LocalClassifier:
-    """Fit the per-user discriminant from (hashtag, topic, value) rows.
-
-    Per-topic means share one pooled variance (floored at 1e-9); priors
-    are proportional to per-topic training counts.
-    """
-    by_topic: dict[str, list[float]] = {}
-    for _hashtag, topic, value in training:
-        by_topic.setdefault(topic, []).append(float(value))
-    if len(by_topic) < 2:
-        raise TrainingError(
-            f"user {user!r} needs values from >=2 topics, got {len(by_topic)}"
-        )
-    all_values = [v for vals in by_topic.values() for v in vals]
-    if min(all_values) == max(all_values):
-        raise DegenerateTrainingError(
-            f"user {user!r}: all {len(all_values)} training values identical"
-        )
-    n = len(all_values)
-    t = len(by_topic)
-    stats: dict[str, tuple[float, int]] = {}
-    ss_within = 0.0
-    for topic, vals in by_topic.items():
-        mean = float_sum(vals) / len(vals)
-        stats[topic] = (mean, len(vals))
-        ss_within += float_sum((v - mean) ** 2 for v in vals)
-    variance = max(VARIANCE_FLOOR, ss_within / max(1, n - t))
-    priors = {topic: len(vals) / n for topic, vals in by_topic.items()}
-    return LocalClassifier(
-        owner=user,
-        metric=metric,
-        class_stats=stats,
-        pooled_variance=variance,
-        priors=priors,
-    )
-
-
-def classify_local(c: LocalClassifier, value: float) -> dict[str, float]:
-    """Posterior over the classifier's trained topics, summing to 1."""
-    logs: dict[str, float] = {}
-    for topic, (mean, _count) in c.class_stats.items():
-        logs[topic] = math.log(c.priors[topic]) - (value - mean) ** 2 / (
-            2.0 * c.pooled_variance
-        )
-    top = max(logs.values())
-    expd = {t: math.exp(v - top) for t, v in logs.items()}
-    z = float_sum(expd.values())
-    return {t: v / z for t, v in expd.items()}
-
-
-def _evidence_vector(
-    c: LocalClassifier, value: float, topic_order: Sequence[str]
-) -> np.ndarray:
-    """log post_u(t) - log(1/K) per topic, zero where the user is agnostic."""
-    k = len(topic_order)
-    post = classify_local(c, value)
-    vec = np.zeros(k)
-    log_uniform = -math.log(k)
-    for i, topic in enumerate(topic_order):
-        if topic in post:
-            p = max(post[topic], 1e-300)
-            vec[i] = math.log(p) - log_uniform
-    return vec
-
-
 def _argmax_topic(scores: np.ndarray, topic_order: Sequence[str]) -> str:
     best = 0
     for i in range(1, len(scores)):
@@ -173,7 +93,7 @@ class _Fold:
     hashtag: str
     true_topic: str
     users: tuple[str, ...]
-    evidence: np.ndarray  # len(users) x K
+    evidence: np.ndarray  # len(users) x K, C-contiguous
     prior_logs: np.ndarray
 
 
@@ -191,13 +111,74 @@ class LooData:
     train_totals: dict[str, int]
 
 
-def _train_or_none(
-    user: str, metric: MetricKind, rows: list[tuple[str, str, float]]
-) -> LocalClassifier | None:
-    try:
-        return train_local(user, metric, rows)
-    except TrainingError:
-        return None
+def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
+    """``fn`` of each element of the 1-d ``x`` as ``math`` computes it;
+    numpy's log, exp and square round differently on some inputs.  Each
+    distinct input is evaluated once."""
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.fromiter(map(fn, distinct.tolist(), *args), float, len(distinct))[inverse]
+
+
+def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """0.0 plus the terms along ``axis`` one at a time in index order, as
+    :func:`genonet.genotype.float_sum` adds; ``np.sum`` would add pairwise."""
+    if terms.shape[axis] == 0:
+        return np.zeros(np.delete(terms.shape, axis))
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + 0.0
+
+
+def _train_and_score(
+    value: np.ndarray, topic: np.ndarray, kept: np.ndarray, scored: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train one Gaussian discriminant per row on its kept slots; return
+    which rows trained and each trained row's evidence at its scored slots.
+
+    ``value`` and ``topic`` are (rows, slots) in each user's first-use
+    order.  A row trains when its kept values span >= 2 topics and are
+    not all equal.  Per-topic means share one pooled variance, floored at
+    1e-9; priors are the per-topic shares of the kept slots.  The
+    evidence ``log post(t) - log(1/K)`` is (rows, slots, K), zero for
+    topics the row has no values for.  Float sums add one term at a time
+    in the order of the per-user loops they replace: slots in first-use
+    order, topics in the order of their first kept slot.
+    """
+    rows, width = value.shape
+    member = kept[:, :, None] & (topic[:, :, None] == np.arange(k))
+    count = member.sum(axis=1)
+    has = count > 0
+    n = count.sum(axis=1)
+    n_topics = has.sum(axis=1)
+    first = np.where(member, np.arange(width)[:, None], width).min(axis=1, initial=width)
+    order = np.argsort(first, axis=1, kind="stable")
+    lo = np.where(kept, value, np.inf).min(axis=1, initial=np.inf)
+    hi = np.where(kept, value, -np.inf).max(axis=1, initial=-np.inf)
+    trained = (n_topics >= 2) & (lo != hi)
+
+    mean = _ordered_sum(np.where(member, value[:, :, None], 0.0), 1) / np.maximum(count, 1)
+    sq = np.zeros((rows, width))
+    dev = value - np.take_along_axis(mean, topic, axis=1)
+    sq[kept] = _libm(math.pow, dev[kept], repeat(2.0))
+    ss = _ordered_sum(np.where(member, sq[:, :, None], 0.0), 1)
+    ss_within = _ordered_sum(np.take_along_axis(ss, order, axis=1), 1)
+    variance = np.maximum(VARIANCE_FLOOR, ss_within / np.maximum(1, n - n_topics))
+    log_prior = np.zeros((rows, k))
+    fit = has & trained[:, None]
+    log_prior[fit] = _libm(math.log, (count / np.maximum(n, 1)[:, None])[fit])
+
+    cell = scored[:, :, None] & fit[:, None, :]
+    shape = cell.shape
+    logs = np.full(shape, -np.inf)
+    logs[cell] = np.broadcast_to(log_prior[:, None, :], shape)[cell] - _libm(
+        math.pow, (value[:, :, None] - mean[:, None, :])[cell], repeat(2.0)
+    ) / np.broadcast_to((2.0 * variance)[:, None, None], shape)[cell]
+    top = logs.max(axis=2, initial=-np.inf)
+    expd = np.zeros(shape)
+    expd[cell] = _libm(math.exp, logs[cell] - np.broadcast_to(top[:, :, None], shape)[cell])
+    z = _ordered_sum(np.take_along_axis(expd, order[:, None, :], axis=2), 2)
+    post = expd[cell] / np.broadcast_to(z[:, :, None], shape)[cell]
+    evidence = np.zeros(shape)
+    evidence[cell] = _libm(math.log, np.maximum(post, 1e-300)) + math.log(k)
+    return trained, evidence
 
 
 def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> LooData:
@@ -206,119 +187,100 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     ``pairs`` is :func:`genonet.genotype.pair_metrics` of the dataset;
     pairs where ``metric`` is undefined cast no vote.  Hashtags whose
     topic has a single hashtag are skipped.  The train-side error counts
-    of every fold are tallied here.
+    of every fold are tallied here: each hashtag h' is scored by the base
+    classifiers' summed evidence, less each affected user's base evidence
+    and plus their fold evidence, in user-name order.
+
+    Every user's voted pairs form one row of a (user, slot) table in
+    first-use order.  A fold takes its affected users' rows, drops the
+    held-out slot from training and scores all their slots at once, so
+    only one fold's arrays exist at a time.
     """
     topic_order = topics.topics
     k = len(topic_order)
-    topic_pos = {t: i for i, t in enumerate(topic_order)}
-
     users, tags = pairs.users, pairs.hashtags
     used, first = np.unique(pairs.hashtag, return_index=True)
     counts = np.bincount(pairs.topic[first], minlength=k)
     topic_counts: dict[str, int] = dict(zip(topic_order, counts.tolist()))
     single = counts[pairs.topic[first]] < 2
     skipped = tuple(tags[h] for h in used[single].tolist())
-    eligible = [tags[h] for h in used[~single].tolist()]
-    n_eligible = len(eligible)
+    eligible = used[~single]
+    tag_topic = pairs.topic[first][~single]
+    n_tags = len(eligible)
 
-    # each user's rows in first-use order; each hashtag's voters in id order
+    # (user, slot) table: rows in the users' first-vote order, slots in
+    # each user's first-use order
     value = pairs.values[:, list(MetricKind).index(metric)]
     voted = np.flatnonzero(~np.isnan(value) & (counts[pairs.topic] >= 2))
-    pairs_by_user: dict[str, list[tuple[str, str, float]]] = {}
-    users_by_hashtag: dict[str, dict[str, float]] = {h: {} for h in eligible}
-    for u, h, t, v in zip(pairs.user[voted].tolist(), pairs.hashtag[voted].tolist(),
-                          pairs.topic[voted].tolist(), value[voted].tolist()):
-        pairs_by_user.setdefault(users[u], []).append((tags[h], topic_order[t], v))
-        users_by_hashtag[tags[h]][users[u]] = v
-    users_by_hashtag = {h: dict(sorted(votes.items())) for h, votes in users_by_hashtag.items()}
+    voter = pairs.user[voted]
+    _ids, first_vote, inverse, degree = np.unique(
+        voter, return_index=True, return_inverse=True, return_counts=True
+    )
+    by_first = np.argsort(first_vote)
+    row = np.argsort(by_first)[inverse]
+    row_degree = degree[by_first]
+    by_row = np.argsort(row, kind="stable")
+    slot = np.empty(len(voted), dtype=np.int64)
+    slot[by_row] = np.arange(len(voted)) - np.repeat(np.cumsum(row_degree) - row_degree, row_degree)
+    col = np.searchsorted(eligible, pairs.hashtag[voted])
+    shape = (len(degree), int(row_degree.max(initial=0)))
+    table_value, table_topic = np.zeros(shape), np.zeros(shape, dtype=np.int64)
+    table_col, valid = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+    table_value[row, slot] = value[voted]
+    table_topic[row, slot] = pairs.topic[voted]
+    table_col[row, slot] = col
+    valid[row, slot] = True
 
-    base_clf: dict[str, LocalClassifier | None] = {
-        u: _train_or_none(u, metric, rows) for u, rows in pairs_by_user.items()
-    }
-    base_vec: dict[tuple[str, str], np.ndarray] = {}
-    base_sum: dict[str, np.ndarray] = {h: np.zeros(k) for h in eligible}
-    base_voters: dict[str, int] = {h: 0 for h in eligible}
-    for u, rows in pairs_by_user.items():
-        clf = base_clf[u]
-        if clf is None:
-            continue
-        for h, _t, v in rows:
-            vec = _evidence_vector(clf, v, topic_order)
-            base_vec[(u, h)] = vec
-            base_sum[h] += vec
-            base_voters[h] += 1
+    base_ok, base_ev = _train_and_score(table_value, table_topic, valid, valid, k)
+    base = np.zeros((len(degree), n_tags, k))
+    base[row, col] = base_ev[row, slot]
+    base_sum = _ordered_sum(base, 0)
+    base_voters = np.bincount(col[base_ok[row]], minlength=n_tags)
+    del base
 
+    # each hashtag's voters in user-name (id) order
+    by_tag = np.lexsort((voter, col))
+    bounds = np.searchsorted(col[by_tag], np.arange(n_tags + 1))
+    log_rest = math.log(max(n_tags - 1, 1))
     folds: list[_Fold] = []
-    train_errors = {t: 0 for t in topic_order}
-    train_totals = {t: 0 for t in topic_order}
+    train_errors = np.zeros(k, dtype=np.int64)
+    train_totals = np.zeros(k, dtype=np.int64)
+    for c in range(n_tags):
+        fold_rows = by_tag[bounds[c]:bounds[c + 1]]
+        r, held = row[fold_rows], slot[fold_rows]
+        width = int(row_degree[r].max(initial=0))
+        sub_value, sub_topic = table_value[r, :width], table_topic[r, :width]
+        sub_col, sub_valid = table_col[r, :width], valid[r, :width]
+        kept = sub_valid.copy()
+        kept[np.arange(len(r)), held] = False
+        ok, ev = _train_and_score(sub_value, sub_topic, kept, sub_valid, k)
 
-    for h in eligible:
-        true_topic = topics.topic_of(h)
-        affected = users_by_hashtag[h]
-        fold_clf: dict[str, LocalClassifier | None] = {}
-        for u in affected:
-            rows = [row for row in pairs_by_user[u] if row[0] != h]
-            fold_clf[u] = _train_or_none(u, metric, rows)
+        true_topic = int(tag_topic[c])
+        prior_logs = np.array([
+            math.log(max(int(cnt) - (t == true_topic), 1e-300)) - log_rest
+            for t, cnt in enumerate(counts.tolist())
+        ])
+        folds.append(_Fold(
+            hashtag=tags[eligible[c]],
+            true_topic=topic_order[true_topic],
+            users=tuple(users[u] for u in voter[fold_rows][ok].tolist()),
+            evidence=np.ascontiguousarray(ev[ok, held[ok]]),
+            prior_logs=prior_logs,
+        ))
 
-        prior_logs = np.empty(k)
-        for t in topic_order:
-            cnt = topic_counts[t] - (1 if t == true_topic else 0)
-            prior_logs[topic_pos[t]] = math.log(max(cnt, 1e-300)) - math.log(
-                n_eligible - 1
-            )
-
-        contrib_users: list[str] = []
-        contrib_rows: list[np.ndarray] = []
-        for u in affected:
-            clf = fold_clf[u]
-            if clf is None:
-                continue
-            contrib_users.append(u)
-            contrib_rows.append(
-                _evidence_vector(clf, affected[u], topic_order)
-            )
-        evidence = (
-            np.vstack(contrib_rows) if contrib_rows else np.zeros((0, k))
-        )
-        folds.append(
-            _Fold(
-                hashtag=h,
-                true_topic=true_topic,
-                users=tuple(contrib_users),
-                evidence=evidence,
-                prior_logs=prior_logs,
-            )
-        )
-
-        # training-side classification under this fold's model: adjust the
-        # precomputed sums only where an affected user also voted on h'
-        deltas: dict[str, np.ndarray] = {}
-        voter_deltas: dict[str, int] = {}
-        for u in affected:
-            new_clf = fold_clf[u]
-            for h2, _t2, v2 in pairs_by_user[u]:
-                if h2 == h:
-                    continue
-                old = base_vec.get((u, h2))
-                if old is not None:
-                    deltas[h2] = deltas.get(h2, np.zeros(k)) - old
-                    voter_deltas[h2] = voter_deltas.get(h2, 0) - 1
-                if new_clf is not None:
-                    vec = _evidence_vector(new_clf, v2, topic_order)
-                    deltas[h2] = deltas.get(h2, np.zeros(k)) + vec
-                    voter_deltas[h2] = voter_deltas.get(h2, 0) + 1
-        for h2 in eligible:
-            if h2 == h:
-                continue
-            t2 = topics.topic_of(h2)
-            train_totals[t2] += 1
-            voters = base_voters[h2] + voter_deltas.get(h2, 0)
-            if voters <= 0:
-                train_errors[t2] += 1
-                continue
-            scores = prior_logs + base_sum[h2] + deltas.get(h2, 0.0)
-            if _argmax_topic(scores, topic_order) != t2:
-                train_errors[t2] += 1
+        # train side: every other hashtag under this fold's classifiers
+        a, s = np.nonzero(kept)
+        steps = np.zeros((len(r), 2, n_tags, k))
+        steps[a, 0, sub_col[a, s]] = -base_ev[r[a], s]
+        steps[a, 1, sub_col[a, s]] = ev[a, s]
+        delta = _ordered_sum(steps.reshape(-1, n_tags, k), 0)
+        scores = prior_logs + base_sum + delta
+        voters = (base_voters + np.bincount(sub_col[a, s][ok[a]], minlength=n_tags)
+                  - np.bincount(sub_col[a, s][base_ok[r[a]]], minlength=n_tags))
+        wrong = (voters <= 0) | (scores.argmax(axis=1) != tag_topic)
+        others = np.arange(n_tags) != c
+        train_errors += np.bincount(tag_topic[wrong & others], minlength=k)
+        train_totals += np.bincount(tag_topic[others], minlength=k)
 
     return LooData(
         metric=metric,
@@ -326,8 +288,8 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
         folds=tuple(folds),
         skipped=skipped,
         topic_counts=topic_counts,
-        train_errors=train_errors,
-        train_totals=train_totals,
+        train_errors=dict(zip(topic_order, train_errors.tolist())),
+        train_totals=dict(zip(topic_order, train_totals.tolist())),
     )
 
 

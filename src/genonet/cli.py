@@ -178,7 +178,8 @@ def _parse_metrics(raw: str | None) -> list[gt.MetricKind]:
     if not raw:
         return list(gt.MetricKind)
     try:
-        return [gt.MetricKind.from_tag(tag) for tag in raw.split(",")]
+        # first occurrence of each metric: a repeat would only redo its LOO
+        return list(dict.fromkeys(gt.MetricKind.from_tag(tag) for tag in raw.split(",")))
     except DataError as exc:
         raise UsageError(str(exc)) from exc
 

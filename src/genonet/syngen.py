@@ -113,10 +113,16 @@ class GenParams:
             raise DataError(f"unknown graph model {self.graph_model!r}")
         if self.topic_profiles is not None and len(self.topic_profiles) != self.n_topics:
             raise DataError("need one topic profile per topic")
-        for profile in self.profiles():
-            profile.validate()
         if self.cascade_gap <= 0:
             raise DataError("cascade_gap must be positive")
+        for profile in self.profiles():
+            profile.validate()
+            # repeats stay inside their cascade's band, as delays do
+            if profile.repeat_horizon > self.cascade_gap // 2:
+                raise DataError(
+                    f"repeat_horizon {profile.repeat_horizon} exceeds cascade_gap // 2"
+                    f" = {self.cascade_gap // 2}"
+                )
 
     def profiles(self) -> tuple[TopicProfile, ...]:
         if self.topic_profiles is not None:

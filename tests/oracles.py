@@ -675,6 +675,229 @@ def logistic_value(fit, x):
     return fit.l / (1.0 + math.exp(-z))
 
 
+# --- local classifiers and the leave-one-out oracle ------------------------
+
+
+@dataclass(frozen=True)
+class LocalClassifier:
+    owner: str
+    metric: object
+    class_stats: Mapping[str, tuple]  # topic -> (mean, count)
+    pooled_variance: float
+    priors: Mapping[str, float]
+
+
+def train_local(user, metric, training):
+    """Fit the per-user discriminant from (hashtag, topic, value) rows.
+
+    Per-topic means share one pooled variance (floored at 1e-9); priors
+    are proportional to per-topic training counts.  Topics keep the order
+    of their first row, which orders the ``ss_within`` sum.
+    """
+    from genonet.errors import DegenerateTrainingError, TrainingError
+    from genonet.genotype import float_sum
+
+    by_topic = {}
+    for _hashtag, topic, value in training:
+        by_topic.setdefault(topic, []).append(float(value))
+    if len(by_topic) < 2:
+        raise TrainingError(
+            f"user {user!r} needs values from >=2 topics, got {len(by_topic)}"
+        )
+    all_values = [v for vals in by_topic.values() for v in vals]
+    if min(all_values) == max(all_values):
+        raise DegenerateTrainingError(
+            f"user {user!r}: all {len(all_values)} training values identical"
+        )
+    n = len(all_values)
+    t = len(by_topic)
+    stats = {}
+    ss_within = 0.0
+    for topic, vals in by_topic.items():
+        mean = float_sum(vals) / len(vals)
+        stats[topic] = (mean, len(vals))
+        ss_within += float_sum((v - mean) ** 2 for v in vals)
+    variance = max(1e-9, ss_within / max(1, n - t))
+    priors = {topic: len(vals) / n for topic, vals in by_topic.items()}
+    return LocalClassifier(
+        owner=user, metric=metric, class_stats=stats,
+        pooled_variance=variance, priors=priors,
+    )
+
+
+def classify_local(c, value):
+    """Posterior over the classifier's trained topics, summing to 1."""
+    from genonet.genotype import float_sum
+
+    logs = {}
+    for topic, (mean, _count) in c.class_stats.items():
+        logs[topic] = math.log(c.priors[topic]) - (value - mean) ** 2 / (
+            2.0 * c.pooled_variance
+        )
+    top = max(logs.values())
+    expd = {t: math.exp(v - top) for t, v in logs.items()}
+    z = float_sum(expd.values())
+    return {t: v / z for t, v in expd.items()}
+
+
+def evidence_vector(c, value, topic_order):
+    """log post_u(t) - log(1/K) per topic, zero where the user is agnostic."""
+    k = len(topic_order)
+    post = classify_local(c, value)
+    vec = np.zeros(k)
+    log_uniform = -math.log(k)
+    for i, topic in enumerate(topic_order):
+        if topic in post:
+            p = max(post[topic], 1e-300)
+            vec[i] = math.log(p) - log_uniform
+    return vec
+
+
+def _train_or_none(user, metric, rows):
+    from genonet.errors import TrainingError
+
+    try:
+        return train_local(user, metric, rows)
+    except TrainingError:
+        return None
+
+
+def _argmax_topic(scores, topic_order):
+    best = 0
+    for i in range(1, len(scores)):
+        if scores[i] > scores[best]:
+            best = i
+    return topic_order[best]
+
+
+def prepare_loo(metric, pairs, topics):
+    """``classify.prepare_loo`` one voter and one dict at a time.
+
+    Retrains every user affected by each held-out hashtag and re-scores
+    all their other hashtags for the train-side tallies, which adjust the
+    base classifiers' vote sums by each affected user's old and new
+    evidence.
+    """
+    from genonet.classify import LooData, _Fold
+    from genonet.genotype import MetricKind
+
+    topic_order = topics.topics
+    k = len(topic_order)
+    topic_pos = {t: i for i, t in enumerate(topic_order)}
+
+    users, tags = pairs.users, pairs.hashtags
+    used, first = np.unique(pairs.hashtag, return_index=True)
+    counts = np.bincount(pairs.topic[first], minlength=k)
+    topic_counts = dict(zip(topic_order, counts.tolist()))
+    single = counts[pairs.topic[first]] < 2
+    skipped = tuple(tags[h] for h in used[single].tolist())
+    eligible = [tags[h] for h in used[~single].tolist()]
+    n_eligible = len(eligible)
+
+    # each user's rows in first-use order; each hashtag's voters in id order
+    value = pairs.values[:, list(MetricKind).index(metric)]
+    voted = np.flatnonzero(~np.isnan(value) & (counts[pairs.topic] >= 2))
+    pairs_by_user = {}
+    users_by_hashtag = {h: {} for h in eligible}
+    for u, h, t, v in zip(pairs.user[voted].tolist(), pairs.hashtag[voted].tolist(),
+                          pairs.topic[voted].tolist(), value[voted].tolist()):
+        pairs_by_user.setdefault(users[u], []).append((tags[h], topic_order[t], v))
+        users_by_hashtag[tags[h]][users[u]] = v
+    users_by_hashtag = {h: dict(sorted(votes.items())) for h, votes in users_by_hashtag.items()}
+
+    base_clf = {u: _train_or_none(u, metric, rows) for u, rows in pairs_by_user.items()}
+    base_vec = {}
+    base_sum = {h: np.zeros(k) for h in eligible}
+    base_voters = {h: 0 for h in eligible}
+    for u, rows in pairs_by_user.items():
+        clf = base_clf[u]
+        if clf is None:
+            continue
+        for h, _t, v in rows:
+            vec = evidence_vector(clf, v, topic_order)
+            base_vec[(u, h)] = vec
+            base_sum[h] += vec
+            base_voters[h] += 1
+
+    folds = []
+    train_errors = {t: 0 for t in topic_order}
+    train_totals = {t: 0 for t in topic_order}
+
+    for h in eligible:
+        true_topic = topics.topic_of(h)
+        affected = users_by_hashtag[h]
+        fold_clf = {}
+        for u in affected:
+            rows = [row for row in pairs_by_user[u] if row[0] != h]
+            fold_clf[u] = _train_or_none(u, metric, rows)
+
+        prior_logs = np.empty(k)
+        for t in topic_order:
+            cnt = topic_counts[t] - (1 if t == true_topic else 0)
+            prior_logs[topic_pos[t]] = math.log(max(cnt, 1e-300)) - math.log(
+                n_eligible - 1
+            )
+
+        contrib_users = []
+        contrib_rows = []
+        for u in affected:
+            clf = fold_clf[u]
+            if clf is None:
+                continue
+            contrib_users.append(u)
+            contrib_rows.append(evidence_vector(clf, affected[u], topic_order))
+        evidence = np.vstack(contrib_rows) if contrib_rows else np.zeros((0, k))
+        folds.append(
+            _Fold(
+                hashtag=h,
+                true_topic=true_topic,
+                users=tuple(contrib_users),
+                evidence=evidence,
+                prior_logs=prior_logs,
+            )
+        )
+
+        # training-side classification under this fold's model: adjust the
+        # precomputed sums only where an affected user also voted on h'
+        deltas = {}
+        voter_deltas = {}
+        for u in affected:
+            new_clf = fold_clf[u]
+            for h2, _t2, v2 in pairs_by_user[u]:
+                if h2 == h:
+                    continue
+                old = base_vec.get((u, h2))
+                if old is not None:
+                    deltas[h2] = deltas.get(h2, np.zeros(k)) - old
+                    voter_deltas[h2] = voter_deltas.get(h2, 0) - 1
+                if new_clf is not None:
+                    vec = evidence_vector(new_clf, v2, topic_order)
+                    deltas[h2] = deltas.get(h2, np.zeros(k)) + vec
+                    voter_deltas[h2] = voter_deltas.get(h2, 0) + 1
+        for h2 in eligible:
+            if h2 == h:
+                continue
+            t2 = topics.topic_of(h2)
+            train_totals[t2] += 1
+            voters = base_voters[h2] + voter_deltas.get(h2, 0)
+            if voters <= 0:
+                train_errors[t2] += 1
+                continue
+            scores = prior_logs + base_sum[h2] + deltas.get(h2, 0.0)
+            if _argmax_topic(scores, topic_order) != t2:
+                train_errors[t2] += 1
+
+    return LooData(
+        metric=metric,
+        topic_order=tuple(topic_order),
+        folds=tuple(folds),
+        skipped=skipped,
+        topic_counts=topic_counts,
+        train_errors=train_errors,
+        train_totals=train_totals,
+    )
+
+
 # --- consensus oracle --------------------------------------------------------
 
 
@@ -694,7 +917,6 @@ def nb_consensus(hashtag, locals_, topic_order, global_prior=None):
     posterior floored at 1e-300.  ``global_prior`` defaults to uniform;
     ties break by topic order.
     """
-    from genonet.classify import classify_local
     from genonet.errors import DataError
 
     if not locals_:

@@ -4,23 +4,26 @@ import numpy as np
 import pytest
 
 from genonet.classify import (
-    LocalClassifier,
     _fminbound,
     accuracy_curve,
-    classify_local,
     fit_logistic,
     leave_one_out,
     prepare_loo,
-    train_local,
 )
 from genonet.errors import DataError, DegenerateTrainingError, TrainingError
 from genonet.genotype import MetricKind, pair_metrics
-from genonet.ingest import TopicMap, build_adoption_index
+from genonet.ingest import (
+    TopicMap,
+    build_adoption_index,
+    load_events,
+    load_follower_edges,
+    load_topic_map,
+)
 from genonet.syngen import generate
 
 import datasets
 import oracles
-from oracles import nb_consensus
+from oracles import LocalClassifier, classify_local, nb_consensus, train_local
 
 
 def rows(topic_values):
@@ -217,6 +220,86 @@ def test_random_baseline_even_shares():
     res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
     for err in res.random.per_topic.values():
         assert err == pytest.approx(0.5)
+
+
+def _assert_loo_equal(got, want):
+    assert (got.metric, got.topic_order, got.skipped) == (want.metric, want.topic_order, want.skipped)
+    assert (got.topic_counts, got.train_errors, got.train_totals) == (
+        want.topic_counts, want.train_errors, want.train_totals)
+    assert len(got.folds) == len(want.folds)
+    for f, g in zip(got.folds, want.folds):
+        assert (f.hashtag, f.true_topic, f.users) == (g.hashtag, g.true_topic, g.users)
+        assert f.evidence.shape == g.evidence.shape
+        assert f.evidence.tobytes() == g.evidence.tobytes(), f.hashtag
+        assert f.prior_logs.tobytes() == g.prior_logs.tobytes(), f.hashtag
+        # leave_one_out and accuracy_curve sum it along axis 0, which numpy
+        # adds pairwise on a Fortran-ordered copy of the same bytes
+        assert f.evidence.flags.c_contiguous
+
+
+def _training_cases(metric, pairs, skipped):
+    """Which cases the users' training rows reach: one topic, identical
+    values, a first row that is the only row of its topic, so that
+    holding it out reorders a >= 2-topic classifier's topics, and a fold
+    with no voters at all."""
+    values = pairs.values[:, list(MetricKind).index(metric)].tolist()
+    voted = {h for h, v in zip(pairs.hashtag.tolist(), values) if v == v}
+    cases = set()
+    if any(pairs.hashtags[h] not in skipped and h not in voted for h in pairs.hashtag.tolist()):
+        cases.add("hashtag without voters")
+    by_user: dict = {}
+    for u, h, t, v in zip(pairs.user.tolist(), pairs.hashtag.tolist(),
+                          pairs.topic.tolist(), values):
+        if v == v and pairs.hashtags[h] not in skipped:
+            by_user.setdefault(u, []).append((h, t, v))
+    for u, rows in by_user.items():
+        try:
+            train_local(u, metric, rows)
+        except DegenerateTrainingError:
+            cases.add("identical values")
+        except TrainingError:
+            cases.add("one topic")
+        topics = [t for _h, t, _v in rows]
+        if topics.count(topics[0]) == 1 and len(set(topics)) >= 3:
+            cases.add("reordered topics")
+    return cases
+
+
+def test_prepare_loo_equals_oracle():
+    """The array program's folds and tallies equal the per-voter oracle's
+    bit for bit, on random logs where training fails both ways, a topic
+    has a single hashtag, a held-out row reorders a user's topics, a
+    hashtag has no voter (seed 0) and (seed 1) users hold about nine values per topic, enough for a
+    pairwise sum to round differently from a sequential one."""
+    cases = set()
+    for k in (2, 3, 4):
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * k + seed)
+            shape = (dict(n_users=10, n_hashtags=12 * k, n_lines=120 * k, edge_prob=0.4)
+                     if seed == 1 else
+                     dict(n_users=24, n_hashtags=3 * k + 1, n_lines=160, edge_prob=0.2))
+            edge_lines, event_lines, topic_lines = oracles.random_log(
+                rng, n_topics=k, max_time=60, **shape
+            )
+            if seed == 0:  # one adopter, so no TIME, N-PAR, F-PAR, LAT or LOG-LAT voter
+                event_lines.append("0\tu0\thquiet")
+                topic_lines.append("hquiet\ttopic0")
+            if seed == 2 and k > 2:  # all but one hashtag of the last topic move
+                last = f"topic{k - 1}"
+                lines = [line for line in topic_lines if line.endswith(last)]
+                topic_lines = [line.replace(last, "topic0") if line in lines[1:] else line
+                               for line in topic_lines]
+            net, events = load_follower_edges(edge_lines), load_events(event_lines)
+            topics = load_topic_map(topic_lines)
+            pairs = pair_metrics(build_adoption_index(events, net), topics)
+            for metric in MetricKind:
+                want = oracles.prepare_loo(metric, pairs, topics)
+                _assert_loo_equal(prepare_loo(metric, pairs, topics), want)
+                cases |= _training_cases(metric, pairs, set(want.skipped))
+                if want.skipped:
+                    cases.add("single-hashtag topic")
+    assert cases == {"one topic", "identical values", "single-hashtag topic",
+                     "reordered topics", "hashtag without voters"}
 
 
 def test_loo_matches_manual_holdout_protocol():

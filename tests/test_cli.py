@@ -224,6 +224,10 @@ def test_classify_prepares_loo_once_per_metric(syn_manifest, tmp_path, monkeypat
     assert run("classify", "--manifest", syn_manifest, "--out", tmp_path,
                "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", 3) == 0
     assert len(calls) == 2
+    calls.clear()
+    assert run("classify", "--manifest", syn_manifest, "--out", tmp_path / "dup",
+               "--metric", "LAT,TIME,lat") == 0
+    assert calls == [genotype.MetricKind.LAT, genotype.MetricKind.TIME]
 
 
 @pytest.mark.parametrize("command", ["genome", "classify"])
@@ -288,6 +292,7 @@ def test_syngen_deterministic(tmp_path):
     ('[{"latency_mean": [5, 15], "latency_spread": 3}, {}]', 1),
     ('[{"latency_jitter": Infinity}, {}]', 1),
     ('[{"adoption_prob": [0.9, 0.3]}, {}]', 2),
+    ('[{"repeat_horizon": 1000000000, "repeat_rate": [0.5, 0.5]}, {}]', 2),
 ])
 def test_syngen_malformed_profiles_file(tmp_path, capsys, body, code):
     """A malformed profiles file is a usage error naming the file; an
