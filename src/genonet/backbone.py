@@ -140,15 +140,13 @@ def compare_with_follower(b: InfluenceBackbone, net: FollowerNetwork) -> Backbon
     }
 
     # edge (followee, follower): out-degree counts followers, in-degree followees
-    inf_in = b.graph.in_degrees()
-    fol_in = follower_graph.in_degrees()
-    followers_inf = {n: float(b.graph.out_degree(n)) for n in b.graph.nodes}
-    followers_fol = {n: float(follower_graph.out_degree(n)) for n in follower_graph.nodes}
-    followees_inf = {n: float(inf_in[n]) for n in b.graph.nodes}
-    followees_fol = {n: float(fol_in[n]) for n in follower_graph.nodes}
+    graphs = (b.graph, follower_graph)
+    followers = [dict(zip(g.nodes, np.diff(g.indptr).tolist())) for g in graphs]
+    followees = [dict(zip(g.nodes, np.bincount(g.indices, minlength=g.n).tolist()))
+                 for g in graphs]
     kendall = {
-        "followers": kendall_tau(followers_inf, followers_fol),
-        "followees": kendall_tau(followees_inf, followees_fol),
+        "followers": kendall_tau(*followers),
+        "followees": kendall_tau(*followees),
         "pagerank": kendall_tau(pagerank(b.graph), pagerank(follower_graph)),
     }
     return BackboneReport(

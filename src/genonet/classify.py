@@ -80,31 +80,27 @@ class LogisticFit:
     residual: float
 
 
-def _argmax_topic(scores: np.ndarray, topic_order: Sequence[str]) -> str:
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-    return topic_order[best]
-
-
-@dataclass(frozen=True)
-class _Fold:
-    hashtag: str
-    true_topic: str
-    users: tuple[str, ...]
-    evidence: np.ndarray  # len(users) x K, C-contiguous
-    prior_logs: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LooData:
-    """One metric's leave-one-hashtag-out folds, shared by
-    :func:`leave_one_out` and :func:`accuracy_curve`."""
+    """One metric's leave-one-hashtag-out folds as columns, shared by
+    :func:`leave_one_out` and :func:`accuracy_curve`.
+
+    Fold f holds out hashtag ``hashtags[f]``, an id into ``hashtag_names``,
+    of topic ``true_topic[f]``, an id into ``topic_order``, with log priors
+    ``prior_logs[f]``.  Its voters are ``voter[fold_ptr[f]:fold_ptr[f + 1]]``,
+    user ids into :attr:`PairMetrics.users` in id (name) order, and
+    ``evidence`` holds one row per voter.
+    """
 
     metric: MetricKind
     topic_order: tuple[str, ...]
-    folds: tuple[_Fold, ...]
+    hashtag_names: tuple[str, ...]
+    hashtags: np.ndarray
+    true_topic: np.ndarray
+    prior_logs: np.ndarray  # folds x K
+    fold_ptr: np.ndarray
+    voter: np.ndarray
+    evidence: np.ndarray  # voters x K
     skipped: tuple[str, ...]
     topic_counts: dict[str, int]
     train_errors: dict[str, int]
@@ -198,7 +194,9 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     """
     topic_order = topics.topics
     k = len(topic_order)
-    users, tags = pairs.users, pairs.hashtags
+    if k == 0:
+        raise DataError("the topic map has no topics")
+    tags = pairs.hashtags
     used, first = np.unique(pairs.hashtag, return_index=True)
     counts = np.bincount(pairs.topic[first], minlength=k)
     topic_counts: dict[str, int] = dict(zip(topic_order, counts.tolist()))
@@ -242,31 +240,26 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     by_tag = np.lexsort((voter, col))
     bounds = np.searchsorted(col[by_tag], np.arange(n_tags + 1))
     log_rest = math.log(max(n_tags - 1, 1))
-    folds: list[_Fold] = []
+    prior_logs = np.empty((n_tags, k))
+    fold_ok = np.zeros(len(voted), dtype=bool)
+    evidence = np.zeros((len(voted), k))
     train_errors = np.zeros(k, dtype=np.int64)
     train_totals = np.zeros(k, dtype=np.int64)
     for c in range(n_tags):
-        fold_rows = by_tag[bounds[c]:bounds[c + 1]]
-        r, held = row[fold_rows], slot[fold_rows]
+        span = slice(bounds[c], bounds[c + 1])
+        r, held = row[by_tag[span]], slot[by_tag[span]]
         width = int(row_degree[r].max(initial=0))
         sub_value, sub_topic = table_value[r, :width], table_topic[r, :width]
         sub_col, sub_valid = table_col[r, :width], valid[r, :width]
         kept = sub_valid.copy()
         kept[np.arange(len(r)), held] = False
         ok, ev = _train_and_score(sub_value, sub_topic, kept, sub_valid, k)
-
+        fold_ok[span], evidence[span] = ok, ev[np.arange(len(r)), held]
         true_topic = int(tag_topic[c])
-        prior_logs = np.array([
+        prior_logs[c] = [
             math.log(max(int(cnt) - (t == true_topic), 1e-300)) - log_rest
             for t, cnt in enumerate(counts.tolist())
-        ])
-        folds.append(_Fold(
-            hashtag=tags[eligible[c]],
-            true_topic=topic_order[true_topic],
-            users=tuple(users[u] for u in voter[fold_rows][ok].tolist()),
-            evidence=np.ascontiguousarray(ev[ok, held[ok]]),
-            prior_logs=prior_logs,
-        ))
+        ]
 
         # train side: every other hashtag under this fold's classifiers
         a, s = np.nonzero(kept)
@@ -274,7 +267,7 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
         steps[a, 0, sub_col[a, s]] = -base_ev[r[a], s]
         steps[a, 1, sub_col[a, s]] = ev[a, s]
         delta = _ordered_sum(steps.reshape(-1, n_tags, k), 0)
-        scores = prior_logs + base_sum + delta
+        scores = prior_logs[c] + base_sum + delta
         voters = (base_voters + np.bincount(sub_col[a, s][ok[a]], minlength=n_tags)
                   - np.bincount(sub_col[a, s][base_ok[r[a]]], minlength=n_tags))
         wrong = (voters <= 0) | (scores.argmax(axis=1) != tag_topic)
@@ -285,12 +278,30 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     return LooData(
         metric=metric,
         topic_order=tuple(topic_order),
-        folds=tuple(folds),
+        hashtag_names=tags,
+        hashtags=eligible,
+        true_topic=tag_topic,
+        prior_logs=prior_logs,
+        fold_ptr=np.concatenate(([0], np.cumsum(fold_ok)))[bounds],
+        voter=voter[by_tag][fold_ok],
+        evidence=evidence[fold_ok],
         skipped=skipped,
         topic_counts=topic_counts,
         train_errors=dict(zip(topic_order, train_errors.tolist())),
         train_totals=dict(zip(topic_order, train_totals.tolist())),
     )
+
+
+def _consensus(data: LooData, take: np.ndarray) -> np.ndarray:
+    """Each fold's voted topic id from the voters flagged in ``take``, or -1
+    where none is flagged.  Each fold's flagged evidence rows are added in
+    voter order, then its prior; ties go to the first topic."""
+    n_folds = len(data.hashtags)
+    fold = np.repeat(np.arange(n_folds), np.diff(data.fold_ptr))[take]
+    scores = np.zeros((n_folds, len(data.topic_order)))
+    np.add.at(scores, fold, data.evidence[take])
+    voted = np.argmax(scores + data.prior_logs, axis=1)
+    return np.where(np.bincount(fold, minlength=n_folds) > 0, voted, -1)
 
 
 def _error_table(
@@ -316,38 +327,33 @@ def leave_one_out(data: LooData) -> LeaveOneOutResult:
     1 - topic's hashtag share).  Held-out hashtags with no voters count
     as misclassified.
     """
-    test_errors = {t: 0 for t in data.topic_order}
-    test_totals = {t: 0 for t in data.topic_order}
-    predictions: dict[str, tuple[str, str | None]] = {}
-    for fold in data.folds:
-        test_totals[fold.true_topic] += 1
-        if len(fold.users) == 0:
-            test_errors[fold.true_topic] += 1
-            predictions[fold.hashtag] = (fold.true_topic, None)
-            continue
-        scores = fold.prior_logs + fold.evidence.sum(axis=0)
-        predicted = _argmax_topic(scores, data.topic_order)
-        predictions[fold.hashtag] = (fold.true_topic, predicted)
-        if predicted != fold.true_topic:
-            test_errors[fold.true_topic] += 1
+    topic_order, truth, k = data.topic_order, data.true_topic, len(data.topic_order)
+    voted = _consensus(data, np.ones(len(data.voter), dtype=bool))
+    test_totals = dict(zip(topic_order, np.bincount(truth, minlength=k).tolist()))
+    wrong = np.bincount(truth[voted != truth], minlength=k)
+    test_errors = dict(zip(topic_order, wrong.tolist()))
+    predictions = {
+        data.hashtag_names[h]: (topic_order[t], topic_order[v] if v >= 0 else None)
+        for h, t, v in zip(data.hashtags.tolist(), truth.tolist(), voted.tolist())
+    }
 
     total = sum(test_totals.values())
     random_per_topic = {
-        t: 1.0 - (test_totals[t] / total if total else 0.0) for t in data.topic_order
+        t: 1.0 - (test_totals[t] / total if total else 0.0) for t in topic_order
     }
     random_table = ErrorTable(
         per_topic=random_per_topic,
         counts=dict(test_totals),
         expected=(
-            float_sum(random_per_topic[t] * test_totals[t] for t in data.topic_order) / total
+            float_sum(random_per_topic[t] * test_totals[t] for t in topic_order) / total
             if total
             else 0.0
         ),
     )
     return LeaveOneOutResult(
         metric=data.metric,
-        train=_error_table(data.train_errors, data.train_totals, data.topic_order),
-        test=_error_table(test_errors, test_totals, data.topic_order),
+        train=_error_table(data.train_errors, data.train_totals, topic_order),
+        test=_error_table(test_errors, test_totals, topic_order),
         random=random_table,
         predictions=predictions,
         skipped=data.skipped,
@@ -367,7 +373,7 @@ def accuracy_curve(
     """
     if repetitions <= 0:
         raise DataError("repetitions must be positive")
-    population = sorted({u for fold in data.folds for u in fold.users})
+    population, member = np.unique(data.voter, return_inverse=True)
     for s in sizes:
         if s <= 0:
             raise DataError(f"ensemble size must be positive, got {s}")
@@ -376,35 +382,22 @@ def accuracy_curve(
                 f"ensemble size {s} exceeds available users ({len(population)})"
             )
     rng = np.random.default_rng(seed)
-    pop_index = {u: i for i, u in enumerate(population)}
-    fold_user_idx = [
-        np.array([pop_index[u] for u in fold.users], dtype=int) for fold in data.folds
-    ]
-    n_folds = len(data.folds)
+    truth = data.true_topic
+    per_topic_n = np.bincount(truth, minlength=len(data.topic_order)).tolist()
+    n_folds = len(truth)
     points: list[tuple[int, float]] = []
     rows: list[tuple[str, int, int, float]] = []
     for s in sizes:
         rep_acc = []
         for rep in range(repetitions):
-            chosen = rng.choice(len(population), size=s, replace=False)
             mask = np.zeros(len(population), dtype=bool)
-            mask[chosen] = True
-            correct = 0
-            per_topic_ok: dict[str, int] = {t: 0 for t in data.topic_order}
-            per_topic_n: dict[str, int] = {t: 0 for t in data.topic_order}
-            for fold, idx in zip(data.folds, fold_user_idx):
-                per_topic_n[fold.true_topic] += 1
-                take = mask[idx]
-                if not take.any():
-                    continue
-                scores = fold.prior_logs + fold.evidence[take].sum(axis=0)
-                if _argmax_topic(scores, data.topic_order) == fold.true_topic:
-                    correct += 1
-                    per_topic_ok[fold.true_topic] += 1
-            rep_acc.append(correct / n_folds if n_folds else 0.0)
-            for t in data.topic_order:
-                if per_topic_n[t]:
-                    rows.append((t, s, rep, per_topic_ok[t] / per_topic_n[t]))
+            mask[rng.choice(len(population), size=s, replace=False)] = True
+            hit = truth[_consensus(data, mask[member]) == truth]
+            rep_acc.append(len(hit) / n_folds if n_folds else 0.0)
+            per_topic_ok = np.bincount(hit, minlength=len(data.topic_order)).tolist()
+            for t, ok, n in zip(data.topic_order, per_topic_ok, per_topic_n):
+                if n:
+                    rows.append((t, s, rep, ok / n))
         points.append((s, float_sum(rep_acc) / len(rep_acc)))
     return AccuracyCurve(metric=data.metric, points=tuple(points), rows=tuple(rows))
 

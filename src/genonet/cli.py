@@ -31,7 +31,7 @@ from .graph import (
     strongly_connected_components,
     weakly_connected_components,
 )
-from .ingest import build_adoption_index, load_dataset, load_manifest
+from .ingest import build_adoption_index, load_dataset, load_manifest, open_utf8
 
 
 class UsageError(Exception):
@@ -373,10 +373,13 @@ def cmd_report(args) -> None:
             "bytes": path.stat().st_size,
         }
         if path.suffix == ".json":
-            with path.open(encoding="utf-8") as fh:
-                entry["content"] = json.load(fh)
+            with open_utf8(path) as fh:
+                try:
+                    entry["content"] = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path} is not JSON: {exc}") from exc
         elif path.suffix == ".tsv":
-            with path.open(encoding="utf-8") as fh:
+            with open_utf8(path) as fh:
                 entry["rows"] = sum(
                     1 for line in fh if line.strip() and not line.startswith("#")
                 )

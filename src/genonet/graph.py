@@ -8,7 +8,7 @@ tie-break downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Hashable, Iterable, Mapping
 
 import numpy as np
@@ -29,13 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Adjacency-list digraph; each row holds a node's sorted successor ids."""
+    """CSR digraph: row i, ``indices[indptr[i]:indptr[i + 1]]``, holds node
+    i's successor ids in ascending order."""
 
     nodes: tuple[Node, ...]
-    _index: dict[Node, int] = field(repr=False)
-    _adj: tuple[tuple[int, ...], ...] = field(repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @classmethod
     def from_edges(
@@ -44,37 +45,26 @@ class DirectedGraph:
         nodes: Iterable[Node] = (),
     ) -> "DirectedGraph":
         """Build from (u, v) pairs plus extra nodes; duplicate pairs are rejected."""
-        node_set: set[Node] = set(nodes)
-        seen: set[tuple[Node, Node]] = set()
-        for u, v in edges:
-            if (u, v) in seen:
-                raise DataError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add((u, v))
-            node_set.update((u, v))
-        order = tuple(sorted(node_set))
-        index = {n: i for i, n in enumerate(order)}
-        adj: list[list[int]] = [[] for _ in order]
-        for u, v in seen:
-            adj[index[u]].append(index[v])
-        return cls(nodes=order, _index=index, _adj=tuple(tuple(sorted(a)) for a in adj))
+        pairs = list(edges)
+        order = tuple(sorted(set(nodes).union(*pairs)))
+        index = {v: i for i, v in enumerate(order)}
+        n = len(order)
+        ids = np.fromiter((index[x] for e in pairs for x in e), np.int64, 2 * len(pairs))
+        keys, counts = np.unique(ids[::2] * n + ids[1::2], return_counts=True)
+        if len(keys) < len(pairs):
+            u, v = divmod(int(keys[np.argmax(counts > 1)]), n)
+            raise DataError(f"duplicate edge ({order[u]!r}, {order[v]!r})")
+        indptr = np.searchsorted(keys // n, np.arange(n + 1))
+        return cls(nodes=order, indptr=indptr, indices=keys % n)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Index-based adjacency, aligned with ``nodes``."""
-        return self._adj
-
-    def out_degree(self, node: Node) -> int:
-        return len(self._adj[self._index[node]])
-
-    def in_degrees(self) -> dict[Node, int]:
-        counts = [0] * self.n
-        for row in self._adj:
-            for j in row:
-                counts[j] += 1
-        return {self.nodes[i]: c for i, c in enumerate(counts)}
+    def adjacency(self) -> list[list[int]]:
+        """Each node's successor ids as a Python list, for the loop kernels."""
+        ptr, idx = self.indptr.tolist(), self.indices.tolist()
+        return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[frozenset]:
@@ -168,32 +158,32 @@ def pagerank(
     Dangling mass is redistributed uniformly; iteration stops when the
     L1 change drops below ``tol``.  Scores sum to 1.
     """
-    edges = [(i, j) for i, row in enumerate(g.adjacency()) for j in row]
-    src, dst = np.array(edges, np.int64).reshape(-1, 2).T
-    return dict(zip(g.nodes, pagerank_arrays(g.n, src, dst, damping, tol, max_iter).tolist()))
+    scores = pagerank_arrays(g.indptr, g.indices, damping, tol, max_iter)
+    return dict(zip(g.nodes, scores.tolist()))
 
 
 def pagerank_arrays(
-    n: int, src: np.ndarray, dst: np.ndarray, damping=0.85, tol=1e-10, max_iter=200
+    indptr: np.ndarray, indices: np.ndarray, damping=0.85, tol=1e-10, max_iter=200
 ) -> np.ndarray:
-    """:func:`pagerank` on nodes ``0..n-1`` and edges sorted by (src, dst).
+    """:func:`pagerank` on nodes ``0..n-1`` with CSR rows of sorted successors.
 
     Each edge's share is scattered in edge order, and the dangling mass
     and the L1 change are running sums in node order, so every addition
     happens in the order of a node-by-node loop.
     """
+    n = len(indptr) - 1
     if n == 0:
         raise DataError("pagerank undefined on an empty graph")
     if not (0.0 < damping < 1.0):
         raise DataError(f"damping must be in (0, 1), got {damping}")
     if tol <= 0:
         raise DataError("tol must be positive")
-    out_deg = np.bincount(src, minlength=n)
+    out_deg = np.diff(indptr)
     dangling = out_deg == 0
     share, scores = np.zeros(n), np.full(n, 1.0 / n)
     for _ in range(max_iter):
         np.divide(scores, out_deg, out=share, where=~dangling)
-        nxt = np.bincount(dst, weights=share[src], minlength=n)
+        nxt = np.bincount(indices, weights=np.repeat(share, out_deg), minlength=n)
         mass = np.add.accumulate(np.append(0.0, scores[dangling]))[-1]
         nxt = (1.0 - damping) / n + damping * mass / n + damping * nxt
         delta = np.add.accumulate(np.abs(nxt - scores))[-1]

@@ -19,10 +19,11 @@ threads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "build_adoption_index",
     "gather_rows",
     "row_sums",
+    "open_utf8",
     "load_manifest",
     "load_dataset",
     "normalize_hashtag",
@@ -357,6 +359,18 @@ def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionInde
 
 # --- manifest + serialization -------------------------------------------
 
+
+@contextmanager
+def open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; a byte that does not decode, wherever
+    the reader meets it, raises :class:`DataError` naming the file."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: {exc}") from exc
+
+
 _MANIFEST_KEYS = ("edges", "events", "topics")
 
 
@@ -369,7 +383,7 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
     path = Path(path)
     base = path.parent
     found: dict[str, Path] = {}
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in _iter_content_lines(fh):
             if "=" not in line:
                 raise ParseError("expected key = value", line_no)
@@ -388,11 +402,11 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
 
 def load_dataset(manifest_path: str | Path) -> tuple[FollowerNetwork, EventLog, TopicMap]:
     paths = load_manifest(manifest_path)
-    with Path(paths["edges"]).open(encoding="utf-8") as fh:
+    with open_utf8(paths["edges"]) as fh:
         net = load_follower_edges(fh)
-    with Path(paths["events"]).open(encoding="utf-8") as fh:
+    with open_utf8(paths["events"]) as fh:
         events = load_events(fh)
-    with Path(paths["topics"]).open(encoding="utf-8") as fh:
+    with open_utf8(paths["topics"]) as fh:
         topics = load_topic_map(fh)
     return net, events, topics
 

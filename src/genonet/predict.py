@@ -92,7 +92,7 @@ class PredictionContext:
             self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
                 pr[nodes] = pagerank_arrays(
-                    len(nodes), np.searchsorted(nodes, src), np.searchsorted(nodes, dst)
+                    np.searchsorted(src, np.append(nodes, n)), np.searchsorted(nodes, dst)
                 )
         return self._excluded[tag]
 

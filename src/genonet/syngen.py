@@ -207,10 +207,11 @@ def _make_graph(p: GenParams, rng: np.random.Generator) -> list[list[int]]:
     n = p.n_users
     followers: list[list[int]] = [[] for _ in range(n)]
     if p.graph_model == UNIFORM:
-        matrix = rng.random((n, n)) < p.edge_prob
-        np.fill_diagonal(matrix, False)
+        # one row at a time: the same draws as one (n, n) matrix, without its n^2 bytes
         for u in range(n):
-            followers[u] = list(np.flatnonzero(matrix[u]))
+            row = rng.random(n) < p.edge_prob
+            row[u] = False
+            followers[u] = list(np.flatnonzero(row))
         return followers
     # preferential attachment: each new node follows attach_count existing
     # nodes, chosen with probability proportional to follower count + 1

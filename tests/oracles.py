@@ -770,15 +770,35 @@ def _argmax_topic(scores, topic_order):
     return topic_order[best]
 
 
+@dataclass(frozen=True)
+class Fold:
+    hashtag: str
+    true_topic: str
+    users: tuple
+    evidence: np.ndarray  # len(users) x K, C-contiguous
+    prior_logs: np.ndarray
+
+
+@dataclass(frozen=True)
+class LooFolds:
+    metric: object
+    topic_order: tuple
+    folds: tuple
+    skipped: tuple
+    topic_counts: dict
+    train_errors: dict
+    train_totals: dict
+
+
 def prepare_loo(metric, pairs, topics):
-    """``classify.prepare_loo`` one voter and one dict at a time.
+    """``classify.prepare_loo`` one voter and one dict at a time, as one
+    :class:`Fold` of user names per held-out hashtag.
 
     Retrains every user affected by each held-out hashtag and re-scores
     all their other hashtags for the train-side tallies, which adjust the
     base classifiers' vote sums by each affected user's old and new
     evidence.
     """
-    from genonet.classify import LooData, _Fold
     from genonet.genotype import MetricKind
 
     topic_order = topics.topics
@@ -848,7 +868,7 @@ def prepare_loo(metric, pairs, topics):
             contrib_rows.append(evidence_vector(clf, affected[u], topic_order))
         evidence = np.vstack(contrib_rows) if contrib_rows else np.zeros((0, k))
         folds.append(
-            _Fold(
+            Fold(
                 hashtag=h,
                 true_topic=true_topic,
                 users=tuple(contrib_users),
@@ -887,7 +907,7 @@ def prepare_loo(metric, pairs, topics):
             if _argmax_topic(scores, topic_order) != t2:
                 train_errors[t2] += 1
 
-    return LooData(
+    return LooFolds(
         metric=metric,
         topic_order=tuple(topic_order),
         folds=tuple(folds),
@@ -896,6 +916,115 @@ def prepare_loo(metric, pairs, topics):
         train_errors=train_errors,
         train_totals=train_totals,
     )
+
+
+def _error_table(errors, totals, topic_order):
+    from genonet.classify import ErrorTable
+    from genonet.genotype import float_sum
+
+    counts = {t: totals.get(t, 0) for t in topic_order}
+    per_topic = {t: errors.get(t, 0) / counts[t] if counts[t] else 0.0 for t in topic_order}
+    total = sum(counts.values())
+    expected = (
+        float_sum(per_topic[t] * counts[t] for t in topic_order) / total if total else 0.0
+    )
+    return ErrorTable(per_topic=per_topic, counts=counts, expected=expected)
+
+
+def leave_one_out(data):
+    """``classify.leave_one_out`` of :func:`prepare_loo`'s folds, one fold
+    at a time: each fold's evidence rows summed, then the first maximum."""
+    from genonet.classify import ErrorTable, LeaveOneOutResult
+    from genonet.genotype import float_sum
+
+    test_errors = {t: 0 for t in data.topic_order}
+    test_totals = {t: 0 for t in data.topic_order}
+    predictions = {}
+    for fold in data.folds:
+        test_totals[fold.true_topic] += 1
+        if len(fold.users) == 0:
+            test_errors[fold.true_topic] += 1
+            predictions[fold.hashtag] = (fold.true_topic, None)
+            continue
+        scores = fold.prior_logs + fold.evidence.sum(axis=0)
+        predicted = _argmax_topic(scores, data.topic_order)
+        predictions[fold.hashtag] = (fold.true_topic, predicted)
+        if predicted != fold.true_topic:
+            test_errors[fold.true_topic] += 1
+
+    total = sum(test_totals.values())
+    random_per_topic = {
+        t: 1.0 - (test_totals[t] / total if total else 0.0) for t in data.topic_order
+    }
+    random_table = ErrorTable(
+        per_topic=random_per_topic,
+        counts=dict(test_totals),
+        expected=(
+            float_sum(random_per_topic[t] * test_totals[t] for t in data.topic_order) / total
+            if total
+            else 0.0
+        ),
+    )
+    return LeaveOneOutResult(
+        metric=data.metric,
+        train=_error_table(data.train_errors, data.train_totals, data.topic_order),
+        test=_error_table(test_errors, test_totals, data.topic_order),
+        random=random_table,
+        predictions=predictions,
+        skipped=data.skipped,
+    )
+
+
+def accuracy_samples(data, sizes, repetitions, seed):
+    """The user sets ``classify.accuracy_curve`` draws: (size, repetition,
+    sampled names) in draw order, from the sorted names of every voter."""
+    population = sorted({u for fold in data.folds for u in fold.users})
+    rng = np.random.default_rng(seed)
+    for s in sizes:
+        for rep in range(repetitions):
+            chosen = rng.choice(len(population), size=s, replace=False)
+            yield s, rep, {population[i] for i in chosen.tolist()}
+
+
+def accuracy_curve(data, sizes, repetitions, seed):
+    """``classify.accuracy_curve`` of :func:`prepare_loo`'s folds, one
+    fold at a time, for valid ``sizes``."""
+    from genonet.classify import AccuracyCurve
+    from genonet.genotype import float_sum
+
+    population = sorted({u for fold in data.folds for u in fold.users})
+    rng = np.random.default_rng(seed)
+    pop_index = {u: i for i, u in enumerate(population)}
+    fold_user_idx = [
+        np.array([pop_index[u] for u in fold.users], dtype=int) for fold in data.folds
+    ]
+    n_folds = len(data.folds)
+    points = []
+    rows = []
+    for s in sizes:
+        rep_acc = []
+        for rep in range(repetitions):
+            chosen = rng.choice(len(population), size=s, replace=False)
+            mask = np.zeros(len(population), dtype=bool)
+            mask[chosen] = True
+            correct = 0
+            per_topic_ok = {t: 0 for t in data.topic_order}
+            per_topic_n = {t: 0 for t in data.topic_order}
+            for fold, idx in zip(data.folds, fold_user_idx):
+                per_topic_n[fold.true_topic] += 1
+                take = mask[idx]
+                if not take.any():
+                    continue
+                scores = fold.prior_logs + fold.evidence[take].sum(axis=0)
+                if _argmax_topic(scores, data.topic_order) == fold.true_topic:
+                    correct += 1
+                    per_topic_ok[fold.true_topic] += 1
+            rep_acc.append(correct / n_folds if n_folds else 0.0)
+            for t in data.topic_order:
+                if per_topic_n[t]:
+                    rows.append((t, s, rep, per_topic_ok[t] / per_topic_n[t]))
+        points.append((s, float_sum(rep_acc) / len(rep_acc)))
+    return AccuracyCurve(metric=data.metric, points=tuple(points), rows=tuple(rows))
 
 
 # --- consensus oracle --------------------------------------------------------

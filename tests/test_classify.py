@@ -222,19 +222,23 @@ def test_random_baseline_even_shares():
         assert err == pytest.approx(0.5)
 
 
-def _assert_loo_equal(got, want):
+def _assert_loo_equal(got, want, pairs):
+    """The fold columns equal the oracle's folds byte for byte, with ids
+    mapped to names through ``pairs``."""
     assert (got.metric, got.topic_order, got.skipped) == (want.metric, want.topic_order, want.skipped)
     assert (got.topic_counts, got.train_errors, got.train_totals) == (
         want.topic_counts, want.train_errors, want.train_totals)
-    assert len(got.folds) == len(want.folds)
-    for f, g in zip(got.folds, want.folds):
-        assert (f.hashtag, f.true_topic, f.users) == (g.hashtag, g.true_topic, g.users)
-        assert f.evidence.shape == g.evidence.shape
-        assert f.evidence.tobytes() == g.evidence.tobytes(), f.hashtag
-        assert f.prior_logs.tobytes() == g.prior_logs.tobytes(), f.hashtag
-        # leave_one_out and accuracy_curve sum it along axis 0, which numpy
-        # adds pairwise on a Fortran-ordered copy of the same bytes
-        assert f.evidence.flags.c_contiguous
+    assert got.hashtag_names == pairs.hashtags
+    assert len(got.hashtags) == len(got.true_topic) == len(got.fold_ptr) - 1 == len(want.folds)
+    assert got.fold_ptr[-1] == len(got.voter) == len(got.evidence)
+    for f, g in enumerate(want.folds):
+        lo, hi = got.fold_ptr[f], got.fold_ptr[f + 1]
+        assert pairs.hashtags[got.hashtags[f]] == g.hashtag
+        assert got.topic_order[got.true_topic[f]] == g.true_topic
+        assert tuple(pairs.users[u] for u in got.voter[lo:hi].tolist()) == g.users
+        assert got.evidence[lo:hi].shape == g.evidence.shape
+        assert got.evidence[lo:hi].tobytes() == g.evidence.tobytes(), g.hashtag
+        assert got.prior_logs[f].tobytes() == g.prior_logs.tobytes(), g.hashtag
 
 
 def _training_cases(metric, pairs, skipped):
@@ -265,13 +269,12 @@ def _training_cases(metric, pairs, skipped):
     return cases
 
 
-def test_prepare_loo_equals_oracle():
-    """The array program's folds and tallies equal the per-voter oracle's
-    bit for bit, on random logs where training fails both ways, a topic
-    has a single hashtag, a held-out row reorders a user's topics, a
-    hashtag has no voter (seed 0) and (seed 1) users hold about nine values per topic, enough for a
-    pairwise sum to round differently from a sequential one."""
-    cases = set()
+def _seeded_logs():
+    """(pairs, topics) of random logs where training fails both ways, a
+    topic has a single hashtag, a held-out row reorders a user's topics, a
+    hashtag has no voter (seed 0) and (seed 1) users hold about nine values
+    per topic, enough for a pairwise sum to round differently from a
+    sequential one."""
     for k in (2, 3, 4):
         for seed in range(3):
             rng = np.random.default_rng(1000 * k + seed)
@@ -291,15 +294,50 @@ def test_prepare_loo_equals_oracle():
                                for line in topic_lines]
             net, events = load_follower_edges(edge_lines), load_events(event_lines)
             topics = load_topic_map(topic_lines)
-            pairs = pair_metrics(build_adoption_index(events, net), topics)
-            for metric in MetricKind:
-                want = oracles.prepare_loo(metric, pairs, topics)
-                _assert_loo_equal(prepare_loo(metric, pairs, topics), want)
-                cases |= _training_cases(metric, pairs, set(want.skipped))
-                if want.skipped:
-                    cases.add("single-hashtag topic")
+            yield pair_metrics(build_adoption_index(events, net), topics), topics
+
+
+def test_prepare_loo_equals_oracle():
+    """The array program's fold columns and tallies equal the per-voter
+    oracle's bit for bit on :func:`_seeded_logs`."""
+    cases = set()
+    for pairs, topics in _seeded_logs():
+        for metric in MetricKind:
+            want = oracles.prepare_loo(metric, pairs, topics)
+            _assert_loo_equal(prepare_loo(metric, pairs, topics), want, pairs)
+            cases |= _training_cases(metric, pairs, set(want.skipped))
+            if want.skipped:
+                cases.add("single-hashtag topic")
     assert cases == {"one topic", "identical values", "single-hashtag topic",
                      "reordered topics", "hashtag without voters"}
+
+
+def test_consensus_equals_per_fold_oracle():
+    """leave_one_out and accuracy_curve equal the per-fold loops over the
+    oracle's folds for every metric, on the seeded logs and on the
+    time-separated datasets, including folds without voters and samples
+    that miss every voter of a fold."""
+    cases = set()
+    logs = list(_seeded_logs())
+    for seed in range(3):
+        d, index = _dataset(datasets.time_separated_params(seed, n_topics=2 + seed % 2))
+        logs.append((_pairs(d, index), d.topics))
+    for pairs, topics in logs:
+        for metric in MetricKind:
+            got = prepare_loo(metric, pairs, topics)
+            want = oracles.prepare_loo(metric, pairs, topics)
+            assert leave_one_out(got) == oracles.leave_one_out(want)
+            if any(not fold.users for fold in want.folds):
+                cases.add("fold without voters")
+            n = len({u for fold in want.folds for u in fold.users})
+            if n == 0:
+                continue
+            kw = dict(sizes=sorted({1, max(1, n // 3), n}), repetitions=3, seed=n)
+            assert accuracy_curve(got, **kw) == oracles.accuracy_curve(want, **kw)
+            for _s, _rep, chosen in oracles.accuracy_samples(want, **kw):
+                if any(fold.users and not chosen & set(fold.users) for fold in want.folds):
+                    cases.add("sample misses a fold's voters")
+    assert cases == {"fold without voters", "sample misses a fold's voters"}
 
 
 def test_loo_matches_manual_holdout_protocol():
@@ -307,10 +345,15 @@ def test_loo_matches_manual_holdout_protocol():
     fold's voters are the adopters that still train, in name order."""
     d, index = _dataset(datasets.time_separated_params(3, n_topics=2))
     metric = MetricKind.TIME
-    data = prepare_loo(metric, _pairs(d, index), d.topics)
+    pairs = _pairs(d, index)
+    data = prepare_loo(metric, pairs, d.topics)
     res = leave_one_out(data)
-    folds = {fold.hashtag: fold for fold in data.folds}
-    values = _column(metric, _pairs(d, index))
+    ptr = data.fold_ptr.tolist()
+    fold_users = {
+        pairs.hashtags[h]: tuple(pairs.users[u] for u in data.voter[lo:hi].tolist())
+        for h, lo, hi in zip(data.hashtags.tolist(), ptr, ptr[1:])
+    }
+    values = _column(metric, pairs)
 
     used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
     counts = {t: 0 for t in d.topics.topics}
@@ -332,7 +375,7 @@ def test_loo_matches_manual_holdout_protocol():
             except TrainingError:
                 continue
             voters.append((clf, values[(u, h)]))
-        assert folds[h].users == tuple(clf.owner for clf, _v in voters)
+        assert fold_users[h] == tuple(clf.owner for clf, _v in voters)
         truth, predicted = res.predictions[h]
         assert truth == d.topics.topic_of(h)
         if not voters:

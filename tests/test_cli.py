@@ -194,6 +194,33 @@ def test_time_above_int64_exits_2(tmp_path, capsys):
     assert "data error: line 2: time 9223372036854775808 above 2^63-1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["edges.tsv", "events.tsv", "topics.tsv", "m"])
+def test_undecodable_input_exits_2(tmp_path, capsys, name):
+    manifest = _write_dataset(tmp_path, "a\tb\n", "1\ta\t#x\n2\tb\t#x\n", "x\tT\n")
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert run("genome", "--manifest", manifest, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path} is not UTF-8")
+
+
+@pytest.mark.parametrize("name, body, problem", [
+    ("bad.json", b'{"a": ', "is not JSON"),
+    ("bad.json", b'{"a": "\xff"}', "is not UTF-8"),
+    ("bad.tsv", b"a\t\xff\n", "is not UTF-8"),
+])
+def test_report_undecodable_output_exits_2(tmp_path, capsys, name, body, problem):
+    (tmp_path / name).write_bytes(body)
+    assert run("report", "--out", tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / name} {problem}")
+
+
+def test_classify_without_topics_exits_2(tmp_path, capsys):
+    manifest = _write_dataset(tmp_path, "a\tb\n", "1\ta\t#x\n2\tb\t#x\n", "# no topics\n")
+    assert run("classify", "--manifest", manifest, "--out", tmp_path / "out") == 2
+    assert "data error: the topic map has no topics" in capsys.readouterr().err
+
+
 def test_bad_flag_exits_1(tmp_path):
     assert run("latmin", "--out", tmp_path) == 1  # --manifest/--topic missing
 

@@ -49,6 +49,52 @@ def test_wcc_toy_graph():
     ]
 
 
+def _scipy_components(names, edges, connection):
+    """The partition of ``scipy.sparse.csgraph.connected_components``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(names)
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    adj = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    _count, labels = connected_components(adj, directed=True, connection=connection)
+    parts: dict = {}
+    for name, label in zip(names, labels.tolist()):
+        parts.setdefault(label, set()).add(name)
+    return sorted((frozenset(p) for p in parts.values()), key=sorted)
+
+
+def _large_digraphs():
+    """Seeded random digraphs of up to 2,000 nodes, about a tenth of them
+    isolated, around the giant-component threshold; a 2,000-node directed
+    path and cycle.  Names sort in another order than their ids."""
+    rng = np.random.default_rng(17)
+    for n, mean_degree in ((60, 1.0), (500, 0.7), (2000, 1.0), (2000, 1.6)):
+        linked = n - n // 10
+        m = int(mean_degree * linked)
+        pairs = {(u, v) for u, v in rng.integers(0, linked, size=(m, 2)).tolist() if u != v}
+        yield n, sorted(pairs)
+    path = [(i, i + 1) for i in range(1999)]
+    yield 2000, path
+    yield 2000, path + [(1999, 0)]
+
+
+def test_components_equal_scipy_at_scale():
+    """SCC and WCC partitions equal scipy's, and each CSR row holds its
+    node's successors in sorted-name order."""
+    for n, edges in _large_digraphs():
+        names = [f"v{i}" for i in range(n)]
+        graph = g([(names[u], names[v]) for u, v in edges], nodes=names)
+        assert graph.nodes == tuple(sorted(names))
+        pos = {name: i for i, name in enumerate(graph.nodes)}
+        rows = [[] for _ in names]
+        for u, v in edges:
+            rows[pos[names[u]]].append(pos[names[v]])
+        assert graph.adjacency() == [sorted(row) for row in rows]
+        assert strongly_connected_components(graph) == _scipy_components(names, edges, "strong")
+        assert weakly_connected_components(graph) == _scipy_components(names, edges, "weak")
+
+
 def test_scc_refines_wcc_random():
     rng = np.random.default_rng(2)
     for _ in range(25):

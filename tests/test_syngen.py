@@ -137,3 +137,20 @@ def test_emitted_files_reload(tmp_path):
     assert net.edges == d.network.edges
     assert events.events == d.events.events
     assert topics.assignment == dict(d.topics.assignment)
+
+
+def test_uniform_graph_draws_rows_not_a_matrix():
+    """The uniform model's peak memory stays far below one (n, n) matrix of
+    draws: 8 n^2 bytes, 18 MB at 1,500 users."""
+    import tracemalloc
+
+    n = 1500
+    p = GenParams(n_users=n, seed=4, edge_prob=0.002, n_topics=1,
+                  hashtags_per_topic=1, cascades_per_hashtag=1)
+    tracemalloc.start()
+    try:
+        generate(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n
