@@ -25,14 +25,14 @@ from .ingest import (
 from .graph import (
     DirectedGraph,
     betweenness_centrality,
-    jaccard_edge_similarity,
+    jaccard_keys,
     kendall_tau,
     pagerank,
     strongly_connected_components,
     weakly_connected_components,
 )
 from .genotype import (
-    Genotype,
+    Genome,
     MetricKind,
     build_genome,
     node_topic_latency,

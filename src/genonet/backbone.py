@@ -20,13 +20,13 @@ import numpy as np
 from .errors import DataError
 from .graph import (
     DirectedGraph,
-    jaccard_edge_similarity,
+    jaccard_keys,
     kendall_tau,
     pagerank,
     strongly_connected_components,
     weakly_connected_components,
 )
-from .ingest import AdoptionIndex, FollowerNetwork, TopicMap
+from .ingest import AdoptionIndex, TopicMap
 
 __all__ = [
     "InfluenceBackbone",
@@ -40,15 +40,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceBackbone:
+    """One topic's backbone over the index's user ids: its edges as the
+    sorted keys ``followee * n + follower``, ``n = len(users)``, and each
+    edge's weight."""
+
     topic: str
-    weights: Mapping[tuple[str, str], int]
+    users: tuple[str, ...]
+    keys: np.ndarray
+    weight: np.ndarray
+
+    @cached_property
+    def touched(self) -> np.ndarray:
+        """A mask over user ids: the users on at least one edge."""
+        n = len(self.users)
+        touched = np.zeros(n, bool)
+        touched[self.keys // n] = touched[self.keys % n] = True
+        return touched
 
     @cached_property
     def graph(self) -> DirectedGraph:
-        """The backbone graph, built on first use."""
-        return DirectedGraph.from_edges(self.weights)
+        """The graph on the ids of the users on an edge, built on first use."""
+        return DirectedGraph.from_keys(self.keys, self.touched, range(len(self.users)))
 
 
 @dataclass(frozen=True)
@@ -63,8 +77,6 @@ class BackboneReport:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["scc_fraction"] = dict(self.scc_fraction)
-        d["wcc_fraction"] = dict(self.wcc_fraction)
         # NaN is not valid JSON; degenerate rank correlations become null
         d["kendall"] = {
             k: (None if math.isnan(v) else v) for k, v in self.kendall.items()
@@ -95,18 +107,10 @@ def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> Infl
     """Backbone for one topic: the sum of its hashtags' precedence edges."""
     wanted = set(topics.hashtags_for(topic))
     keys, weight, _, _ = topic_backbone(index, np.array([h in wanted for h in index.hashtags], bool))
-    users, n = index.users, len(index.users)
-    weights = {(users[k // n], users[k % n]): w for k, w in zip(keys.tolist(), weight.tolist())}
-    return InfluenceBackbone(topic=topic, weights=weights)
+    return InfluenceBackbone(topic=topic, users=index.users, keys=keys, weight=weight)
 
 
-def _largest_fraction(components: list[frozenset], node_count: int) -> float:
-    if node_count == 0:
-        return 0.0
-    return max(len(c) for c in components) / node_count
-
-
-def compare_with_follower(b: InfluenceBackbone, net: FollowerNetwork) -> BackboneReport:
+def compare_with_follower(b: InfluenceBackbone, index: AdoptionIndex) -> BackboneReport:
     """Compare a backbone with its follower counterpart.
 
     The counterpart keeps every follower edge whose both endpoints touch
@@ -114,46 +118,35 @@ def compare_with_follower(b: InfluenceBackbone, net: FollowerNetwork) -> Backbon
     followee counts and PageRank across the two graphs on the shared
     node set.
     """
-    if not b.weights:
+    if not len(b.keys):
         raise DataError(f"backbone for {b.topic!r} is empty")
-    touched = set(b.graph.nodes)
-    follower_edges = [(u, v) for (u, v) in net.edges if u in touched and v in touched]
-    follower_graph = DirectedGraph.from_edges(follower_edges, nodes=touched)
-
-    jac = jaccard_edge_similarity(b.weights, follower_edges)
-
+    n = len(b.users)
+    # CSR rows in id order, each sorted: the keys come out sorted
+    follower = np.repeat(np.arange(n), np.diff(index.follower_ptr)) * n + index.follower_ids
+    graphs = (b.graph, DirectedGraph.from_keys(follower, b.touched, range(n)))
     scc = {
-        "influence": _largest_fraction(
-            strongly_connected_components(b.graph), b.graph.n
-        ),
-        "follower": _largest_fraction(
-            strongly_connected_components(follower_graph), follower_graph.n
-        ),
+        name: max(map(len, strongly_connected_components(g))) / g.n
+        for name, g in zip(("influence", "follower"), graphs)
     }
     wcc = {
-        "influence": _largest_fraction(
-            weakly_connected_components(b.graph), b.graph.n
-        ),
-        "follower": _largest_fraction(
-            weakly_connected_components(follower_graph), follower_graph.n
-        ),
+        name: max(map(len, weakly_connected_components(g))) / g.n
+        for name, g in zip(("influence", "follower"), graphs)
     }
 
     # edge (followee, follower): out-degree counts followers, in-degree followees
-    graphs = (b.graph, follower_graph)
     followers = [dict(zip(g.nodes, np.diff(g.indptr).tolist())) for g in graphs]
     followees = [dict(zip(g.nodes, np.bincount(g.indices, minlength=g.n).tolist()))
                  for g in graphs]
     kendall = {
         "followers": kendall_tau(*followers),
         "followees": kendall_tau(*followees),
-        "pagerank": kendall_tau(pagerank(b.graph), pagerank(follower_graph)),
+        "pagerank": kendall_tau(*map(pagerank, graphs)),
     }
     return BackboneReport(
         topic=b.topic,
-        influence_edges=len(b.weights),
-        follower_edges=len(follower_edges),
-        jaccard=jac,
+        influence_edges=len(b.keys),
+        follower_edges=len(graphs[1].indices),
+        jaccard=jaccard_keys(*(g.keys for g in graphs)),
         scc_fraction=scc,
         wcc_fraction=wcc,
         kendall=kendall,
@@ -164,17 +157,16 @@ def cross_topic_overlap(backbones: Sequence[InfluenceBackbone]) -> OverlapMatrix
     """Pairwise Jaccard edge overlap; unit diagonal, empty-empty pairs 0."""
     if len(backbones) < 2:
         raise DataError("cross_topic_overlap needs at least 2 backbones")
-    edges = [b.weights for b in backbones]
     rows = []
-    for i, ei in enumerate(edges):
+    for i, a in enumerate(backbones):
         row = []
-        for j, ej in enumerate(edges):
+        for j, b in enumerate(backbones):
             if i == j:
                 row.append(1.0)
-            elif not ei and not ej:
+            elif not len(a.keys) and not len(b.keys):
                 row.append(0.0)
             else:
-                row.append(jaccard_edge_similarity(ei, ej))
+                row.append(jaccard_keys(a.keys, b.keys))
         rows.append(tuple(row))
     return OverlapMatrix(
         topics=tuple(b.topic for b in backbones), values=tuple(rows)
@@ -182,6 +174,8 @@ def cross_topic_overlap(backbones: Sequence[InfluenceBackbone]) -> OverlapMatrix
 
 
 def write_backbone_tsv(b: InfluenceBackbone, fh) -> None:
+    """One row per edge in key order, which is (followee, follower) name order."""
     fh.write("topic\tfollowee\tfollower\tweight\n")
-    for (u, v) in sorted(b.weights):
-        fh.write(f"{b.topic}\t{u}\t{v}\t{b.weights[(u, v)]}\n")
+    n = len(b.users)
+    for k, w in zip(b.keys.tolist(), b.weight.tolist()):
+        fh.write(f"{b.topic}\t{b.users[k // n]}\t{b.users[k % n]}\t{w}\n")

@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import backbone as bb
 from . import classify as cl
 from . import genotype as gt
@@ -149,7 +151,7 @@ def cmd_genome(args) -> None:
 
 def cmd_backbone(args) -> None:
     out = _outdir(args)
-    net, _events, topics, index = _load(args)
+    _net, _events, topics, index = _load(args)
     wanted = [args.topic] if args.topic else list(topics.topics)
     for t in wanted:
         if t not in topics.topics:
@@ -158,8 +160,8 @@ def cmd_backbone(args) -> None:
     backbones = {t: bb.extract_backbone(t, index, topics) for t in wanted}
     for t, b in backbones.items():
         _write_tsv(out / f"backbone_{t}.tsv", prov, lambda fh, b=b: bb.write_backbone_tsv(b, fh))
-        if b.weights:
-            report = bb.compare_with_follower(b, net).to_dict()
+        if len(b.keys):
+            report = bb.compare_with_follower(b, index).to_dict()
         else:
             report = {"topic": t, "empty": True}
         _write_json(out / f"backbone_report_{t}.json", prov, report)
@@ -256,16 +258,17 @@ def cmd_latmin(args) -> None:
         raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
     latencies = gt.node_topic_latency(index, topics, args.topic)
     b = bb.extract_backbone(args.topic, index, topics)
-    if not b.weights:
+    if not len(b.keys):
         raise DataError(f"backbone for topic {args.topic!r} is empty")
     if args.permissive:
         comps = weakly_connected_components(b.graph)
     else:
         comps = strongly_connected_components(b.graph)
-    keep = max(comps, key=lambda c: (len(c), sorted(c)))
-    keep = {n for n in keep if n in latencies}
-    edges = [(u, v) for (u, v) in b.weights if u in keep and v in keep]
-    graph = DirectedGraph.from_edges(edges, nodes=keep)
+    # ids are in name order, so sorted members break ties by name
+    largest = max(comps, key=lambda c: (len(c), sorted(c)))
+    keep = np.zeros(len(index.users), bool)
+    keep[[u for u in largest if index.users[u] in latencies]] = True
+    graph = DirectedGraph.from_keys(b.keys, keep, index.users)
     lgraph = lm.LatencyGraph(
         graph=graph, latency={n: latencies[n] for n in graph.nodes}
     )
@@ -279,7 +282,7 @@ def cmd_latmin(args) -> None:
     summary = {
         "topic": args.topic,
         "component_nodes": graph.n,
-        "component_edges": len(edges),
+        "component_edges": len(graph.indices),
         "k": k,
         "original_avg_latency": state.base_avg,
         "reachable_pairs": int(state.denom),

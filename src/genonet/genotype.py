@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .ingest import AdoptionIndex, TopicMap, gather_rows, row_sums
 
 __all__ = [
     "MetricKind",
-    "MetricCell",
-    "Genotype",
+    "Genome",
     "float_sum",
     "PairMetrics",
     "pair_metrics",
@@ -60,17 +59,26 @@ class MetricKind(Enum):
         raise DataError(f"unknown metric {tag!r}; valid: {valid}")
 
 
-@dataclass(frozen=True)
-class MetricCell:
-    values: tuple[float, ...]
-    mean: float
-    count: int
+@dataclass(frozen=True, eq=False)
+class Genome:
+    """Every user's per-topic metric cells, in output order.
 
+    Cell i is user ``users[user[i]]``'s metric ``metrics[kind[i]]`` on
+    topic ``topics[topic[i]]``.  The three tables are sorted by name (by
+    tag for metrics), so cells in id order are in output order.  A cell's
+    values, in hashtag-name order, are ``values[ptr[i]:ptr[i + 1]]``, and
+    ``mean[i]`` adds them left to right as :func:`float_sum` does.
+    """
 
-@dataclass(frozen=True)
-class Genotype:
-    owner: str
-    cells: Mapping[tuple[str, MetricKind], MetricCell]
+    users: tuple[str, ...]
+    topics: tuple[str, ...]
+    metrics: tuple[MetricKind, ...]
+    user: np.ndarray
+    topic: np.ndarray
+    kind: np.ndarray
+    ptr: np.ndarray
+    values: np.ndarray
+    mean: np.ndarray
 
 
 def float_sum(values: Iterable[float]) -> float:
@@ -137,19 +145,26 @@ class PairMetrics:
     values: np.ndarray
 
 
-def _cells(keys: tuple[np.ndarray, ...], values: np.ndarray) -> Iterator[tuple[tuple, MetricCell]]:
-    """(group ids, cell) of ``values`` grouped by every key column but the
-    last, which orders each cell's values; one ``np.lexsort`` puts the
-    groups in id order, the first column primary."""
+def _groups(keys: tuple[np.ndarray, ...], values: np.ndarray) -> tuple:
+    """``values`` grouped by every key column but the last, which orders each
+    group's values.  Returns, for the groups in key order (first column
+    primary): their key columns, their CSR offsets into the returned sorted
+    ``values``, and their means, each added left to right."""
     order = np.lexsort(keys[::-1])
     groups = [key[order] for key in keys[:-1]]
     changed = np.any([g[1:] != g[:-1] for g in groups], axis=0)
     starts = np.flatnonzero(np.concatenate(([len(order) > 0], changed)))
-    flat = values[order].tolist()
-    ends = starts[1:].tolist() + [len(flat)]
-    for ids, lo, hi in zip(zip(*(g[starts].tolist() for g in groups)), starts.tolist(), ends):
-        vals = tuple(flat[lo:hi])
-        yield ids, MetricCell(values=vals, mean=float_sum(vals) / len(vals), count=len(vals))
+    ptr, values = np.append(starts, len(order)), values[order]
+    sizes = np.diff(ptr)
+    # longest groups first, so the groups with a j-th value are a prefix
+    desc = np.argsort(-sizes, kind="stable")
+    first, total = starts[desc], np.zeros(len(starts))
+    live = np.searchsorted(-sizes[desc], -np.arange(sizes.max(initial=0)))  # sizes above j
+    for j, m in enumerate(live.tolist()):
+        total[:m] += values[first[:m] + j]
+    mean = np.empty(len(starts))
+    mean[desc] = total / sizes[desc]
+    return [g[starts] for g in groups], ptr, values, mean
 
 
 def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
@@ -167,8 +182,8 @@ def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
     prior, adopted = n_prior[reacted], pairs[reacted]
     lat = 1.0 / np.maximum(1, _lat_counts(index, tag_topic, adopted))
     mean_lat = np.ones(len(index.hashtags))
-    for (h,), cell in _cells((tag[reacted], reacted), lat):
-        mean_lat[h] = cell.mean
+    (lat_tags,), _, _, means = _groups((tag[reacted], reacted), lat)
+    mean_lat[lat_tags] = means
     columns = np.full((len(MetricKind), len(pairs)), np.nan)
     time_col, uses_col, n_par_col, f_par_col, lat_col, log_lat_col = columns
     uses_col[:] = index.use_count[pairs]
@@ -180,18 +195,19 @@ def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
     return PairMetrics(index.users, index.hashtags, user, tag, tag_topic[tag], columns.T)
 
 
-def build_genome(index: AdoptionIndex, topics: TopicMap) -> dict[str, Genotype]:
-    """One genotype per user appearing in the event log, by user name;
-    each cell lists its values in hashtag-id order, which is name order."""
+def build_genome(index: AdoptionIndex, topics: TopicMap) -> Genome:
+    """The metric cells of every user with a topical adoption."""
     table = pair_metrics(index, topics)
     row, kind = np.nonzero(~np.isnan(table.values))
-    kinds = tuple(MetricKind)
-    cells: dict = {index.users[u]: {} for u in np.unique(index.event_user).tolist()}
-    for (u, t, k), cell in _cells(
-        (table.user[row], table.topic[row], kind, table.hashtag[row]), table.values[row, kind]
-    ):
-        cells[index.users[u]][(topics.topics[t], kinds[k])] = cell
-    return {u: Genotype(owner=u, cells=c) for u, c in cells.items()}
+    names = tuple(sorted(topics.topics))
+    metrics = tuple(sorted(MetricKind, key=lambda k: k.value))
+    topic_id = np.array([names.index(t) for t in topics.topics], np.int64)
+    kind_id = np.array([metrics.index(k) for k in MetricKind])
+    (user, topic, kind), ptr, values, mean = _groups(
+        (table.user[row], topic_id[table.topic[row]], kind_id[kind], table.hashtag[row]),
+        table.values[row, kind],
+    )
+    return Genome(index.users, names, metrics, user, topic, kind, ptr, values, mean)
 
 
 def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:
@@ -201,25 +217,28 @@ def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> di
     in_topic = np.array([topics.topic_of(h) == topic for h in index.hashtags], bool)
     pairs = np.flatnonzero(in_topic[index.pair_hashtag] & (index.first_exposure >= 0))
     time = (index.first_use[pairs] - index.first_exposure[pairs]).astype(float)
-    keys = (index.pair_user[pairs], index.pair_hashtag[pairs])
-    return {index.users[u]: cell.mean for (u,), cell in _cells(keys, time)}
+    (user,), _, _, mean = _groups((index.pair_user[pairs], index.pair_hashtag[pairs]), time)
+    return {index.users[u]: m for u, m in zip(user.tolist(), mean.tolist())}
 
 
-def write_genome_values(genome: Mapping[str, Genotype], fh) -> None:
+def _cell_labels(g: Genome) -> list[str]:
+    """Each cell's ``user<TAB>topic<TAB>metric`` row prefix."""
+    return [f"{g.users[u]}\t{g.topics[t]}\t{g.metrics[k].value}"
+            for u, t, k in zip(g.user.tolist(), g.topic.tolist(), g.kind.tolist())]
+
+
+def write_genome_values(genome: Genome, fh) -> None:
     """One row per (user, topic, metric, value), TSV."""
     fh.write("user\ttopic\tmetric\tvalue\n")
-    for user in sorted(genome):
-        gt = genome[user]
-        for (topic, kind) in sorted(gt.cells, key=lambda k: (k[0], k[1].value)):
-            for value in gt.cells[(topic, kind)].values:
-                fh.write(f"{user}\t{topic}\t{kind.value}\t{value!r}\n")
+    labels = _cell_labels(genome)
+    cells = np.repeat(np.arange(len(labels)), np.diff(genome.ptr))
+    for cell, value in zip(cells.tolist(), genome.values.tolist()):
+        fh.write(f"{labels[cell]}\t{value!r}\n")
 
 
-def write_genome_summary(genome: Mapping[str, Genotype], fh) -> None:
+def write_genome_summary(genome: Genome, fh) -> None:
     """One row per (user, topic, metric) with mean and count, TSV."""
     fh.write("user\ttopic\tmetric\tmean\tcount\n")
-    for user in sorted(genome):
-        gt = genome[user]
-        for (topic, kind) in sorted(gt.cells, key=lambda k: (k[0], k[1].value)):
-            cell = gt.cells[(topic, kind)]
-            fh.write(f"{user}\t{topic}\t{kind.value}\t{cell.mean!r}\t{cell.count}\n")
+    counts = np.diff(genome.ptr).tolist()
+    for label, mean, count in zip(_cell_labels(genome), genome.mean.tolist(), counts):
+        fh.write(f"{label}\t{mean!r}\t{count}\n")

@@ -9,7 +9,7 @@ tie-break downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "pagerank_arrays",
     "betweenness_centrality",
     "kendall_tau",
-    "jaccard_edge_similarity",
+    "jaccard_keys",
 ]
 
 
@@ -37,6 +37,19 @@ class DirectedGraph:
     nodes: tuple[Node, ...]
     indptr: np.ndarray
     indices: np.ndarray
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, keep: np.ndarray, labels) -> "DirectedGraph":
+        """The graph on the ids flagged by ``keep``, a mask over the sorted
+        ``labels``, whose edges are those of the sorted distinct keys
+        ``u * len(labels) + v`` with both ends kept.  Graph node i is the
+        i-th kept id, labelled by its label."""
+        src, dst = np.divmod(keys, len(labels))
+        on = keep[src] & keep[dst]
+        nodes = np.flatnonzero(keep)
+        rank = np.cumsum(keep) - 1  # each kept id's node index
+        indptr = np.searchsorted(rank[src[on]], np.arange(len(nodes) + 1))
+        return cls(tuple(labels[i] for i in nodes.tolist()), indptr, rank[dst[on]])
 
     @classmethod
     def from_edges(
@@ -54,12 +67,16 @@ class DirectedGraph:
         if len(keys) < len(pairs):
             u, v = divmod(int(keys[np.argmax(counts > 1)]), n)
             raise DataError(f"duplicate edge ({order[u]!r}, {order[v]!r})")
-        indptr = np.searchsorted(keys // n, np.arange(n + 1))
-        return cls(nodes=order, indptr=indptr, indices=keys % n)
+        return cls.from_keys(keys, np.ones(n, bool), order)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Every edge as the key ``u * n + v`` over node indices, ascending."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr)) * self.n + self.indices
 
     def adjacency(self) -> list[list[int]]:
         """Each node's successor ids as a Python list, for the loop kernels."""
@@ -274,9 +291,9 @@ def _inversions(ranks: np.ndarray) -> int:
     return dis
 
 
-def jaccard_edge_similarity(e1: Collection, e2: Collection) -> float:
-    """|E1 ∩ E2| / |E1 ∪ E2| over edge sets."""
-    s1, s2 = set(e1), set(e2)
-    if not s1 and not s2:
+def jaccard_keys(a: np.ndarray, b: np.ndarray) -> float:
+    """|A ∩ B| / |A ∪ B| over two sorted arrays of distinct edge keys."""
+    if not len(a) and not len(b):
         raise DataError("jaccard undefined for two empty edge sets")
-    return len(s1 & s2) / len(s1 | s2)
+    shared = int(np.count_nonzero(np.searchsorted(b, a, "right") - np.searchsorted(b, a)))
+    return shared / (len(a) + len(b) - shared)

@@ -340,7 +340,8 @@ def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionInde
         prior = (target >= 0) & (first_use[source] < first_use[target])
         targets.append(target[prior])
         sources.append(source[prior])
-        exposed += len(np.unique(follower))
+        seen = np.sort(follower)
+        exposed += int(np.count_nonzero(seen[1:] != seen[:-1])) + (len(seen) > 0)
         pair_of[pair_user[adopters]] = -1
     target = np.concatenate(targets)
     # a stable sort keeps each pair's prior adopters in first-use order

@@ -304,27 +304,51 @@ def metric_rows(table):
     }
 
 
-def build_genome(rows, users, topics):
-    """The genome regrouped from name-keyed metric rows: one genotype per
-    posting user in ``users``, each cell's values in sorted-hashtag order
-    and its mean added left to right."""
-    from genonet.genotype import Genotype, MetricCell
+@dataclass(frozen=True)
+class MetricCell:
+    values: tuple
+    mean: float
+    count: int
 
-    raw = {u: {} for u in sorted(users)}
+
+@dataclass(frozen=True)
+class Genotype:
+    owner: str
+    cells: Mapping
+
+
+def build_genome(rows, topics):
+    """The genome regrouped from name-keyed metric rows: one genotype per
+    user with a row, its cells keyed by (topic, MetricKind), each cell's
+    values in sorted-hashtag order and its mean added left to right."""
+    raw = {}
     for (u, h) in sorted(rows):
         topic = topics.topic_of(h)
         for kind, value in rows[(u, h)].items():
-            raw[u].setdefault((topic, kind), []).append(value)
+            raw.setdefault(u, {}).setdefault((topic, kind), []).append(value)
     genome = {}
-    for u, cells in raw.items():
+    for u in sorted(raw):
         out = {}
-        for key, vals in cells.items():
+        for key, vals in raw[u].items():
             total = 0.0
             for value in vals:
                 total += value
             out[key] = MetricCell(values=tuple(vals), mean=total / len(vals), count=len(vals))
         genome[u] = Genotype(owner=u, cells=out)
     return genome
+
+
+def genotypes(genome):
+    """A ``genotype.Genome`` read back as name-keyed genotypes, one per
+    user with a cell, in the form of :func:`build_genome`."""
+    out = {}
+    ptr, values = genome.ptr.tolist(), genome.values.tolist()
+    for i, (u, t, k, mean) in enumerate(zip(genome.user.tolist(), genome.topic.tolist(),
+                                            genome.kind.tolist(), genome.mean.tolist())):
+        cell = MetricCell(values=tuple(values[ptr[i]:ptr[i + 1]]), mean=mean,
+                          count=ptr[i + 1] - ptr[i])
+        out.setdefault(genome.users[u], {})[(genome.topics[t], genome.metrics[k])] = cell
+    return {u: Genotype(owner=u, cells=cells) for u, cells in out.items()}
 
 
 # --- backbone oracle -------------------------------------------------------
@@ -351,6 +375,61 @@ def backbone_weights(triples, edges, hashtags):
         if count:
             weights[(u, v)] = count
     return weights
+
+
+def backbone_edges(b):
+    """An ``InfluenceBackbone``'s edges read back as ``{(followee, follower): weight}``."""
+    n = len(b.users)
+    return {(b.users[k // n], b.users[k % n]): w
+            for k, w in zip(b.keys.tolist(), b.weight.tolist())}
+
+
+def jaccard_edge_sets(e1, e2):
+    """|E1 ∩ E2| / |E1 ∪ E2| over Python sets of edges."""
+    from genonet.errors import DataError
+
+    s1, s2 = set(e1), set(e2)
+    if not s1 and not s2:
+        raise DataError("jaccard undefined for two empty edge sets")
+    return len(s1 & s2) / len(s1 | s2)
+
+
+def compare_with_follower(topic, weights, net):
+    """``backbone.compare_with_follower`` on a name-keyed backbone and the
+    follower edge set: both graphs built from name pairs and the Jaccard
+    taken over Python sets."""
+    from genonet.backbone import BackboneReport
+    from genonet.graph import (
+        DirectedGraph, kendall_tau, pagerank, strongly_connected_components,
+        weakly_connected_components,
+    )
+
+    graph = DirectedGraph.from_edges(weights)
+    touched = set(graph.nodes)
+    follower_edges = [(u, v) for (u, v) in net.edges if u in touched and v in touched]
+    follower_graph = DirectedGraph.from_edges(follower_edges, nodes=touched)
+    graphs = (graph, follower_graph)
+
+    def largest(components, g):
+        return max(len(c) for c in components) / g.n
+
+    followers = [{v: len(g.adjacency()[i]) for i, v in enumerate(g.nodes)} for g in graphs]
+    followees = [{v: sum(i in row for row in g.adjacency()) for i, v in enumerate(g.nodes)}
+                 for g in graphs]
+    return BackboneReport(
+        topic=topic,
+        influence_edges=len(weights),
+        follower_edges=len(follower_edges),
+        jaccard=jaccard_edge_sets(weights, follower_edges),
+        scc_fraction={"influence": largest(strongly_connected_components(graph), graph),
+                      "follower": largest(strongly_connected_components(follower_graph),
+                                          follower_graph)},
+        wcc_fraction={"influence": largest(weakly_connected_components(graph), graph),
+                      "follower": largest(weakly_connected_components(follower_graph),
+                                          follower_graph)},
+        kendall={"followers": kendall_tau(*followers), "followees": kendall_tau(*followees),
+                 "pagerank": kendall_tau(pagerank(graph), pagerank(follower_graph))},
+    )
 
 
 # --- graph oracles ---------------------------------------------------------

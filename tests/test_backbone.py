@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ import oracles
 def test_extract_toy(toy):
     net, _events, topics, index = toy
     b = extract_backbone("T", index, topics)
-    assert dict(b.weights) == {("A", "B"): 1, ("C", "B"): 1}
-    assert set(b.graph.nodes) == {"A", "B", "C"}
+    assert oracles.backbone_edges(b) == {("A", "B"): 1, ("C", "B"): 1}
+    assert {b.users[u] for u in b.graph.nodes} == {"A", "B", "C"}
 
 
 def test_unknown_topic(toy):
@@ -36,7 +38,7 @@ def test_empty_topic_gives_empty_backbone():
     topics = load_topic_map(["x\tT", "z\tquiet"])
     index = build_adoption_index(events, net)
     b = extract_backbone("quiet", index, topics)
-    assert not b.weights
+    assert oracles.backbone_edges(b) == {}
 
 
 def test_reversed_times_remove_edges():
@@ -46,7 +48,7 @@ def test_reversed_times_remove_edges():
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
     b = extract_backbone("T", index, topics)
-    assert not b.weights
+    assert oracles.backbone_edges(b) == {}
 
 
 def test_backbones_equal_edge_scan_oracle():
@@ -65,7 +67,8 @@ def test_backbones_equal_edge_scan_oracle():
         for topic in topics.topics:
             hashtags = topics.hashtags_for(topic)
             b = extract_backbone(topic, index, topics)
-            assert b.weights == oracles.backbone_weights(triples, net.edges, hashtags)
+            assert oracles.backbone_edges(b) == oracles.backbone_weights(
+                triples, net.edges, hashtags)
 
 
 def test_backbone_subset_of_follower_and_weight_bound():
@@ -79,8 +82,9 @@ def test_backbone_subset_of_follower_and_weight_bound():
         first_use = oracles.index_dicts(index)["first_use"]
         for topic in topics.topics:
             b = extract_backbone(topic, index, topics)
-            assert b.weights.keys() <= net.edges
-            for (u, _v), w in b.weights.items():
+            weights = oracles.backbone_edges(b)
+            assert weights.keys() <= net.edges
+            for (u, _v), w in weights.items():
                 used = sum(
                     1 for h in topics.hashtags_for(topic) if (u, h) in first_use
                 )
@@ -89,7 +93,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
 
 def test_compare_with_follower_toy(toy):
     net, _events, topics, index = toy
-    report = compare_with_follower(extract_backbone("T", index, topics), net)
+    report = compare_with_follower(extract_backbone("T", index, topics), index)
     assert report.jaccard == 1.0
     assert report.wcc_fraction["influence"] == 1.0
     assert report.wcc_fraction["follower"] == 1.0
@@ -99,13 +103,43 @@ def test_compare_with_follower_toy(toy):
     assert report.follower_edges == 2
 
 
+def test_compare_with_follower_equals_name_oracle():
+    """Every report field equals the one computed on names: graphs built
+    from name pairs and the Jaccard taken over Python sets.  The logs add
+    declared isolated nodes and posting users absent from the edge file."""
+    rng = np.random.default_rng(31)
+    compared = 0
+    for _ in range(12):
+        edge_lines, event_lines, topic_lines = oracles.random_log(
+            rng, n_users=int(rng.integers(6, 22)), n_hashtags=int(rng.integers(3, 10)),
+            n_topics=int(rng.integers(1, 4)), n_lines=int(rng.integers(40, 250)),
+            edge_prob=float(rng.uniform(0.08, 0.4)), max_time=int(rng.integers(10, 150)),
+        )
+        net = load_follower_edges(edge_lines + ["u00_isolated", "zz_isolated"])
+        events = load_events(event_lines + ["3\tloner\th0", "9\tu0\th0"])
+        topics = load_topic_map(topic_lines)
+        index = build_adoption_index(events, net)
+        assert {"loner", "u00_isolated", "zz_isolated"} <= set(index.users)
+        for topic in topics.topics:
+            b = extract_backbone(topic, index, topics)
+            weights = oracles.backbone_edges(b)
+            if not weights:
+                continue
+            got = compare_with_follower(b, index)
+            want = oracles.compare_with_follower(topic, weights, net)
+            for field in dataclasses.fields(want):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+            compared += 1
+    assert compared >= 15
+
+
 def test_compare_empty_backbone_errors():
     net = load_follower_edges(["A\tB"])
     events = load_events(["5\tA\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
     with pytest.raises(DataError):
-        compare_with_follower(extract_backbone("T", index, topics), net)
+        compare_with_follower(extract_backbone("T", index, topics), index)
 
 
 def test_follower_counterpart_restricted_to_touched_nodes():
@@ -113,7 +147,7 @@ def test_follower_counterpart_restricted_to_touched_nodes():
     events = load_events(["0\tA\t#x", "5\tB\t#x"])
     topics = load_topic_map(["x\tT"])
     index = build_adoption_index(events, net)
-    report = compare_with_follower(extract_backbone("T", index, topics), net)
+    report = compare_with_follower(extract_backbone("T", index, topics), index)
     # only the A-B edge carries precedence; C and D/E are untouched
     assert report.influence_edges == 1
     assert report.follower_edges == 1
@@ -129,8 +163,8 @@ def test_cross_topic_overlap():
     index = build_adoption_index(events, net)
     b1 = extract_backbone("T1", index, topics)
     b2 = extract_backbone("T2", index, topics)
-    assert dict(b1.weights) == {("a", "b"): 1, ("b", "c"): 1}
-    assert dict(b2.weights) == {("b", "c"): 1, ("c", "d"): 1}
+    assert oracles.backbone_edges(b1) == {("a", "b"): 1, ("b", "c"): 1}
+    assert oracles.backbone_edges(b2) == {("b", "c"): 1, ("c", "d"): 1}
     overlap = cross_topic_overlap([b1, b2])
     assert overlap.values[0][0] == 1.0 and overlap.values[1][1] == 1.0
     assert overlap.values[0][1] == pytest.approx(1 / 3)
@@ -153,6 +187,6 @@ def test_cross_topic_overlap_edge_disjoint():
     index = build_adoption_index(events, net)
     b1 = extract_backbone("T1", index, topics)
     b2 = extract_backbone("T2", index, topics)
-    assert b1.weights and b2.weights
+    assert oracles.backbone_edges(b1) and oracles.backbone_edges(b2)
     overlap = cross_topic_overlap([b1, b2])
     assert overlap.values[0][1] == 0.0

@@ -169,6 +169,26 @@ def test_classify_loads_no_scipy(syn_manifest, tmp_path):
     assert (tmp_path / "logistic_fits.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("ingest-check",), ("genome",), ("backbone",),
+    ("latmin", "--topic", "t0", "--strict"), ("latmin", "--topic", "t0", "--permissive"),
+])
+def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
+    """Start-up cost: these commands run without importing ``numpy.ma``,
+    which plain ``np.unique``, ``np.union1d`` and ``np.isin`` load."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [*command, "--manifest", str(syn_manifest), "--out", str(tmp_path)]
+    probe = (
+        f"import genonet.cli, sys; code = genonet.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0 []"
+
+
 def test_missing_manifest_exits_2(tmp_path):
     code = run("genome", "--manifest", tmp_path / "nope.manifest", "--out", tmp_path)
     assert code == 2
@@ -241,6 +261,32 @@ def test_latmin_solves_one_apsp(syn_manifest, tmp_path, monkeypatch, mode):
     assert run("latmin", "--manifest", syn_manifest, "--out", tmp_path,
                "--topic", "t0", "--k", 2, mode) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["--strict", "--permissive"])
+def test_latmin_component_choice(tmp_path, mode):
+    """Two 3-cycles tie in size, and in permissive mode so do their weakly
+    connected components, each with a source that has no TIME mean.  The
+    sorted member list picks the p-q-r component; its source s is dropped
+    with its edge."""
+    edges = "".join(f"{u}\t{v}\n" for u, v in
+                    ("pq", "qr", "rp", "sp", "ab", "bc", "ca", "da"))
+    events = "".join(
+        f"{t}\t{u}\t#{h}\n"
+        for a, b, c, src in ("abcd", "pqrs")
+        for t, u, h in ((0, src, "x"), (1, a, "x"), (3, b, "x"), (10, c, "x"),
+                        (0, c, "y"), (5, a, "y"))
+    )
+    manifest = _write_dataset(tmp_path, edges, events, "x\tT\ny\tT\n")
+    out = tmp_path / "out"
+    assert run("latmin", "--manifest", manifest, "--out", out, "--topic", "T",
+               "--k", 2, mode) == 0
+    summary = json.loads((out / "latmin_summary.json").read_text())
+    assert (summary["component_nodes"], summary["component_edges"]) == (3, 3)
+    rows = [line.split("\t") for line in (out / "latmin_trace.tsv").read_text().splitlines()[2:]]
+    assert {row[2] for row in rows} <= {"p", "q", "r"}
+    # TIME means: p (1 + 5) / 2 = 3, q 2, r 7
+    assert [row[2] for row in rows if row[0] == "MaxLat"] == ["r", "p"]
 
 
 def test_classify_prepares_loo_once_per_metric(syn_manifest, tmp_path, monkeypatch):
@@ -361,12 +407,14 @@ def test_commands_do_not_touch_inputs(syn_manifest, tmp_path):
 
 
 def test_predict_builds_no_graph_per_hashtag(syn_manifest, tmp_path, monkeypatch):
-    """predict builds no ``DirectedGraph`` at all and scores and ranks
-    each (direction, predictor) once."""
+    """predict builds no ``DirectedGraph`` at all, neither from pairs nor
+    from keys, and scores and ranks each (direction, predictor) once."""
     graphs, scored, ranked = [], [], []
-    from_edges, score, auc = DirectedGraph.from_edges, predict.score_candidates, predict.roc_auc
-    monkeypatch.setattr(DirectedGraph, "from_edges", classmethod(
-        lambda cls, *args, **kw: graphs.append(1) or from_edges(*args, **kw)))
+    score, auc = predict.score_candidates, predict.roc_auc
+    for name in ("from_edges", "from_keys"):
+        build = getattr(DirectedGraph, name)
+        monkeypatch.setattr(DirectedGraph, name, classmethod(
+            lambda cls, *args, build=build, **kw: graphs.append(1) or build(*args, **kw)))
     monkeypatch.setattr(predict, "score_candidates",
                         lambda kind, *rest: scored.append(kind) or score(kind, *rest))
     monkeypatch.setattr(predict, "roc_auc", lambda *args: ranked.append(1) or auc(*args))

@@ -1,13 +1,18 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
+from genonet import genotype
 from genonet.genotype import (
     MetricKind,
     build_genome,
+    float_sum,
     node_topic_latency,
     pair_metrics,
+    write_genome_summary,
+    write_genome_values,
 )
 from genonet.ingest import build_adoption_index, load_events, load_follower_edges, load_topic_map
 from genonet.syngen import GenParams, generate
@@ -75,7 +80,7 @@ def test_simultaneous_adoption_is_not_exposure():
 
 def test_build_genome_toy(toy):
     net, events, topics, index = toy
-    genome = build_genome(index, topics)
+    genome = oracles.genotypes(build_genome(index, topics))
     assert set(genome) == {"A", "B", "C"}
     assert genome["B"].cells[("T", MetricKind.N_USES)].values == (2.0,)
     assert ("T", MetricKind.TIME) not in genome["A"].cells
@@ -88,7 +93,7 @@ def test_build_genome_empty_log():
     events = load_events([])
     topics = load_topic_map(["x\tT"])
     genome = build_genome(build_adoption_index(events, net), topics)
-    assert genome == {}
+    assert oracles.genotypes(genome) == {}
 
 
 def test_node_topic_latency(toy):
@@ -102,7 +107,7 @@ def test_mean_of_multiset():
     events = load_events(["0\tA\t#x", "0\tA\t#y", "4\tB\t#x", "6\tB\t#y"])
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    genome = build_genome(index, topics)
+    genome = oracles.genotypes(build_genome(index, topics))
     cell = genome["B"].cells[("T", MetricKind.TIME)]
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
@@ -114,7 +119,7 @@ def test_node_topic_latency_equals_genome_time_means():
                               cascades_per_hashtag=3, edge_prob=0.15))
     net, events, topics = data.network, data.events, data.topics
     index = build_adoption_index(events, net)
-    genome = build_genome(index, topics)
+    genome = oracles.genotypes(build_genome(index, topics))
     for topic in topics.topics:
         want = {
             u: gt.cells[(topic, MetricKind.TIME)].mean
@@ -169,7 +174,7 @@ def test_log_lat_normalization_identity():
 def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
-    genome = build_genome(index, topics)
+    genome = oracles.genotypes(build_genome(index, topics))
     oracle = oracles.MetricOracle(
         [(e.time, e.user, e.hashtag) for e in events.events], net.edges, topics.assignment
     )
@@ -197,3 +202,44 @@ def test_build_genome_matches_per_pair_composition():
     # no extra cells
     total_cells = sum(len(gt.cells) for gt in genome.values())
     assert total_cells == len(expected)
+
+
+def test_genome_writers_follow_name_order():
+    """Both writers' rows follow (user, topic name, metric tag), each cell's
+    values in hashtag-name order, under a topic map whose first-appearance
+    order is not name order."""
+    rng = np.random.default_rng(14)
+    edge_lines, event_lines, topic_lines = oracles.random_log(rng, n_users=15, n_lines=150)
+    net, events = load_follower_edges(edge_lines), load_events(event_lines)
+    topics = load_topic_map(reversed(topic_lines))
+    assert list(topics.topics) != sorted(topics.topics)
+    genome = build_genome(build_adoption_index(events, net), topics)
+    want = oracles.build_genome(oracles.pair_metric_rows(events, net, topics), topics)
+    cells = sorted((u, t, k.value, c) for u, g in want.items() for (t, k), c in g.cells.items())
+    values, summary = io.StringIO(), io.StringIO()
+    write_genome_values(genome, values)
+    write_genome_summary(genome, summary)
+    assert values.getvalue().splitlines()[1:] == [
+        f"{u}\t{t}\t{k}\t{v!r}" for u, t, k, c in cells for v in c.values
+    ]
+    assert summary.getvalue().splitlines()[1:] == [
+        f"{u}\t{t}\t{k}\t{c.mean!r}\t{c.count}" for u, t, k, c in cells
+    ]
+
+
+def test_group_means_add_left_to_right_on_skewed_sizes():
+    """Each group's values come out in order-key order and its mean adds
+    them left to right as ``float_sum`` does, with one long group among
+    many short ones of equal and unequal sizes."""
+    rng = np.random.default_rng(15)
+    group = np.concatenate([np.zeros(300, np.int64), rng.integers(1, 60, 200)])
+    order = rng.permutation(len(group))
+    values = rng.random(len(group)) * 10.0 ** rng.integers(-8, 8, len(group))
+    (ids,), ptr, got, mean = genotype._groups((group, order), values)
+    want: dict = {}
+    for g, _o, v in sorted(zip(group.tolist(), order.tolist(), values.tolist())):
+        want.setdefault(g, []).append(v)
+    assert ids.tolist() == sorted(want)
+    assert np.diff(ptr).tolist() == [len(want[g]) for g in sorted(want)]
+    assert got.tolist() == [v for g in sorted(want) for v in want[g]]
+    assert mean.tolist() == [float_sum(want[g]) / len(want[g]) for g in sorted(want)]

@@ -7,7 +7,7 @@ from genonet.errors import DataError
 from genonet.graph import (
     DirectedGraph,
     betweenness_centrality,
-    jaccard_edge_similarity,
+    jaccard_keys,
     kendall_tau,
     pagerank,
     strongly_connected_components,
@@ -261,13 +261,44 @@ def test_kendall_too_small():
 
 
 def test_jaccard():
-    assert jaccard_edge_similarity({("a", "b")}, {("a", "b")}) == 1.0
-    assert jaccard_edge_similarity({("a", "b")}, {("b", "c")}) == 0.0
-    assert jaccard_edge_similarity(
-        {"ab", "bc", "cd"}, {"bc", "cd", "de"}
-    ) == pytest.approx(0.5)
+    def keys(*k):
+        return np.array(k, np.int64)
+
+    assert jaccard_keys(keys(1), keys(1)) == 1.0
+    assert jaccard_keys(keys(1), keys(5)) == 0.0
+    assert jaccard_keys(keys(1, 5, 7), keys(5, 7, 9)) == 0.5
+    assert jaccard_keys(keys(), keys(3)) == 0.0
     with pytest.raises(DataError):
-        jaccard_edge_similarity(set(), set())
+        jaccard_keys(keys(), keys())
+
+
+def test_jaccard_keys_equal_set_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        a, b = (np.unique(rng.integers(0, 30, int(rng.integers(0, 12)))) for _ in "ab")
+        if len(a) or len(b):
+            assert jaccard_keys(a, b) == oracles.jaccard_edge_sets(a.tolist(), b.tolist())
+
+
+def test_from_keys_equals_from_edges():
+    """The CSR rows built from sorted keys over sorted labels, cut to a
+    mask of kept ids, equal the rows ``from_edges`` builds from the
+    labelled pairs with both ends kept, isolated kept nodes included."""
+    rng = np.random.default_rng(42)
+    for _ in range(30):
+        n = int(rng.integers(1, 15))
+        labels = [f"v{i:02d}" for i in range(n)]
+        keep = rng.random(n) < 0.7
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3]
+        got = DirectedGraph.from_keys(
+            np.array([u * n + v for u, v in edges], np.int64), keep, labels)
+        want = DirectedGraph.from_edges(
+            [(labels[u], labels[v]) for u, v in edges if keep[u] and keep[v]],
+            nodes=[labels[u] for u in np.flatnonzero(keep)])
+        assert got.keys.tolist() == want.keys.tolist()
+        assert got.nodes == want.nodes
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
 
 
 def test_duplicate_edge_rejected():

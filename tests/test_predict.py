@@ -419,7 +419,7 @@ def test_excluded_pagerank_toy(toy):
     # x carried both weight-1 edges: its exclusion empties the backbone
     assert _excluded(ctx, "x") == [0.0] * len(ctx.index.users)
     # y created no precedence, so removing it changes nothing
-    full = extract_backbone("T", index, topics).weights
+    full = oracles.backbone_edges(extract_backbone("T", index, topics))
     assert _excluded(ctx, "y") == _pagerank_on_users(full, ctx)
     assert any(_excluded(ctx, "y"))
 
@@ -429,7 +429,7 @@ def test_excluded_pagerank_keeps_weight_two_edge():
     events = load_events(["0\tA\t#x", "1\tA\t#y", "5\tB\t#x", "6\tB\t#y", "7\tA\t#z"])
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    assert extract_backbone("T", index, topics).weights[("A", "B")] == 2
+    assert oracles.backbone_edges(extract_backbone("T", index, topics))[("A", "B")] == 2
     ctx = PredictionContext(index, topics)
     assert _excluded(ctx, "y") == _pagerank_on_users({("A", "B"): 1}, ctx)
     with pytest.raises(DataError, match="no topic"):
@@ -450,7 +450,7 @@ def test_excluded_pagerank_equals_extract_on_reduced_map():
             without_h = TopicMap(
                 {g: t for g, t in topics.assignment.items() if g != h}, topics.topics
             )
-            reduced = extract_backbone(topic, index, without_h).weights
+            reduced = oracles.backbone_edges(extract_backbone(topic, index, without_h))
             assert _excluded(ctx, h) == _pagerank_on_users(reduced, ctx)
 
 

@@ -86,7 +86,7 @@ def test_time_metric_converges_to_planted_mean():
                   topic_profiles=(prof,))
     d = generate(p)
     index = build_adoption_index(d.events, d.network)
-    genome = build_genome(index, d.topics)
+    genome = oracles.genotypes(build_genome(index, d.topics))
     checked = 0
     for user, gt in genome.items():
         cell = gt.cells.get(("t0", MetricKind.TIME))
