@@ -263,11 +263,8 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
 
         # train side: every other hashtag under this fold's classifiers
         a, s = np.nonzero(kept)
-        steps = np.zeros((len(r), 2, n_tags, k))
-        steps[a, 0, sub_col[a, s]] = -base_ev[r[a], s]
-        steps[a, 1, sub_col[a, s]] = ev[a, s]
-        delta = _ordered_sum(steps.reshape(-1, n_tags, k), 0)
-        scores = prior_logs[c] + base_sum + delta
+        scores = _train_scores(prior_logs[c], base_sum, len(r), a, sub_col[a, s],
+                               base_ev[r[a], s], ev[a, s])
         voters = (base_voters + np.bincount(sub_col[a, s][ok[a]], minlength=n_tags)
                   - np.bincount(sub_col[a, s][base_ok[r[a]]], minlength=n_tags))
         wrong = (voters <= 0) | (scores.argmax(axis=1) != tag_topic)
@@ -290,6 +287,20 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
         train_errors=dict(zip(topic_order, train_errors.tolist())),
         train_totals=dict(zip(topic_order, train_totals.tolist())),
     )
+
+
+def _train_scores(prior_logs: np.ndarray, base_sum: np.ndarray, users: int,
+                  user: np.ndarray, tag: np.ndarray, old: np.ndarray,
+                  new: np.ndarray) -> np.ndarray:
+    """One fold's train-side scores, hashtags x K: the prior plus the base
+    classifiers' evidence sum plus the fold's change.  The change adds,
+    user by user in row order, each kept slot's ``old`` (base) evidence
+    negated and then its ``new`` (fold) evidence, at the slot's hashtag
+    ``tag``; ``user`` is the slot's row among the fold's ``users`` rows."""
+    steps = np.zeros((users, 2, *base_sum.shape))
+    steps[user, 0, tag] = -old
+    steps[user, 1, tag] = new
+    return prior_logs + base_sum + _ordered_sum(steps.reshape(-1, *base_sum.shape), 0)
 
 
 def _consensus(data: LooData, take: np.ndarray) -> np.ndarray:
@@ -516,11 +527,15 @@ def fit_logistic(points: Sequence[tuple[float, float]]) -> LogisticFit:
         return float(np.dot(ys, f) / denom)
 
     lo, hi = float(lx.min()) - 50.0, float(lx.max()) + 50.0
+    ordered, mid = np.sort(lx).tolist(), len(lx) // 2
+    # np.median's value without its numpy.ma import: the mean of the two
+    # middle values is their sum over 2
+    median = ordered[mid] if len(lx) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
     starts = [
-        (1.0, float(np.median(lx))),
+        (1.0, median),
         (0.5, float(lx.min())),
         (2.0, float(lx.max())),
-        (-1.0, float(np.median(lx))),
+        (-1.0, median),
     ]
     best: tuple[float, float, float, float] | None = None
     for k, x0 in starts:

@@ -14,8 +14,13 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
+from .ingest import gather_rows, in_sorted
 
 Node = Hashable
+# Sources per block of the all-sources kernels (betweenness here, latmin's
+# APSP).  A block keeps a few SOURCE_BLOCK x n arrays and one level's or
+# round's edges, so its working set stays far below the n x n output.
+SOURCE_BLOCK = 16
 
 __all__ = [
     "DirectedGraph",
@@ -77,6 +82,17 @@ class DirectedGraph:
     def keys(self) -> np.ndarray:
         """Every edge as the key ``u * n + v`` over node indices, ascending."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr)) * self.n + self.indices
+
+    def out_edges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Out-edges of the keys ``b * n + u``, node u in row b of a block of
+        sources, in key order and then successor order: each key's
+        out-degree and each edge's head key ``b * n + w``."""
+        u = keys % self.n
+        ptr, slots = gather_rows(self.indptr, u)
+        deg, head = np.diff(ptr), self.indices[slots]
+        del slots  # one edge-length temporary fewer at the peak
+        head += np.repeat(keys - u, deg)
+        return deg, head
 
     def adjacency(self) -> list[list[int]]:
         """Each node's successor ids as a Python list, for the loop kernels."""
@@ -213,38 +229,54 @@ def pagerank_arrays(
 def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
     """Exact directed betweenness on hop-count shortest paths.
 
-    Brandes accumulation; endpoints excluded, no normalization.
+    Brandes accumulation; endpoints excluded, no normalization.  It runs
+    level by level over blocks of :data:`SOURCE_BLOCK` sources, on keys
+    ``b * n + v`` for node v in the block's row b, and makes every float
+    add in the order of the per-source queue loop:
+
+    - a level's edges run in (source, queue position, successor) order,
+      and the next level's queue is the order in which its nodes first
+      occur there, so ``sigma`` adds the parents in queue order;
+    - each level's ``delta`` adds its children in descending queue
+      position, as the loop's reversed queue does;
+    - the sources' rows are added into ``bc`` in source order, each
+      source's own entry zeroed first, which adds +0.0.
     """
     n = g.n
-    adj = g.adjacency()
-    bc = [0.0] * n
-    for s in range(n):
-        sigma = [0.0] * n
-        dist = [-1] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        sigma[s] = 1.0
-        dist[s] = 0
-        queue = [s]
-        order: list[int] = []
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return {g.nodes[i]: b for i, b in enumerate(bc)}
+    bc = np.zeros(n)
+    unseen = np.iinfo(np.int64).max
+    for lo in range(0, n, SOURCE_BLOCK):
+        size = min(SOURCE_BLOCK, n - lo) * n
+        where = np.full(size, unseen)  # a reached key's position in its level
+        sigma, delta = np.zeros(size), np.zeros(size)
+        sources = level = np.arange(size // n) * (n + 1) + lo
+        where[level] = np.arange(len(level))
+        sigma[level] = 1.0
+        levels = []
+        while True:
+            deg, head = g.out_edges(level)
+            new = where[head] == unseen
+            tail, head = np.repeat(level, deg)[new], head[new]
+            if not len(head):
+                break
+            edge = np.arange(len(head))
+            np.minimum.at(where, head, edge)
+            nxt = head[where[head] == edge]  # first occurrences, in edge order
+            where[nxt] = np.arange(len(nxt))
+            pos = where[head]
+            sigma[nxt] = np.bincount(pos, weights=sigma[tail], minlength=len(nxt))
+            # edges that tie share a child and differ in parent, so their
+            # order reaches no sum and the sort need not be stable
+            back = np.argsort(-pos)
+            levels.append((level, tail[back], head[back]))
+            level = nxt
+        for level, tail, head in reversed(levels):
+            share = sigma[tail] / sigma[head] * (1.0 + delta[head])
+            delta[level] = np.bincount(where[tail], weights=share, minlength=len(level))
+        delta[sources] = 0.0
+        for row in delta.reshape(-1, n):
+            bc += row
+    return dict(zip(g.nodes, bc.tolist()))
 
 
 def kendall_tau(a: Mapping[Node, float], b: Mapping[Node, float]) -> float:
@@ -295,5 +327,5 @@ def jaccard_keys(a: np.ndarray, b: np.ndarray) -> float:
     """|A ∩ B| / |A ∪ B| over two sorted arrays of distinct edge keys."""
     if not len(a) and not len(b):
         raise DataError("jaccard undefined for two empty edge sets")
-    shared = int(np.count_nonzero(np.searchsorted(b, a, "right") - np.searchsorted(b, a)))
+    shared = int(np.count_nonzero(in_sorted(a, b)))
     return shared / (len(a) + len(b) - shared)

@@ -41,6 +41,7 @@ __all__ = [
     "build_adoption_index",
     "gather_rows",
     "row_sums",
+    "in_sorted",
     "open_utf8",
     "load_manifest",
     "load_dataset",
@@ -202,6 +203,12 @@ def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum of every CSR row of integer or boolean ``values``."""
     total = np.concatenate(([0], np.cumsum(values)))
     return total[indptr[1:]] - total[indptr[:-1]]
+
+
+def in_sorted(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Which ``keys`` occur in the sorted array ``ordered``; ``np.isin``
+    would import ``numpy.ma`` on large inputs."""
+    return np.searchsorted(ordered, keys, "right") > np.searchsorted(ordered, keys)
 
 
 def _csr(row: np.ndarray, col: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,9 @@
 
 Traversal cost lives on nodes: a path pays the latency of every node it
 leaves, never the destination's.  Equivalently each edge (u, v) carries
-weight latency(u), and pair latency is the Dijkstra minimum under that
-transform.  Targeting a node sets its latency to 0, which can only
-shrink pair latencies.
+weight latency(u), and pair latency is the least path cost under that
+transform, each cost summed left to right along its path.  Targeting a
+node sets its latency to 0, which can only shrink pair latencies.
 
 Selecting k targets that minimize the average pair latency is NP-hard,
 so three heuristics are provided (descending latency, descending
@@ -14,7 +14,6 @@ for small instances.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +23,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .graph import DirectedGraph, betweenness_centrality, strongly_connected_components
+from .graph import (
+    SOURCE_BLOCK,
+    DirectedGraph,
+    betweenness_centrality,
+    strongly_connected_components,
+)
 
 __all__ = [
     "LatencyGraph",
@@ -41,7 +45,11 @@ ENUMERATION_BUDGET = 10**6
 # Largest n x n working set one run may allocate.  Per node pair it holds
 # the APSP matrix, the Greedy scoring buffer and the two matrices of one
 # pick update (8 B each), the reachable mask (1 B) and a masked copy of
-# the matrix (8 B).
+# the matrix (8 B).  The APSP and betweenness blocks add no n x n buffer:
+# a block of SOURCE_BLOCK sources holds a few SOURCE_BLOCK x n arrays and
+# one round's or level's edges, about 20 B each, at most SOURCE_BLOCK x
+# the edge count.  That stays under the Greedy buffers' 32 B per pair
+# while the graph has fewer than n^2 / 10 edges.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _BYTES_PER_PAIR = 41
 # Greedy skips a candidate only when its savings bound misses the best
@@ -82,30 +90,32 @@ class MinimizationTrace:
     relative: tuple[float, ...]  # average latency after each pick / original
 
 
-def _single_source(adj, lat: list[float], source_idx: int) -> list[float]:
-    """Dijkstra over w(u -> v) = lat[u]; returns distances by node index."""
-    dist = [math.inf] * len(lat)
-    dist[source_idx] = 0.0
-    heap = [(0.0, source_idx)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        step = d + lat[u]
-        for v in adj[u]:
-            if step < dist[v]:
-                dist[v] = step
-                heapq.heappush(heap, (step, v))
-    return dist
-
-
 def _apsp_matrix(g: DirectedGraph, lat: np.ndarray) -> np.ndarray:
-    """Pair latencies by node index: row s holds the Dijkstra minima from s."""
-    n, adj, lat = g.n, g.adjacency(), lat.tolist()
-    d = np.empty((n, n))
-    for i in range(n):
-        d[i] = _single_source(adj, lat, i)
-    np.fill_diagonal(d, 0.0)
+    """Pair latencies by node index: row s holds the least path costs from s.
+
+    Label-correcting relaxation over blocks of :data:`SOURCE_BLOCK` source
+    rows, written in place into the output.  Each round, every (source,
+    node) key whose distance fell in the last round relaxes its CSR row
+    with ``d + lat[node]``, and the improvements are scattered with
+    ``np.minimum.at``.  ``fl(x + lat)`` is monotone in x and never below
+    x, so the least fixed point is Dijkstra's result, bit for bit.
+    """
+    n = g.n
+    d = np.full((n, n), np.inf)
+    fell = np.zeros(SOURCE_BLOCK * n, bool)
+    for lo in range(0, n, SOURCE_BLOCK):
+        block = d[lo:lo + SOURCE_BLOCK].reshape(-1)  # a view of the block's rows
+        keys = np.arange(len(block) // n) * (n + 1) + lo
+        block[keys] = 0.0
+        while len(keys):
+            deg, head = g.out_edges(keys)
+            step = np.repeat(block[keys] + lat[keys % n], deg)
+            better = step < block[head]
+            head = head[better]
+            np.minimum.at(block, head, step[better])
+            fell[head] = True
+            keys = np.flatnonzero(fell)
+            fell[keys] = False
     return d
 
 
@@ -178,7 +188,10 @@ def _zero_update(d: np.ndarray, idx: int, lat: float, out: np.ndarray,
     (n) is scratch.
     """
     np.subtract(d[idx], lat, out=row)
-    np.add(d[:, idx, None], row[None, :], out=out)
+    # a two-operand broadcast pays iterator overhead on every row; adding
+    # a contiguous column to the filled rows is one scalar add per row
+    np.copyto(out, row)
+    out += d[:, idx, None].copy()
     np.minimum(d, out, out=out)
     out[:, idx] = d[:, idx]
     np.fill_diagonal(out, 0.0)

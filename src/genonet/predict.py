@@ -19,7 +19,7 @@ import numpy as np
 from . import backbone as bb
 from .errors import DataError
 from .graph import pagerank_arrays
-from .ingest import AdoptionIndex, TopicMap, gather_rows, row_sums
+from .ingest import AdoptionIndex, TopicMap, gather_rows, in_sorted, row_sums
 
 __all__ = [
     "Direction", "PredictorKind", "PredictionContext", "InstanceTable",
@@ -61,7 +61,8 @@ class PredictionContext:
         self.hashtag_topic = topics.topic_ids(index.hashtags)
         self.followees, self.followers = np.diff(index.followee_ptr), np.diff(index.follower_ptr)
         src, dst = index.followee_ids, np.repeat(np.arange(n), self.followees)
-        self.mutual = np.intersect1d(src * n + dst, dst * n + src)  # keys of reciprocal edges
+        follow = dst * n + src  # ascending: rows by follower, followees sorted
+        self.mutual = follow[in_sorted(follow, np.sort(src * n + dst))]  # reciprocal edges
         uses = np.bincount(index.event_user * n_tags + index.event_hashtag, minlength=n * n_tags)
         self.uses = uses.reshape(n, n_tags)
         self.activity = self.uses.sum(axis=1)
@@ -88,7 +89,9 @@ class PredictionContext:
             keys, weight, edge, tags = self._topic_backbones[topic]
             kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
             src, dst = kept // n, kept % n
-            nodes = np.union1d(src, dst)
+            on = np.zeros(n, bool)
+            on[src] = on[dst] = True
+            nodes = np.flatnonzero(on)
             self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
                 pr[nodes] = pagerank_arrays(
@@ -146,7 +149,7 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     keep = np.flatnonzero(
         (topic < len(ctx.topics.topics))
         & (ctx.followees[user] >= MIN_FOLLOWEES)
-        & np.isin(tag * n + user, prior_tag * n + owner)  # a non-empty truth
+        & in_sorted(tag * n + user, np.sort(prior_tag * n + owner))  # a non-empty truth
     )
     by_name = sorted(ctx.topics.topics)
     rank = np.array([by_name.index(t) for t in ctx.topics.topics], np.int64)
@@ -156,9 +159,9 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     cand = lists[slots]
     slot_user, slot_tag = np.repeat(user, np.diff(indptr)), np.repeat(tag, np.diff(indptr))
     pair = (slot_user, cand) if direction is Direction.ADOPTER else (cand, slot_user)
-    truth = np.isin(
+    truth = in_sorted(
         (slot_tag * n + pair[0]) * n + pair[1],
-        (prior_tag * n + prior_followee) * n + prior_follower,
+        np.sort((prior_tag * n + prior_followee) * n + prior_follower),
     )
     table = InstanceTable(indptr, cand, truth, user, tag, topic[rows])
     return table.take(row_sums(_slot_pagerank(table, ctx) > 0, indptr) > 0)
@@ -175,7 +178,7 @@ def score_candidates(
         return context.followers[cand].astype(float)
     if kind is PredictorKind.RECIPROCAL:
         keys = cand * len(context.index.users) + np.repeat(table.user, sizes)
-        return np.isin(keys, context.mutual).astype(float)
+        return in_sorted(keys, context.mutual).astype(float)
     # the target hashtag's own events never count
     tag, topic = np.repeat(table.hashtag, sizes), np.repeat(table.topic, sizes)
     uses = context.uses[cand, tag]

@@ -110,3 +110,42 @@ def latency_benchmark(seed: int, n: int = 500) -> LatencyGraph:
     lat = rng.pareto(1.5, n) + 1.0
     graph = DirectedGraph.from_edges(edges)
     return LatencyGraph(graph=graph, latency={i: float(lat[i]) for i in range(n)})
+
+
+def kernel_graphs(seed: int = 17):
+    """(label, graph) cases for the all-sources kernels: tie-heavy shapes
+    with many equal-length shortest paths, a layered DAG with more than
+    2^53 of them, and random digraphs with isolated nodes and unreachable
+    pairs, at sizes below, at and across a block of sources."""
+    rng = np.random.default_rng(seed)
+    ring = [(i, (i + 1) % 60) for i in range(60)]
+    yield "bidirected 60-cycle", DirectedGraph.from_edges(ring + [(v, u) for u, v in ring])
+    grid = [
+        (12 * r + c, 12 * (r + dr) + c + dc)
+        for r in range(12) for c in range(12)
+        for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
+        if 0 <= r + dr < 12 and 0 <= c + dc < 12
+    ]
+    yield "12x12 grid", DirectedGraph.from_edges(grid)
+    halves = [(a, b) for a in range(20) for b in range(20, 40)]
+    yield "K20,20", DirectedGraph.from_edges(halves + [(b, a) for a, b in halves])
+    yield "layered DAG", DirectedGraph.from_edges(layered_dag_edges(rng))
+    for n in (1, 2, 7, 16, 17, 40, 90):
+        p = float(rng.uniform(0.01, 0.12))
+        edges = [(int(a), int(b)) for a in range(n) for b in range(n)
+                 if a != b and rng.random() < p]
+        yield f"random n={n} p={p:.3f}", DirectedGraph.from_edges(edges, nodes=range(n))
+
+
+def layered_dag_edges(rng, width: int = 10, layers: int = 24) -> list[tuple[int, int]]:
+    """Edges between consecutive layers of ``width`` nodes, each present
+    with probability 0.7 and every node given at least one parent, so the
+    path counts differ from node to node."""
+    edges = []
+    for layer in range(1, layers):
+        for child in range(width * layer, width * (layer + 1)):
+            parents = np.flatnonzero(rng.random(width) < 0.7)
+            if not len(parents):
+                parents = rng.integers(width, size=1)
+            edges += [(width * (layer - 1) + int(p), child) for p in parents]
+    return edges

@@ -5,6 +5,7 @@ edge sets) by direct enumeration, deliberately ignoring the library's
 data structures and algorithms.
 """
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -539,6 +540,41 @@ def betweenness_by_path_enumeration(n, edges):
     return bc
 
 
+def betweenness_brandes_loop(g):
+    """``graph.betweenness_centrality`` as Brandes' per-source queue loop
+    over ``g.adjacency()``: the kernel's float adds, one at a time."""
+    n = g.n
+    adj = g.adjacency()
+    bc = [0.0] * n
+    for s in range(n):
+        sigma = [0.0] * n
+        dist = [-1] * n
+        preds = [[] for _ in range(n)]
+        sigma[s] = 1.0
+        dist[s] = 0
+        queue = [s]
+        order = []
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            order.append(v)
+            for w in adj[v]:
+                if dist[w] == -1:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    return {g.nodes[i]: b for i, b in enumerate(bc)}
+
+
 def pagerank_dense(n, edges, damping=0.85, tol=1e-12, max_iter=500):
     m = np.zeros((n, n))
     out_deg = np.zeros(n)
@@ -611,6 +647,29 @@ def kendall_tau_pairs(xs, ys):
 
 
 # --- latency oracles --------------------------------------------------------
+
+
+def dijkstra_apsp(g, lat):
+    """``latmin._apsp_matrix`` as one ``heapq`` Dijkstra per source over
+    w(u -> v) = lat[u], on ``g.adjacency()``; the diagonal is 0."""
+    n, adj, lat = g.n, g.adjacency(), list(lat)
+    d = np.empty((n, n))
+    for s in range(n):
+        dist = [math.inf] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            step = du + lat[u]
+            for v in adj[u]:
+                if step < dist[v]:
+                    dist[v] = step
+                    heapq.heappush(heap, (step, v))
+        d[s] = dist
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def floyd_warshall_latency(nodes, edges, latency):
@@ -869,14 +928,15 @@ class LooFolds:
     train_totals: dict
 
 
-def prepare_loo(metric, pairs, topics):
+def prepare_loo(metric, pairs, topics, train_scores=None):
     """``classify.prepare_loo`` one voter and one dict at a time, as one
     :class:`Fold` of user names per held-out hashtag.
 
     Retrains every user affected by each held-out hashtag and re-scores
     all their other hashtags for the train-side tallies, which adjust the
     base classifiers' vote sums by each affected user's old and new
-    evidence.
+    evidence.  A ``train_scores`` list receives, per fold, the scores of
+    each other hashtag that keeps a voter, by hashtag name.
     """
     from genonet.genotype import MetricKind
 
@@ -973,6 +1033,7 @@ def prepare_loo(metric, pairs, topics):
                     vec = evidence_vector(new_clf, v2, topic_order)
                     deltas[h2] = deltas.get(h2, np.zeros(k)) + vec
                     voter_deltas[h2] = voter_deltas.get(h2, 0) + 1
+        fold_scores = {}
         for h2 in eligible:
             if h2 == h:
                 continue
@@ -982,9 +1043,12 @@ def prepare_loo(metric, pairs, topics):
             if voters <= 0:
                 train_errors[t2] += 1
                 continue
-            scores = prior_logs + base_sum[h2] + deltas.get(h2, 0.0)
+            scores = fold_scores[h2] = prior_logs + base_sum[h2] + deltas.get(h2, 0.0)
             if _argmax_topic(scores, topic_order) != t2:
                 train_errors[t2] += 1
+
+        if train_scores is not None:
+            train_scores.append(fold_scores)
 
     return LooFolds(
         metric=metric,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genonet import classify
 from genonet.classify import (
     _fminbound,
     accuracy_curve,
@@ -310,6 +311,33 @@ def test_prepare_loo_equals_oracle():
                 cases.add("single-hashtag topic")
     assert cases == {"one topic", "identical values", "single-hashtag topic",
                      "reordered topics", "hashtag without voters"}
+
+
+def test_train_side_scores_equal_oracle(monkeypatch):
+    """Each fold's train-side scores equal the per-user oracle's bit for
+    bit on :func:`_seeded_logs`: the fold's change adds each affected
+    user's old evidence negated before their new evidence, user by user.
+    The tallies alone cannot show this order, since it only moves scores
+    by rounding."""
+    got = []
+    train_scores = classify._train_scores
+    monkeypatch.setattr(
+        classify, "_train_scores", lambda *a: got.append(train_scores(*a)) or got[-1]
+    )
+    compared = 0
+    for pairs, topics in _seeded_logs():
+        for metric in MetricKind:
+            got.clear()
+            want = []
+            data = prepare_loo(metric, pairs, topics)
+            oracles.prepare_loo(metric, pairs, topics, train_scores=want)
+            assert len(got) == len(want) == len(data.hashtags)
+            names = [data.hashtag_names[h] for h in data.hashtags.tolist()]
+            for scores, expected in zip(got, want):
+                for name, row in expected.items():
+                    assert scores[names.index(name)].tobytes() == row.tobytes(), name
+                    compared += 1
+    assert compared > 1000
 
 
 def test_consensus_equals_per_fold_oracle():

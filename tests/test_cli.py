@@ -172,10 +172,13 @@ def test_classify_loads_no_scipy(syn_manifest, tmp_path):
 @pytest.mark.parametrize("command", [
     ("ingest-check",), ("genome",), ("backbone",),
     ("latmin", "--topic", "t0", "--strict"), ("latmin", "--topic", "t0", "--permissive"),
+    ("predict",),
+    ("classify", "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", "3"),
 ])
 def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
     """Start-up cost: these commands run without importing ``numpy.ma``,
-    which plain ``np.unique``, ``np.union1d`` and ``np.isin`` load."""
+    which plain ``np.unique``, ``np.union1d``, ``np.intersect1d`` and
+    ``np.median`` load, and ``np.isin`` does on large inputs."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     argv = [*command, "--manifest", str(syn_manifest), "--out", str(tmp_path)]

@@ -14,6 +14,7 @@ from genonet.graph import (
     weakly_connected_components,
 )
 
+import datasets
 import oracles
 
 
@@ -194,6 +195,18 @@ def test_betweenness_matches_enumeration_oracle():
         expected = oracles.betweenness_by_path_enumeration(n, edges)
         for i in range(n):
             assert bc[i] == pytest.approx(expected[i], abs=1e-9)
+
+
+def test_betweenness_equals_brandes_loop_oracle():
+    """The level-synchronous blocks make every float add of the per-source
+    queue loop in its order: ``==`` on the int64 views, on tie-heavy
+    graphs and on path counts above 2^53."""
+    for label, graph in datasets.kernel_graphs():
+        got = betweenness_centrality(graph)
+        want = oracles.betweenness_brandes_loop(graph)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).view(np.int64).tolist() == \
+            np.array(list(want.values())).view(np.int64).tolist(), label
 
 
 def test_kendall_identical_and_reversed():

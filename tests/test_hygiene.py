@@ -3,7 +3,9 @@
 No linter runs on this project, so these checks stand in for three of its
 rules: every name a module exports in ``__all__`` exists, a module with
 ``__all__`` lists each public function and class it defines, and every
-module-level import is used by the module that makes it.
+module-level import is used by the module that makes it.  Two more keep
+Python loop kernels out of the graph code: no heap-driven search, and no
+per-node successor lists outside ``graph.py``.
 """
 
 import ast
@@ -60,3 +62,28 @@ def test_public_definitions_are_exported(name):
         and not node.name.startswith("_") and node.name not in exported
     ]
     assert not unlisted, f"genonet.{name} defines but does not export {unlisted}"
+
+
+# syngen's cascade simulator pops pending adoptions in time order from a
+# heap: an event clock whose random draws follow that order, not a search
+HEAPQ_USERS = {"syngen"}
+
+
+def test_no_module_imports_heapq():
+    users = {
+        name for name in MODULES for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+    }
+    assert users == HEAPQ_USERS, f"heapq imported by {sorted(users - HEAPQ_USERS)}"
+
+
+def test_adjacency_lists_stay_in_graph():
+    """``DirectedGraph.adjacency`` feeds the Python loops of ``graph.py``;
+    the other modules work on the CSR arrays."""
+    calls = [
+        f"{name}.py:{node.lineno}" for name in MODULES if name != "graph"
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.Attribute) and node.attr == "adjacency"
+    ]
+    assert not calls, f"adjacency() used outside graph.py at {calls}"

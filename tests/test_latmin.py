@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from genonet import latmin
+from genonet.cli import main
 from genonet.errors import DataError
-from genonet.graph import DirectedGraph
+from genonet.graph import DirectedGraph, betweenness_centrality
 from genonet.latmin import (
     Heuristic,
     LatencyGraph,
@@ -371,3 +373,96 @@ def test_memory_guard_refuses_before_apsp(monkeypatch):
     monkeypatch.setattr(latmin, "_apsp_matrix", pytest.fail)
     with pytest.raises(DataError, match=r"n=3 nodes needs about 369 bytes"):
         prepare(g)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_apsp_equals_dijkstra_oracle():
+    """The label-correcting blocks reach Dijkstra's distances bit for bit,
+    with tied and zero latencies and with fractional ones whose path sums
+    round, on graphs with isolated nodes and unreachable pairs."""
+    rng = np.random.default_rng(49)
+    unreachable = 0
+    for label, graph in datasets.kernel_graphs():
+        n = graph.n
+        ties = rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], n)
+        spread = np.where(rng.random(n) < 0.2, 0.0, 10 * rng.random(n))
+        for lat in (ties, spread):
+            got = latmin._apsp_matrix(graph, lat)
+            assert (_bits(got) == _bits(oracles.dijkstra_apsp(graph, lat))).all(), label
+        unreachable += bool(np.isinf(got).any())
+    assert unreachable >= 5
+
+
+# perfbench's latmin-dense and hubs datasets at its default seed, 7
+_BENCH_GEN = {
+    "latmin-dense": ("--users", "340", "--topics", "2", "--hashtags-per-topic", "4",
+                     "--cascades", "3", "--edge-prob", "0.0353"),
+    "hubs": ("--users", "320", "--topics", "3", "--hashtags-per-topic", "12",
+             "--cascades", "30", "--graph-model", "preferential-attachment",
+             "--attach-count", "12"),
+}
+
+
+@pytest.fixture(scope="module")
+def bench_manifest(tmp_path_factory):
+    made = {}
+
+    def manifest(shape):
+        if shape not in made:
+            root = tmp_path_factory.mktemp(shape)
+            assert main(["syngen", "--out", str(root), "--seed", "7", *_BENCH_GEN[shape]]) == 0
+            made[shape] = root / "dataset.manifest"
+        return made[shape]
+
+    return manifest
+
+
+@pytest.mark.parametrize("shape, topic, mode", [
+    ("latmin-dense", "t0", "--strict"),
+    ("latmin-dense", "t1", "--permissive"),
+    ("hubs", "t0", "--permissive"),
+])
+def test_kernels_equal_oracles_on_benchmark_components(
+    bench_manifest, tmp_path, monkeypatch, shape, topic, mode
+):
+    """The APSP and the betweenness of the benchmark's latmin components
+    equal the Dijkstra and Brandes loops bit for bit."""
+    seen = {}
+    apsp = latmin._apsp_matrix
+    monkeypatch.setattr(latmin, "_apsp_matrix",
+                        lambda g, lat: seen.setdefault("apsp", (g, lat, apsp(g, lat)))[2])
+    monkeypatch.setattr(latmin, "betweenness_centrality",
+                        lambda g: seen.setdefault("bc", (g, betweenness_centrality(g)))[1])
+    assert main(["latmin", "--manifest", str(bench_manifest(shape)), "--out", str(tmp_path),
+                 "--topic", topic, "--k", "5", mode]) == 0
+    graph, lat, d = seen["apsp"]
+    assert seen["bc"][0] is graph and graph.n >= 300
+    assert (_bits(d) == _bits(oracles.dijkstra_apsp(graph, lat))).all()
+    bc, want = seen["bc"][1], oracles.betweenness_brandes_loop(graph)
+    assert list(bc) == list(want)
+    assert (_bits(list(bc.values())) == _bits(list(want.values()))).all()
+
+
+def test_all_sources_kernels_stay_within_their_blocks():
+    """On a 1,500-node graph of the benchmark components' degree, the APSP
+    holds its n x n output plus one block of sources, under 1.25 x 8n^2
+    bytes, and the betweenness stays under a third of 8n^2: blocks grown
+    toward n rows would break both."""
+    n = 1500
+    rng = np.random.default_rng(1500)
+    keys = np.unique(rng.integers(0, n * n, 6 * n))
+    keys = keys[keys // n != keys % n]
+    graph = DirectedGraph.from_keys(keys, np.ones(n, bool), tuple(range(n)))
+    lat = 10 * rng.random(n)
+    peaks = []
+    for run in (lambda: latmin._apsp_matrix(graph, lat), lambda: betweenness_centrality(graph)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.25 and peaks[1] < 1 / 3, peaks
