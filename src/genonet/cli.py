@@ -15,25 +15,26 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+# OpenBLAS starts a pool of spinning threads when numpy is imported, and no
+# command uses them.  No output depends on this: the one BLAS call in
+# genonet is fit_logistic's np.dot over a few points, which OpenBLAS runs
+# on one thread at any setting.  A value set by the caller still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import backbone as bb
-from . import classify as cl
-from . import genotype as gt
-from . import latmin as lm
-from . import predict as pr
-from . import syngen as sg
-from .errors import DataError, ParseError
-from .graph import (
-    DirectedGraph,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-from .ingest import build_adoption_index, load_dataset, load_manifest, open_utf8
+import numpy as np  # noqa: E402
+
+# each handler imports the modules it runs, so a command loads only those
+from .errors import DataError, ParseError  # noqa: E402
+from .ingest import build_adoption_index, load_dataset, load_manifest, open_utf8  # noqa: E402
+
+if TYPE_CHECKING:
+    from . import genotype as gt
+    from . import syngen as sg
 
 
 class UsageError(Exception):
@@ -139,6 +140,8 @@ def cmd_ingest_check(args) -> None:
 
 
 def cmd_genome(args) -> None:
+    from . import genotype as gt
+
     out = _outdir(args)
     _net, _events, topics, index = _load(args)
     genome = gt.build_genome(index, topics)
@@ -150,6 +153,8 @@ def cmd_genome(args) -> None:
 
 
 def cmd_backbone(args) -> None:
+    from . import backbone as bb
+
     out = _outdir(args)
     _net, _events, topics, index = _load(args)
     wanted = [args.topic] if args.topic else list(topics.topics)
@@ -177,6 +182,8 @@ def cmd_backbone(args) -> None:
 
 
 def _parse_metrics(raw: str | None) -> list[gt.MetricKind]:
+    from . import genotype as gt
+
     if not raw:
         return list(gt.MetricKind)
     try:
@@ -187,6 +194,9 @@ def _parse_metrics(raw: str | None) -> list[gt.MetricKind]:
 
 
 def cmd_classify(args) -> None:
+    from . import classify as cl
+    from . import genotype as gt
+
     out = _outdir(args)
     metrics = _parse_metrics(args.metric)
     sizes = None
@@ -237,6 +247,8 @@ def cmd_classify(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    from . import predict as pr
+
     out = _outdir(args)
     _net, _events, topics, index = _load(args)
     ctx = pr.PredictionContext(index, topics)
@@ -252,6 +264,11 @@ def cmd_predict(args) -> None:
 
 
 def cmd_latmin(args) -> None:
+    from . import backbone as bb
+    from . import genotype as gt
+    from . import latmin as lm
+    from .graph import DirectedGraph, strongly_connected_components, weakly_connected_components
+
     out = _outdir(args)
     _net, _events, topics, index = _load(args)
     if args.topic not in topics.topics:
@@ -310,6 +327,8 @@ _PROFILE_FIELDS = {
 def _parse_profiles(path: str | None, n_topics: int) -> tuple[sg.TopicProfile, ...] | None:
     """One ``TopicProfile`` per topic from a JSON list of objects; each
     object sets any of ``_PROFILE_FIELDS``, and the rest keep their defaults."""
+    from . import syngen as sg
+
     if not path:
         return None
     try:
@@ -334,6 +353,8 @@ def _parse_profiles(path: str | None, n_topics: int) -> tuple[sg.TopicProfile, .
 
 
 def cmd_syngen(args) -> None:
+    from . import syngen as sg
+
     out = _outdir(args)
     params = sg.GenParams(
         n_users=args.users,
@@ -437,10 +458,12 @@ def build_parser() -> _Parser:
     p.add_argument("--topics", type=_positive_int, default=2)
     p.add_argument("--hashtags-per-topic", type=_positive_int, default=4)
     p.add_argument("--cascades", type=int, default=2)
+    # syngen.UNIFORM and syngen.PREFERENTIAL, spelled out so that parsing
+    # any command does not import the generator
     p.add_argument(
         "--graph-model",
-        choices=(sg.UNIFORM, sg.PREFERENTIAL),
-        default=sg.UNIFORM,
+        choices=("uniform-random", "preferential-attachment"),
+        default="uniform-random",
     )
     p.add_argument("--edge-prob", type=float, default=0.08)
     p.add_argument("--attach-count", type=int, default=1)

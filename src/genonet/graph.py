@@ -17,13 +17,19 @@ from .errors import DataError
 from .ingest import gather_rows, in_sorted
 
 Node = Hashable
-# Sources per block of the all-sources kernels (betweenness here, latmin's
-# APSP).  A block keeps a few SOURCE_BLOCK x n arrays and one level's or
-# round's edges, so its working set stays far below the n x n output.
+# Most sources per block of the all-sources kernels (betweenness here,
+# latmin's APSP).  A block of b sources keeps a few b x n arrays and up to
+# b x the edge count in one APSP round or in betweenness's level lists,
+# about _EDGE_BYTES each; source_block keeps those edges within
+# BLOCK_PAIR_BYTES per node pair, a budget that callers count.
 SOURCE_BLOCK = 16
+BLOCK_PAIR_BYTES = 32
+_EDGE_BYTES = 25
 
 __all__ = [
     "DirectedGraph",
+    "csr_rows",
+    "source_block",
     "strongly_connected_components",
     "weakly_connected_components",
     "pagerank",
@@ -45,16 +51,10 @@ class DirectedGraph:
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, keep: np.ndarray, labels) -> "DirectedGraph":
-        """The graph on the ids flagged by ``keep``, a mask over the sorted
-        ``labels``, whose edges are those of the sorted distinct keys
-        ``u * len(labels) + v`` with both ends kept.  Graph node i is the
-        i-th kept id, labelled by its label."""
-        src, dst = np.divmod(keys, len(labels))
-        on = keep[src] & keep[dst]
-        nodes = np.flatnonzero(keep)
-        rank = np.cumsum(keep) - 1  # each kept id's node index
-        indptr = np.searchsorted(rank[src[on]], np.arange(len(nodes) + 1))
-        return cls(tuple(labels[i] for i in nodes.tolist()), indptr, rank[dst[on]])
+        """The graph of :func:`csr_rows`, its node i labelled by
+        ``labels[nodes[i]]`` for the sorted ``labels`` of the ids."""
+        nodes, indptr, indices = csr_rows(keys, keep, len(labels))
+        return cls(tuple(labels[i] for i in nodes.tolist()), indptr, indices)
 
     @classmethod
     def from_edges(
@@ -98,6 +98,30 @@ class DirectedGraph:
         """Each node's successor ids as a Python list, for the loop kernels."""
         ptr, idx = self.indptr.tolist(), self.indices.tolist()
         return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def source_block(g: DirectedGraph) -> int:
+    """Sources per block on ``g``: :data:`SOURCE_BLOCK`, or as many (at
+    least one) as keep the block's edges within :data:`BLOCK_PAIR_BYTES`
+    per node pair, which binds above about n^2 / 12 edges.  The block
+    size moves no output bit."""
+    cap = BLOCK_PAIR_BYTES * g.n * g.n // (_EDGE_BYTES * max(len(g.indices), 1))
+    return max(1, min(SOURCE_BLOCK, cap))
+
+
+def csr_rows(
+    keys: np.ndarray, keep: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR rows of the graph on the ids flagged by ``keep``, a mask over
+    ids ``0..n-1``, whose edges are those of the sorted distinct keys
+    ``u * n + v`` with both ends kept.  Returns the kept ids, node i
+    being the i-th of them, and the rows' ``indptr`` and ``indices``."""
+    src, dst = np.divmod(keys, n)
+    on = keep[src] & keep[dst]
+    nodes = np.flatnonzero(keep)
+    rank = np.cumsum(keep) - 1  # each kept id's node index
+    indptr = np.searchsorted(rank[src[on]], np.arange(len(nodes) + 1))
+    return nodes, indptr, rank[dst[on]]
 
 
 def strongly_connected_components(g: DirectedGraph) -> list[frozenset]:
@@ -230,7 +254,7 @@ def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
     """Exact directed betweenness on hop-count shortest paths.
 
     Brandes accumulation; endpoints excluded, no normalization.  It runs
-    level by level over blocks of :data:`SOURCE_BLOCK` sources, on keys
+    level by level over blocks of :func:`source_block` sources, on keys
     ``b * n + v`` for node v in the block's row b, and makes every float
     add in the order of the per-source queue loop:
 
@@ -245,8 +269,9 @@ def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
     n = g.n
     bc = np.zeros(n)
     unseen = np.iinfo(np.int64).max
-    for lo in range(0, n, SOURCE_BLOCK):
-        size = min(SOURCE_BLOCK, n - lo) * n
+    per_block = source_block(g)
+    for lo in range(0, n, per_block):
+        size = min(per_block, n - lo) * n
         where = np.full(size, unseen)  # a reached key's position in its level
         sigma, delta = np.zeros(size), np.zeros(size)
         sources = level = np.arange(size // n) * (n + 1) + lo

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import DataError
 from .graph import (
-    SOURCE_BLOCK,
     DirectedGraph,
     betweenness_centrality,
+    source_block,
     strongly_connected_components,
 )
 
@@ -45,11 +45,10 @@ ENUMERATION_BUDGET = 10**6
 # Largest n x n working set one run may allocate.  Per node pair it holds
 # the APSP matrix, the Greedy scoring buffer and the two matrices of one
 # pick update (8 B each), the reachable mask (1 B) and a masked copy of
-# the matrix (8 B).  The APSP and betweenness blocks add no n x n buffer:
-# a block of SOURCE_BLOCK sources holds a few SOURCE_BLOCK x n arrays and
-# one round's or level's edges, about 20 B each, at most SOURCE_BLOCK x
-# the edge count.  That stays under the Greedy buffers' 32 B per pair
-# while the graph has fewer than n^2 / 10 edges.
+# the matrix (8 B).  The APSP and betweenness add no n x n buffer, and
+# run while only the APSP matrix and the mask are held: their blocks of
+# sources keep their edges within graph.BLOCK_PAIR_BYTES (32 B) per pair,
+# under the 41 - 9 B left (see graph.source_block).
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 _BYTES_PER_PAIR = 41
 # Greedy skips a candidate only when its savings bound misses the best
@@ -93,18 +92,18 @@ class MinimizationTrace:
 def _apsp_matrix(g: DirectedGraph, lat: np.ndarray) -> np.ndarray:
     """Pair latencies by node index: row s holds the least path costs from s.
 
-    Label-correcting relaxation over blocks of :data:`SOURCE_BLOCK` source
+    Label-correcting relaxation over blocks of :func:`source_block` source
     rows, written in place into the output.  Each round, every (source,
     node) key whose distance fell in the last round relaxes its CSR row
     with ``d + lat[node]``, and the improvements are scattered with
     ``np.minimum.at``.  ``fl(x + lat)`` is monotone in x and never below
     x, so the least fixed point is Dijkstra's result, bit for bit.
     """
-    n = g.n
+    n, per_block = g.n, source_block(g)
     d = np.full((n, n), np.inf)
-    fell = np.zeros(SOURCE_BLOCK * n, bool)
-    for lo in range(0, n, SOURCE_BLOCK):
-        block = d[lo:lo + SOURCE_BLOCK].reshape(-1)  # a view of the block's rows
+    fell = np.zeros(per_block * n, bool)
+    for lo in range(0, n, per_block):
+        block = d[lo:lo + per_block].reshape(-1)  # a view of the block's rows
         keys = np.arange(len(block) // n) * (n + 1) + lo
         block[keys] = 0.0
         while len(keys):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from .errors import DataError
-from .graph import pagerank_arrays
+from .graph import csr_rows, pagerank_arrays
 from .ingest import AdoptionIndex, TopicMap, gather_rows, in_sorted, row_sums
 
 __all__ = [
@@ -73,9 +73,9 @@ class PredictionContext:
     def excluded_pagerank(self, tag: int) -> np.ndarray:
         """PageRank over users of the backbone without a hashtag, 0 off it.
 
-        The topic backbone keeps its edges in id order, which is
-        :meth:`DirectedGraph.from_edges`'s node and edge order, so the
-        PageRank equals ``graph.pagerank`` of the excluded backbone.  An
+        The rows are :func:`graph.csr_rows`, as
+        :meth:`DirectedGraph.from_keys` builds them, so the PageRank
+        equals ``graph.pagerank`` of the excluded backbone.  An
         edge survives the exclusion when its weight exceeds the hashtag's
         own count, which is 0 or 1: a pair occurs once per hashtag.
         """
@@ -88,15 +88,12 @@ class PredictionContext:
                 self._topic_backbones[topic] = backbone
             keys, weight, edge, tags = self._topic_backbones[topic]
             kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
-            src, dst = kept // n, kept % n
             on = np.zeros(n, bool)
-            on[src] = on[dst] = True
-            nodes = np.flatnonzero(on)
+            on[kept // n] = on[kept % n] = True
+            nodes, indptr, indices = csr_rows(kept, on, n)
             self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
-                pr[nodes] = pagerank_arrays(
-                    np.searchsorted(src, np.append(nodes, n)), np.searchsorted(nodes, dst)
-                )
+                pr[nodes] = pagerank_arrays(indptr, indices)
         return self._excluded[tag]
 
 

@@ -192,6 +192,50 @@ def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
     assert done.stdout.strip() == "0 []"
 
 
+_LOADED_BY_ALL = {"genonet", "genonet.cli", "genonet.errors", "genonet.ingest"}
+
+
+@pytest.mark.parametrize("command, loads", [
+    (("ingest-check",), ()),
+    (("genome",), ("genotype",)),
+    (("backbone",), ("graph", "backbone")),
+    (("classify", "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", "3"),
+     ("genotype", "classify")),
+    (("predict",), ("graph", "backbone", "predict")),
+    (("latmin", "--topic", "t0", "--permissive"), ("genotype", "graph", "backbone", "latmin")),
+    (("syngen", "--seed", "5", "--users", "12"), ("syngen",)),
+    (("report",), ()),
+], ids=["ingest-check", "genome", "backbone", "classify", "predict", "latmin", "syngen", "report"])
+def test_commands_load_only_their_modules(syn_manifest, tmp_path, command, loads):
+    """Start-up cost: a command imports only the genonet modules it runs,
+    and numpy's OpenBLAS starts no thread pool unless the caller asks for
+    one with ``OPENBLAS_NUM_THREADS``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    manifest = ("--manifest", str(syn_manifest)) if command[0] not in ("syngen", "report") else ()
+    argv = [*command, *manifest, "--out", str(tmp_path)]
+    probe = (
+        f"import genonet.cli, json, os, sys; code = genonet.cli.main({argv!r}); "
+        "status = '/proc/self/status'; "
+        "threads = [int(l.split()[1]) for l in open(status) if l.startswith('Threads:')] "
+        "if os.path.exists(status) else []; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'genonet'); "
+        "print(json.dumps([code, loaded, threads]))"
+    )
+    want = sorted(_LOADED_BY_ALL | {"genonet." + name for name in loads})
+    callers = [({}, 1)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) >= 2:
+        callers.append(({"OPENBLAS_NUM_THREADS": "2"}, 2))  # the caller's setting wins
+    for extra, threads in callers:
+        done = subprocess.run([sys.executable, "-c", probe], env={**env, **extra},
+                              capture_output=True, text=True, check=True)
+        code, modules, seen = json.loads(done.stdout)
+        assert (code, modules) == (0, want)
+        assert seen in ([], [threads])
+
+
 def test_missing_manifest_exits_2(tmp_path):
     code = run("genome", "--manifest", tmp_path / "nope.manifest", "--out", tmp_path)
     assert code == 2

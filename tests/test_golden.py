@@ -22,11 +22,19 @@ here) moves on a host without AVX-512, or with
 ``OPENBLAS_CORETYPE=Haswell``: ``classify.fit_logistic`` calls numpy's
 ``exp``, ``log`` and ``dot``, whose results depend on the SIMD loop and
 the BLAS kernel chosen.  Every other file keeps its digest there.
+
+``test_golden_digests_in_fresh_processes`` runs each command as
+``python -m genonet.cli``, so the outputs are also pinned under the
+CLI's import-time default of one OpenBLAS thread, which an in-process
+run cannot see because pytest has already imported numpy.
 """
 
 import builtins
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from genonet.cli import main
@@ -60,14 +68,22 @@ def _digests(path: Path) -> dict[str, str]:
     }
 
 
-def compute_digests(root: Path) -> dict[str, dict[str, str]]:
+def _fresh_process(argv: list[str]) -> int:
+    """``python -m genonet.cli`` with the caller's ``OPENBLAS_NUM_THREADS``
+    removed, so the CLI's own import-time default applies."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "genonet.cli", *argv], env=env).returncode
+
+
+def compute_digests(root: Path, run=main) -> dict[str, dict[str, str]]:
     data = root / "data"
-    assert main(["syngen", "--out", str(data), *SYNGEN]) == 0
+    assert run(["syngen", "--out", str(data), *SYNGEN]) == 0
     manifest = str(data / "dataset.manifest")
     out = {"syngen": _digests(data)}
     for label, (command, *flags) in COMMANDS.items():
         dest = root / label
-        code = main([command, "--manifest", manifest, "--out", str(dest), *flags])
+        code = run([command, "--manifest", manifest, "--out", str(dest), *flags])
         assert code == 0, label
         out[label] = _digests(dest)
     return out
@@ -79,6 +95,13 @@ def test_outputs_match_golden_digests(tmp_path):
     for label in want:
         assert got[label] == want[label], label
     assert got.keys() == want.keys()
+
+
+def test_golden_digests_in_fresh_processes(tmp_path):
+    """Each command run as its own process gives the pinned outputs, under
+    the CLI's import-time defaults (see the module docstring)."""
+    assert compute_digests(tmp_path, _fresh_process) == json.loads(
+        FIXTURE.read_text(encoding="utf-8"))
 
 
 def test_golden_digests_under_compensated_sum(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from genonet import latmin
 from genonet.cli import main
 from genonet.errors import DataError
-from genonet.graph import DirectedGraph, betweenness_centrality
+from genonet.graph import BLOCK_PAIR_BYTES, DirectedGraph, betweenness_centrality
 from genonet.latmin import (
     Heuristic,
     LatencyGraph,
@@ -447,22 +447,29 @@ def test_kernels_equal_oracles_on_benchmark_components(
 
 
 def test_all_sources_kernels_stay_within_their_blocks():
-    """On a 1,500-node graph of the benchmark components' degree, the APSP
-    holds its n x n output plus one block of sources, under 1.25 x 8n^2
-    bytes, and the betweenness stays under a third of 8n^2: blocks grown
-    toward n rows would break both."""
-    n = 1500
-    rng = np.random.default_rng(1500)
-    keys = np.unique(rng.integers(0, n * n, 6 * n))
-    keys = keys[keys // n != keys % n]
-    graph = DirectedGraph.from_keys(keys, np.ones(n, bool), tuple(range(n)))
-    lat = 10 * rng.random(n)
-    peaks = []
-    for run in (lambda: latmin._apsp_matrix(graph, lat), lambda: betweenness_centrality(graph)):
-        tracemalloc.start()
-        try:
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 1.25 and peaks[1] < 1 / 3, peaks
+    """In units of 8n^2 bytes, the APSP holds its n x n output plus one
+    block of sources and the betweenness one block.  On 1,500 nodes of the
+    benchmark components' degree, blocks grown toward n rows would break
+    both bounds.  On 400 nodes of about n^2 / 5 edges, full blocks of
+    ``SOURCE_BLOCK`` sources would hold about 10 x 8n^2 bytes of edges, so
+    both kernels must shrink their blocks to keep within
+    ``BLOCK_PAIR_BYTES`` per pair, which the latmin memory guard counts."""
+    for n, edges, apsp_bound, bc_bound in (
+        (1500, 6 * 1500, 1.25, 1 / 3),
+        (400, 400 * 400 // 4, 1 + BLOCK_PAIR_BYTES / 8, BLOCK_PAIR_BYTES / 8),
+    ):
+        rng = np.random.default_rng(n)
+        keys = np.unique(rng.integers(0, n * n, edges))
+        keys = keys[keys // n != keys % n]
+        graph = DirectedGraph.from_keys(keys, np.ones(n, bool), tuple(range(n)))
+        lat = 10 * rng.random(n)
+        peaks = []
+        for run in (lambda: latmin._apsp_matrix(graph, lat),
+                    lambda: betweenness_centrality(graph)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < apsp_bound and peaks[1] < bc_bound, (n, peaks)
