@@ -112,8 +112,7 @@ def _outdir(args) -> Path:
 
 def _load(args):
     net, events, topics = load_dataset(Path(args.manifest))
-    index = build_adoption_index(events, net)
-    return net, events, topics, index
+    return topics, build_adoption_index(events, net)
 
 
 # --- commands -------------------------------------------------------------
@@ -121,12 +120,13 @@ def _load(args):
 
 def cmd_ingest_check(args) -> None:
     out = _outdir(args)
-    net, events, topics, index = _load(args)
-    unmapped = sorted(h for h in events.hashtags if topics.topic_of(h) is None)
+    net, events, topics = load_dataset(Path(args.manifest))
+    index = build_adoption_index(events, net)
+    unmapped = [h for h in events.hashtags if topics.topic_of(h) is None]
     doc = {
         "nodes": len(net.nodes),
-        "edges": len(net.edges),
-        "events": len(events.events),
+        "edges": len(net.keys),
+        "events": len(events.time),
         "users_posting": len(events.users),
         "hashtags_seen": len(events.hashtags),
         "hashtags_mapped": len(topics.assignment),
@@ -143,7 +143,7 @@ def cmd_genome(args) -> None:
     from . import genotype as gt
 
     out = _outdir(args)
-    _net, _events, topics, index = _load(args)
+    topics, index = _load(args)
     genome = gt.build_genome(index, topics)
     prov = _provenance(args, _ANY_WORKERS)
     _write_tsv(out / "genome_values.tsv", prov, lambda fh: gt.write_genome_values(genome, fh))
@@ -156,7 +156,7 @@ def cmd_backbone(args) -> None:
     from . import backbone as bb
 
     out = _outdir(args)
-    _net, _events, topics, index = _load(args)
+    topics, index = _load(args)
     wanted = [args.topic] if args.topic else list(topics.topics)
     for t in wanted:
         if t not in topics.topics:
@@ -207,7 +207,7 @@ def cmd_classify(args) -> None:
             raise UsageError(f"bad --ensemble-sizes: {exc}") from exc
         if args.seed is None:
             raise UsageError("--seed is required with --ensemble-sizes")
-    _net, _events, topics, index = _load(args)
+    topics, index = _load(args)
     results: dict[str, cl.LeaveOneOutResult] = {}
     curves: dict[str, cl.AccuracyCurve] = {}
     fits: dict[str, dict] = {}
@@ -224,17 +224,9 @@ def cmd_classify(args) -> None:
                     "l": fit.l, "k": fit.k, "x0": fit.x0, "residual": fit.residual,
                 }
     prov = _provenance(args)
-    topic_order = topics.topics
-    _write_tsv(
-        out / "error_table_test.tsv",
-        prov,
-        lambda fh: cl.write_error_tables(results, topic_order, "test", fh),
-    )
-    _write_tsv(
-        out / "error_table_train.tsv",
-        prov,
-        lambda fh: cl.write_error_tables(results, topic_order, "train", fh),
-    )
+    for split in ("test", "train"):
+        _write_tsv(out / f"error_table_{split}.tsv", prov,
+                   lambda fh, split=split: cl.write_error_tables(results, topics.topics, split, fh))
     skipped = {m: list(r.skipped) for m, r in results.items() if r.skipped}
     _write_json(out / "classify_summary.json", prov, {"skipped_hashtags": skipped})
     if sizes:
@@ -250,7 +242,7 @@ def cmd_predict(args) -> None:
     from . import predict as pr
 
     out = _outdir(args)
-    _net, _events, topics, index = _load(args)
+    topics, index = _load(args)
     ctx = pr.PredictionContext(index, topics)
     results = []
     for direction in pr.Direction:
@@ -270,7 +262,7 @@ def cmd_latmin(args) -> None:
     from .graph import DirectedGraph, strongly_connected_components, weakly_connected_components
 
     out = _outdir(args)
-    _net, _events, topics, index = _load(args)
+    topics, index = _load(args)
     if args.topic not in topics.topics:
         raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
     latencies = gt.node_topic_latency(index, topics, args.topic)

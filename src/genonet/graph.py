@@ -14,7 +14,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from .errors import DataError
-from .ingest import gather_rows, in_sorted
+from .ingest import gather_rows, in_sorted, intern
 
 Node = Hashable
 # Most sources per block of the all-sources kernels (betweenness here,
@@ -63,11 +63,9 @@ class DirectedGraph:
         nodes: Iterable[Node] = (),
     ) -> "DirectedGraph":
         """Build from (u, v) pairs plus extra nodes; duplicate pairs are rejected."""
-        pairs = list(edges)
-        order = tuple(sorted(set(nodes).union(*pairs)))
-        index = {v: i for i, v in enumerate(order)}
-        n = len(order)
-        ids = np.fromiter((index[x] for e in pairs for x in e), np.int64, 2 * len(pairs))
+        pairs, nodes = list(edges), list(nodes)
+        order, ids = intern(nodes + [x for e in pairs for x in e])
+        n, ids = len(order), ids[len(nodes):]
         keys, counts = np.unique(ids[::2] * n + ids[1::2], return_counts=True)
         if len(keys) < len(pairs):
             u, v = divmod(int(keys[np.argmax(counts > 1)]), n)

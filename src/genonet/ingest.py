@@ -11,10 +11,11 @@ A dataset consists of three TSV files:
 * ``topics.tsv``  -- ``hashtag<TAB>topic``, each hashtag in exactly one
   topic.
 
-Lines starting with ``#`` are comments, empty lines are skipped.  All
-structures returned here, the adoption index's numpy columns included,
-are never modified after construction and are safe to share between
-threads.
+Lines starting with ``#`` are comments, empty lines are skipped.  Each
+loader interns its own file once, through :func:`intern`: a name's id is
+its position among the file's sorted distinct names, so id order is name
+order, and every tie-break by id downstream is a tie-break by name.
+Nothing here is modified after construction.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
+from typing import Hashable, Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
 from .errors import DataError, ParseError
 
 __all__ = [
-    "Event",
+    "intern",
     "EventLog",
     "FollowerNetwork",
     "TopicMap",
@@ -69,41 +70,58 @@ def _iter_content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield line_no, line
 
 
-class Event(NamedTuple):
-    time: int
-    user: str
-    hashtag: str
+def intern(names: Iterable[Hashable]) -> tuple[tuple, np.ndarray]:
+    """The sorted distinct ``names`` and each name's id, its position among
+    them: the one place that turns names into ids."""
+    names = list(names)
+    labels = tuple(sorted(set(names)))
+    ids = {x: i for i, x in enumerate(labels)}
+    return labels, np.fromiter((ids[x] for x in names), np.int64, len(names))
 
 
-@dataclass(frozen=True)
+def _sorted_rows(*columns: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows of ``columns``, sorted by the first
+    column, then the next; ``np.unique`` would import ``numpy.ma``."""
+    order = np.lexsort(columns[::-1])
+    first = np.ones(len(order), bool)
+    first[1:] = np.any([c[order[1:]] != c[order[:-1]] for c in columns], axis=0)
+    return order[first]
+
+
+@dataclass(frozen=True, eq=False)
 class FollowerNetwork:
-    """Directed follow structure: edge (u, v) means v follows u."""
+    """Directed follow structure over the sorted node names: key
+    ``u * n + v`` means v follows u.  ``keys`` are sorted and distinct,
+    and no key is a self-loop."""
 
-    nodes: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise DataError(f"self-loop on {u!r}")
-            if u not in self.nodes or v not in self.nodes:
-                raise DataError(f"edge ({u!r}, {v!r}) references unknown node")
+    nodes: tuple[str, ...]
+    keys: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
-    """Deduplicated post events, sorted by (time, user, hashtag)."""
+    """Post events as id columns over the sorted posting users and
+    hashtags: distinct (time, user, hashtag) rows, sorted."""
 
-    events: tuple[Event, ...]
+    users: tuple[str, ...]
+    hashtags: tuple[str, ...]
+    time: np.ndarray
+    user: np.ndarray
+    hashtag: np.ndarray
     skipped_lines: int = 0
 
-    @cached_property
-    def users(self) -> frozenset[str]:
-        return frozenset(e.user for e in self.events)
+    @classmethod
+    def from_rows(cls, time: Iterable[int], user: Iterable[str], hashtag: Iterable[str],
+                  skipped_lines: int = 0) -> "EventLog":
+        """The log of (time, user, hashtag) rows in any order, repeats allowed."""
+        users, u = intern(user)
+        hashtags, h = intern(hashtag)
+        t = np.fromiter(time, np.int64, len(u))
+        rows = _sorted_rows(t, u, h)
+        return cls(users, hashtags, t[rows], u[rows], h[rows], skipped_lines)
 
-    @cached_property
-    def hashtags(self) -> frozenset[str]:
-        return frozenset(e.hashtag for e in self.events)
+    # the time column, under the name perfbench/traced_cli.py counts events by
+    events = property(lambda self: self.time)
 
 
 @dataclass(frozen=True)
@@ -147,11 +165,12 @@ class TopicMap:
 class AdoptionIndex:
     """The dataset as integer columns over one id space.
 
-    Users (``sorted(net.nodes | events.users)``) and hashtags
-    (``sorted(events.hashtags)``) get ids in sorted-name order, so id
-    order is name order.  The columns:
+    ``users`` is the sorted union of ``net.nodes`` and ``events.users``,
+    ``hashtags`` is ``events.hashtags``; ids are positions in them, so id
+    order is name order, as in every loader.  The columns:
 
-    * ``event_time``, ``event_user``, ``event_hashtag``: the log, in log order;
+    * ``event_time``, ``event_user``, ``event_hashtag``: the log, sorted by
+      (time, user, hashtag);
     * ``followee_ptr``/``followee_ids`` and ``follower_ptr``/``follower_ids``:
       each user's followees and followers as CSR rows, sorted by id;
     * per adopted (user, hashtag) pair, in first-use order (first use,
@@ -211,26 +230,17 @@ def in_sorted(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     return np.searchsorted(ordered, keys, "right") > np.searchsorted(ordered, keys)
 
 
-def _csr(row: np.ndarray, col: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row pointers over ``0..n-1`` and each row's columns, sorted."""
-    return np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))), col[np.lexsort((col, row))]
-
-
 def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:
     """Parse ``followee<TAB>follower`` lines into a FollowerNetwork.
 
     Single-field lines declare isolated nodes.  Duplicate edges collapse;
     self-loops and empty fields are rejected with their line number.
     """
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    names, ends = [], []  # declared nodes; each edge's two ends
     for line_no, line in _iter_content_lines(source):
         parts = line.split("\t")
-        if len(parts) == 1:
-            node = parts[0].strip()
-            if not node:
-                raise ParseError("empty node declaration", line_no)
-            nodes.add(node)
+        if len(parts) == 1:  # never blank: blank lines are skipped
+            names.append(parts[0].strip())
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 2 fields, got {len(parts)}", line_no)
@@ -239,10 +249,11 @@ def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:
             raise ParseError("empty field in edge", line_no)
         if followee == follower:
             raise ParseError(f"self-loop on {followee!r}", line_no)
-        nodes.add(followee)
-        nodes.add(follower)
-        edges.add((followee, follower))
-    return FollowerNetwork(nodes=frozenset(nodes), edges=frozenset(edges))
+        ends += (followee, follower)
+    nodes, ids = intern(names + ends)
+    ids = ids[len(names):]
+    keys = ids[::2] * len(nodes) + ids[1::2]
+    return FollowerNetwork(nodes, keys[_sorted_rows(keys)])
 
 
 def load_events(source: Iterable[str]) -> EventLog:
@@ -253,8 +264,7 @@ def load_events(source: Iterable[str]) -> EventLog:
     list is empty after normalization are skipped and counted in
     ``skipped_lines``.
     """
-    seen: set[Event] = set()
-    skipped = 0
+    times, users, hashtags, skipped = [], [], [], 0
     for line_no, line in _iter_content_lines(source):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -276,9 +286,10 @@ def load_events(source: Iterable[str]) -> EventLog:
         if not tags:
             skipped += 1
             continue
-        for tag in tags:
-            seen.add(Event(time, user, tag))
-    return EventLog(events=tuple(sorted(seen)), skipped_lines=skipped)
+        times += [time] * len(tags)
+        users += [user] * len(tags)
+        hashtags += tags
+    return EventLog.from_rows(times, users, hashtags, skipped)
 
 
 def load_topic_map(source: Iterable[str]) -> TopicMap:
@@ -305,30 +316,29 @@ def load_topic_map(source: Iterable[str]) -> TopicMap:
 
 
 def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionIndex:
-    """Intern the log and the follow edges and derive every pair column.
+    """Remap both files' ids into the union of their users and derive
+    every pair column.
 
-    Output is independent of input event order: only minima and counts
-    over (user, hashtag) groups are used.  One join of each hashtag's
+    The remap is monotone, so the follow keys stay sorted and the log
+    stays in (time, user, hashtag) order.  One join of each hashtag's
     adopters with their followers fills the prior adopters, first
     exposure and the exposed-pair count; the strict first-use comparison
     lives only here.
     """
-    users = tuple(sorted(net.nodes | events.users))
-    hashtags = tuple(sorted(events.hashtags))
-    user_ids = {u: i for i, u in enumerate(users)}
-    hashtag_ids = {h: i for i, h in enumerate(hashtags)}
-    n, ev, edges = len(users), events.events, net.edges
-    time = np.fromiter((e.time for e in ev), np.int64, len(ev))
-    user = np.fromiter((user_ids[e.user] for e in ev), np.int64, len(ev))
-    tag = np.fromiter((hashtag_ids[e.hashtag] for e in ev), np.int64, len(ev))
-    src, dst = (np.fromiter((user_ids[e[i]] for e in edges), np.int64, len(edges)) for i in (0, 1))
-    follower_ptr, follower_ids = _csr(src, dst, n)
+    users, remap = intern(net.nodes + events.users)  # net's ids first, then the log's
+    hashtags, n, m = events.hashtags, len(users), len(net.nodes)
+    time, user, tag = events.time, remap[m:][events.user], events.hashtag
+    src, dst = (remap[c] for c in np.divmod(net.keys, m))
+    follower_ptr, follower_ids = np.searchsorted(src, np.arange(n + 1)), dst
+    # a stable sort keeps each followee row in ascending id order
+    by_followee = np.argsort(dst, kind="stable")
+    followee_ptr = np.searchsorted(dst[by_followee], np.arange(n + 1))
 
-    _keys, first, pair, use_count = np.unique(
-        user * len(hashtags) + tag, return_index=True, return_inverse=True, return_counts=True
+    # the log is sorted by time, so each pair's first row holds its first use
+    _keys, first, use_count = np.unique(
+        user * len(hashtags) + tag, return_index=True, return_counts=True
     )
-    first_use = np.full(len(first), np.iinfo(np.int64).max)
-    np.minimum.at(first_use, pair, time)
+    first_use = time[first]
     order = np.lexsort((tag[first], user[first], first_use))
     pair_user, pair_hashtag = user[first][order], tag[first][order]
     first_use, use_count = first_use[order], use_count[order]
@@ -359,7 +369,7 @@ def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionInde
     first_exposure[has_prior] = first_use[source[prior_ptr[has_prior]]]
     return AdoptionIndex(
         users, hashtags, time, user, tag,
-        *_csr(dst, src, n), follower_ptr, follower_ids,
+        followee_ptr, src[by_followee], follower_ptr, follower_ids,
         pair_user, pair_hashtag, first_use, use_count, first_exposure,
         prior_ptr, pair_user[source], exposed,
     )
@@ -400,6 +410,10 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
             value = value.strip().strip("\"'")
             if key not in _MANIFEST_KEYS:
                 raise ParseError(f"unknown manifest key {key!r}", line_no)
+            if key in found:
+                raise ParseError(f"repeated manifest key {key!r}", line_no)
+            if not value:
+                raise ParseError(f"empty value for manifest key {key!r}", line_no)
             p = Path(value)
             found[key] = p if p.is_absolute() else base / p
     missing = [k for k in _MANIFEST_KEYS if k not in found]
@@ -420,16 +434,17 @@ def load_dataset(manifest_path: str | Path) -> tuple[FollowerNetwork, EventLog, 
 
 
 def write_follower_edges(net: FollowerNetwork, fh) -> None:
-    touched = {n for e in net.edges for n in e}
-    for node in sorted(net.nodes - touched):
-        fh.write(f"{node}\n")
-    for u, v in sorted(net.edges):
-        fh.write(f"{u}\t{v}\n")
+    """Isolated nodes, then the edges, each in name order."""
+    src, dst = np.divmod(net.keys, len(net.nodes))
+    isolated = np.ones(len(net.nodes), bool)
+    isolated[src] = isolated[dst] = False
+    fh.writelines(f"{net.nodes[i]}\n" for i in np.flatnonzero(isolated).tolist())
+    fh.writelines(f"{net.nodes[u]}\t{net.nodes[v]}\n" for u, v in zip(src.tolist(), dst.tolist()))
 
 
 def write_events(log: EventLog, fh) -> None:
-    for t, u, tag in log.events:
-        fh.write(f"{t}\t{u}\t{tag}\n")
+    rows = zip(log.time.tolist(), log.user.tolist(), log.hashtag.tolist())
+    fh.writelines(f"{t}\t{log.users[u]}\t{log.hashtags[h]}\n" for t, u, h in rows)
 
 
 def write_topic_map(topics: TopicMap, fh) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DataError
 from .ingest import (
-    Event,
     EventLog,
     FollowerNetwork,
     TopicMap,
@@ -242,10 +241,11 @@ def generate(p: GenParams) -> GeneratedDataset:
 
     profiles = p.profiles()
     lat_mean: dict[tuple[str, str], float] = {}
-    shift: dict[tuple[int, int], int] = {}
     adopt_p: dict[tuple[str, str], float] = {}
-    adopt_p_idx: dict[tuple[int, int], float] = {}
-    rep_rate: dict[tuple[int, int], float] = {}
+    # per topic, per user index: delay shift, adoption probability, repeat rate
+    shift: list[list[int]] = []
+    adopt: list[list[float]] = []
+    repeat: list[list[float]] = []
     for ti, (topic, prof) in enumerate(zip(topics, profiles)):
         if prof.engagement_coupling:
             e = rng.uniform(0.0, 1.0, p.n_users)
@@ -257,15 +257,15 @@ def generate(p: GenParams) -> GeneratedDataset:
             q = rng.uniform(prof.adoption_prob[0], prof.adoption_prob[1], p.n_users)
             rr = rng.uniform(prof.repeat_rate[0], prof.repeat_rate[1], p.n_users)
         jitter = prof.latency_jitter
-        for ui in range(p.n_users):
-            s = max(0, int(round(mu[ui])) - int(round(jitter)))
-            shift[(ui, ti)] = s
-            lat_mean[(users[ui], topic)] = s + jitter
-            adopt_p[(users[ui], topic)] = float(q[ui])
-            adopt_p_idx[(ui, ti)] = float(q[ui])
-            rep_rate[(ui, ti)] = float(rr[ui])
+        shift.append([max(0, int(round(m)) - int(round(jitter))) for m in mu])
+        adopt.append(q.tolist())
+        repeat.append(rr.tolist())
+        for name, s, prob in zip(users, shift[ti], adopt[ti]):
+            lat_mean[(name, topic)] = s + jitter
+            adopt_p[(name, topic)] = prob
 
-    raw_events: set[Event] = set()
+    # the log's rows; EventLog.from_rows sorts them and drops repeats
+    ev_time, ev_user, ev_hashtag = [], [], []
     cascades: list[CascadeRecord] = []
     flipped: dict[str, set[int]] = {h: set() for h in hashtags}
     adopted: dict[str, set[int]] = {h: set() for h in hashtags}
@@ -282,11 +282,6 @@ def generate(p: GenParams) -> GeneratedDataset:
                 band += 1
                 seed_user = int(rng.integers(p.n_users))
                 record: list[tuple[str, int]] = []
-                if seed_user in adopted[h]:
-                    cascades.append(
-                        CascadeRecord(h, users[seed_user], start, tuple(record))
-                    )
-                    continue
                 seq = 0
                 heap: list[tuple[int, int, int]] = [(start, seq, seed_user)]
                 while heap:
@@ -295,18 +290,18 @@ def generate(p: GenParams) -> GeneratedDataset:
                         continue
                     adopted[h].add(u)
                     record.append((users[u], t))
-                    raw_events.add(Event(t, users[u], h))
-                    rate = rep_rate[(u, ti)]
-                    if rate > 0 and prof.repeat_horizon > 0:
-                        for i in range(1, prof.repeat_horizon + 1):
-                            if rng.random() < rate:
-                                raw_events.add(Event(t + i, users[u], h))
+                    rate = repeat[ti][u]
+                    posts = [t] + [t + i for i in range(1, prof.repeat_horizon + 1)
+                                   if rate > 0 and rng.random() < rate]
+                    ev_time += posts
+                    ev_user += [users[u]] * len(posts)
+                    ev_hashtag += [h] * len(posts)
                     for w in followers[u]:
                         if w in flipped[h]:
                             continue
                         flipped[h].add(w)
-                        if rng.random() < adopt_p_idx[(w, ti)]:
-                            delay = shift[(w, ti)] + int(rng.geometric(geom_p))
+                        if rng.random() < adopt[ti][w]:
+                            delay = shift[ti][w] + int(rng.geometric(geom_p))
                             delay = min(delay, max_delay)
                             seq += 1
                             heapq.heappush(heap, (t + delay, seq, w))
@@ -314,17 +309,11 @@ def generate(p: GenParams) -> GeneratedDataset:
                     CascadeRecord(h, users[seed_user], start, tuple(record))
                 )
 
-    edges = frozenset(
-        (users[u], users[w]) for u in range(p.n_users) for w in followers[u]
-    )
-    network = FollowerNetwork(nodes=frozenset(users), edges=edges)
-    events = EventLog(events=tuple(sorted(raw_events)))
-    truth = PlantedTruth(
-        latency_mean=lat_mean,
-        adoption_prob=adopt_p,
-        hashtag_topics=hashtags,
-        cascades=tuple(cascades),
-    )
-    return GeneratedDataset(
-        network=network, events=events, topics=topic_map, truth=truth
-    )
+    # user names sort in index order, and each follower row is ascending
+    # and distinct, so the keys come out sorted and distinct
+    keys = np.repeat(np.arange(p.n_users), [len(f) for f in followers]) * p.n_users
+    keys += np.fromiter((w for f in followers for w in f), np.int64, len(keys))
+    network = FollowerNetwork(nodes=tuple(users), keys=keys)
+    events = EventLog.from_rows(ev_time, ev_user, ev_hashtag)
+    truth = PlantedTruth(lat_mean, adopt_p, hashtags, tuple(cascades))
+    return GeneratedDataset(network, events, topic_map, truth)

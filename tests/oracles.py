@@ -9,7 +9,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,119 @@ def compensated_sum(iterable, /, start=0):
     for item in items:
         result = result + item
     return result
+
+
+# --- name-keyed dataset ----------------------------------------------------
+
+
+class Event(NamedTuple):
+    time: int
+    user: str
+    hashtag: str
+
+
+@dataclass(frozen=True)
+class FollowerNetwork:
+    """Directed follow structure: edge (u, v) means v follows u."""
+
+    nodes: frozenset
+    edges: frozenset
+
+    def __post_init__(self):
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop on {u!r}")
+            if u not in self.nodes or v not in self.nodes:
+                raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
+
+
+@dataclass(frozen=True)
+class EventLog:
+    """Deduplicated post events, sorted by (time, user, hashtag)."""
+
+    events: tuple
+    skipped_lines: int = 0
+
+    @cached_property
+    def users(self):
+        return frozenset(e.user for e in self.events)
+
+    @cached_property
+    def hashtags(self):
+        return frozenset(e.hashtag for e in self.events)
+
+
+def _content_lines(source):
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield line_no, line
+
+
+def load_follower_edges(source):
+    """``ingest.load_follower_edges`` on names: a set of name pairs."""
+    from genonet.errors import ParseError
+
+    nodes, edges = set(), set()
+    for line_no, line in _content_lines(source):
+        parts = line.split("\t")
+        if len(parts) == 1:
+            nodes.add(parts[0].strip())
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no)
+        followee, follower = (p.strip() for p in parts)
+        if not followee or not follower:
+            raise ParseError("empty field in edge", line_no)
+        if followee == follower:
+            raise ParseError(f"self-loop on {followee!r}", line_no)
+        nodes.update((followee, follower))
+        edges.add((followee, follower))
+    return FollowerNetwork(frozenset(nodes), frozenset(edges))
+
+
+def load_events(source):
+    """``ingest.load_events`` on names: a set of ``Event`` triples, sorted."""
+    from genonet.errors import ParseError
+    from genonet.ingest import normalize_hashtag
+
+    seen, skipped = set(), 0
+    for line_no, line in _content_lines(source):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 fields, got {len(parts)}", line_no)
+        time_raw, user, tags_raw = (p.strip() for p in parts)
+        digits = time_raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"non-integer time {time_raw!r}", line_no)
+        time = int(time_raw)
+        if time < 0:
+            raise ParseError(f"negative time {time}", line_no)
+        if time >= 2**63:
+            raise ParseError(f"time {time} above 2^63-1", line_no)
+        if not user:
+            raise ParseError("empty user", line_no)
+        tags = [t for t in (normalize_hashtag(t) for t in tags_raw.split(",")) if t]
+        if not tags:
+            skipped += 1
+        seen.update(Event(time, user, tag) for tag in tags)
+    return EventLog(tuple(sorted(seen)), skipped)
+
+
+def named(data):
+    """An ``ingest.FollowerNetwork`` or ``ingest.EventLog`` read back as the
+    name type above, its id columns mapped to names."""
+    from genonet.ingest import FollowerNetwork as IdNetwork
+
+    if isinstance(data, IdNetwork):
+        nodes, n = data.nodes, len(data.nodes)
+        return FollowerNetwork(
+            frozenset(nodes), frozenset((nodes[k // n], nodes[k % n]) for k in data.keys.tolist())
+        )
+    return EventLog(tuple(
+        Event(t, data.users[u], data.hashtags[h])
+        for t, u, h in zip(data.time.tolist(), data.user.tolist(), data.hashtag.tolist())
+    ), data.skipped_lines)
 
 
 # --- random dataset material ----------------------------------------------

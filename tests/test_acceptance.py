@@ -82,9 +82,7 @@ def test_criterion_1_metric_oracle_equivalence():
             index = build_adoption_index(events, net)
 
             oracle = oracles.MetricOracle(
-                [(e.time, e.user, e.hashtag) for e in events.events],
-                net.edges,
-                topics.assignment,
+                oracles.named(events).events, oracles.named(net).edges, topics.assignment
             )
             rows = oracles.metric_rows(pair_metrics(index, topics))
             exact = {

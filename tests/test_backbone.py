@@ -63,12 +63,11 @@ def test_backbones_equal_edge_scan_oracle():
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
         index = build_adoption_index(events, net)
-        triples = [(e.time, e.user, e.hashtag) for e in events.events]
+        triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
             hashtags = topics.hashtags_for(topic)
             b = extract_backbone(topic, index, topics)
-            assert oracles.backbone_edges(b) == oracles.backbone_weights(
-                triples, net.edges, hashtags)
+            assert oracles.backbone_edges(b) == oracles.backbone_weights(triples, edges, hashtags)
 
 
 def test_backbone_subset_of_follower_and_weight_bound():
@@ -83,7 +82,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
         for topic in topics.topics:
             b = extract_backbone(topic, index, topics)
             weights = oracles.backbone_edges(b)
-            assert weights.keys() <= net.edges
+            assert weights.keys() <= oracles.named(net).edges
             for (u, _v), w in weights.items():
                 used = sum(
                     1 for h in topics.hashtags_for(topic) if (u, h) in first_use
@@ -126,7 +125,7 @@ def test_compare_with_follower_equals_name_oracle():
             if not weights:
                 continue
             got = compare_with_follower(b, index)
-            want = oracles.compare_with_follower(topic, weights, net)
+            want = oracles.compare_with_follower(topic, weights, oracles.named(net))
             for field in dataclasses.fields(want):
                 assert getattr(got, field.name) == getattr(want, field.name), field.name
             compared += 1

@@ -383,7 +383,7 @@ def test_loo_matches_manual_holdout_protocol():
     }
     values = _column(metric, pairs)
 
-    used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
+    used = [h for h in d.events.hashtags if d.topics.topic_of(h)]
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
         counts[d.topics.topic_of(h)] += 1
@@ -443,7 +443,7 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     metric = MetricKind.TIME
     values = _column(metric, _pairs(d, index))
 
-    used = sorted({e.hashtag for e in d.events.events if d.topics.topic_of(e.hashtag)})
+    used = [h for h in d.events.hashtags if d.topics.topic_of(h)]
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
         counts[d.topics.topic_of(h)] += 1

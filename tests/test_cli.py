@@ -13,6 +13,8 @@ from genonet.graph import DirectedGraph
 from genonet.ingest import load_dataset
 from genonet.syngen import GenParams, TopicProfile, generate
 
+import oracles
+
 
 def run(*args):
     return main([str(a) for a in args])
@@ -174,6 +176,9 @@ def test_classify_loads_no_scipy(syn_manifest, tmp_path):
     ("latmin", "--topic", "t0", "--strict"), ("latmin", "--topic", "t0", "--permissive"),
     ("predict",),
     ("classify", "--metric", "LAT,TIME", "--ensemble-sizes", "1,2,4", "--seed", "3"),
+    ("syngen", "--seed", "5", "--users", "40", "--graph-model", "uniform-random"),
+    ("syngen", "--seed", "5", "--users", "40", "--graph-model", "preferential-attachment",
+     "--attach-count", "3"),
 ])
 def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
     """Start-up cost: these commands run without importing ``numpy.ma``,
@@ -181,7 +186,8 @@ def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
     ``np.median`` load, and ``np.isin`` does on large inputs."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [*command, "--manifest", str(syn_manifest), "--out", str(tmp_path)]
+    manifest = ("--manifest", str(syn_manifest)) if command[0] != "syngen" else ()
+    argv = [*command, *manifest, "--out", str(tmp_path)]
     probe = (
         f"import genonet.cli, sys; code = genonet.cli.main({argv!r}); "
         "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
@@ -248,6 +254,46 @@ def _write_dataset(root: Path, edges: str, events: str, topics: str) -> Path:
     manifest = root / "m"
     manifest.write_text("edges = edges.tsv\nevents = events.tsv\ntopics = topics.tsv\n")
     return manifest
+
+
+_ALL_COMMANDS = [("ingest-check",), ("genome",), ("backbone",), ("classify",), ("predict",),
+                 ("latmin", "--topic", "T")]
+
+
+@pytest.mark.parametrize("edges, events, counts", [
+    ("", "1\ta\t#x\n2\tb\t#x\n", {"nodes": 0, "edges": 0, "exposed_pairs": 0}),
+    ("a\tb\nb\tc\n", "", {"events": 0, "users_posting": 0, "hashtags_seen": 0,
+                           "adopted_pairs": 0, "skipped_event_lines": 0}),
+    ("a\tb\nb\tc\n", "1\ta\t#\n2\tb\t,#\n", {"events": 0, "users_posting": 0, "hashtags_seen": 0,
+                                                  "adopted_pairs": 0, "skipped_event_lines": 2}),
+], ids=["empty-edges", "empty-events", "all-event-lines-skipped"])
+def test_empty_datasets(tmp_path, capsys, edges, events, counts):
+    """An empty edges or events file, or an events file whose every line
+    is skipped, runs every command; only latmin stops, on its empty
+    backbone."""
+    manifest = _write_dataset(tmp_path, edges, events, "x\tT\ny\tT\n")
+    for command in _ALL_COMMANDS:
+        code = run(*command, "--manifest", manifest, "--out", tmp_path / command[0])
+        err = capsys.readouterr().err
+        if command[0] == "latmin":
+            assert code == 2 and "data error: backbone for topic 'T' is empty" in err
+        else:
+            assert (code, err) == (0, ""), command
+    doc = json.loads((tmp_path / "ingest-check" / "ingest_check.json").read_text())
+    assert {key: doc[key] for key in counts} == counts
+
+
+def test_manifest_repeated_key_or_empty_value_exits_2(tmp_path, capsys):
+    manifest = _write_dataset(tmp_path, "a\tb\n", "1\ta\t#x\n", "x\tT\n")
+    for body, problem in [
+        ("edges = edges.tsv\nevents = events.tsv\ntopics = topics.tsv\nevents = e2\n",
+         "line 4: repeated manifest key 'events'"),
+        ("edges = edges.tsv\nevents = \ntopics = topics.tsv\n",
+         "line 2: empty value for manifest key 'events'"),
+    ]:
+        manifest.write_text(body)
+        assert run("genome", "--manifest", manifest, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"data error: {problem}\n"
 
 
 def test_parse_error_exits_2(tmp_path):
@@ -355,7 +401,8 @@ def test_one_metric_pass_per_pair(syn_manifest, tmp_path, monkeypatch, command):
     """genome and classify with every metric compute each pair's row once,
     in one timeline count."""
     _net, events, topics = load_dataset(syn_manifest)
-    pairs = len({(e.user, e.hashtag) for e in events.events if topics.topic_of(e.hashtag)})
+    log = oracles.named(events)
+    pairs = len({(e.user, e.hashtag) for e in log.events if topics.topic_of(e.hashtag)})
     rows, counts = [], []
     build, lat_counts = genotype.pair_metrics, genotype._lat_counts
     monkeypatch.setattr(genotype, "pair_metrics",

@@ -136,7 +136,7 @@ def _random_setup(rng, **kw):
     events = load_events(event_lines)
     topics = load_topic_map(topic_lines)
     index = build_adoption_index(events, net)
-    return net, events, topics, index
+    return oracles.named(net), oracles.named(events), topics, index
 
 
 def test_metric_invariants_random():
@@ -175,9 +175,7 @@ def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
     genome = oracles.genotypes(build_genome(index, topics))
-    oracle = oracles.MetricOracle(
-        [(e.time, e.user, e.hashtag) for e in events.events], net.edges, topics.assignment
-    )
+    oracle = oracles.MetricOracle(events.events, net.edges, topics.assignment)
     by_kind = {
         MetricKind.TIME: oracle.time,
         MetricKind.N_USES: oracle.n_uses,
@@ -214,7 +212,8 @@ def test_genome_writers_follow_name_order():
     topics = load_topic_map(reversed(topic_lines))
     assert list(topics.topics) != sorted(topics.topics)
     genome = build_genome(build_adoption_index(events, net), topics)
-    want = oracles.build_genome(oracles.pair_metric_rows(events, net, topics), topics)
+    rows = oracles.pair_metric_rows(oracles.named(events), oracles.named(net), topics)
+    want = oracles.build_genome(rows, topics)
     cells = sorted((u, t, k.value, c) for u, g in want.items() for (t, k), c in g.cells.items())
     values, summary = io.StringIO(), io.StringIO()
     write_genome_values(genome, values)

@@ -5,7 +5,8 @@ rules: every name a module exports in ``__all__`` exists, a module with
 ``__all__`` lists each public function and class it defines, and every
 module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
-per-node successor lists outside ``graph.py``.
+per-node successor lists outside ``graph.py``.  The last keeps the turning
+of names into ids in ``ingest.intern``.
 """
 
 import ast
@@ -87,3 +88,43 @@ def test_adjacency_lists_stay_in_graph():
         if isinstance(node, ast.Attribute) and node.attr == "adjacency"
     ]
     assert not calls, f"adjacency() used outside graph.py at {calls}"
+
+
+# A dict from each label to its position is an id map.  ingest.intern
+# builds the one that gives names their ids, in sorted-name order;
+# TopicMap.topic_ids numbers topics in first-appearance order.
+ID_MAP_OWNERS = {"ingest.intern", "ingest.TopicMap.topic_ids"}
+
+
+def _is_id_map(node):
+    """``{x: i for i, x in enumerate(...)}``, whatever the names."""
+    if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
+        return False
+    gen = node.generators[0]
+    return (
+        isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None) == "enumerate"
+        and isinstance(gen.target, ast.Tuple) and len(gen.target.elts) == 2
+        and [getattr(e, "id", None) for e in gen.target.elts]
+        == [getattr(node.value, "id", 0), getattr(node.key, "id", 0)]
+    )
+
+
+def _id_map_scopes(node, scope):
+    """The qualified name of the function or class around each id map."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if _is_id_map(child):
+            yield f"{inner}:{child.lineno}"
+        yield from _id_map_scopes(child, inner)
+
+
+def test_id_maps_only_in_intern():
+    """Names become ids in ``ingest.intern`` alone, so "id = position in
+    sorted-name order" holds for every id space."""
+    found = [site for name in MODULES for site in _id_map_scopes(_tree(name), name)]
+    scopes = {site.split(":")[0] for site in found}
+    assert "ingest.intern" in scopes  # the walk sees the pattern
+    stray = [site for site in found if site.split(":")[0] not in ID_MAP_OWNERS]
+    assert not stray, f"id maps outside ingest.intern at {stray}"

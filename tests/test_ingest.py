@@ -8,8 +8,6 @@ import pytest
 from genonet.errors import DataError, ParseError
 from genonet.genotype import MetricKind, build_genome, node_topic_latency, pair_metrics
 from genonet.ingest import (
-    Event,
-    EventLog,
     build_adoption_index,
     load_events,
     load_follower_edges,
@@ -48,13 +46,30 @@ def _edge_case_logs(seed, count=10):
 
 
 def _load_log(edge_lines, event_lines, topic_lines):
+    """The network and log by name, with the topic map and the index."""
     net, events = load_follower_edges(edge_lines), load_events(event_lines)
-    return net, events, load_topic_map(topic_lines), build_adoption_index(events, net)
+    index = build_adoption_index(events, net)
+    return oracles.named(net), oracles.named(events), load_topic_map(topic_lines), index
+
+
+# (loader, lines): the ParseError inputs of the edge and event tests below,
+# plus an empty user and a line with two fields
+_PARSE_ERRORS = [
+    ("edges", ["a\ta"]),
+    ("edges", ["a\tb", "a\tb\tc"]),
+    ("edges", ["a\t"]),
+    ("events", ["soon\tA\t#x"]),
+    *(("events", ["1\tA\t#x", f"{raw}\tA\t#y"]) for raw in ("1_000", "+5", "\u0663")),
+    ("events", ["-3\tA\t#x"]),
+    ("events", ["1\tA\t#x", f"{2**63}\tA\t#y"]),
+    ("events", ["1\tA\t#x", "2\t \t#y"]),
+    ("events", ["1\tA"]),
+]
 
 
 def test_duplicate_edges_collapse():
     net = load_follower_edges(["a\tb", "a\tb"])
-    assert net.edges == {("a", "b")}
+    assert oracles.named(net).edges == {("a", "b")}
 
 
 def test_self_loop_rejected_with_line_number():
@@ -64,8 +79,8 @@ def test_self_loop_rejected_with_line_number():
 
 def test_two_line_parse():
     net = load_follower_edges(["a\tb", "c\tb"])
-    assert net.nodes == {"a", "b", "c"}
-    assert net.edges == {("a", "b"), ("c", "b")}
+    assert net.nodes == ("a", "b", "c")
+    assert oracles.named(net).edges == {("a", "b"), ("c", "b")}
 
 
 def test_isolated_node_declaration():
@@ -86,7 +101,7 @@ def test_edge_field_errors():
 
 def test_comments_and_blanks_skipped():
     net = load_follower_edges(["# a comment", "", "a\tb"])
-    assert net.edges == {("a", "b")}
+    assert oracles.named(net).edges == {("a", "b")}
 
 
 def test_followee_orientation():
@@ -99,18 +114,18 @@ def test_followee_orientation():
 
 
 def test_event_fanout():
-    log = load_events(["10\tA\t#x,#y"])
-    assert log.events == (Event(10, "A", "x"), Event(10, "A", "y"))
+    log = oracles.named(load_events(["10\tA\t#x,#y"]))
+    assert log.events == (oracles.Event(10, "A", "x"), oracles.Event(10, "A", "y"))
 
 
 def test_identical_triple_collapse():
     log = load_events(["10\tA\t#x", "10\tA\t#x"])
-    assert len(log.events) == 1
+    assert len(log.time) == 1
 
 
 def test_events_sorted():
-    log = load_events(["9\tB\t#x", "5\tA\t#x"])
-    assert log.events == (Event(5, "A", "x"), Event(9, "B", "x"))
+    log = oracles.named(load_events(["9\tB\t#x", "5\tA\t#x"]))
+    assert log.events == (oracles.Event(5, "A", "x"), oracles.Event(9, "B", "x"))
 
 
 def test_non_integer_time():
@@ -128,7 +143,7 @@ def test_negative_time():
 
 
 def test_time_above_int64_rejected():
-    assert load_events([f"{2**63 - 1}\tA\t#x"]).events[0].time == 2**63 - 1
+    assert load_events([f"{2**63 - 1}\tA\t#x"]).time.tolist() == [2**63 - 1]
     with pytest.raises(ParseError, match=r"^line 2: time 9223372036854775808 above 2\^63-1$"):
         load_events(["1\tA\t#x", f"{2**63}\tA\t#y"])
 
@@ -136,12 +151,12 @@ def test_time_above_int64_rejected():
 def test_empty_hashtag_list_skipped_with_count():
     log = load_events(["10\tA\t#", "11\tB\t#x"])
     assert log.skipped_lines == 1
-    assert len(log.events) == 1
+    assert len(log.time) == 1
 
 
 def test_hashtag_normalization():
     log = load_events(["10\tA\t#FooBar"])
-    assert log.events[0].hashtag == "foobar"
+    assert log.hashtags == ("foobar",)
     # topic files use the bare form: a leading '#' would read as a comment
     topics = load_topic_map(["FooBar\tnews"])
     assert topics.topic_of("foobar") == "news"
@@ -173,27 +188,24 @@ def _columns(index):
 
 
 def test_index_order_independence():
-    """Shuffled events and edge lines give the same int64 columns, and the
+    """Shuffled event and edge lines give the same int64 columns, and the
     pair columns equal the name-keyed reference index."""
     lines = ["10\tA\t#x", "12\tC\t#x", "14\tC\t#y", "20\tB\t#x", "21\tB\t#x"]
     logs = [(["A\tB", "C\tB"], lines, [])] + list(_edge_case_logs(3))
     rng = random.Random(0)
-    for edge_lines, event_lines, _ in logs:
-        net, events = load_follower_edges(edge_lines), load_events(event_lines)
-        index = build_adoption_index(events, net)
+    for edge_lines, event_lines, topic_lines in logs:
+        net, events, _topics, index = _load_log(edge_lines, event_lines, topic_lines)
         got, want = oracles.index_dicts(index), oracles.adoption_index_dicts(events, net)
         assert list(got["first_use"].items()) == list(want["first_use"].items())
         assert got["use_counts"] == want["use_counts"]
         base = _columns(index)
         for _ in range(3):
-            shuffled_edges, shuffled_events = edge_lines[:], list(events.events)
+            shuffled_edges, shuffled_events = edge_lines[:], event_lines[:]
             rng.shuffle(shuffled_edges)
             rng.shuffle(shuffled_events)
             other = _columns(build_adoption_index(
-                EventLog(tuple(shuffled_events)), load_follower_edges(shuffled_edges)
+                load_events(shuffled_events), load_follower_edges(shuffled_edges)
             ))
-            for name in ("event_time", "event_user", "event_hashtag"):  # log order
-                base[name], other[name] = np.sort(base[name]), np.sort(other[name])
             assert other.keys() == base.keys()
             for name, column in base.items():
                 if isinstance(column, np.ndarray):
@@ -285,8 +297,42 @@ def test_network_round_trip():
         buf = io.StringIO()
         write_follower_edges(net, buf)
         again = load_follower_edges(buf.getvalue().splitlines())
-        assert again.edges == net.edges
+        assert oracles.named(again) == oracles.named(net)
         assert again.nodes == net.nodes
+
+
+def test_loaders_equal_name_oracle():
+    """Both loaders, their id columns read back as names, equal the
+    name-keyed loaders of ``oracles``; labels are sorted and distinct,
+    and keys and (time, user, hashtag) rows strictly ascend."""
+    rng = np.random.default_rng(41)
+    logs = list(_edge_case_logs(6, count=4)) + [oracles.random_log(rng) for _ in range(4)]
+    for edge_lines, event_lines, _ in logs:
+        net, events = load_follower_edges(edge_lines), load_events(event_lines)
+        assert oracles.named(net) == oracles.load_follower_edges(edge_lines)
+        assert oracles.named(events) == oracles.load_events(event_lines)
+        for labels in (net.nodes, events.users, events.hashtags):
+            assert list(labels) == sorted(set(labels))
+        assert np.all(np.diff(net.keys) > 0)
+        rows = list(zip(events.time.tolist(), events.user.tolist(), events.hashtag.tolist()))
+        assert rows == sorted(set(rows))
+
+
+def test_parse_errors_equal_name_oracle():
+    """Every malformed input above fails in the loader and in the name
+    oracle alike: same message, same line number."""
+    loaders = {
+        "edges": (load_follower_edges, oracles.load_follower_edges),
+        "events": (load_events, oracles.load_events),
+    }
+    for kind, lines in _PARSE_ERRORS:
+        errors = []
+        for load in loaders[kind]:
+            with pytest.raises(ParseError) as caught:
+                load(lines)
+            errors.append((str(caught.value), caught.value.line_no))
+        assert errors[0] == errors[1], (kind, lines)
+        assert errors[0][1] == len(lines), (kind, lines)
 
 
 def test_manifest_round_trip(tmp_path):
@@ -312,4 +358,16 @@ def test_manifest_unknown_key(tmp_path):
     mpath = tmp_path / "dataset.manifest"
     mpath.write_text("edges = e\nevents = v\ntopics = t\nbogus = x\n")
     with pytest.raises(ParseError, match="bogus"):
+        load_manifest(mpath)
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("edges = e\nevents = v\ntopics = t\nevents = w\n", r"^line 4: repeated manifest key 'events'$"),
+    ("edges = e\nevents = \ntopics = t\n", r"^line 2: empty value for manifest key 'events'$"),
+    ("edges = e\nevents = ''\ntopics = t\n", r"^line 2: empty value for manifest key 'events'$"),
+])
+def test_manifest_repeated_key_or_empty_value(tmp_path, body, problem):
+    mpath = tmp_path / "dataset.manifest"
+    mpath.write_text(body)
+    with pytest.raises(ParseError, match=problem):
         load_manifest(mpath)

@@ -5,7 +5,6 @@ from genonet.backbone import extract_backbone
 from genonet.errors import DataError
 from genonet.graph import DirectedGraph, pagerank
 from genonet.ingest import (
-    Event,
     EventLog,
     TopicMap,
     build_adoption_index,
@@ -73,7 +72,7 @@ def _fixture(n_followees):
     events = load_events(event_lines)
     topics = load_topic_map(["x\tT", "y\tT"])
     index = build_adoption_index(events, net)
-    return net, events, topics, index
+    return oracles.named(net), oracles.named(events), topics, index
 
 
 def test_minimum_followee_threshold():
@@ -250,10 +249,8 @@ def test_scores_blind_to_target_hashtag():
     ctx = PredictionContext(index, d.topics)
     instances = built(Direction.INFLUENCER, ctx)[:8]
     for inst in instances:
-        filtered = EventLog(events=tuple(sorted(
-            [e for e in d.events.events if e.hashtag != inst.hashtag]
-            + [Event(0, "outsider", inst.hashtag)]
-        )))
+        rows = [e for e in oracles.named(d.events).events if e.hashtag != inst.hashtag]
+        filtered = EventLog.from_rows(*zip(*rows, (0, "outsider", inst.hashtag)))
         blind_index = build_adoption_index(filtered, d.network)
         blind_ctx = PredictionContext(blind_index, d.topics)
         for kind in PredictorKind:
@@ -304,7 +301,7 @@ def _oracle_dataset(rng):
     net = load_follower_edges(edge_lines)
     events = load_events(event_lines)
     topics = load_topic_map(topic_lines)
-    return net, events, topics, build_adoption_index(events, net)
+    return oracles.named(net), oracles.named(events), topics, build_adoption_index(events, net)
 
 
 def _edge_case_instances(rng, instances, direction):
@@ -467,11 +464,9 @@ def test_excluded_pagerank_equals_edge_scan_oracle():
         topics = load_topic_map(topic_lines)
         index = build_adoption_index(events, net)
         ctx = PredictionContext(index, topics)
-        triples = [(e.time, e.user, e.hashtag) for e in events.events]
+        triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
             hashtags = topics.hashtags_for(topic)
             for h in hashtags:
-                want = oracles.backbone_weights(
-                    triples, net.edges, [g for g in hashtags if g != h]
-                )
+                want = oracles.backbone_weights(triples, edges, [g for g in hashtags if g != h])
                 assert _excluded(ctx, h) == _pagerank_on_users(want, ctx)

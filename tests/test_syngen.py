@@ -20,8 +20,8 @@ def test_same_seed_byte_identical(tmp_path):
                   hashtags_per_topic=3, cascades_per_hashtag=2)
     d1 = generate(p)
     d2 = generate(p)
-    assert d1.events == d2.events
-    assert d1.network == d2.network
+    assert oracles.named(d1.events) == oracles.named(d2.events)
+    assert oracles.named(d1.network) == oracles.named(d2.network)
     assert d1.truth == d2.truth
     out1, out2 = tmp_path / "a", tmp_path / "b"
     d1.write(out1)
@@ -35,12 +35,12 @@ def test_different_seed_differs():
                 cascades_per_hashtag=2)
     d1 = generate(GenParams(seed=1, **base))
     d2 = generate(GenParams(seed=2, **base))
-    assert d1.events != d2.events
+    assert oracles.named(d1.events) != oracles.named(d2.events)
 
 
 def test_zero_cascades_empty_log():
     p = GenParams(n_users=10, seed=0, cascades_per_hashtag=0)
-    assert generate(p).events.events == ()
+    assert oracles.named(generate(p).events).events == ()
 
 
 def test_chain_adoption_times():
@@ -55,11 +55,11 @@ def test_chain_adoption_times():
                       attach_count=1, n_topics=1, hashtags_per_topic=1,
                       cascades_per_hashtag=1, topic_profiles=(prof,))
         d = generate(p)
-        if set(d.network.edges) == chain and d.truth.cascades[0].seed_user == "u000":
+        if oracles.named(d.network).edges == chain and d.truth.cascades[0].seed_user == "u000":
             assert d.truth.cascades[0].adoptions == (
                 ("u000", 0), ("u001", 1), ("u002", 2), ("u003", 3)
             )
-            times = sorted(e.time for e in d.events.events)
+            times = d.events.time.tolist()
             assert times == [0, 1, 2, 3]
             return
     pytest.fail("no chain instance found in 500 seeds")
@@ -104,7 +104,7 @@ def test_seed_change_preserves_structure_statistics():
         d = generate(datasets.classification_params(seed))
         assert len(d.topics.topics) == 5
         assert len(d.topics.assignment) == 100
-        sizes.append(len(d.events.events))
+        sizes.append(len(d.events.time))
     assert len(set(sizes)) > 1  # logs differ
 
 
@@ -134,8 +134,8 @@ def test_emitted_files_reload(tmp_path):
                            cascades_per_hashtag=2))
     manifest = d.write(tmp_path)
     net, events, topics = load_dataset(manifest)
-    assert net.edges == d.network.edges
-    assert events.events == d.events.events
+    assert oracles.named(net) == oracles.named(d.network)
+    assert oracles.named(events) == oracles.named(d.events)
     assert topics.assignment == dict(d.topics.assignment)
 
 
