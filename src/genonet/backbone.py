@@ -123,32 +123,26 @@ def compare_with_follower(b: InfluenceBackbone, index: AdoptionIndex) -> Backbon
     n = len(b.users)
     # CSR rows in id order, each sorted: the keys come out sorted
     follower = np.repeat(np.arange(n), np.diff(index.follower_ptr)) * n + index.follower_ids
+    # both graphs are on the touched ids, so they share one node order
     graphs = (b.graph, DirectedGraph.from_keys(follower, b.touched, range(n)))
-    scc = {
-        name: max(map(len, strongly_connected_components(g))) / g.n
-        for name, g in zip(("influence", "follower"), graphs)
-    }
-    wcc = {
-        name: max(map(len, weakly_connected_components(g))) / g.n
-        for name, g in zip(("influence", "follower"), graphs)
-    }
+
+    def largest(components):
+        return {name: int(np.bincount(components(g)).max()) / g.n
+                for name, g in zip(("influence", "follower"), graphs)}
 
     # edge (followee, follower): out-degree counts followers, in-degree followees
-    followers = [dict(zip(g.nodes, np.diff(g.indptr).tolist())) for g in graphs]
-    followees = [dict(zip(g.nodes, np.bincount(g.indices, minlength=g.n).tolist()))
-                 for g in graphs]
     kendall = {
-        "followers": kendall_tau(*followers),
-        "followees": kendall_tau(*followees),
-        "pagerank": kendall_tau(*map(pagerank, graphs)),
+        "followers": kendall_tau(*(np.diff(g.indptr) for g in graphs)),
+        "followees": kendall_tau(*(np.bincount(g.indices, minlength=g.n) for g in graphs)),
+        "pagerank": kendall_tau(*(pagerank(g.indptr, g.indices) for g in graphs)),
     }
     return BackboneReport(
         topic=b.topic,
         influence_edges=len(b.keys),
         follower_edges=len(graphs[1].indices),
         jaccard=jaccard_keys(*(g.keys for g in graphs)),
-        scc_fraction=scc,
-        wcc_fraction=wcc,
+        scc_fraction=largest(strongly_connected_components),
+        wcc_fraction=largest(weakly_connected_components),
         kendall=kendall,
     )
 

@@ -269,14 +269,13 @@ def cmd_latmin(args) -> None:
     b = bb.extract_backbone(args.topic, index, topics)
     if not len(b.keys):
         raise DataError(f"backbone for topic {args.topic!r} is empty")
-    if args.permissive:
-        comps = weakly_connected_components(b.graph)
-    else:
-        comps = strongly_connected_components(b.graph)
-    # ids are in name order, so sorted members break ties by name
-    largest = max(comps, key=lambda c: (len(c), sorted(c)))
+    components = weakly_connected_components if args.permissive else strongly_connected_components
+    label = components(b.graph)
+    # the most members, ties to the greatest least member: ids are in name order
+    size = np.bincount(label)
+    largest = np.asarray(b.graph.nodes)[label == len(size) - 1 - np.argmax(size[::-1])]
     keep = np.zeros(len(index.users), bool)
-    keep[[u for u in largest if index.users[u] in latencies]] = True
+    keep[[u for u in largest.tolist() if index.users[u] in latencies]] = True
     graph = DirectedGraph.from_keys(b.keys, keep, index.users)
     lgraph = lm.LatencyGraph(
         graph=graph, latency={n: latencies[n] for n in graph.nodes}

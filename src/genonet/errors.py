@@ -16,11 +16,3 @@ class ParseError(ValueError):
 
 class DataError(ValueError):
     """Inputs parsed fine but violate a structural requirement."""
-
-
-class TrainingError(ValueError):
-    """A local classifier cannot be trained from the given values."""
-
-
-class DegenerateTrainingError(TrainingError):
-    """All training values are identical; no separation to learn."""

@@ -1,22 +1,21 @@
-"""Directed-graph kernel: connectivity, centralities, rank statistics.
+"""Directed-graph kernels: connectivity, centralities, rank statistics.
 
-All operations are pure functions over an immutable :class:`DirectedGraph`.
-Node identifiers must be mutually orderable (all str or all int); node
-order inside a graph is the sorted identifier order, which fixes every
-tie-break downstream.
+All operations are pure functions over an immutable CSR
+:class:`DirectedGraph`, and each one takes and returns arrays in node
+order.  A graph's labels, one per node, come in ascending order (user
+names, or user ids in name order), so a tie broken on the node index is
+broken on the label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import gather_rows, in_sorted, intern
+from .ingest import gather_rows, in_sorted
 
-Node = Hashable
 # Most sources per block of the all-sources kernels (betweenness here,
 # latmin's APSP).  A block of b sources keeps a few b x n arrays and up to
 # b x the edge count in one APSP round or in betweenness's level lists,
@@ -33,7 +32,6 @@ __all__ = [
     "strongly_connected_components",
     "weakly_connected_components",
     "pagerank",
-    "pagerank_arrays",
     "betweenness_centrality",
     "kendall_tau",
     "jaccard_keys",
@@ -45,7 +43,7 @@ class DirectedGraph:
     """CSR digraph: row i, ``indices[indptr[i]:indptr[i + 1]]``, holds node
     i's successor ids in ascending order."""
 
-    nodes: tuple[Node, ...]
+    nodes: tuple
     indptr: np.ndarray
     indices: np.ndarray
 
@@ -55,22 +53,6 @@ class DirectedGraph:
         ``labels[nodes[i]]`` for the sorted ``labels`` of the ids."""
         nodes, indptr, indices = csr_rows(keys, keep, len(labels))
         return cls(tuple(labels[i] for i in nodes.tolist()), indptr, indices)
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Node, Node]],
-        nodes: Iterable[Node] = (),
-    ) -> "DirectedGraph":
-        """Build from (u, v) pairs plus extra nodes; duplicate pairs are rejected."""
-        pairs, nodes = list(edges), list(nodes)
-        order, ids = intern(nodes + [x for e in pairs for x in e])
-        n, ids = len(order), ids[len(nodes):]
-        keys, counts = np.unique(ids[::2] * n + ids[1::2], return_counts=True)
-        if len(keys) < len(pairs):
-            u, v = divmod(int(keys[np.argmax(counts > 1)]), n)
-            raise DataError(f"duplicate edge ({order[u]!r}, {order[v]!r})")
-        return cls.from_keys(keys, np.ones(n, bool), order)
 
     @property
     def n(self) -> int:
@@ -91,11 +73,6 @@ class DirectedGraph:
         del slots  # one edge-length temporary fewer at the peak
         head += np.repeat(keys - u, deg)
         return deg, head
-
-    def adjacency(self) -> list[list[int]]:
-        """Each node's successor ids as a Python list, for the loop kernels."""
-        ptr, idx = self.indptr.tolist(), self.indices.tolist()
-        return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def source_block(g: DirectedGraph) -> int:
@@ -122,109 +99,90 @@ def csr_rows(
     return nodes, indptr, rank[dst[on]]
 
 
-def strongly_connected_components(g: DirectedGraph) -> list[frozenset]:
-    """Tarjan's algorithm, iterative.  Components sorted by their members."""
-    n = g.n
-    adj = g.adjacency()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+def strongly_connected_components(g: DirectedGraph) -> np.ndarray:
+    """Tarjan's algorithm, iterative and linear: each node's label is the
+    least node index in its strong component."""
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    index = [-1] * g.n
+    low = [0] * g.n
+    label = [-1] * g.n  # a visited node is on the stack until it has a label
+    depth = [0] * g.n  # its position there, fixed while it stays on
     stack: list[int] = []
-    components: list[frozenset] = []
     counter = 0
-
-    for root in range(n):
+    for root in range(g.n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, ptr[root])]  # (node, its next edge)
         while work:
-            v, ei = work[-1]
-            if ei == 0:
+            v, e = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
+                depth[v] = len(stack)
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
+            while e < ptr[v + 1]:
+                w = idx[e]
+                e += 1
                 if index[w] == -1:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+                    work[-1] = (v, e)
+                    work.append((w, ptr[w]))
                     break
-                if on_stack[w]:
+                if label[w] == -1:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(g.nodes[w])
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    components.sort(key=lambda c: sorted(c))
-    return components
+            else:
+                work.pop()
+                if low[v] == index[v]:  # v roots the component above it
+                    members = stack[depth[v]:]
+                    del stack[depth[v]:]
+                    least = min(members)
+                    for w in members:
+                        label[w] = least
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return np.array(label, dtype=np.int64)
 
 
-def weakly_connected_components(g: DirectedGraph) -> list[frozenset]:
-    """Connected components ignoring edge direction."""
-    n = g.n
-    undirected: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(g.adjacency()):
-        for j in row:
-            undirected[i].append(j)
-            undirected[j].append(i)
-    seen = [False] * n
-    components: list[frozenset] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in undirected[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    frontier.append(w)
-        components.append(frozenset(g.nodes[i] for i in comp))
-    components.sort(key=lambda c: sorted(c))
-    return components
+def weakly_connected_components(g: DirectedGraph) -> np.ndarray:
+    """Each node's label is the least node index in its weak component.
+
+    Each round hooks the labels of every edge's two ends, which are roots,
+    onto the smaller one with ``np.minimum.at``, then jumps pointers
+    (``label = label[label]``) until every label is a root again; the
+    rounds stop when each edge's ends share a label.  A label never rises
+    and stays inside its component, so the fixed point is the least
+    member.
+    """
+    label = np.arange(g.n)
+    tail, head = np.repeat(label, np.diff(g.indptr)), g.indices
+    while True:
+        a, b = label[tail], label[head]
+        split = a != b
+        if not split.any():
+            return label
+        tail, head, a, b = tail[split], head[split], a[split], b[split]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
 def pagerank(
-    g: DirectedGraph,
+    indptr: np.ndarray,
+    indices: np.ndarray,
     damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 200,
-) -> dict[Node, float]:
-    """Power iteration on the unweighted structure.
+) -> np.ndarray:
+    """Power iteration on nodes ``0..n-1`` with CSR rows of sorted successors.
 
     Dangling mass is redistributed uniformly; iteration stops when the
-    L1 change drops below ``tol``.  Scores sum to 1.
-    """
-    scores = pagerank_arrays(g.indptr, g.indices, damping, tol, max_iter)
-    return dict(zip(g.nodes, scores.tolist()))
-
-
-def pagerank_arrays(
-    indptr: np.ndarray, indices: np.ndarray, damping=0.85, tol=1e-10, max_iter=200
-) -> np.ndarray:
-    """:func:`pagerank` on nodes ``0..n-1`` with CSR rows of sorted successors.
-
-    Each edge's share is scattered in edge order, and the dangling mass
-    and the L1 change are running sums in node order, so every addition
-    happens in the order of a node-by-node loop.
+    L1 change drops below ``tol``.  Scores sum to 1.  Each edge's share
+    is scattered in edge order, and the dangling mass and the L1 change
+    are running sums in node order, so every addition happens in the
+    order of a node-by-node loop.
     """
     n = len(indptr) - 1
     if n == 0:
@@ -248,7 +206,7 @@ def pagerank_arrays(
     return scores
 
 
-def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
+def betweenness_centrality(g: DirectedGraph) -> np.ndarray:
     """Exact directed betweenness on hop-count shortest paths.
 
     Brandes accumulation; endpoints excluded, no normalization.  It runs
@@ -299,24 +257,24 @@ def betweenness_centrality(g: DirectedGraph) -> dict[Node, float]:
         delta[sources] = 0.0
         for row in delta.reshape(-1, n):
             bc += row
-    return dict(zip(g.nodes, bc.tolist()))
+    return bc
 
 
-def kendall_tau(a: Mapping[Node, float], b: Mapping[Node, float]) -> float:
-    """Tie-corrected Kendall tau-b between two score maps.
+def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
+    """Tie-corrected Kendall tau-b between two equal-length score arrays.
 
-    Both maps must cover the same node set of size >= 2.  Returns NaN
-    when either side is entirely tied (tau-b undefined) or holds a NaN.
-    Bit-identical to ``scipy.stats.kendalltau(xs, ys, variant="b")``.
+    Both need at least 2 entries.  Returns NaN when either side is
+    entirely tied (tau-b undefined) or holds a NaN.  Bit-identical to
+    ``scipy.stats.kendalltau(x, y, variant="b")``.
     """
-    if set(a) != set(b):
-        raise DataError("rank vectors cover different node sets")
-    if len(a) < 2:
-        raise DataError("kendall_tau needs at least 2 nodes")
-    x, y = (np.array([float(m[k]) for k in a]) for m in (a, b))
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    if len(x) != len(y):
+        raise DataError(f"rank vectors differ in length ({len(x)} and {len(y)})")
+    if len(x) < 2:
+        raise DataError("kendall_tau needs at least 2 entries")
     order = np.lexsort((y, x))
     x, y = x[order], y[order]
-    tot = len(a) * (len(a) - 1) // 2
+    tot = len(x) * (len(x) - 1) // 2
     xtie, ytie, ntie = _tied_pairs(x), _tied_pairs(np.sort(y)), _tied_pairs(x, y)
     if xtie == tot or ytie == tot or np.isnan(x).any() or np.isnan(y).any():
         return float("nan")

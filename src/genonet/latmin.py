@@ -7,14 +7,12 @@ transform, each cost summed left to right along its path.  Targeting a
 node sets its latency to 0, which can only shrink pair latencies.
 
 Selecting k targets that minimize the average pair latency is NP-hard,
-so three heuristics are provided (descending latency, descending
-betweenness, greedy marginal improvement) next to an exact enumerator
-for small instances.
+so three heuristics are provided: descending latency, descending
+betweenness and greedy marginal improvement.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,11 +35,9 @@ __all__ = [
     "LatencyState",
     "prepare",
     "minimize",
-    "exact_k_latmin",
     "write_trace_tsv",
 ]
 
-ENUMERATION_BUDGET = 10**6
 # Largest n x n working set one run may allocate.  Per node pair it holds
 # the APSP matrix, the Greedy scoring buffer and the two matrices of one
 # pick update (8 B each), the reachable mask (1 B) and a masked copy of
@@ -153,10 +149,11 @@ def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
     """
     n = g.graph.n
     if strict:
-        comps = strongly_connected_components(g.graph)
-        if len(comps) != 1:
+        label = strongly_connected_components(g.graph)
+        comps = np.count_nonzero(label == np.arange(n))
+        if comps != 1:
             raise DataError(
-                f"graph is not strongly connected ({len(comps)} components); "
+                f"graph is not strongly connected ({comps} components); "
                 "use permissive mode to average over reachable pairs"
             )
     need = _BYTES_PER_PAIR * n * n
@@ -208,7 +205,8 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     in descending bound, stopping once the current latency sum minus the
     next bound exceeds the best total so far by more than
     ``_PRUNE_MARGIN`` of that sum; so the picks and trace are those of
-    scoring every candidate.  All ties break on the node identifier.
+    scoring every candidate.  All ties break on the node index, which
+    is the order of the node labels.
     The trace is relative to ``state.base_avg``, which must be positive.
     """
     if k <= 0:
@@ -220,15 +218,13 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     if state.base_avg == 0:
         raise DataError("original average latency is zero; relative trace undefined")
 
-    nodes = g.graph.nodes
     lat = state.lat.copy()  # each pick zeroes its entry
 
     order: list[int] | None = None
     if heuristic is Heuristic.MAX_LAT:
-        order = sorted(range(n), key=lambda i: (-lat[i], nodes[i]))[:k]
+        order = np.argsort(-lat, kind="stable")[:k].tolist()
     elif heuristic is Heuristic.MAX_BC:
-        bc = betweenness_centrality(g.graph)
-        order = sorted(range(n), key=lambda i: (-bc[nodes[i]], nodes[i]))[:k]
+        order = np.argsort(-betweenness_centrality(g.graph), kind="stable")[:k].tolist()
     else:
         tmp = np.empty((n, n))
         # reachability survives every zeroing, so the pair counts are fixed
@@ -253,52 +249,18 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
                 _zero_update(d, i, lat[i], tmp, row)
                 # fully reachable case: diagonal zeros contribute nothing to the sum
                 total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
-                scored = (float(total / state.denom), nodes[i], i)
+                scored = (float(total / state.denom), i)
                 best = scored if best is None else min(best, scored)
-            pick = best[2]
+            pick = best[1]
         d = _zero_update(d, pick, float(lat[pick]), np.empty((n, n)), row)
         lat[pick] = 0.0
         remaining.remove(pick)
-        selected.append(nodes[pick])
+        selected.append(g.graph.nodes[pick])
         cur = float(d[state.mask].sum())
         relative.append(cur / state.denom / state.base_avg)
     return MinimizationTrace(
         heuristic=heuristic, selected=tuple(selected), relative=tuple(relative)
     )
-
-
-def exact_k_latmin(g: LatencyGraph, k: int) -> tuple[frozenset, float]:
-    """Exhaustive optimum over all k-subsets of nodes.
-
-    Ties resolve to the lexicographically first subset.  Refuses
-    instances with more than 10^6 subsets.
-    """
-    if k <= 0:
-        raise DataError(f"k must be positive, got {k}")
-    n = g.graph.n
-    if k > n:
-        raise DataError(f"k={k} exceeds node count {n}")
-    total = math.comb(n, k)
-    if total > ENUMERATION_BUDGET:
-        raise DataError(
-            f"C({n},{k}) = {total} subsets exceeds the enumeration budget "
-            f"of {ENUMERATION_BUDGET}"
-        )
-    state = prepare(g, strict=False)
-    row = np.empty(n)
-
-    best_set: tuple | None = None
-    best_value = math.inf
-    # node order is sorted, so index order is lexicographic order
-    for subset in itertools.combinations(range(n), k):
-        d = state.d
-        for i in subset:
-            d = _zero_update(d, i, state.lat[i], np.empty((n, n)), row)
-        value = float(d[state.mask].sum() / state.denom)
-        if value < best_value:
-            best_value = value
-            best_set = subset
-    return frozenset(g.graph.nodes[i] for i in best_set), best_value
 
 
 def write_trace_tsv(traces: Sequence[MinimizationTrace], fh) -> None:

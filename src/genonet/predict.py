@@ -18,7 +18,7 @@ import numpy as np
 
 from . import backbone as bb
 from .errors import DataError
-from .graph import csr_rows, pagerank_arrays
+from .graph import csr_rows, pagerank
 from .ingest import AdoptionIndex, TopicMap, gather_rows, in_sorted, row_sums
 
 __all__ = [
@@ -74,10 +74,10 @@ class PredictionContext:
         """PageRank over users of the backbone without a hashtag, 0 off it.
 
         The rows are :func:`graph.csr_rows`, as
-        :meth:`DirectedGraph.from_keys` builds them, so the PageRank
-        equals ``graph.pagerank`` of the excluded backbone.  An
-        edge survives the exclusion when its weight exceeds the hashtag's
-        own count, which is 0 or 1: a pair occurs once per hashtag.
+        :meth:`DirectedGraph.from_keys` builds them for the excluded
+        backbone's graph.  An edge survives the exclusion when its weight
+        exceeds the hashtag's own count, which is 0 or 1: a pair occurs
+        once per hashtag.
         """
         if tag not in self._excluded:
             topic, n = int(self.hashtag_topic[tag]), len(self.index.users)
@@ -93,7 +93,7 @@ class PredictionContext:
             nodes, indptr, indices = csr_rows(kept, on, n)
             self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
-                pr[nodes] = pagerank_arrays(indptr, indices)
+                pr[nodes] = pagerank(indptr, indices)
         return self._excluded[tag]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from genonet.graph import DirectedGraph
+from genonet.ingest import intern
 from genonet.latmin import LatencyGraph
 from genonet.syngen import PREFERENTIAL, UNIFORM, GenParams, TopicProfile
 
@@ -11,6 +12,15 @@ from genonet.syngen import PREFERENTIAL, UNIFORM, GenParams, TopicProfile
 # geometric g, so classes are tight and well apart.
 SEPARATED_SHIFTS = (30, 45, 68, 102, 153)
 FLAT_SHIFTS = (60, 60, 60, 60, 60)
+
+
+def from_edges(edges, nodes=()) -> DirectedGraph:
+    """The graph on ``nodes`` and the ends of the (u, v) pairs, its nodes
+    in sorted-label order, with one edge per distinct pair."""
+    pairs, nodes = list(edges), list(nodes)
+    order, ids = intern(nodes + [x for e in pairs for x in e])
+    n, ids = len(order), ids[len(nodes):]
+    return DirectedGraph.from_keys(np.unique(ids[::2] * n + ids[1::2]), np.ones(n, bool), order)
 
 
 def classification_params(seed: int, shifts=SEPARATED_SHIFTS) -> GenParams:
@@ -108,7 +118,7 @@ def latency_benchmark(seed: int, n: int = 500) -> LatencyGraph:
         counts[c] += 1
         counts[new] += 1
     lat = rng.pareto(1.5, n) + 1.0
-    graph = DirectedGraph.from_edges(edges)
+    graph = from_edges(edges)
     return LatencyGraph(graph=graph, latency={i: float(lat[i]) for i in range(n)})
 
 
@@ -119,22 +129,22 @@ def kernel_graphs(seed: int = 17):
     pairs, at sizes below, at and across a block of sources."""
     rng = np.random.default_rng(seed)
     ring = [(i, (i + 1) % 60) for i in range(60)]
-    yield "bidirected 60-cycle", DirectedGraph.from_edges(ring + [(v, u) for u, v in ring])
+    yield "bidirected 60-cycle", from_edges(ring + [(v, u) for u, v in ring])
     grid = [
         (12 * r + c, 12 * (r + dr) + c + dc)
         for r in range(12) for c in range(12)
         for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
         if 0 <= r + dr < 12 and 0 <= c + dc < 12
     ]
-    yield "12x12 grid", DirectedGraph.from_edges(grid)
+    yield "12x12 grid", from_edges(grid)
     halves = [(a, b) for a in range(20) for b in range(20, 40)]
-    yield "K20,20", DirectedGraph.from_edges(halves + [(b, a) for a, b in halves])
-    yield "layered DAG", DirectedGraph.from_edges(layered_dag_edges(rng))
+    yield "K20,20", from_edges(halves + [(b, a) for a, b in halves])
+    yield "layered DAG", from_edges(layered_dag_edges(rng))
     for n in (1, 2, 7, 16, 17, 40, 90):
         p = float(rng.uniform(0.01, 0.12))
         edges = [(int(a), int(b)) for a in range(n) for b in range(n)
                  if a != b and rng.random() < p]
-        yield f"random n={n} p={p:.3f}", DirectedGraph.from_edges(edges, nodes=range(n))
+        yield f"random n={n} p={p:.3f}", from_edges(edges, nodes=range(n))
 
 
 def layered_dag_edges(rng, width: int = 10, layers: int = 24) -> list[tuple[int, int]]:

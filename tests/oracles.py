@@ -515,39 +515,147 @@ def compare_with_follower(topic, weights, net):
     taken over Python sets."""
     from genonet.backbone import BackboneReport
     from genonet.graph import (
-        DirectedGraph, kendall_tau, pagerank, strongly_connected_components,
-        weakly_connected_components,
+        kendall_tau, pagerank, strongly_connected_components, weakly_connected_components,
     )
 
-    graph = DirectedGraph.from_edges(weights)
+    from datasets import from_edges
+
+    graph = from_edges(weights)
     touched = set(graph.nodes)
     follower_edges = [(u, v) for (u, v) in net.edges if u in touched and v in touched]
-    follower_graph = DirectedGraph.from_edges(follower_edges, nodes=touched)
+    follower_graph = from_edges(follower_edges, nodes=touched)
     graphs = (graph, follower_graph)
+    assert follower_graph.nodes == graph.nodes  # kendall_tau pairs entries by position
 
     def largest(components, g):
-        return max(len(c) for c in components) / g.n
+        return max(len(c) for c in partition(g, components(g))) / g.n
 
-    followers = [{v: len(g.adjacency()[i]) for i, v in enumerate(g.nodes)} for g in graphs]
-    followees = [{v: sum(i in row for row in g.adjacency()) for i, v in enumerate(g.nodes)}
-                 for g in graphs]
+    followers = [[len(row) for row in adjacency(g)] for g in graphs]
+    followees = [[sum(i in row for row in adjacency(g)) for i in range(g.n)] for g in graphs]
     return BackboneReport(
         topic=topic,
         influence_edges=len(weights),
         follower_edges=len(follower_edges),
         jaccard=jaccard_edge_sets(weights, follower_edges),
-        scc_fraction={"influence": largest(strongly_connected_components(graph), graph),
-                      "follower": largest(strongly_connected_components(follower_graph),
-                                          follower_graph)},
-        wcc_fraction={"influence": largest(weakly_connected_components(graph), graph),
-                      "follower": largest(weakly_connected_components(follower_graph),
-                                          follower_graph)},
+        scc_fraction={"influence": largest(strongly_connected_components, graph),
+                      "follower": largest(strongly_connected_components, follower_graph)},
+        wcc_fraction={"influence": largest(weakly_connected_components, graph),
+                      "follower": largest(weakly_connected_components, follower_graph)},
         kendall={"followers": kendall_tau(*followers), "followees": kendall_tau(*followees),
-                 "pagerank": kendall_tau(pagerank(graph), pagerank(follower_graph))},
+                 "pagerank": kendall_tau(*(pagerank(g.indptr, g.indices) for g in graphs))},
     )
 
 
 # --- graph oracles ---------------------------------------------------------
+
+
+def adjacency(g):
+    """Each node's successor ids as a Python list, for the loop oracles."""
+    ptr, idx = g.indptr.tolist(), g.indices.tolist()
+    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def partition(g, label):
+    """A component label array as sorted ``frozenset``s of node labels."""
+    parts = {}
+    for node, c in zip(g.nodes, label.tolist()):
+        parts.setdefault(c, []).append(node)
+    return sorted(map(frozenset, parts.values()), key=sorted)
+
+
+def by_node(g, values):
+    """A value array in node order as a node-keyed dict."""
+    return dict(zip(g.nodes, values.tolist()))
+
+
+def labels_least_members(label):
+    """Whether each label is the least node index carrying it, so the
+    least member of its component."""
+    least = np.full(len(label), len(label))
+    np.minimum.at(least, label, np.arange(len(label)))
+    return bool((least[label] == label).all())
+
+
+def scc_tarjan_loop(g):
+    """Tarjan's algorithm over ``adjacency(g)``, iterative: components as
+    ``frozenset``s of node labels, sorted by their members."""
+    n = g.n
+    adj = adjacency(g)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while ei < len(adj[v]):
+                w = adj[v][ei]
+                ei += 1
+                if index[w] == -1:
+                    work[-1] = (v, ei)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(g.nodes[w])
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    components.sort(key=lambda c: sorted(c))
+    return components
+
+
+def wcc_search_loop(g):
+    """Depth-first search over both directions of ``adjacency(g)``:
+    components as ``frozenset``s of node labels, sorted by their members."""
+    n = g.n
+    undirected = [[] for _ in range(n)]
+    for i, row in enumerate(adjacency(g)):
+        for j in row:
+            undirected[i].append(j)
+            undirected[j].append(i)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in undirected[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    frontier.append(w)
+        components.append(frozenset(g.nodes[i] for i in comp))
+    components.sort(key=lambda c: sorted(c))
+    return components
 
 
 def random_digraph_edges(rng, n, p):
@@ -656,9 +764,9 @@ def betweenness_by_path_enumeration(n, edges):
 
 def betweenness_brandes_loop(g):
     """``graph.betweenness_centrality`` as Brandes' per-source queue loop
-    over ``g.adjacency()``: the kernel's float adds, one at a time."""
+    over ``adjacency(g)``: the kernel's float adds, one at a time."""
     n = g.n
-    adj = g.adjacency()
+    adj = adjacency(g)
     bc = [0.0] * n
     for s in range(n):
         sigma = [0.0] * n
@@ -710,9 +818,9 @@ def pagerank_dense(n, edges, damping=0.85, tol=1e-12, max_iter=500):
 
 
 def pagerank_loop(g, damping=0.85, tol=1e-10, max_iter=200):
-    """``graph.pagerank`` as a node-by-node Python loop over ``g.adjacency()``."""
+    """``graph.pagerank`` as a node-by-node Python loop over ``adjacency(g)``."""
     n = g.n
-    adj = g.adjacency()
+    adj = adjacency(g)
     out_deg = [len(row) for row in adj]
     scores = [1.0 / n] * n
     for _ in range(max_iter):
@@ -765,8 +873,8 @@ def kendall_tau_pairs(xs, ys):
 
 def dijkstra_apsp(g, lat):
     """``latmin._apsp_matrix`` as one ``heapq`` Dijkstra per source over
-    w(u -> v) = lat[u], on ``g.adjacency()``; the diagonal is 0."""
-    n, adj, lat = g.n, g.adjacency(), list(lat)
+    w(u -> v) = lat[u], on ``adjacency(g)``; the diagonal is 0."""
+    n, adj, lat = g.n, adjacency(g), list(lat)
     d = np.empty((n, n))
     for s in range(n):
         dist = [math.inf] * n
@@ -859,6 +967,46 @@ def greedy_steps(d, lat, mask, k, nodes):
         yield step + (float(d[mask].sum() / denom) / base,)
 
 
+ENUMERATION_BUDGET = 10**6
+
+
+def exact_k_latmin(g, k):
+    """Exhaustive optimum of ``latmin`` over all k-subsets of nodes.
+
+    Ties resolve to the lexicographically first subset.  Refuses
+    instances with more than ``ENUMERATION_BUDGET`` subsets.
+    """
+    from genonet.errors import DataError
+    from genonet.latmin import _zero_update, prepare
+
+    if k <= 0:
+        raise DataError(f"k must be positive, got {k}")
+    n = g.graph.n
+    if k > n:
+        raise DataError(f"k={k} exceeds node count {n}")
+    total = math.comb(n, k)
+    if total > ENUMERATION_BUDGET:
+        raise DataError(
+            f"C({n},{k}) = {total} subsets exceeds the enumeration budget "
+            f"of {ENUMERATION_BUDGET}"
+        )
+    state = prepare(g, strict=False)
+    row = np.empty(n)
+
+    best_set = None
+    best_value = math.inf
+    # node order is sorted, so index order is lexicographic order
+    for subset in itertools.combinations(range(n), k):
+        d = state.d
+        for i in subset:
+            d = _zero_update(d, i, state.lat[i], np.empty((n, n)), row)
+        value = float(d[state.mask].sum() / state.denom)
+        if value < best_value:
+            best_value = value
+            best_set = subset
+    return frozenset(g.graph.nodes[i] for i in best_set), best_value
+
+
 def fit_logistic_scipy(points):
     """``classify.fit_logistic`` on ``scipy.optimize.minimize_scalar``.
 
@@ -930,6 +1078,14 @@ def logistic_value(fit, x):
 # --- local classifiers and the leave-one-out oracle ------------------------
 
 
+class TrainingError(ValueError):
+    """A local classifier cannot be trained from the given values."""
+
+
+class DegenerateTrainingError(TrainingError):
+    """All training values are identical; no separation to learn."""
+
+
 @dataclass(frozen=True)
 class LocalClassifier:
     owner: str
@@ -946,7 +1102,6 @@ def train_local(user, metric, training):
     are proportional to per-topic training counts.  Topics keep the order
     of their first row, which orders the ``ss_within`` sum.
     """
-    from genonet.errors import DegenerateTrainingError, TrainingError
     from genonet.genotype import float_sum
 
     by_topic = {}
@@ -1006,8 +1161,6 @@ def evidence_vector(c, value, topic_order):
 
 
 def _train_or_none(user, metric, rows):
-    from genonet.errors import TrainingError
-
     try:
         return train_local(user, metric, rows)
     except TrainingError:
@@ -1407,11 +1560,11 @@ class PredictionOracleContext:
                 self._act_topic[(u, topic)] = self._act_topic.get((u, topic), 0) + 1
 
     def excluded_pagerank(self, hashtag):
-        from genonet.graph import DirectedGraph
+        from datasets import from_edges
 
         if hashtag not in self._excluded_pagerank:
             weights = excluded_backbone_weights(hashtag, self.events, self.net, self.topics)
-            g = DirectedGraph.from_edges(weights)
+            g = from_edges(weights)
             self._excluded_pagerank[hashtag] = pagerank_loop(g) if g.n else {}
         return self._excluded_pagerank[hashtag]
 

@@ -18,7 +18,6 @@ from genonet.classify import (
 from genonet.cli import main as cli_main
 from genonet.genotype import MetricKind, pair_metrics
 from genonet.graph import (
-    DirectedGraph,
     betweenness_centrality,
     kendall_tau,
     pagerank,
@@ -31,7 +30,7 @@ from genonet.ingest import (
     load_follower_edges,
     load_topic_map,
 )
-from genonet.latmin import Heuristic, exact_k_latmin, minimize, prepare
+from genonet.latmin import Heuristic, minimize, prepare
 from genonet.predict import (
     Direction,
     PredictionContext,
@@ -119,17 +118,24 @@ def test_criterion_2_graph_kernel_equivalence():
         for _ in range(200):
             n = int(rng.integers(2, 9))
             edges = oracles.random_digraph_edges(rng, n, float(rng.uniform(0.1, 0.5)))
-            g = DirectedGraph.from_edges(edges, nodes=range(n))
+            g = datasets.from_edges(edges, nodes=range(n))
 
-            assert strongly_connected_components(g) == oracles.scc_by_reachability(n, edges)
-            assert weakly_connected_components(g) == oracles.wcc_by_reachability(n, edges)
+            for kernel, loop, reach in (
+                (strongly_connected_components, oracles.scc_tarjan_loop,
+                 oracles.scc_by_reachability),
+                (weakly_connected_components, oracles.wcc_search_loop,
+                 oracles.wcc_by_reachability),
+            ):
+                label = kernel(g)
+                assert oracles.labels_least_members(label)
+                assert oracles.partition(g, label) == loop(g) == reach(n, edges)
 
-            bc = betweenness_centrality(g)
+            bc = oracles.by_node(g, betweenness_centrality(g))
             bc_oracle = oracles.betweenness_by_path_enumeration(n, edges)
             for i in range(n):
                 assert bc[i] == pytest.approx(bc_oracle[i], abs=1e-9)
 
-            pr = pagerank(g)
+            pr = oracles.by_node(g, pagerank(g.indptr, g.indices))
             pr_oracle = oracles.pagerank_dense(n, edges)
             assert sum(pr.values()) == pytest.approx(1.0, abs=1e-9)
             for i in range(n):
@@ -139,7 +145,7 @@ def test_criterion_2_graph_kernel_equivalence():
             ys = [float(y) for y in rng.integers(0, 5, n)]
             if n >= 2:
                 want = oracles.kendall_tau_pairs(xs, ys)
-                got = kendall_tau(dict(enumerate(xs)), dict(enumerate(ys)))
+                got = kendall_tau(xs, ys)
                 if math.isnan(want):
                     assert math.isnan(got)
                 else:
@@ -274,7 +280,7 @@ def test_criterion_6_latency_suite():
                 continue
             k = int(rng.integers(1, 4))
             total += 1
-            _best, opt = exact_k_latmin(g, k)
+            _best, opt = oracles.exact_k_latmin(g, k)
             finals = {}
             for heuristic in Heuristic:
                 finals[heuristic] = minimize(prepare(g), k, heuristic).relative[-1] * base

@@ -11,7 +11,7 @@ from genonet.classify import (
     leave_one_out,
     prepare_loo,
 )
-from genonet.errors import DataError, DegenerateTrainingError, TrainingError
+from genonet.errors import DataError
 from genonet.genotype import MetricKind, pair_metrics
 from genonet.ingest import (
     TopicMap,
@@ -24,7 +24,14 @@ from genonet.syngen import generate
 
 import datasets
 import oracles
-from oracles import LocalClassifier, classify_local, nb_consensus, train_local
+from oracles import (
+    DegenerateTrainingError,
+    LocalClassifier,
+    TrainingError,
+    classify_local,
+    nb_consensus,
+    train_local,
+)
 
 
 def rows(topic_values):

@@ -501,14 +501,13 @@ def test_commands_do_not_touch_inputs(syn_manifest, tmp_path):
 
 
 def test_predict_builds_no_graph_per_hashtag(syn_manifest, tmp_path, monkeypatch):
-    """predict builds no ``DirectedGraph`` at all, neither from pairs nor
-    from keys, and scores and ranks each (direction, predictor) once."""
+    """predict builds no ``DirectedGraph`` at all, and scores and ranks
+    each (direction, predictor) once."""
     graphs, scored, ranked = [], [], []
     score, auc = predict.score_candidates, predict.roc_auc
-    for name in ("from_edges", "from_keys"):
-        build = getattr(DirectedGraph, name)
-        monkeypatch.setattr(DirectedGraph, name, classmethod(
-            lambda cls, *args, build=build, **kw: graphs.append(1) or build(*args, **kw)))
+    build = DirectedGraph.from_keys
+    monkeypatch.setattr(DirectedGraph, "from_keys", classmethod(
+        lambda cls, *args, **kw: graphs.append(1) or build(*args, **kw)))
     monkeypatch.setattr(predict, "score_candidates",
                         lambda kind, *rest: scored.append(kind) or score(kind, *rest))
     monkeypatch.setattr(predict, "roc_auc", lambda *args: ranked.append(1) or auc(*args))

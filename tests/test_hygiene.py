@@ -5,8 +5,9 @@ rules: every name a module exports in ``__all__`` exists, a module with
 ``__all__`` lists each public function and class it defines, and every
 module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
-per-node successor lists outside ``graph.py``.  The last keeps the turning
-of names into ids in ``ingest.intern``.
+per-node successor lists.  One keeps the graph kernels answering in
+arrays, and the last keeps the turning of names into ids in
+``ingest.intern``.
 """
 
 import ast
@@ -79,15 +80,27 @@ def test_no_module_imports_heapq():
     assert users == HEAPQ_USERS, f"heapq imported by {sorted(users - HEAPQ_USERS)}"
 
 
-def test_adjacency_lists_stay_in_graph():
-    """``DirectedGraph.adjacency`` feeds the Python loops of ``graph.py``;
-    the other modules work on the CSR arrays."""
-    calls = [
-        f"{name}.py:{node.lineno}" for name in MODULES if name != "graph"
-        for node in ast.walk(_tree(name))
+def test_no_adjacency_lists():
+    """No module defines or calls ``adjacency``: every module works on the
+    CSR arrays, and the per-node successor lists live in the oracles."""
+    sites = [
+        f"{name}.py:{node.lineno}" for name in MODULES for node in ast.walk(_tree(name))
         if isinstance(node, ast.Attribute) and node.attr == "adjacency"
+        or isinstance(node, ast.Name) and node.id == "adjacency"
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "adjacency"
     ]
-    assert not calls, f"adjacency() used outside graph.py at {calls}"
+    assert not sites, f"adjacency defined or used at {sites}"
+
+
+def test_graph_kernels_build_no_dicts_or_frozensets():
+    """``graph.py`` builds no ``dict``, ``frozenset`` or dict comprehension:
+    its kernels take and return arrays in node order."""
+    sites = [
+        f"graph.py:{node.lineno}" for node in ast.walk(_tree("graph"))
+        if isinstance(node, ast.DictComp)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("dict", "frozenset")
+    ]
+    assert not sites, f"dict or frozenset built at {sites}"
 
 
 # A dict from each label to its position is an id map.  ingest.intern

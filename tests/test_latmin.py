@@ -4,14 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from genonet import latmin
+from genonet import backbone, latmin
 from genonet.cli import main
 from genonet.errors import DataError
-from genonet.graph import BLOCK_PAIR_BYTES, DirectedGraph, betweenness_centrality
+from genonet.graph import (
+    BLOCK_PAIR_BYTES,
+    DirectedGraph,
+    betweenness_centrality,
+    strongly_connected_components,
+    weakly_connected_components,
+)
+from genonet.ingest import build_adoption_index, load_dataset
 from genonet.latmin import (
     Heuristic,
     LatencyGraph,
-    exact_k_latmin,
     minimize,
     prepare,
 )
@@ -22,7 +28,7 @@ import oracles
 
 def lgraph(edges, latency, nodes=()):
     return LatencyGraph(
-        graph=DirectedGraph.from_edges(edges, nodes=nodes), latency=latency
+        graph=datasets.from_edges(edges, nodes=nodes), latency=latency
     )
 
 
@@ -239,8 +245,8 @@ def test_greedy_matches_naive_recomputation():
 
 def test_exact_examples():
     g = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
-    assert exact_k_latmin(g, 1) == (frozenset({"b"}), pytest.approx(0.5))
-    best, value = exact_k_latmin(g, 2)
+    assert oracles.exact_k_latmin(g, 1) == (frozenset({"b"}), pytest.approx(0.5))
+    best, value = oracles.exact_k_latmin(g, 2)
     assert value == 0.0 and best == {"a", "b"}
 
 
@@ -249,7 +255,7 @@ def test_exact_budget_guard():
     edges = [(i, (i + 1) % n) for i in range(n)]
     g = lgraph(edges, {i: 1.0 for i in range(n)})
     with pytest.raises(DataError, match="budget"):
-        exact_k_latmin(g, 8)
+        oracles.exact_k_latmin(g, 8)
 
 
 def test_exact_lower_bounds_heuristics():
@@ -261,7 +267,7 @@ def test_exact_lower_bounds_heuristics():
         if base == 0:
             continue
         k = int(rng.integers(1, 4))
-        _best, opt = exact_k_latmin(g, k)
+        _best, opt = oracles.exact_k_latmin(g, k)
         for heuristic in Heuristic:
             final = minimize(prepare(g), k, heuristic).relative[-1] * base
             assert opt <= final + 1e-9
@@ -335,9 +341,9 @@ def _pruning_cases():
             if both:
                 yield g, True
                 continue
-            adj, nodes = g.graph.adjacency(), g.graph.nodes
+            adj, nodes = oracles.adjacency(g.graph), g.graph.nodes
             edges = [(nodes[u], nodes[v]) for u in range(n) for v in adj[u] if u < v]
-            graph = DirectedGraph.from_edges(edges, nodes=nodes)
+            graph = datasets.from_edges(edges, nodes=nodes)
             yield LatencyGraph(graph=graph, latency=g.latency), False
 
 
@@ -441,9 +447,29 @@ def test_kernels_equal_oracles_on_benchmark_components(
     graph, lat, d = seen["apsp"]
     assert seen["bc"][0] is graph and graph.n >= 300
     assert (_bits(d) == _bits(oracles.dijkstra_apsp(graph, lat))).all()
-    bc, want = seen["bc"][1], oracles.betweenness_brandes_loop(graph)
+    bc, want = oracles.by_node(graph, seen["bc"][1]), oracles.betweenness_brandes_loop(graph)
     assert list(bc) == list(want)
     assert (_bits(list(bc.values())) == _bits(list(want.values()))).all()
+
+
+@pytest.mark.parametrize("shape", ["latmin-dense", "hubs"])
+def test_component_kernels_equal_loops_on_benchmark_backbones(bench_manifest, monkeypatch, shape):
+    """On every influence and follower graph that ``compare_with_follower``
+    ranks in the benchmark datasets, the component labels give the loop
+    oracles' partitions, and each label is its component's least node."""
+    seen = []
+    for kernel, loop in ((strongly_connected_components, oracles.scc_tarjan_loop),
+                         (weakly_connected_components, oracles.wcc_search_loop)):
+        monkeypatch.setattr(backbone, kernel.__name__, lambda g, kernel=kernel, loop=loop:
+                            seen.append((g, kernel(g), loop)) or seen[-1][1])
+    net, events, topics = load_dataset(bench_manifest(shape))
+    index = build_adoption_index(events, net)
+    for topic in topics.topics:
+        backbone.compare_with_follower(backbone.extract_backbone(topic, index, topics), index)
+    assert len(seen) == 4 * len(topics.topics)
+    for g, label, loop in seen:
+        assert oracles.labels_least_members(label)
+        assert oracles.partition(g, label) == loop(g)
 
 
 def test_all_sources_kernels_stay_within_their_blocks():

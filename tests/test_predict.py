@@ -3,7 +3,7 @@ import pytest
 
 from genonet.backbone import extract_backbone
 from genonet.errors import DataError
-from genonet.graph import DirectedGraph, pagerank
+from genonet.graph import pagerank
 from genonet.ingest import (
     EventLog,
     TopicMap,
@@ -399,9 +399,9 @@ def test_build_instances_equals_brute_force_oracle():
 def _pagerank_on_users(weights, ctx):
     """``graph.pagerank`` of a backbone's graph placed on user ids; zeros when empty."""
     out = np.zeros(len(ctx.index.users))
-    g = DirectedGraph.from_edges(weights)
+    g = datasets.from_edges(weights)
     if g.n:
-        for node, value in pagerank(g).items():
+        for node, value in oracles.by_node(g, pagerank(g.indptr, g.indices)).items():
             out[ctx.index.users.index(node)] = value
     return out.tolist()
 
