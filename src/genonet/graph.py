@@ -22,7 +22,7 @@ from .ingest import gather_rows, in_sorted
 # about _EDGE_BYTES each; source_block keeps those edges within
 # BLOCK_PAIR_BYTES per node pair, a budget that callers count.
 SOURCE_BLOCK = 16
-BLOCK_PAIR_BYTES = 32
+BLOCK_PAIR_BYTES = 24
 _EDGE_BYTES = 25
 
 __all__ = [
@@ -78,7 +78,7 @@ class DirectedGraph:
 def source_block(g: DirectedGraph) -> int:
     """Sources per block on ``g``: :data:`SOURCE_BLOCK`, or as many (at
     least one) as keep the block's edges within :data:`BLOCK_PAIR_BYTES`
-    per node pair, which binds above about n^2 / 12 edges.  The block
+    per node pair, which binds above about n^2 / 16 edges.  The block
     size moves no output bit."""
     cap = BLOCK_PAIR_BYTES * g.n * g.n // (_EDGE_BYTES * max(len(g.indices), 1))
     return max(1, min(SOURCE_BLOCK, cap))
@@ -291,16 +291,20 @@ def _tied_pairs(*sorted_cols: np.ndarray) -> int:
 
 
 def _inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j]: per bit b, the 1s before each 0
-    among the elements that share the bits above b, in O(n log^2 n)."""
-    dis = 0
-    for b in range(int(ranks.max()).bit_length()):
-        order = np.argsort(ranks >> (b + 1), kind="stable")
+    """Pairs i < j with ranks[i] > ranks[j]: per bit b, from the top, the
+    1s before each 0 among the elements that share the bits above b, kept
+    grouped in index order by a stable partition per bit: O(n log n)."""
+    dis, order = 0, np.arange(len(ranks))
+    for b in reversed(range(int(ranks.max()).bit_length())):
         high, bit = ranks[order] >> (b + 1), (ranks[order] >> b) & 1
+        brk = np.r_[True, high[1:] != high[:-1]]
+        start, group = np.flatnonzero(brk), np.cumsum(brk) - 1
         ones_before = np.cumsum(bit) - bit
-        group_start = np.r_[True, high[1:] != high[:-1]]
-        in_group = ones_before - ones_before[group_start][np.cumsum(group_start) - 1]
+        in_group = ones_before - ones_before[start][group]
         dis += int(in_group[bit == 0].sum())
+        zeros = np.add.reduceat(1 - bit, start)
+        to = np.where(bit, (start + zeros)[group] + in_group, np.arange(len(bit)) - in_group)
+        order[to] = order.copy()
     return dis
 
 

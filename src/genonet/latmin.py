@@ -8,7 +8,8 @@ node sets its latency to 0, which can only shrink pair latencies.
 
 Selecting k targets that minimize the average pair latency is NP-hard,
 so three heuristics are provided: descending latency, descending
-betweenness and greedy marginal improvement.
+betweenness and greedy marginal improvement, which screens candidates in
+float32 and scores the near-best exactly, as scoring all of them would.
 """
 
 from __future__ import annotations
@@ -39,23 +40,22 @@ __all__ = [
 ]
 
 # Largest n x n working set one run may allocate.  Per node pair it holds
-# the APSP matrix, the Greedy scoring buffer and the two matrices of one
-# pick update (8 B each), the reachable mask (1 B) and a masked copy of
-# the matrix (8 B).  The APSP and betweenness add no n x n buffer, and
-# run while only the APSP matrix and the mask are held: their blocks of
-# sources keep their edges within graph.BLOCK_PAIR_BYTES (32 B) per pair,
-# under the 41 - 9 B left (see graph.source_block).
+# the APSP matrix and a pick update's two matrices (8 B each), the mask
+# (1 B) and a masked copy of the matrix (8 B); Greedy's float32 pair (8 B)
+# is freed before each pick.  The APSP and betweenness run while only the
+# matrix and the mask are held, their blocks of sources within
+# graph.BLOCK_PAIR_BYTES (24 B) per pair, the 33 - 9 B left.
 MEMORY_BUDGET_BYTES = 2 * 1024**3
-_BYTES_PER_PAIR = 41
-# Greedy skips a candidate only when its savings bound misses the best
-# score by more than this share of the current latency sum.  Rounding
-# can make a true bound look too small only by a tiny share of that
-# sum: fl(d(s, c) + d(c, t)) may undercut the stored d(s, t) by
-# path-length rounding, about n * eps ~ 1e-12 relative at the memory
-# guard's n ~ 7,200, and each pairwise numpy sum of the n^2 terms adds
-# about log2(n^2) ~ 26 eps.  With a margin 1,000 times that, a candidate
-# whose score could tie the best is always scored.
-_PRUNE_MARGIN = 1e-9
+_BYTES_PER_PAIR = 33
+# Greedy screens candidates in float32 and rescores in float64 those
+# within this share of the current latency sum of the best.  A screened
+# entry is its float64 value, scaled by a power of two, after at most
+# three float32 roundings (u = 2^-24; min keeps relative errors), and
+# numpy's pairwise sum of n^2 non-negative terms adds at most (18 +
+# log2(n^2 / 128)) u: 2.4e-6 in all at the guard's n ~ 8,000 (1e-8 was
+# measured on such a sum).  The exact best is within twice that of the
+# screened best, and a candidate skipped by its bound misses it by more.
+_SCREEN_MARGIN = 1e-5
 
 
 class Heuristic(Enum):
@@ -194,6 +194,19 @@ def _zero_update(d: np.ndarray, idx: int, lat: float, out: np.ndarray,
     return out
 
 
+def _screen_total(d: np.ndarray, i: int, lat: float, scale: float,
+                  d32: np.ndarray, out32: np.ndarray) -> float:
+    """The latency sum after zeroing node ``i``, screened in float32 on
+    ``d32`` (``d * scale``, 0 outside the mask); ``out32`` is scratch.  The
+    row, rounded once from float64, is inf at i, which keeps column i."""
+    row = (d[i] - lat) * scale
+    row[i] = np.inf
+    np.copyto(out32, row.astype(np.float32))
+    out32 += (d[:, i] * scale).astype(np.float32)[:, None]
+    np.minimum(d32, out32, out=out32)
+    return float(out32.sum()) / scale
+
+
 def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationTrace:
     """Select k nodes to zero and trace the relative average latency.
 
@@ -201,12 +214,12 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     each step, the candidate whose zeroing leaves the lowest average.
     Zeroing c lowers a pair by at most lat(c), and only pairs from
     reach_in(c) + {c} to reach_out(c), so its savings are at most
-    lat(c) * (|reach_in(c)| + 1) * |reach_out(c)|.  Candidates are scored
-    in descending bound, stopping once the current latency sum minus the
-    next bound exceeds the best total so far by more than
-    ``_PRUNE_MARGIN`` of that sum; so the picks and trace are those of
-    scoring every candidate.  All ties break on the node index, which
-    is the order of the node labels.
+    lat(c) * (|reach_in(c)| + 1) * |reach_out(c)|.  Candidates are
+    screened (:func:`_screen_total`) in descending bound until the current
+    latency sum minus the next bound exceeds the best screened total by
+    ``_SCREEN_MARGIN`` of that sum; those within that margin of the best
+    are scored exactly, so the picks and trace are those of scoring every
+    candidate.  All ties break on the node index, the node label order.
     The trace is relative to ``state.base_avg``, which must be positive.
     """
     if k <= 0:
@@ -226,7 +239,6 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     elif heuristic is Heuristic.MAX_BC:
         order = np.argsort(-betweenness_centrality(g.graph), kind="stable")[:k].tolist()
     else:
-        tmp = np.empty((n, n))
         # reachability survives every zeroing, so the pair counts are fixed
         pairs = (state.mask.sum(axis=0) + 1.0) * state.mask.sum(axis=1)
         cur = state.base_avg * state.denom  # within 2 eps of the masked sum
@@ -238,21 +250,35 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     remaining = list(range(n))
     for step in range(k):
         if order is not None:
-            pick = order[step]
+            near = [order[step]]
         else:
+            # an exact power of two takes the largest entry into [0.5, 1)
+            top = float(np.max(d, where=state.mask, initial=0.0))
+            scale = math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+            d32 = np.zeros((n, n), np.float32)
+            np.multiply(d, scale, out=d32, where=state.mask)
+            out32, margin = np.empty_like(d32), _SCREEN_MARGIN * cur
             bound = lat[remaining] * pairs[remaining]
-            best = None
+            screened, best = [], math.inf
             for j in np.argsort(-bound, kind="stable"):
-                if best and cur - bound[j] > best[0] * state.denom + _PRUNE_MARGIN * cur:
+                if cur - bound[j] > best + margin:
                     break
                 i = remaining[j]
-                _zero_update(d, i, lat[i], tmp, row)
+                screened.append((_screen_total(d, i, lat[i], scale, d32, out32), i))
+                best = min(best, screened[-1][0])
+            del d32, out32
+            near = [i for total, i in screened if total <= best + margin]
+        out, scored = np.empty((n, n)), []
+        for i in near:  # several only on a near-tie: score each exactly
+            _zero_update(d, i, float(lat[i]), out, row)
+            if len(near) > 1:
                 # fully reachable case: diagonal zeros contribute nothing to the sum
-                total = tmp.sum() if state.all_finite else tmp[state.mask].sum()
-                scored = (float(total / state.denom), i)
-                best = scored if best is None else min(best, scored)
-            pick = best[1]
-        d = _zero_update(d, pick, float(lat[pick]), np.empty((n, n)), row)
+                total = out.sum() if state.all_finite else out[state.mask].sum()
+                scored.append((float(total / state.denom), i))
+        pick = min(scored, default=(0.0, near[0]))[1]
+        if pick != near[-1]:
+            _zero_update(d, pick, float(lat[pick]), out, row)
+        d = out
         lat[pick] = 0.0
         remaining.remove(pick)
         selected.append(g.graph.nodes[pick])

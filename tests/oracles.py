@@ -842,6 +842,18 @@ def pagerank_loop(g, damping=0.85, tol=1e-10, max_iter=200):
     return {g.nodes[i]: s for i, s in enumerate(scores)}
 
 
+def inversion_pairs(ranks, rows=256):
+    """Pairs i < j with ranks[i] > ranks[j], compared pair by pair: each
+    block of ``rows`` entries against itself and every later entry."""
+    ranks = np.asarray(ranks)
+    total = 0
+    for lo in range(0, len(ranks), rows):
+        block = ranks[lo:lo + rows]
+        total += np.count_nonzero(np.triu(block[:, None] > block, 1))
+        total += np.count_nonzero(block[:, None] > ranks[lo + rows:])
+    return int(total)
+
+
 def kendall_tau_pairs(xs, ys):
     """Tau-b straight from the O(n^2) pair-count definition."""
     n = len(xs)

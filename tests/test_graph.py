@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from genonet import graph as graph_module
 from genonet.errors import DataError
 from genonet.graph import (
     DirectedGraph,
@@ -289,6 +290,18 @@ def test_kendall_equals_scipy_exactly():
         got = kendall_tau(xs, ys)
         want = float(scipy_stats.kendalltau(xs, ys, variant="b").statistic)
         assert got == want or (math.isnan(got) and math.isnan(want)), (len(xs), got, want)
+
+
+def test_inversions_equal_pair_count():
+    """The bit-partition inversion count equals the pair-by-pair count on
+    the ranks of every Kendall case, 50,000 entries of 16 rank bits among
+    them, and on sorted, reversed and constant ranks."""
+    cases = [np.arange(7), np.arange(7)[::-1], np.zeros(5, np.int64), np.array([1, 0])]
+    for xs, ys in _tau_cases(np.random.default_rng(11)):
+        cases += [np.unique(np.asarray(v, float), return_inverse=True)[1] for v in (xs, ys)]
+    assert max(len(r) for r in cases) == 50000
+    for ranks in cases:
+        assert graph_module._inversions(ranks) == oracles.inversion_pairs(ranks), len(ranks)
 
 
 def test_kendall_too_small():

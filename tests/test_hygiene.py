@@ -6,8 +6,8 @@ rules: every name a module exports in ``__all__`` exists, a module with
 module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
 per-node successor lists.  One keeps the graph kernels answering in
-arrays, and the last keeps the turning of names into ids in
-``ingest.intern``.
+arrays, one keeps the turning of names into ids in ``ingest.intern``,
+and the last keeps float32 inside latmin's Greedy screen.
 """
 
 import ast
@@ -122,22 +122,48 @@ def _is_id_map(node):
     )
 
 
-def _id_map_scopes(node, scope):
-    """The qualified name of the function or class around each id map."""
+def _scopes(node, scope, match):
+    """The qualified name of the function or class around each node that
+    ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}"
-        if _is_id_map(child):
+        if match(child):
             yield f"{inner}:{child.lineno}"
-        yield from _id_map_scopes(child, inner)
+        yield from _scopes(child, inner, match)
 
 
 def test_id_maps_only_in_intern():
     """Names become ids in ``ingest.intern`` alone, so "id = position in
     sorted-name order" holds for every id space."""
-    found = [site for name in MODULES for site in _id_map_scopes(_tree(name), name)]
+    found = [site for name in MODULES for site in _scopes(_tree(name), name, _is_id_map)]
     scopes = {site.split(":")[0] for site in found}
     assert "ingest.intern" in scopes  # the walk sees the pattern
     stray = [site for site in found if site.split(":")[0] not in ID_MAP_OWNERS]
     assert not stray, f"id maps outside ingest.intern at {stray}"
+
+
+# latmin's Greedy screen is the one narrow-float computation: it only
+# ranks candidates, and every exact score and output stays float64
+NARROW_FLOATS = {"float32", "float16", "single", "half", "f4", "f2"}
+NARROW_FLOAT_OWNERS = {"latmin.minimize", "latmin._screen_total"}
+
+
+def _is_narrow_float(node):
+    """``np.float32`` and kin, a bare ``float32`` or a dtype string."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr in NARROW_FLOATS
+        or isinstance(node, ast.Name) and node.id in ("float32", "float16")
+        or isinstance(node, ast.Constant) and node.value in NARROW_FLOATS
+    )
+
+
+def test_float32_only_in_the_greedy_screen():
+    """No module computes in a float narrower than float64 outside
+    latmin's Greedy screen."""
+    found = [site for name in MODULES for site in _scopes(_tree(name), name, _is_narrow_float)]
+    scopes = {site.split(":")[0] for site in found}
+    assert "latmin._screen_total" in scopes  # the walk sees the pattern
+    stray = [site for site in found if site.split(":")[0] not in NARROW_FLOAT_OWNERS]
+    assert not stray, f"narrow floats outside latmin's screen at {stray}"

@@ -331,6 +331,13 @@ def test_greedy_scores_equal_zero_update_oracle():
     assert seen["graphs"] >= 20 and seen["masked"] >= 5 and seen["tied"] >= 5
 
 
+def _forward(g):
+    """``g`` with only its edges u -> v for u < v: sparse reachability."""
+    adj, nodes = oracles.adjacency(g.graph), g.graph.nodes
+    edges = [(nodes[u], nodes[v]) for u in range(g.graph.n) for v in adj[u] if u < v]
+    return LatencyGraph(graph=datasets.from_edges(edges, nodes=nodes), latency=g.latency)
+
+
 def _pruning_cases():
     """Seeded Pareto-latency trees large enough for the savings bound to
     skip candidates: both edge directions (strict) and only u -> v with
@@ -338,46 +345,124 @@ def _pruning_cases():
     for seed in range(12):
         for n, both in ((120, True), (120, False), (60, False)):
             g = datasets.latency_benchmark(seed, n)
-            if both:
-                yield g, True
-                continue
-            adj, nodes = oracles.adjacency(g.graph), g.graph.nodes
-            edges = [(nodes[u], nodes[v]) for u in range(n) for v in adj[u] if u < v]
-            graph = datasets.from_edges(edges, nodes=nodes)
-            yield LatencyGraph(graph=graph, latency=g.latency), False
+            yield (g, True) if both else (_forward(g), False)
 
 
 def test_pruned_greedy_equals_all_candidate_oracle(monkeypatch):
     """Bound-ordered Greedy picks and traces exactly what scoring every
-    remaining candidate does, while scoring fewer of them."""
-    calls = []
-    zero_update = latmin._zero_update
-    monkeypatch.setattr(
-        latmin, "_zero_update", lambda *a: calls.append(a[1]) or zero_update(*a)
-    )
+    remaining candidate does, while screening fewer of them and scoring
+    few in float64."""
+    screens, updates = [], []
+    for name, calls in (("_screen_total", screens), ("_zero_update", updates)):
+        kernel = getattr(latmin, name)
+        monkeypatch.setattr(latmin, name, lambda *a, kernel=kernel, calls=calls:
+                            calls.append(a[1]) or kernel(*a))
     k, cases, pruned = 5, 0, 0
     for g, strict in _pruning_cases():
         state = prepare(g, strict)
         n, nodes = g.graph.n, g.graph.nodes
         lat = [g.latency[x] for x in nodes]
         steps = list(oracles.greedy_steps(state.d, lat, state.mask, k, nodes))
-        calls.clear()
+        screens.clear()
+        updates.clear()
         trace = minimize(state, k, Heuristic.GREEDY)
         assert trace.selected == tuple(nodes[step[4]] for step in steps)
         assert trace.relative == tuple(step[5] for step in steps)
         cases += 1
-        # every step scores its n - step candidates and then applies the pick
-        pruned += len(calls) < sum(n - step for step in range(k)) + k
+        # every step screens its n - step candidates unless the bound skips some
+        pruned += len(screens) < sum(n - step for step in range(k))
+        # each pick is one update; rescoring near-ties at most doubles that
+        assert k <= len(updates) <= 2 * k
     assert cases == 36 and pruned >= 30
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-40, 1.0, 1e30, 1e300])
+def test_screened_greedy_equals_oracle_at_every_scale(monkeypatch, scale):
+    """With the scoring cases' latencies scaled far outside float32's
+    range, zero latencies and exact ties kept, screened Greedy picks and
+    traces what scoring every candidate in float64 does, and each step
+    whose best score is tied rescores in float64."""
+    updates = []
+    zero_update = latmin._zero_update
+    monkeypatch.setattr(latmin, "_zero_update", lambda *a: updates.append(a[1]) or zero_update(*a))
+    graphs = tied = 0
+    for g, strict in _scoring_cases():
+        latency = {x: v * scale for x, v in g.latency.items()}
+        state = prepare(LatencyGraph(graph=g.graph, latency=latency), strict)
+        if state.base_avg == 0:
+            continue
+        nodes, k = g.graph.nodes, min(4, g.graph.n)
+        steps = list(oracles.greedy_steps(state.d, state.lat, state.mask, k, nodes))
+        updates.clear()
+        trace = minimize(state, k, Heuristic.GREEDY)
+        assert trace.selected == tuple(nodes[step[4]] for step in steps)
+        assert trace.relative == tuple(step[5] for step in steps)
+        ties = sum(step[3].count(min(step[3])) > 1 for step in steps)
+        assert len(updates) >= k + ties
+        graphs += 1
+        tied += ties > 0
+    assert graphs >= 20 and tied >= 5
+
+
+def test_screen_within_a_quarter_margin_at_n_2000(monkeypatch):
+    """On a strongly connected random graph of 2,000 nodes with Pareto
+    latencies, the first candidates Greedy screens, on the float32 matrix
+    ``minimize`` builds, score within a quarter of the margin of their
+    float64 totals."""
+    n = 2000
+    rng = np.random.default_rng(n)
+    perm = rng.permutation(n)
+    keys = np.unique(np.r_[rng.integers(0, n * n, 8 * n), perm * n + np.roll(perm, -1)])
+    keys = keys[keys // n != keys % n]
+    graph = DirectedGraph.from_keys(keys, np.ones(n, bool), tuple(range(n)))
+    latency = dict(enumerate((rng.pareto(1.5, n) + 1.0).tolist()))
+    state = prepare(LatencyGraph(graph=graph, latency=latency))
+    screened = []
+
+    class Enough(Exception):
+        pass
+
+    def screen(*args, kernel=latmin._screen_total):
+        screened.append((args[1], kernel(*args)))
+        if len(screened) == 12:
+            raise Enough
+        return screened[-1][1]
+
+    monkeypatch.setattr(latmin, "_screen_total", screen)
+    with pytest.raises(Enough):
+        minimize(state, 1, Heuristic.GREEDY)
+    out, row = np.empty((n, n)), np.empty(n)
+    margin = latmin._SCREEN_MARGIN * float(state.d[state.mask].sum())
+    for i, total in screened:
+        exact = float(latmin._zero_update(state.d, i, state.lat[i], out, row).sum())
+        assert abs(total - exact) <= margin / 4, (i, total, exact)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_minimize_allocates_under_three_matrices(strict):
+    """While the state is held, no heuristic allocates 24 B per node pair
+    at n = 400: the screening pair is freed before each pick, whose two
+    matrices and masked copy make the rest of the guard's 33 B."""
+    n = 400
+    g = datasets.latency_benchmark(3, n)
+    state = prepare(g if strict else _forward(g), strict)
+    for heuristic in Heuristic:
+        tracemalloc.start()
+        try:
+            minimize(state, 5, heuristic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n * n, (heuristic, peak / (8 * n * n))
 
 
 def test_memory_guard_refuses_before_apsp(monkeypatch):
     g = lgraph([(0, 1), (1, 2), (2, 0)], {i: 1.0 for i in range(3)})
-    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 41 * 3 * 3)
+    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 33 * 3 * 3)
     assert prepare(g).denom == 6
-    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 41 * 3 * 3 - 1)
+    monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 33 * 3 * 3 - 1)
     monkeypatch.setattr(latmin, "_apsp_matrix", pytest.fail)
-    with pytest.raises(DataError, match=r"n=3 nodes needs about 369 bytes"):
+    with pytest.raises(DataError, match=r"n=3 nodes needs about 297 bytes"):
         prepare(g)
 
 
