@@ -291,20 +291,16 @@ def _tied_pairs(*sorted_cols: np.ndarray) -> int:
 
 
 def _inversions(ranks: np.ndarray) -> int:
-    """Pairs i < j with ranks[i] > ranks[j]: per bit b, from the top, the
-    1s before each 0 among the elements that share the bits above b, kept
-    grouped in index order by a stable partition per bit: O(n log n)."""
-    dis, order = 0, np.arange(len(ranks))
-    for b in reversed(range(int(ranks.max()).bit_length())):
+    """Pairs i < j with ranks[i] > ranks[j]: per bit b, the 1s before each 0
+    among the elements that share the bits above b, in O(n log^2 n)."""
+    dis = 0
+    for b in range(int(ranks.max()).bit_length()):
+        order = np.argsort(ranks >> (b + 1), kind="stable")
         high, bit = ranks[order] >> (b + 1), (ranks[order] >> b) & 1
-        brk = np.r_[True, high[1:] != high[:-1]]
-        start, group = np.flatnonzero(brk), np.cumsum(brk) - 1
         ones_before = np.cumsum(bit) - bit
-        in_group = ones_before - ones_before[start][group]
+        group_start = np.r_[True, high[1:] != high[:-1]]
+        in_group = ones_before - ones_before[group_start][np.cumsum(group_start) - 1]
         dis += int(in_group[bit == 0].sum())
-        zeros = np.add.reduceat(1 - bit, start)
-        to = np.where(bit, (start + zeros)[group] + in_group, np.arange(len(bit)) - in_group)
-        order[to] = order.copy()
     return dis
 
 
