@@ -1,8 +1,11 @@
-"""Golden digests: every CLI output on one small seeded dataset is pinned.
+"""Golden digests: every CLI output on two small seeded datasets is pinned.
 
 The sha256 of each file written by each command is compared with
 ``golden_digests.json``.  A change that moves any output byte fails here,
-so a refactor or speedup shows that its answers did not change.  A change
+so a refactor or speedup shows that its answers did not change.  The
+second dataset lists its topics out of name order and does not map
+every hashtag it uses, so each topic lookup is pinned where
+first-appearance order and name order differ.  A change
 that is meant to move outputs regenerates the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -59,6 +62,34 @@ COMMANDS = {
     "latmin-permissive": ("latmin", "--topic", "t1", "--k", "3", "--permissive"),
 }
 
+# three topics, whose topics.tsv ``_reorder_topics`` rewrites; its labels
+# carry the TOPIC_ORDER prefix in the fixture
+TOPIC_ORDER = "topic-order/"
+TOPIC_ORDER_SYNGEN = ("--seed", "5", "--users", "40", "--topics", "3",
+                      "--hashtags-per-topic", "4", "--cascades", "3", "--edge-prob", "0.25")
+TOPIC_ORDER_COMMANDS = {
+    **COMMANDS,
+    "latmin-strict": ("latmin", "--topic", "t2", "--k", "3"),
+    "latmin-permissive": ("latmin", "--topic", "t1", "--k", "3", "--permissive"),
+}
+
+
+def _reorder_topics(data: Path) -> None:
+    """Reverse ``topics.tsv``, so its topics appear as t2, t1, t0; drop
+    ``t1h0``, so one used hashtag has no topic; and map ``zz``, which no
+    event uses."""
+    path = data / "topics.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in reversed(lines) if not line.startswith("t1h0\t")]
+    path.write_text("".join(kept) + "zz\tt0\n", encoding="utf-8")
+
+
+# (label prefix, syngen flags, commands, edit of the generated files)
+DATASETS = (
+    ("", SYNGEN, COMMANDS, None),
+    (TOPIC_ORDER, TOPIC_ORDER_SYNGEN, TOPIC_ORDER_COMMANDS, _reorder_topics),
+)
+
 
 def _digests(path: Path) -> dict[str, str]:
     return {
@@ -77,15 +108,19 @@ def _fresh_process(argv: list[str]) -> int:
 
 
 def compute_digests(root: Path, run=main) -> dict[str, dict[str, str]]:
-    data = root / "data"
-    assert run(["syngen", "--out", str(data), *SYNGEN]) == 0
-    manifest = str(data / "dataset.manifest")
-    out = {"syngen": _digests(data)}
-    for label, (command, *flags) in COMMANDS.items():
-        dest = root / label
-        code = run([command, "--manifest", manifest, "--out", str(dest), *flags])
-        assert code == 0, label
-        out[label] = _digests(dest)
+    out = {}
+    for prefix, syngen, commands, edit in DATASETS:
+        data = root / f"{prefix}data"
+        assert run(["syngen", "--out", str(data), *syngen]) == 0
+        if edit:
+            edit(data)
+        manifest = str(data / "dataset.manifest")
+        out[f"{prefix}syngen"] = _digests(data)
+        for label, (command, *flags) in commands.items():
+            dest = root / f"{prefix}{label}"
+            code = run([command, "--manifest", manifest, "--out", str(dest), *flags])
+            assert code == 0, prefix + label
+            out[prefix + label] = _digests(dest)
     return out
 
 
