@@ -105,8 +105,8 @@ def topic_backbone(index: AdoptionIndex, in_topic: np.ndarray) -> tuple[np.ndarr
 
 def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> InfluenceBackbone:
     """Backbone for one topic: the sum of its hashtags' precedence edges."""
-    wanted = set(topics.hashtags_for(topic))
-    keys, weight, _, _ = topic_backbone(index, np.array([h in wanted for h in index.hashtags], bool))
+    in_topic = topics.topic_ids(index.hashtags) == topics.topic_id(topic)
+    keys, weight, _, _ = topic_backbone(index, in_topic)
     return InfluenceBackbone(topic=topic, users=index.users, keys=keys, weight=weight)
 
 

@@ -122,15 +122,15 @@ def cmd_ingest_check(args) -> None:
     out = _outdir(args)
     net, events, topics = load_dataset(Path(args.manifest))
     index = build_adoption_index(events, net)
-    unmapped = [h for h in events.hashtags if topics.topic_of(h) is None]
+    unmapped = np.flatnonzero(topics.topic_ids(events.hashtags) == len(topics.topics))
     doc = {
         "nodes": len(net.nodes),
         "edges": len(net.keys),
         "events": len(events.time),
         "users_posting": len(events.users),
         "hashtags_seen": len(events.hashtags),
-        "hashtags_mapped": len(topics.assignment),
-        "unmapped_hashtags": unmapped,
+        "hashtags_mapped": len(topics.hashtags),
+        "unmapped_hashtags": [events.hashtags[i] for i in unmapped.tolist()],
         "skipped_event_lines": events.skipped_lines,
         "adopted_pairs": len(index.first_use),
         "exposed_pairs": index.exposed_pairs,
@@ -158,9 +158,11 @@ def cmd_backbone(args) -> None:
     out = _outdir(args)
     topics, index = _load(args)
     wanted = [args.topic] if args.topic else list(topics.topics)
-    for t in wanted:
-        if t not in topics.topics:
-            raise DataError(f"unknown topic {t!r}; dataset has {list(topics.topics)}")
+    longest = os.pathconf(out, "PC_NAME_MAX")
+    for t in wanted:  # each topic names two files, so all are checked first
+        topics.topic_id(t)
+        if "/" in t or "\0" in t or len(f"backbone_report_{t}.json".encode()) > longest:
+            raise DataError(f"topic {t!r} cannot name an output file")
     prov = _provenance(args, _ANY_WORKERS)
     backbones = {t: bb.extract_backbone(t, index, topics) for t in wanted}
     for t, b in backbones.items():
@@ -259,34 +261,22 @@ def cmd_latmin(args) -> None:
     from . import backbone as bb
     from . import genotype as gt
     from . import latmin as lm
-    from .graph import DirectedGraph, strongly_connected_components, weakly_connected_components
 
     out = _outdir(args)
     topics, index = _load(args)
-    if args.topic not in topics.topics:
-        raise DataError(f"unknown topic {args.topic!r}; dataset has {list(topics.topics)}")
-    latencies = gt.node_topic_latency(index, topics, args.topic)
+    user, mean = gt.node_topic_latency(index, topics, args.topic)  # checks the topic
     b = bb.extract_backbone(args.topic, index, topics)
     if not len(b.keys):
         raise DataError(f"backbone for topic {args.topic!r} is empty")
-    components = weakly_connected_components if args.permissive else strongly_connected_components
-    label = components(b.graph)
-    # the most members, ties to the greatest least member: ids are in name order
-    size = np.bincount(label)
-    largest = np.asarray(b.graph.nodes)[label == len(size) - 1 - np.argmax(size[::-1])]
-    keep = np.zeros(len(index.users), bool)
-    keep[[u for u in largest.tolist() if index.users[u] in latencies]] = True
-    graph = DirectedGraph.from_keys(b.keys, keep, index.users)
-    lgraph = lm.LatencyGraph(
-        graph=graph, latency={n: latencies[n] for n in graph.nodes}
-    )
+    graph, lat = lm.latency_component(b.graph, user, mean, strict=not args.permissive)
     k = min(args.k, graph.n)
     if k < 1:
         raise DataError("latency component too small to target")
-    state = lm.prepare(lgraph, strict=not args.permissive)
+    state = lm.prepare(graph, lat, strict=not args.permissive)
     traces = [lm.minimize(state, k, h) for h in lm.Heuristic]
     prov = _provenance(args, {**_ANY_WORKERS, "mode": "permissive" if args.permissive else "strict"})
-    _write_tsv(out / "latmin_trace.tsv", prov, lambda fh: lm.write_trace_tsv(traces, fh))
+    _write_tsv(out / "latmin_trace.tsv", prov,
+               lambda fh: lm.write_trace_tsv(traces, graph, index.users, fh))
     summary = {
         "topic": args.topic,
         "component_nodes": graph.n,

@@ -199,26 +199,27 @@ def build_genome(index: AdoptionIndex, topics: TopicMap) -> Genome:
     """The metric cells of every user with a topical adoption."""
     table = pair_metrics(index, topics)
     row, kind = np.nonzero(~np.isnan(table.values))
-    names = tuple(sorted(topics.topics))
     metrics = tuple(sorted(MetricKind, key=lambda k: k.value))
-    topic_id = np.array([names.index(t) for t in topics.topics], np.int64)
     kind_id = np.array([metrics.index(k) for k in MetricKind])
     (user, topic, kind), ptr, values, mean = _groups(
-        (table.user[row], topic_id[table.topic[row]], kind_id[kind], table.hashtag[row]),
+        (table.user[row], topics.rank[table.topic[row]], kind_id[kind], table.hashtag[row]),
         table.values[row, kind],
     )
+    names = tuple(sorted(topics.topics))
     return Genome(index.users, names, metrics, user, topic, kind, ptr, values, mean)
 
 
-def node_topic_latency(index: AdoptionIndex, topics: TopicMap, topic: str) -> dict[str, float]:
-    """Per-user mean TIME for one topic; users without values omitted.
-    The values group as the genome's cells do, so each mean equals the
-    user's TIME cell mean exactly."""
-    in_topic = np.array([topics.topic_of(h) == topic for h in index.hashtags], bool)
+def node_topic_latency(
+    index: AdoptionIndex, topics: TopicMap, topic: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ids of the users with a TIME value on one topic, and
+    each one's mean TIME.  The values group as the genome's cells do, so
+    each mean equals the user's TIME cell mean exactly."""
+    in_topic = topics.topic_ids(index.hashtags) == topics.topic_id(topic)
     pairs = np.flatnonzero(in_topic[index.pair_hashtag] & (index.first_exposure >= 0))
     time = (index.first_use[pairs] - index.first_exposure[pairs]).astype(float)
     (user,), _, _, mean = _groups((index.pair_user[pairs], index.pair_hashtag[pairs]), time)
-    return {index.users[u]: m for u, m in zip(user.tolist(), mean.tolist())}
+    return user, mean
 
 
 def _cell_labels(g: Genome) -> list[str]:

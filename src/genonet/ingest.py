@@ -14,8 +14,11 @@ A dataset consists of three TSV files:
 Lines starting with ``#`` are comments, empty lines are skipped.  Each
 loader interns its own file once, through :func:`intern`: a name's id is
 its position among the file's sorted distinct names, so id order is name
-order, and every tie-break by id downstream is a tie-break by name.
-Nothing here is modified after construction.
+order, and every tie-break by id downstream is a tie-break by name.  The
+one exception is topic ids, which follow the topics' first appearance
+in ``topics.tsv``: :class:`TopicMap` decides here, once, which topic each
+hashtag has, and every other module reads its id column.  Nothing here
+is modified after construction.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, TextIO
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -124,41 +127,48 @@ class EventLog:
     events = property(lambda self: self.time)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopicMap:
-    """Hashtag -> topic assignment with a fixed topic order.
+    """Each mapped hashtag's topic as one id column.
 
-    Topic order is the order of first appearance in the source and is
-    used for deterministic tie-breaking downstream.
+    ``hashtags`` are the sorted mapped names and ``topic[i]`` is
+    ``hashtags[i]``'s id into ``topics``.  Topics keep their order of
+    first appearance in the source, which fixes classify's column order
+    and tie-breaks; ``rank`` is each topic's position in name order.
     """
 
-    assignment: Mapping[str, str]
+    hashtags: tuple[str, ...]
+    topic: np.ndarray
     topics: tuple[str, ...]
 
-    def __post_init__(self):
-        missing = set(self.assignment.values()) - set(self.topics)
-        if missing:
-            raise DataError(f"topics missing from order: {sorted(missing)}")
+    @classmethod
+    def from_rows(cls, rows: Mapping[str, str]) -> "TopicMap":
+        """The map of ``{hashtag: topic}`` rows, its topics in their order of
+        first appearance among the rows."""
+        topics = tuple(dict.fromkeys(rows.values()))
+        hashtags = intern(rows)[0]
+        # intern numbers the topics in name order; the inverse of the
+        # topics' name ranks turns those numbers into ids
+        by_name = np.argsort(intern(topics)[1])
+        return cls(hashtags, by_name[intern(rows[h] for h in hashtags)[1]], topics)
 
     @cached_property
-    def by_topic(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {t: [] for t in self.topics}
-        for tag, topic in self.assignment.items():
-            out[topic].append(tag)
-        return {t: tuple(sorted(tags)) for t, tags in out.items()}
+    def rank(self) -> np.ndarray:
+        """Each topic's position among the topic names in sorted order."""
+        return intern(self.topics)[1]
 
-    def topic_of(self, hashtag: str) -> str | None:
-        return self.assignment.get(hashtag)
+    def topic_ids(self, hashtags: Sequence[str]) -> np.ndarray:
+        """Each of ``hashtags``' topic id; ``len(topics)`` where it has none."""
+        labels, ids = intern(self.hashtags + tuple(hashtags))
+        column = np.full(len(labels), len(self.topics))
+        column[ids[:len(self.hashtags)]] = self.topic
+        return column[ids[len(self.hashtags):]]
 
-    def hashtags_for(self, topic: str) -> tuple[str, ...]:
-        if topic not in self.by_topic:
-            raise DataError(f"unknown topic {topic!r}")
-        return self.by_topic[topic]
-
-    def topic_ids(self, hashtags: Iterable[str]) -> np.ndarray:
-        """Each hashtag's position in ``topics``; ``len(topics)`` without a topic."""
-        pos = {t: i for i, t in enumerate(self.topics)}
-        return np.array([pos.get(self.topic_of(h), len(pos)) for h in hashtags], np.int64)
+    def topic_id(self, name: str) -> int:
+        """The id of topic ``name``, which must be in the map."""
+        if name not in self.topics:
+            raise DataError(f"unknown topic {name!r}; dataset has {list(self.topics)}")
+        return self.topics.index(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +304,7 @@ def load_events(source: Iterable[str]) -> EventLog:
 
 def load_topic_map(source: Iterable[str]) -> TopicMap:
     """Parse ``hashtag<TAB>topic`` lines; each hashtag gets one topic."""
-    assignment: dict[str, str] = {}
-    topics: list[str] = []
+    rows: dict[str, str] = {}
     for line_no, line in _iter_content_lines(source):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -304,15 +313,9 @@ def load_topic_map(source: Iterable[str]) -> TopicMap:
         topic = parts[1].strip()
         if not tag or not topic:
             raise ParseError("empty field in topic assignment", line_no)
-        if tag in assignment and assignment[tag] != topic:
-            raise ParseError(
-                f"hashtag {tag!r} mapped to both {assignment[tag]!r} and {topic!r}",
-                line_no,
-            )
-        assignment[tag] = topic
-        if topic not in topics:
-            topics.append(topic)
-    return TopicMap(assignment=assignment, topics=tuple(topics))
+        if rows.setdefault(tag, topic) != topic:
+            raise ParseError(f"hashtag {tag!r} mapped to both {rows[tag]!r} and {topic!r}", line_no)
+    return TopicMap.from_rows(rows)
 
 
 def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionIndex:
@@ -448,9 +451,9 @@ def write_events(log: EventLog, fh) -> None:
 
 
 def write_topic_map(topics: TopicMap, fh) -> None:
-    for topic in topics.topics:
-        for tag in topics.by_topic[topic]:
-            fh.write(f"{tag}\t{topic}\n")
+    """Each topic's hashtags in name order, the topics in map order."""
+    for t, topic in enumerate(topics.topics):
+        fh.writelines(f"{topics.hashtags[i]}\t{topic}\n" for i in np.flatnonzero(topics.topic == t))
 
 
 def write_manifest(paths: Mapping[str, str | Path], fh) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +27,15 @@ from .graph import (
     betweenness_centrality,
     source_block,
     strongly_connected_components,
+    weakly_connected_components,
 )
+from .ingest import in_sorted
 
 __all__ = [
-    "LatencyGraph",
     "Heuristic",
     "MinimizationTrace",
     "LatencyState",
+    "latency_component",
     "prepare",
     "minimize",
     "write_trace_tsv",
@@ -65,23 +67,9 @@ class Heuristic(Enum):
 
 
 @dataclass(frozen=True)
-class LatencyGraph:
-    graph: DirectedGraph
-    latency: Mapping[object, float]
-
-    def __post_init__(self):
-        for node in self.graph.nodes:
-            lat = self.latency.get(node)
-            if lat is None:
-                raise DataError(f"node {node!r} has no latency")
-            if not (0 <= lat < math.inf):
-                raise DataError(f"latency on {node!r} is {lat!r}, not finite and >= 0")
-
-
-@dataclass(frozen=True)
 class MinimizationTrace:
     heuristic: Heuristic
-    selected: tuple
+    selected: tuple[int, ...]  # node indices, in pick order
     relative: tuple[float, ...]  # average latency after each pick / original
 
 
@@ -120,6 +108,19 @@ def _offdiag_finite_mask(d: np.ndarray) -> np.ndarray:
     return mask
 
 
+def latency_component(g: DirectedGraph, user: np.ndarray, mean: np.ndarray,
+                      strict: bool = True) -> tuple[DirectedGraph, np.ndarray]:
+    """The strong (weak unless ``strict``) component of ``g`` with the most
+    members, ties to the greatest label, less its nodes outside ``user``:
+    its graph and their latencies ``mean``.  ``g``'s labels and ``user``
+    are ascending ids."""
+    label = (strongly_connected_components if strict else weakly_connected_components)(g)
+    size = np.bincount(label)
+    keep = label == len(size) - 1 - np.argmax(size[::-1])
+    graph = DirectedGraph.from_keys(g.keys, keep & in_sorted(np.array(g.nodes), user), g.nodes)
+    return graph, mean[np.searchsorted(user, graph.nodes)]
+
+
 @dataclass(frozen=True)
 class LatencyState:
     """One graph's solved latency problem, shared by every heuristic.
@@ -130,7 +131,7 @@ class LatencyState:
     latency.
     """
 
-    g: LatencyGraph
+    g: DirectedGraph
     lat: np.ndarray
     d: np.ndarray
     mask: np.ndarray
@@ -139,17 +140,24 @@ class LatencyState:
     base_avg: float
 
 
-def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
+def prepare(g: DirectedGraph, lat: np.ndarray, strict: bool = True) -> LatencyState:
     """Check every precondition of a latency run, then solve the APSP once.
 
-    Strict mode requires a strongly connected graph; permissive mode
-    averages over the reachable pairs only.  Either way the n x n
-    matrices must fit the memory budget and some ordered pair must be
-    reachable.
+    ``lat`` holds one finite latency >= 0 per node, in node order.  Strict
+    mode requires a strongly connected graph; permissive mode averages
+    over the reachable pairs only.  Either way the n x n matrices must
+    fit the memory budget and some ordered pair must be reachable.
     """
-    n = g.graph.n
+    n = g.n
+    lat = np.asarray(lat, dtype=float)
+    if lat.shape != (n,):
+        raise DataError(f"{len(lat)} latencies for a graph of {n} nodes")
+    bad = np.flatnonzero(~((lat >= 0) & (lat < math.inf)))  # NaN fails both
+    if len(bad):
+        i = int(bad[0])
+        raise DataError(f"latency on {g.nodes[i]!r} is {float(lat[i])!r}, not finite and >= 0")
     if strict:
-        label = strongly_connected_components(g.graph)
+        label = strongly_connected_components(g)
         comps = np.count_nonzero(label == np.arange(n))
         if comps != 1:
             raise DataError(
@@ -162,8 +170,7 @@ def prepare(g: LatencyGraph, strict: bool = True) -> LatencyState:
             f"latency graph of n={n} nodes needs about {need:,} bytes for its "
             f"n x n matrices, over the budget of {MEMORY_BUDGET_BYTES:,} bytes"
         )
-    lat = np.array([g.latency[nd] for nd in g.graph.nodes], dtype=float)
-    d = _apsp_matrix(g.graph, lat)
+    d = _apsp_matrix(g, lat)
     mask = _offdiag_finite_mask(d)
     denom = float(mask.sum())
     if not denom:
@@ -224,8 +231,7 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
-    g = state.g
-    n = g.graph.n
+    n = state.g.n
     if k > n:
         raise DataError(f"k={k} exceeds node count {n}")
     if state.base_avg == 0:
@@ -237,7 +243,7 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     if heuristic is Heuristic.MAX_LAT:
         order = np.argsort(-lat, kind="stable")[:k].tolist()
     elif heuristic is Heuristic.MAX_BC:
-        order = np.argsort(-betweenness_centrality(g.graph), kind="stable")[:k].tolist()
+        order = np.argsort(-betweenness_centrality(state.g), kind="stable")[:k].tolist()
     else:
         # reachability survives every zeroing, so the pair counts are fixed
         pairs = (state.mask.sum(axis=0) + 1.0) * state.mask.sum(axis=1)
@@ -245,7 +251,7 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     row = np.empty(n)
 
     d = state.d
-    selected: list = []
+    selected: list[int] = []
     relative: list[float] = []
     remaining = list(range(n))
     for step in range(k):
@@ -281,7 +287,7 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
         d = out
         lat[pick] = 0.0
         remaining.remove(pick)
-        selected.append(g.graph.nodes[pick])
+        selected.append(pick)
         cur = float(d[state.mask].sum())
         relative.append(cur / state.denom / state.base_avg)
     return MinimizationTrace(
@@ -289,8 +295,9 @@ def minimize(state: LatencyState, k: int, heuristic: Heuristic) -> MinimizationT
     )
 
 
-def write_trace_tsv(traces: Sequence[MinimizationTrace], fh) -> None:
+def write_trace_tsv(traces: Sequence[MinimizationTrace], g: DirectedGraph, users, fh) -> None:
+    """One row per pick; node i of ``g`` is named ``users[g.nodes[i]]``."""
     fh.write("heuristic\tstep\tnode\trelative_avg_latency\n")
     for trace in traces:
-        for step, (node, rel) in enumerate(zip(trace.selected, trace.relative), 1):
-            fh.write(f"{trace.heuristic.value}\t{step}\t{node}\t{rel!r}\n")
+        for step, (i, rel) in enumerate(zip(trace.selected, trace.relative), 1):
+            fh.write(f"{trace.heuristic.value}\t{step}\t{users[g.nodes[i]]}\t{rel!r}\n")

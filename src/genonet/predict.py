@@ -148,9 +148,7 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
         & (ctx.followees[user] >= MIN_FOLLOWEES)
         & in_sorted(tag * n + user, np.sort(prior_tag * n + owner))  # a non-empty truth
     )
-    by_name = sorted(ctx.topics.topics)
-    rank = np.array([by_name.index(t) for t in ctx.topics.topics], np.int64)
-    rows = keep[np.lexsort((user[keep], tag[keep], rank[topic[keep]]))]
+    rows = keep[np.lexsort((user[keep], tag[keep], ctx.topics.rank[topic[keep]]))]
     user, tag = user[rows], tag[rows]
     indptr, slots = gather_rows(indptr, user)
     cand = lists[slots]

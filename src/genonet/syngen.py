@@ -237,7 +237,7 @@ def generate(p: GenParams) -> GeneratedDataset:
     for i, topic in enumerate(topics):
         for j in range(p.hashtags_per_topic):
             hashtags[f"{topic}h{j}"] = topic
-    topic_map = TopicMap(assignment=hashtags, topics=tuple(topics))
+    topic_map = TopicMap.from_rows(hashtags)
 
     profiles = p.profiles()
     lat_mean: dict[tuple[str, str], float] = {}

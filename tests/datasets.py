@@ -1,10 +1,11 @@
 """Planted syngen configurations shared by unit and acceptance tests."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from genonet.graph import DirectedGraph
 from genonet.ingest import intern
-from genonet.latmin import LatencyGraph
 from genonet.syngen import PREFERENTIAL, UNIFORM, GenParams, TopicProfile
 
 # Per-topic delay shifts for the separated classification dataset.  On the
@@ -21,6 +22,20 @@ def from_edges(edges, nodes=()) -> DirectedGraph:
     order, ids = intern(nodes + [x for e in pairs for x in e])
     n, ids = len(order), ids[len(nodes):]
     return DirectedGraph.from_keys(np.unique(ids[::2] * n + ids[1::2]), np.ones(n, bool), order)
+
+
+@dataclass(frozen=True)
+class LatencyCase:
+    """A graph and its node latencies keyed by node label, the form the
+    latency oracles read."""
+
+    graph: DirectedGraph
+    latency: dict
+
+    @property
+    def lat(self) -> np.ndarray:
+        """The latencies in node order, as ``latmin.prepare`` takes them."""
+        return np.array([self.latency[x] for x in self.graph.nodes], float)
 
 
 def classification_params(seed: int, shifts=SEPARATED_SHIFTS) -> GenParams:
@@ -100,7 +115,7 @@ def activity_params(seed: int) -> GenParams:
     )
 
 
-def latency_benchmark(seed: int, n: int = 500) -> LatencyGraph:
+def latency_benchmark(seed: int, n: int = 500) -> LatencyCase:
     """Hub-dominated strongly connected graph with Pareto(1.5) latencies.
 
     Bidirectional superlinear preferential-attachment tree: a handful of
@@ -119,7 +134,7 @@ def latency_benchmark(seed: int, n: int = 500) -> LatencyGraph:
         counts[new] += 1
     lat = rng.pareto(1.5, n) + 1.0
     graph = from_edges(edges)
-    return LatencyGraph(graph=graph, latency={i: float(lat[i]) for i in range(n)})
+    return LatencyCase(graph, {i: float(lat[i]) for i in range(n)})
 
 
 def kernel_graphs(seed: int = 17):

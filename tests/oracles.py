@@ -176,6 +176,50 @@ def named(data):
     ), data.skipped_lines)
 
 
+# --- topics by name ---------------------------------------------------------
+
+
+def assignment(topics):
+    """An ``ingest.TopicMap`` read back as ``{hashtag: topic name}``, in
+    hashtag-name order."""
+    return {h: topics.topics[t] for h, t in zip(topics.hashtags, topics.topic.tolist())}
+
+
+def hashtags_for(topics, topic):
+    """The sorted hashtags of one topic, by name."""
+    return tuple(h for h, t in assignment(topics).items() if t == topic)
+
+
+def topic_map_by_name(lines):
+    """``ingest.load_topic_map`` as one dict: ``{hashtag: topic}`` and the
+    topics in their order of first appearance, or the ``(message, line)``
+    of the first hashtag given a second topic."""
+    from genonet.ingest import normalize_hashtag
+
+    found, topics = {}, []
+    for line_no, line in _content_lines(lines):
+        tag, topic = line.split("\t")
+        tag, topic = normalize_hashtag(tag), topic.strip()
+        if found.setdefault(tag, topic) != topic:
+            return f"hashtag {tag!r} mapped to both {found[tag]!r} and {topic!r}", line_no
+        if topic not in topics:
+            topics.append(topic)
+    return found, tuple(topics)
+
+
+def topic_ids_by_name(topics, hashtags):
+    """``TopicMap.topic_ids`` one dict lookup per hashtag."""
+    pos = {t: i for i, t in enumerate(topics.topics)}
+    found = assignment(topics)
+    return [pos.get(found.get(h), len(pos)) for h in hashtags]
+
+
+def named_latency(index, user_mean):
+    """``genotype.node_topic_latency``'s (user ids, means) as ``{name: mean}``."""
+    user, mean = user_mean
+    return {index.users[u]: m for u, m in zip(user.tolist(), mean.tolist())}
+
+
 # --- random dataset material ----------------------------------------------
 
 
@@ -369,9 +413,10 @@ def pair_metric_rows(events, net, topics):
     by_user = {}
     for e in events.events:
         by_user.setdefault(e.user, []).append(e)
+    topic_of = assignment(topics).get
     rows = {}
     for (u, h), hi in index["first_use"].items():
-        topic = topics.topic_of(h)
+        topic = topic_of(h)
         if topic is None:
             continue
         row = rows[(u, h)] = {MetricKind.N_USES: float(index["use_counts"][(u, h)])}
@@ -384,7 +429,7 @@ def pair_metric_rows(events, net, topics):
         row[MetricKind.F_PAR] = n_prior / len(followees[u])
         count = sum(
             1 for v in followees[u] for e in by_user.get(v, ())
-            if lo < e.time < hi and topics.topic_of(e.hashtag) == topic
+            if lo < e.time < hi and topic_of(e.hashtag) == topic
         )
         row[MetricKind.LAT] = 1.0 / max(1, count)
     lats = {}
@@ -436,9 +481,9 @@ def build_genome(rows, topics):
     """The genome regrouped from name-keyed metric rows: one genotype per
     user with a row, its cells keyed by (topic, MetricKind), each cell's
     values in sorted-hashtag order and its mean added left to right."""
-    raw = {}
+    raw, topic_of = {}, assignment(topics).get
     for (u, h) in sorted(rows):
-        topic = topics.topic_of(h)
+        topic = topic_of(h)
         for kind, value in rows[(u, h)].items():
             raw.setdefault(u, {}).setdefault((topic, kind), []).append(value)
     genome = {}
@@ -979,6 +1024,20 @@ def greedy_steps(d, lat, mask, k, nodes):
         yield step + (float(d[mask].sum() / denom) / base,)
 
 
+def latency_component(b, latency, strict):
+    """``latmin.latency_component`` by name, on the loop oracles: the
+    largest strong (weak unless ``strict``) component of the backbone
+    ``b``'s graph, ties to the one whose least member is greatest, less the
+    users missing from the name-keyed ``latency``.  Returns the kept
+    users' sorted names, the edges among them by name and their latencies."""
+    loop = scc_tarjan_loop if strict else wcc_search_loop
+    largest = max(loop(b.graph), key=lambda c: (len(c), min(c)))
+    names = sorted(b.users[u] for u in largest if b.users[u] in latency)
+    kept, n = set(names), len(b.users)
+    edges = [(b.users[k // n], b.users[k % n]) for k in b.keys.tolist()]
+    return names, [e for e in edges if set(e) <= kept], {x: latency[x] for x in names}
+
+
 ENUMERATION_BUDGET = 10**6
 
 
@@ -1002,7 +1061,7 @@ def exact_k_latmin(g, k):
             f"C({n},{k}) = {total} subsets exceeds the enumeration budget "
             f"of {ENUMERATION_BUDGET}"
         )
-    state = prepare(g, strict=False)
+    state = prepare(g.graph, g.lat, strict=False)
     row = np.empty(n)
 
     best_set = None
@@ -1219,7 +1278,7 @@ def prepare_loo(metric, pairs, topics, train_scores=None):
     """
     from genonet.genotype import MetricKind
 
-    topic_order = topics.topics
+    topic_order, topic_of = topics.topics, assignment(topics).get
     k = len(topic_order)
     topic_pos = {t: i for i, t in enumerate(topic_order)}
 
@@ -1262,7 +1321,7 @@ def prepare_loo(metric, pairs, topics, train_scores=None):
     train_totals = {t: 0 for t in topic_order}
 
     for h in eligible:
-        true_topic = topics.topic_of(h)
+        true_topic = topic_of(h)
         affected = users_by_hashtag[h]
         fold_clf = {}
         for u in affected:
@@ -1316,7 +1375,7 @@ def prepare_loo(metric, pairs, topics, train_scores=None):
         for h2 in eligible:
             if h2 == h:
                 continue
-            t2 = topics.topic_of(h2)
+            t2 = topic_of(h2)
             train_totals[t2] += 1
             voters = base_voters[h2] + voter_deltas.get(h2, 0)
             if voters <= 0:
@@ -1541,7 +1600,7 @@ def table_instances(table, context, direction):
 
 def excluded_backbone_weights(hashtag, events, net, topics):
     """:func:`backbone_weights` over the hashtag's topic minus the hashtag."""
-    others = [h for h in topics.hashtags_for(topics.topic_of(hashtag)) if h != hashtag]
+    others = [h for h in hashtags_for(topics, assignment(topics)[hashtag]) if h != hashtag]
     return backbone_weights(events.events, sorted(net.edges), others)
 
 
@@ -1556,6 +1615,7 @@ class PredictionOracleContext:
         self.events = events
         self.net = net
         self.topics = topics
+        self.topic_of = assignment(topics).get
         self._excluded_pagerank = {}
         self._act_total = {}
         self._act_topic = {}
@@ -1567,7 +1627,7 @@ class PredictionOracleContext:
         for t, u, h in events.events:
             self._act_total[u] = self._act_total.get(u, 0) + 1
             self._act_hashtag[(u, h)] = self._act_hashtag.get((u, h), 0) + 1
-            topic = topics.topic_of(h)
+            topic = self.topic_of(h)
             if topic is not None:
                 self._act_topic[(u, topic)] = self._act_topic.get((u, topic), 0) + 1
 
@@ -1585,7 +1645,7 @@ class PredictionOracleContext:
 
     def topic_activity(self, user, topic, exclude):
         n = self._act_topic.get((user, topic), 0)
-        if self.topics.topic_of(exclude) == topic:
+        if self.topic_of(exclude) == topic:
             n -= self._act_hashtag.get((user, exclude), 0)
         return n
 
@@ -1680,7 +1740,7 @@ def build_instances(direction, events, net, topics):
         followers.setdefault(a, []).append(b)
     linked = {}
     out = []
-    topic_of = topics.topic_of
+    topic_of = assignment(topics).get
     for topic, h, u in sorted((topic_of(h), h, u) for (u, h) in first_use if topic_of(h)):
         if len(followees.get(u, ())) < 10:
             continue

@@ -81,7 +81,7 @@ def test_criterion_1_metric_oracle_equivalence():
             index = build_adoption_index(events, net)
 
             oracle = oracles.MetricOracle(
-                oracles.named(events).events, oracles.named(net).edges, topics.assignment
+                oracles.named(events).events, oracles.named(net).edges, oracles.assignment(topics)
             )
             rows = oracles.metric_rows(pair_metrics(index, topics))
             exact = {
@@ -157,9 +157,10 @@ def test_criterion_2_graph_kernel_equivalence():
 
 def _lat_separation(d, index) -> float:
     by_topic: dict = {}
+    topic_of = oracles.assignment(d.topics)
     for (u, h), row in oracles.metric_rows(pair_metrics(index, d.topics)).items():
         if MetricKind.LAT in row:
-            by_topic.setdefault(d.topics.topic_of(h), []).append(row[MetricKind.LAT])
+            by_topic.setdefault(topic_of[h], []).append(row[MetricKind.LAT])
     means = []
     ss = 0.0
     n = 0
@@ -260,7 +261,7 @@ def test_criterion_6_latency_suite():
         # (a) the APSP matrix equals the all-pairs oracle exactly (integer
         # latencies, so float sums are exact)
         rng = np.random.default_rng(6006)
-        from test_latmin import check_apsp_against_floyd_warshall, random_latency_graph
+        from test_latmin import check_apsp_against_floyd_warshall, random_latency_graph, solve
 
         for _ in range(200):
             n = int(rng.integers(2, 9))
@@ -275,7 +276,7 @@ def test_criterion_6_latency_suite():
         while total < 100:
             n = int(rng.integers(4, 11))
             g, _e, _l = random_latency_graph(rng, n, 0.3, strongly_connected=True)
-            base = prepare(g).base_avg
+            base = solve(g).base_avg
             if base == 0:
                 continue
             k = int(rng.integers(1, 4))
@@ -283,7 +284,7 @@ def test_criterion_6_latency_suite():
             _best, opt = oracles.exact_k_latmin(g, k)
             finals = {}
             for heuristic in Heuristic:
-                finals[heuristic] = minimize(prepare(g), k, heuristic).relative[-1] * base
+                finals[heuristic] = minimize(solve(g), k, heuristic).relative[-1] * base
                 assert opt <= finals[heuristic] + 1e-9
             if finals[Heuristic.GREEDY] <= opt + 1e-9:
                 hits += 1
@@ -293,7 +294,8 @@ def test_criterion_6_latency_suite():
         # and dominates MaxLat/MaxBC at every k <= 25
         k5 = []
         for seed in range(5):
-            state = prepare(datasets.latency_benchmark(seed))
+            g = datasets.latency_benchmark(seed)
+            state = prepare(g.graph, g.lat)
             greedy = minimize(state, 25, Heuristic.GREEDY)
             maxlat = minimize(state, 25, Heuristic.MAX_LAT)
             maxbc = minimize(state, 25, Heuristic.MAX_BC)

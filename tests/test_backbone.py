@@ -65,7 +65,7 @@ def test_backbones_equal_edge_scan_oracle():
         index = build_adoption_index(events, net)
         triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
-            hashtags = topics.hashtags_for(topic)
+            hashtags = oracles.hashtags_for(topics, topic)
             b = extract_backbone(topic, index, topics)
             assert oracles.backbone_edges(b) == oracles.backbone_weights(triples, edges, hashtags)
 
@@ -85,7 +85,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
             assert weights.keys() <= oracles.named(net).edges
             for (u, _v), w in weights.items():
                 used = sum(
-                    1 for h in topics.hashtags_for(topic) if (u, h) in first_use
+                    1 for h in oracles.hashtags_for(topics, topic) if (u, h) in first_use
                 )
                 assert 0 < w <= used
 

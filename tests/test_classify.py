@@ -194,12 +194,9 @@ def test_loo_shuffled_labels_match_random_baseline():
     for seed in range(5):
         d, index = _dataset(datasets.time_separated_params(seed))
         rng = np.random.default_rng(seed + 500)
-        tags = sorted(d.topics.assignment)
-        labels = [d.topics.assignment[t] for t in tags]
+        labels = d.topics.topic.tolist()
         rng.shuffle(labels)
-        shuffled = TopicMap(
-            assignment=dict(zip(tags, labels)), topics=d.topics.topics
-        )
+        shuffled = TopicMap(d.topics.hashtags, np.array(labels), d.topics.topics)
         pairs = pair_metrics(index, shuffled)
         res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, shuffled))
         diffs.append(res.test.expected - res.random.expected)
@@ -390,16 +387,17 @@ def test_loo_matches_manual_holdout_protocol():
     }
     values = _column(metric, pairs)
 
-    used = [h for h in d.events.hashtags if d.topics.topic_of(h)]
+    topic_of = oracles.assignment(d.topics).get
+    used = [h for h in d.events.hashtags if topic_of(h)]
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
-        counts[d.topics.topic_of(h)] += 1
-    eligible = [h for h in used if counts[d.topics.topic_of(h)] >= 2]
+        counts[topic_of(h)] += 1
+    eligible = [h for h in used if counts[topic_of(h)] >= 2]
 
     pairs_by_user: dict = {}
     for (u, h), v in values.items():
         if h in set(eligible):
-            pairs_by_user.setdefault(u, []).append((h, d.topics.topic_of(h), v))
+            pairs_by_user.setdefault(u, []).append((h, topic_of(h), v))
 
     for h in eligible:
         voters = []
@@ -412,7 +410,7 @@ def test_loo_matches_manual_holdout_protocol():
             voters.append((clf, values[(u, h)]))
         assert fold_users[h] == tuple(clf.owner for clf, _v in voters)
         truth, predicted = res.predictions[h]
-        assert truth == d.topics.topic_of(h)
+        assert truth == topic_of(h)
         if not voters:
             assert predicted is None
             continue
@@ -450,15 +448,16 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     metric = MetricKind.TIME
     values = _column(metric, _pairs(d, index))
 
-    used = [h for h in d.events.hashtags if d.topics.topic_of(h)]
+    topic_of = oracles.assignment(d.topics).get
+    used = [h for h in d.events.hashtags if topic_of(h)]
     counts = {t: 0 for t in d.topics.topics}
     for h in used:
-        counts[d.topics.topic_of(h)] += 1
-    eligible = [h for h in used if counts[d.topics.topic_of(h)] >= 2]
+        counts[topic_of(h)] += 1
+    eligible = [h for h in used if counts[topic_of(h)] >= 2]
     pairs_by_user: dict = {}
     for (u, h), v in values.items():
         if h in set(eligible):
-            pairs_by_user.setdefault(u, []).append((h, d.topics.topic_of(h), v))
+            pairs_by_user.setdefault(u, []).append((h, topic_of(h), v))
 
     def single_user_accuracy(user):
         ok = 0
@@ -470,7 +469,7 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
                 clf = train_local(user, metric, training)
             except TrainingError:
                 continue
-            truth = d.topics.topic_of(h)
+            truth = topic_of(h)
             prior = {
                 t: (counts[t] - (1 if t == truth else 0)) / (len(eligible) - 1)
                 for t in d.topics.topics

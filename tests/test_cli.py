@@ -338,6 +338,18 @@ def test_bad_flag_exits_1(tmp_path):
     assert run("latmin", "--out", tmp_path) == 1  # --manifest/--topic missing
 
 
+@pytest.mark.parametrize("topic", ["news\0x", "news/sub", "n" * 300], ids=["nul", "slash", "long"])
+def test_backbone_topic_that_cannot_name_a_file_exits_2(tmp_path, capsys, topic):
+    """A topic that cannot be part of a file name stops backbone with exit
+    2, naming it, before the topic listed ahead of it writes any file."""
+    manifest = _write_dataset(tmp_path, "a\tb\n", "1\ta\t#x\n2\tb\t#y\n",
+                              f"x\tok\ny\t{topic}\n")
+    out = tmp_path / "out"
+    assert run("backbone", "--manifest", manifest, "--out", out) == 2
+    assert f"data error: topic {topic!r} cannot name an output file" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_topic_exits_2(syn_manifest, tmp_path):
     code = run(
         "latmin", "--manifest", syn_manifest, "--out", tmp_path,
@@ -401,8 +413,8 @@ def test_one_metric_pass_per_pair(syn_manifest, tmp_path, monkeypatch, command):
     """genome and classify with every metric compute each pair's row once,
     in one timeline count."""
     _net, events, topics = load_dataset(syn_manifest)
-    log = oracles.named(events)
-    pairs = len({(e.user, e.hashtag) for e in log.events if topics.topic_of(e.hashtag)})
+    log, topic_of = oracles.named(events), oracles.assignment(topics)
+    pairs = len({(e.user, e.hashtag) for e in log.events if e.hashtag in topic_of})
     rows, counts = [], []
     build, lat_counts = genotype.pair_metrics, genotype._lat_counts
     monkeypatch.setattr(genotype, "pair_metrics",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from genonet import genotype
+from genonet.errors import DataError
 from genonet.genotype import (
     MetricKind,
     build_genome,
@@ -98,8 +99,9 @@ def test_build_genome_empty_log():
 
 def test_node_topic_latency(toy):
     net, events, topics, index = toy
-    assert node_topic_latency(index, topics, "T") == {"B": 10.0}
-    assert node_topic_latency(index, topics, "other_topic") == {}
+    assert oracles.named_latency(index, node_topic_latency(index, topics, "T")) == {"B": 10.0}
+    with pytest.raises(DataError, match="unknown topic 'other_topic'"):
+        node_topic_latency(index, topics, "other_topic")
 
 
 def test_mean_of_multiset():
@@ -111,7 +113,7 @@ def test_mean_of_multiset():
     cell = genome["B"].cells[("T", MetricKind.TIME)]
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
-    assert node_topic_latency(index, topics, "T")["B"] == 5.0
+    assert oracles.named_latency(index, node_topic_latency(index, topics, "T"))["B"] == 5.0
 
 
 def test_node_topic_latency_equals_genome_time_means():
@@ -127,7 +129,7 @@ def test_node_topic_latency_equals_genome_time_means():
             if (topic, MetricKind.TIME) in gt.cells
         }
         assert want
-        assert node_topic_latency(index, topics, topic) == want
+        assert oracles.named_latency(index, node_topic_latency(index, topics, topic)) == want
 
 
 def _random_setup(rng, **kw):
@@ -175,7 +177,7 @@ def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
     genome = oracles.genotypes(build_genome(index, topics))
-    oracle = oracles.MetricOracle(events.events, net.edges, topics.assignment)
+    oracle = oracles.MetricOracle(events.events, net.edges, oracles.assignment(topics))
     by_kind = {
         MetricKind.TIME: oracle.time,
         MetricKind.N_USES: oracle.n_uses,
@@ -186,7 +188,7 @@ def test_build_genome_matches_per_pair_composition():
     }
     expected: dict = {}
     for (u, h) in oracle.pairs():
-        topic = topics.topic_of(h)
+        topic = oracle.topic_of.get(h)
         if topic is None:
             continue
         for kind, fn in by_kind.items():

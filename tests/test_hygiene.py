@@ -5,9 +5,10 @@ rules: every name a module exports in ``__all__`` exists, a module with
 ``__all__`` lists each public function and class it defines, and every
 module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
-per-node successor lists.  One keeps the graph kernels answering in
-arrays, one keeps the turning of names into ids in ``ingest.intern``,
-and the last keeps float32 inside latmin's Greedy screen.
+per-node successor lists or other name-keyed helper that moved to the
+oracles.  One keeps the graph kernels answering in arrays, one keeps the
+turning of names into ids in ``ingest.intern``, and the last keeps
+float32 inside latmin's Greedy screen.
 """
 
 import ast
@@ -80,16 +81,23 @@ def test_no_module_imports_heapq():
     assert users == HEAPQ_USERS, f"heapq imported by {sorted(users - HEAPQ_USERS)}"
 
 
+# Name-keyed helpers that moved to the oracles: per-node successor lists,
+# the topic map's lookups by name and the graph with latencies by name
+NAME_KEYED = {"adjacency", "topic_of", "hashtags_for", "by_topic", "LatencyGraph"}
+
+
 def test_no_adjacency_lists():
-    """No module defines or calls ``adjacency``: every module works on the
-    CSR arrays, and the per-node successor lists live in the oracles."""
+    """No module defines or uses ``adjacency`` or another of ``NAME_KEYED``:
+    every module works on the CSR arrays and the topic id column, and the
+    per-node successor lists and name lookups live in the oracles."""
     sites = [
         f"{name}.py:{node.lineno}" for name in MODULES for node in ast.walk(_tree(name))
-        if isinstance(node, ast.Attribute) and node.attr == "adjacency"
-        or isinstance(node, ast.Name) and node.id == "adjacency"
-        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "adjacency"
+        if isinstance(node, ast.Attribute) and node.attr in NAME_KEYED
+        or isinstance(node, ast.Name) and node.id in NAME_KEYED
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in NAME_KEYED
     ]
-    assert not sites, f"adjacency defined or used at {sites}"
+    assert not sites, f"name-keyed helpers defined or used at {sites}"
 
 
 def test_graph_kernels_build_no_dicts_or_frozensets():
@@ -104,9 +112,9 @@ def test_graph_kernels_build_no_dicts_or_frozensets():
 
 
 # A dict from each label to its position is an id map.  ingest.intern
-# builds the one that gives names their ids, in sorted-name order;
-# TopicMap.topic_ids numbers topics in first-appearance order.
-ID_MAP_OWNERS = {"ingest.intern", "ingest.TopicMap.topic_ids"}
+# builds the one that gives names their ids, in sorted-name order; topic
+# ids, in first-appearance order, are derived from its ids.
+ID_MAP_OWNERS = {"ingest.intern"}
 
 
 def _is_id_map(node):

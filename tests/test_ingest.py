@@ -159,7 +159,7 @@ def test_hashtag_normalization():
     assert log.hashtags == ("foobar",)
     # topic files use the bare form: a leading '#' would read as a comment
     topics = load_topic_map(["FooBar\tnews"])
-    assert topics.topic_of("foobar") == "news"
+    assert oracles.assignment(topics) == {"foobar": "news"}
 
 
 def test_topic_map_conflict():
@@ -170,7 +170,36 @@ def test_topic_map_conflict():
 def test_topic_order_is_first_appearance():
     topics = load_topic_map(["x\tzed", "y\talpha", "z\tzed"])
     assert topics.topics == ("zed", "alpha")
-    assert topics.by_topic["zed"] == ("x", "z")
+    assert oracles.hashtags_for(topics, "zed") == ("x", "z")
+    assert topics.rank.tolist() == [1, 0]
+
+
+def test_topic_map_equals_name_oracle():
+    """On seeded topic files with repeated lines, case and ``#`` variants,
+    comments, conflicts and topics out of name order, the id columns read
+    back by name equal the dict parse, conflicts name the same line, and
+    ``topic_ids`` over used and unmapped hashtags equals one dict lookup
+    per hashtag."""
+    rng = np.random.default_rng(31)
+    conflicts = 0
+    for _ in range(60):
+        tags = [f"h{i}" for i in range(int(rng.integers(0, 9)))]
+        names = [f"t{i}" for i in rng.permutation(int(rng.integers(1, 5))).tolist()]
+        lines = [f"{t}\t{names[int(rng.integers(len(names)))]}" for t in tags]
+        lines += [lines[int(i)] for i in rng.integers(len(lines), size=3)] if lines else []
+        lines = [lines[int(i)] for i in rng.permutation(len(lines))] + ["# c", "H1\tt0"]
+        want = oracles.topic_map_by_name(lines)
+        if isinstance(want[0], str):
+            conflicts += 1
+            with pytest.raises(ParseError, match=f"line {want[1]}: " + want[0]):
+                load_topic_map(lines)
+            continue
+        topics = load_topic_map(lines)
+        assert (oracles.assignment(topics), topics.topics) == want
+        assert topics.rank.tolist() == [sorted(topics.topics).index(t) for t in topics.topics]
+        query = sorted({f"h{i}" for i in rng.integers(12, size=6).tolist()})
+        assert topics.topic_ids(query).tolist() == oracles.topic_ids_by_name(topics, query)
+    assert 10 <= conflicts <= 50
 
 
 def test_adoption_index_toy(toy):
@@ -262,7 +291,7 @@ def test_prior_adopters_equal_brute_force_scan():
         genome = oracles.genotypes(build_genome(index, topics))
         assert genome == oracles.build_genome(want_rows, topics)
         for topic in topics.topics:
-            assert node_topic_latency(index, topics, topic) == {
+            assert oracles.named_latency(index, node_topic_latency(index, topics, topic)) == {
                 u: g.cells[(topic, MetricKind.TIME)].mean
                 for u, g in genome.items() if (topic, MetricKind.TIME) in g.cells
             }

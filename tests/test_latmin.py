@@ -14,22 +14,32 @@ from genonet.graph import (
     strongly_connected_components,
     weakly_connected_components,
 )
+from genonet.genotype import node_topic_latency
 from genonet.ingest import build_adoption_index, load_dataset
 from genonet.latmin import (
     Heuristic,
-    LatencyGraph,
+    latency_component,
     minimize,
     prepare,
 )
 
 import datasets
 import oracles
+from datasets import LatencyCase
 
 
 def lgraph(edges, latency, nodes=()):
-    return LatencyGraph(
-        graph=datasets.from_edges(edges, nodes=nodes), latency=latency
-    )
+    return LatencyCase(datasets.from_edges(edges, nodes=nodes), latency)
+
+
+def solve(g, strict=True):
+    """``prepare`` on a name-keyed latency case."""
+    return prepare(g.graph, g.lat, strict)
+
+
+def picks(g, trace):
+    """A trace's picks by node label."""
+    return tuple(g.graph.nodes[i] for i in trace.selected)
 
 
 def random_latency_graph(rng, n, p, strongly_connected=False, zero_frac=0.0):
@@ -50,20 +60,20 @@ def random_latency_graph(rng, n, p, strongly_connected=False, zero_frac=0.0):
 def zeroed_graph(g, nodes):
     """The same graph with the latency of ``nodes`` set to 0."""
     latency = {x: (0.0 if x in nodes else v) for x, v in g.latency.items()}
-    return LatencyGraph(graph=g.graph, latency=latency)
+    return LatencyCase(g.graph, latency)
 
 
 def check_apsp_against_floyd_warshall(g, edges, latency):
-    """``prepare(g, strict=False).d`` equals the oracle entry by entry
+    """``solve(g, strict=False).d`` equals the oracle entry by entry
     (inf where unreachable, 0 on the diagonal); when the oracle reaches no
     pair, ``prepare`` refuses the graph."""
     nodes = list(g.graph.nodes)
     expected = oracles.floyd_warshall_latency(nodes, edges, latency)
     if all(v == math.inf for v in expected.values()):
         with pytest.raises(DataError, match="no reachable ordered pairs"):
-            prepare(g, strict=False)
+            solve(g, strict=False)
         return False
-    d = prepare(g, strict=False).d
+    d = solve(g, strict=False).d
     for i, s in enumerate(nodes):
         assert d[i, i] == 0.0
         for j, t in enumerate(nodes):
@@ -80,17 +90,17 @@ def test_pair_latency_examples():
     inf = math.inf
     # rows and columns in node order u1, u2, u3; a path never pays its
     # destination's latency
-    assert prepare(g, strict=False).d.tolist() == [
+    assert solve(g, strict=False).d.tolist() == [
         [0.0, 2.0, 2.0], [inf, 0.0, 3.0], [inf, inf, 0.0]
     ]
-    assert prepare(zeroed_graph(g, {"u2"}), strict=False).d.tolist() == [
+    assert solve(zeroed_graph(g, {"u2"}), strict=False).d.tolist() == [
         [0.0, 2.0, 2.0], [inf, 0.0, 0.0], [inf, inf, 0.0]
     ]
     assert check_apsp_against_floyd_warshall(
         g, [("u1", "u2"), ("u2", "u3"), ("u1", "u3")], g.latency
     )
     sink = lgraph([("a", "b")], {"a": 1.0, "b": 1.0})
-    assert prepare(sink, strict=False).d.tolist() == [[0.0, 1.0], [inf, 0.0]]
+    assert solve(sink, strict=False).d.tolist() == [[0.0, 1.0], [inf, 0.0]]
 
 
 def test_pair_latency_matches_floyd_warshall():
@@ -105,30 +115,30 @@ def test_pair_latency_matches_floyd_warshall():
 
 def test_average_latency_examples():
     two = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
-    assert prepare(two).base_avg == 1.5
+    assert solve(two).base_avg == 1.5
     zeros = lgraph([("a", "b"), ("b", "a")], {"a": 0.0, "b": 0.0})
-    assert prepare(zeros).base_avg == 0.0
+    assert solve(zeros).base_avg == 0.0
     # directed 4-cycle with unit latencies: distances 1,2,3 from each node
     cyc = lgraph([(0, 1), (1, 2), (2, 3), (3, 0)], {i: 1.0 for i in range(4)})
     oracle = oracles.average_latency_oracle(list(range(4)), [(0, 1), (1, 2), (2, 3), (3, 0)], {i: 1.0 for i in range(4)})
     assert oracle == 2.0
-    assert prepare(cyc).base_avg == oracle
+    assert solve(cyc).base_avg == oracle
 
 
 def test_average_latency_strict_and_permissive():
     dag = lgraph([("a", "b"), ("b", "c")], {"a": 1.0, "b": 2.0, "c": 3.0})
     with pytest.raises(DataError):
-        prepare(dag, strict=True)
+        solve(dag, strict=True)
     # reachable pairs: (a,b)=1, (a,c)=3, (b,c)=2
-    assert prepare(dag, strict=False).base_avg == pytest.approx(2.0)
-    assert prepare(dag, strict=False).denom == 3
+    assert solve(dag, strict=False).base_avg == pytest.approx(2.0)
+    assert solve(dag, strict=False).denom == 3
     # no ordered pair to average over: one node, or no edges at all
     for empty in (lgraph([], {"a": 1.0}, nodes=["a"]),
                   lgraph([], {"a": 1.0, "b": 2.0}, nodes=["a", "b"])):
         with pytest.raises(DataError, match="no reachable ordered pairs"):
-            prepare(empty, strict=False)
+            solve(empty, strict=False)
     with pytest.raises(DataError, match="no reachable ordered pairs"):
-        prepare(lgraph([], {"a": 1.0}, nodes=["a"]), strict=True)
+        solve(lgraph([], {"a": 1.0}, nodes=["a"]), strict=True)
 
 
 def test_triangle_property():
@@ -137,7 +147,7 @@ def test_triangle_property():
         n = int(rng.integers(3, 8))
         g, edges, latency = random_latency_graph(rng, n, 0.4, strongly_connected=True)
         assert check_apsp_against_floyd_warshall(g, edges, latency)
-        d = prepare(g, strict=False).d
+        d = solve(g, strict=False).d
         for s in range(n):
             for t in range(n):
                 if s == t:
@@ -156,8 +166,8 @@ def test_zeroing_never_increases_pair_latency():
         victim = int(rng.integers(n))
         zeroed = zeroed_graph(g, {victim})
         assert check_apsp_against_floyd_warshall(zeroed, edges, zeroed.latency)
-        before = prepare(g, strict=False).d
-        after = prepare(zeroed, strict=False).d
+        before = solve(g, strict=False).d
+        after = solve(zeroed, strict=False).d
         for s in range(n):
             for t in range(n):
                 if s != t:
@@ -170,35 +180,35 @@ def test_minimize_star_center():
         edges += [("a", leaf), (leaf, "a")]
     latency = {"a": 10.0, "b": 1.0, "c": 1.0, "d": 1.0}
     for heuristic in Heuristic:
-        trace = minimize(prepare(lgraph(edges, latency)), 1, heuristic)
-        assert trace.selected == ("a",), heuristic
+        g = lgraph(edges, latency)
+        assert picks(g, minimize(solve(g), 1, heuristic)) == ("a",), heuristic
 
 
 def test_minimize_tie_breaks_by_identifier():
     cyc = lgraph([(0, 1), (1, 2), (2, 0)], {i: 5.0 for i in range(3)})
     for heuristic in Heuristic:
-        assert minimize(prepare(cyc), 1, heuristic).selected == (0,)
+        assert picks(cyc, minimize(solve(cyc), 1, heuristic)) == (0,)
 
 
 def test_minimize_greedy_two_cycle():
     g = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
-    trace = minimize(prepare(g), 1, Heuristic.GREEDY)
-    assert trace.selected == ("b",)
+    trace = minimize(solve(g), 1, Heuristic.GREEDY)
+    assert picks(g, trace) == ("b",)
     assert trace.relative == (pytest.approx(0.5 / 1.5),)
 
 
 def test_minimize_errors():
     g = lgraph([("a", "b"), ("b", "a")], {"a": 1.0, "b": 2.0})
     with pytest.raises(DataError):
-        minimize(prepare(g), 0, Heuristic.GREEDY)
+        minimize(solve(g), 0, Heuristic.GREEDY)
     with pytest.raises(DataError):
-        minimize(prepare(g), 3, Heuristic.GREEDY)
+        minimize(solve(g), 3, Heuristic.GREEDY)
     zeros = lgraph([("a", "b"), ("b", "a")], {"a": 0.0, "b": 0.0})
     with pytest.raises(DataError):
-        minimize(prepare(zeros), 1, Heuristic.GREEDY)
+        minimize(solve(zeros), 1, Heuristic.GREEDY)
     dag = lgraph([("a", "b")], {"a": 1.0, "b": 1.0})
     with pytest.raises(DataError):
-        minimize(prepare(dag, strict=True), 1, Heuristic.GREEDY)
+        minimize(solve(dag, strict=True), 1, Heuristic.GREEDY)
 
 
 def test_traces_non_increasing_and_full_zeroing():
@@ -206,10 +216,10 @@ def test_traces_non_increasing_and_full_zeroing():
     for _ in range(10):
         n = int(rng.integers(3, 9))
         g, _e, _l = random_latency_graph(rng, n, 0.35, strongly_connected=True)
-        if prepare(g).base_avg == 0:
+        if solve(g).base_avg == 0:
             continue
         for heuristic in Heuristic:
-            trace = minimize(prepare(g), n, heuristic)
+            trace = minimize(solve(g), n, heuristic)
             rel = (1.0,) + trace.relative
             for a, b in zip(rel, rel[1:]):
                 assert b <= a + 1e-12
@@ -222,24 +232,24 @@ def test_greedy_matches_naive_recomputation():
     for _ in range(10):
         n = int(rng.integers(3, 8))
         g, edges, latency = random_latency_graph(rng, n, 0.4, strongly_connected=True)
-        base = prepare(g).base_avg
+        base = solve(g).base_avg
         if base == 0:
             continue
-        trace = minimize(prepare(g), min(3, n), Heuristic.GREEDY)
+        trace = minimize(solve(g), min(3, n), Heuristic.GREEDY)
         zeroed: list = []
-        for step, node in enumerate(trace.selected):
+        for step, node in enumerate(picks(g, trace)):
             # naive: try every remaining candidate by full recomputation
             remaining = [x for x in g.graph.nodes if x not in zeroed]
             best = min(
                 (
-                    prepare(zeroed_graph(g, {*zeroed, c})).base_avg,
+                    solve(zeroed_graph(g, {*zeroed, c})).base_avg,
                     c,
                 )
                 for c in remaining
             )
             assert node == best[1]
             zeroed.append(node)
-            naive_avg = prepare(zeroed_graph(g, set(zeroed))).base_avg
+            naive_avg = solve(zeroed_graph(g, set(zeroed))).base_avg
             assert trace.relative[step] == pytest.approx(naive_avg / base, abs=1e-9)
 
 
@@ -263,24 +273,29 @@ def test_exact_lower_bounds_heuristics():
     for _ in range(12):
         n = int(rng.integers(4, 9))
         g, _e, _l = random_latency_graph(rng, n, 0.35, strongly_connected=True)
-        base = prepare(g).base_avg
+        base = solve(g).base_avg
         if base == 0:
             continue
         k = int(rng.integers(1, 4))
         _best, opt = oracles.exact_k_latmin(g, k)
         for heuristic in Heuristic:
-            final = minimize(prepare(g), k, heuristic).relative[-1] * base
+            final = minimize(solve(g), k, heuristic).relative[-1] * base
             assert opt <= final + 1e-9
 
 
 def test_latency_graph_validation():
-    with pytest.raises(DataError):
-        lgraph([("a", "b")], {"a": 1.0})  # b missing
-    with pytest.raises(DataError):
-        lgraph([("a", "b")], {"a": -1.0, "b": 0.0})
+    """``prepare`` takes one finite latency >= 0 per node, and names the
+    first node whose latency is not."""
+    pair = datasets.from_edges([("a", "b")])
+    for short in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(DataError, match=f"{len(short)} latencies for a graph of 2 nodes"):
+            prepare(pair, np.array(short), strict=False)
+    with pytest.raises(DataError, match="latency on 'a' is -1.0, not finite and >= 0"):
+        prepare(pair, np.array([-1.0, 0.0]), strict=False)
+    cycle = datasets.from_edges([(0, 1), (1, 2), (2, 0)])
     for bad in (math.nan, math.inf):
-        with pytest.raises(DataError, match="not finite"):
-            lgraph([(0, 1), (1, 2), (2, 0)], {0: bad, 1: 1.0, 2: 2.0})
+        with pytest.raises(DataError, match="latency on 1 is (nan|inf), not finite"):
+            prepare(cycle, np.array([1.0, bad, 2.0]))
 
 
 def _scoring_cases():
@@ -315,7 +330,7 @@ def test_greedy_scores_equal_zero_update_oracle(monkeypatch):
         seen = {"graphs": 0, "masked": 0, "tied": 0, "tied_graphs": 0}
         for g, strict in _scoring_cases():
             latency = {x: v * scale for x, v in g.latency.items()}
-            state = prepare(LatencyGraph(graph=g.graph, latency=latency), strict)
+            state = solve(LatencyCase(g.graph, latency), strict)
             if not state.denom or state.base_avg == 0:
                 continue
             n, nodes = g.graph.n, g.graph.nodes
@@ -333,7 +348,7 @@ def test_greedy_scores_equal_zero_update_oracle(monkeypatch):
                 seen["tied"] += len(set(want)) < len(want)
             updates.clear()
             trace = minimize(state, k, Heuristic.GREEDY)
-            assert trace.selected == tuple(nodes[step[4]] for step in steps), scale
+            assert trace.selected == tuple(step[4] for step in steps), scale
             assert trace.relative == tuple(step[5] for step in steps), scale
             ties = sum(step[3].count(min(step[3])) > 1 for step in steps)
             assert len(updates) >= k + ties, scale
@@ -348,7 +363,7 @@ def _forward(g):
     """``g`` with only its edges u -> v for u < v: sparse reachability."""
     adj, nodes = oracles.adjacency(g.graph), g.graph.nodes
     edges = [(nodes[u], nodes[v]) for u in range(g.graph.n) for v in adj[u] if u < v]
-    return LatencyGraph(graph=datasets.from_edges(edges, nodes=nodes), latency=g.latency)
+    return LatencyCase(datasets.from_edges(edges, nodes=nodes), g.latency)
 
 
 def _pruning_cases():
@@ -372,14 +387,14 @@ def test_pruned_greedy_equals_all_candidate_oracle(monkeypatch):
                             calls.append(a[1]) or kernel(*a))
     k, cases, pruned = 5, 0, 0
     for g, strict in _pruning_cases():
-        state = prepare(g, strict)
+        state = solve(g, strict)
         n, nodes = g.graph.n, g.graph.nodes
         lat = [g.latency[x] for x in nodes]
         steps = list(oracles.greedy_steps(state.d, lat, state.mask, k, nodes))
         screens.clear()
         updates.clear()
         trace = minimize(state, k, Heuristic.GREEDY)
-        assert trace.selected == tuple(nodes[step[4]] for step in steps)
+        assert trace.selected == tuple(step[4] for step in steps)
         assert trace.relative == tuple(step[5] for step in steps)
         cases += 1
         # every step screens its n - step candidates unless the bound skips some
@@ -400,8 +415,7 @@ def test_screen_within_a_quarter_margin_at_n_2000(monkeypatch):
     keys = np.unique(np.r_[rng.integers(0, n * n, 8 * n), perm * n + np.roll(perm, -1)])
     keys = keys[keys // n != keys % n]
     graph = DirectedGraph.from_keys(keys, np.ones(n, bool), tuple(range(n)))
-    latency = dict(enumerate((rng.pareto(1.5, n) + 1.0).tolist()))
-    state = prepare(LatencyGraph(graph=graph, latency=latency))
+    state = prepare(graph, rng.pareto(1.5, n) + 1.0)
     screened = []
 
     class Enough(Exception):
@@ -430,7 +444,7 @@ def test_minimize_allocates_under_three_matrices(strict):
     matrices and masked copy make the rest of the guard's 33 B."""
     n = 400
     g = datasets.latency_benchmark(3, n)
-    state = prepare(g if strict else _forward(g), strict)
+    state = solve(g if strict else _forward(g), strict)
     for heuristic in Heuristic:
         tracemalloc.start()
         try:
@@ -444,11 +458,11 @@ def test_minimize_allocates_under_three_matrices(strict):
 def test_memory_guard_refuses_before_apsp(monkeypatch):
     g = lgraph([(0, 1), (1, 2), (2, 0)], {i: 1.0 for i in range(3)})
     monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 33 * 3 * 3)
-    assert prepare(g).denom == 6
+    assert solve(g).denom == 6
     monkeypatch.setattr(latmin, "MEMORY_BUDGET_BYTES", 33 * 3 * 3 - 1)
     monkeypatch.setattr(latmin, "_apsp_matrix", pytest.fail)
     with pytest.raises(DataError, match=r"n=3 nodes needs about 297 bytes"):
-        prepare(g)
+        solve(g)
 
 
 def _bits(x):
@@ -540,6 +554,30 @@ def test_component_kernels_equal_loops_on_benchmark_backbones(bench_manifest, mo
     for g, label, loop in seen:
         assert oracles.labels_least_members(label)
         assert oracles.partition(g, label) == loop(g)
+
+
+def test_latency_component_equals_name_oracle(bench_manifest):
+    """On every topic of the benchmark datasets, in both modes, the graph
+    latmin solves, its edges and its latencies equal the name-keyed choice
+    over the loop oracles' components; on hubs, some of those choices drop
+    members without a TIME mean."""
+    dropped = 0
+    for shape in ("latmin-dense", "hubs"):
+        net, events, topics = load_dataset(bench_manifest(shape))
+        index = build_adoption_index(events, net)
+        everyone = dict.fromkeys(index.users, 0.0)
+        for topic in topics.topics:
+            b = backbone.extract_backbone(topic, index, topics)
+            user, mean = node_topic_latency(index, topics, topic)
+            latency = oracles.named_latency(index, (user, mean))
+            for strict in (True, False):
+                graph, lat = latency_component(b.graph, user, mean, strict)
+                names, n = [index.users[u] for u in graph.nodes], graph.n
+                edges = [(names[k // n], names[k % n]) for k in graph.keys.tolist()]
+                want = oracles.latency_component(b, latency, strict)
+                assert (names, edges, dict(zip(names, lat.tolist()))) == want, (shape, topic)
+                dropped += len(oracles.latency_component(b, everyone, strict)[0]) > n
+    assert dropped
 
 
 def test_all_sources_kernels_stay_within_their_blocks():

@@ -377,13 +377,16 @@ def test_table_equals_scalar_oracle():
 
 def test_build_instances_equals_brute_force_oracle():
     """Order, candidates and truth sets of both directions equal direct
-    enumeration on seeded random logs with many tied first uses."""
+    enumeration on seeded random logs with many tied first uses, also with
+    the topics listed in reverse, so that their ids and their name order
+    disagree."""
     rng = np.random.default_rng(808)
     tied = 0
     for _ in range(4):
-        net, events, topics, index = _oracle_dataset(rng)
-        ctx = PredictionContext(index, topics)
-        for direction in Direction:
+        net, events, base, index = _oracle_dataset(rng)
+        flipped = TopicMap(base.hashtags, len(base.topics) - 1 - base.topic, base.topics[::-1])
+        for topics, direction in ((t, d) for t in (base, flipped) for d in Direction):
+            ctx = PredictionContext(index, topics)
             cases = built(direction, ctx)
             assert len(cases) >= 40
             assert cases == oracles.build_instances(direction, events, net, topics)
@@ -392,7 +395,7 @@ def test_build_instances_equals_brute_force_oracle():
                 first_use.get((c, i.hashtag)) == first_use[(i.user, i.hashtag)]
                 for i in cases for c in i.candidates
             )
-    assert tied >= 100
+    assert tied >= 200  # 100 ties, each seen under both topic orders
 
 
 
@@ -443,10 +446,10 @@ def test_excluded_pagerank_equals_extract_on_reduced_map():
         index = build_adoption_index(events, net)
         ctx = PredictionContext(index, topics)
         topic = topics.topics[0]
-        for h in topics.hashtags_for(topic):
-            without_h = TopicMap(
-                {g: t for g, t in topics.assignment.items() if g != h}, topics.topics
-            )
+        for h in oracles.hashtags_for(topics, topic):
+            keep = np.array([g != h for g in topics.hashtags], bool)
+            others = tuple(g for g in topics.hashtags if g != h)
+            without_h = TopicMap(others, topics.topic[keep], topics.topics)
             reduced = oracles.backbone_edges(extract_backbone(topic, index, without_h))
             assert _excluded(ctx, h) == _pagerank_on_users(reduced, ctx)
 
@@ -466,7 +469,7 @@ def test_excluded_pagerank_equals_edge_scan_oracle():
         ctx = PredictionContext(index, topics)
         triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
-            hashtags = topics.hashtags_for(topic)
+            hashtags = oracles.hashtags_for(topics, topic)
             for h in hashtags:
                 want = oracles.backbone_weights(triples, edges, [g for g in hashtags if g != h])
                 assert _excluded(ctx, h) == _pagerank_on_users(want, ctx)

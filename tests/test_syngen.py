@@ -103,7 +103,7 @@ def test_seed_change_preserves_structure_statistics():
     for seed in range(3):
         d = generate(datasets.classification_params(seed))
         assert len(d.topics.topics) == 5
-        assert len(d.topics.assignment) == 100
+        assert len(d.topics.hashtags) == 100
         sizes.append(len(d.events.time))
     assert len(set(sizes)) > 1  # logs differ
 
@@ -136,7 +136,7 @@ def test_emitted_files_reload(tmp_path):
     net, events, topics = load_dataset(manifest)
     assert oracles.named(net) == oracles.named(d.network)
     assert oracles.named(events) == oracles.named(d.events)
-    assert topics.assignment == dict(d.topics.assignment)
+    assert oracles.assignment(topics) == oracles.assignment(d.topics)
 
 
 def test_uniform_graph_draws_rows_not_a_matrix():
