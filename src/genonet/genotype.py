@@ -199,13 +199,13 @@ def build_genome(index: AdoptionIndex, topics: TopicMap) -> Genome:
     """The metric cells of every user with a topical adoption."""
     table = pair_metrics(index, topics)
     row, kind = np.nonzero(~np.isnan(table.values))
+    names = tuple(sorted(topics.topics))
     metrics = tuple(sorted(MetricKind, key=lambda k: k.value))
     kind_id = np.array([metrics.index(k) for k in MetricKind])
     (user, topic, kind), ptr, values, mean = _groups(
         (table.user[row], topics.rank[table.topic[row]], kind_id[kind], table.hashtag[row]),
         table.values[row, kind],
     )
-    names = tuple(sorted(topics.topics))
     return Genome(index.users, names, metrics, user, topic, kind, ptr, values, mean)
 
 

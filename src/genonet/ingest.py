@@ -158,7 +158,7 @@ class TopicMap:
         return intern(self.topics)[1]
 
     def topic_ids(self, hashtags: Sequence[str]) -> np.ndarray:
-        """Each of ``hashtags``' topic id; ``len(topics)`` where it has none."""
+        """Each hashtag's topic id; ``len(topics)`` for one without a topic."""
         labels, ids = intern(self.hashtags + tuple(hashtags))
         column = np.full(len(labels), len(self.topics))
         column[ids[:len(self.hashtags)]] = self.topic
