@@ -26,7 +26,7 @@ from .graph import (
     strongly_connected_components,
     weakly_connected_components,
 )
-from .ingest import AdoptionIndex, TopicMap
+from .ingest import AdoptionIndex, TopicMap, touched_ids
 
 __all__ = [
     "InfluenceBackbone",
@@ -54,10 +54,7 @@ class InfluenceBackbone:
     @cached_property
     def touched(self) -> np.ndarray:
         """A mask over user ids: the users on at least one edge."""
-        n = len(self.users)
-        touched = np.zeros(n, bool)
-        touched[self.keys // n] = touched[self.keys % n] = True
-        return touched
+        return touched_ids(self.keys, len(self.users))
 
     @cached_property
     def graph(self) -> DirectedGraph:

@@ -28,8 +28,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .genotype import MetricKind, PairMetrics, float_sum
-from .ingest import TopicMap
+from .genotype import MetricKind, PairMetrics
+from .ingest import TopicMap, libm, ordered_sum
 
 __all__ = [
     "ErrorTable",
@@ -89,7 +89,8 @@ class LooData:
     of topic ``true_topic[f]``, an id into ``topic_order``, with log priors
     ``prior_logs[f]``.  Its voters are ``voter[fold_ptr[f]:fold_ptr[f + 1]]``,
     user ids into :attr:`PairMetrics.users` in id (name) order, and
-    ``evidence`` holds one row per voter.
+    ``evidence`` holds one row per voter.  ``train_errors`` and
+    ``train_totals`` tally the train-side cases of all folds per topic id.
     """
 
     metric: MetricKind
@@ -102,25 +103,8 @@ class LooData:
     voter: np.ndarray
     evidence: np.ndarray  # voters x K
     skipped: tuple[str, ...]
-    topic_counts: dict[str, int]
-    train_errors: dict[str, int]
-    train_totals: dict[str, int]
-
-
-def _libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
-    """``fn`` of each element of the 1-d ``x`` as ``math`` computes it;
-    numpy's log, exp and square round differently on some inputs.  Each
-    distinct input is evaluated once."""
-    distinct, inverse = np.unique(x, return_inverse=True)
-    return np.fromiter(map(fn, distinct.tolist(), *args), float, len(distinct))[inverse]
-
-
-def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    """0.0 plus the terms along ``axis`` one at a time in index order, as
-    :func:`genonet.genotype.float_sum` adds; ``np.sum`` would add pairwise."""
-    if terms.shape[axis] == 0:
-        return np.zeros(np.delete(terms.shape, axis))
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + 0.0
+    train_errors: np.ndarray
+    train_totals: np.ndarray
 
 
 def _train_and_score(
@@ -150,30 +134,30 @@ def _train_and_score(
     hi = np.where(kept, value, -np.inf).max(axis=1, initial=-np.inf)
     trained = (n_topics >= 2) & (lo != hi)
 
-    mean = _ordered_sum(np.where(member, value[:, :, None], 0.0), 1) / np.maximum(count, 1)
+    mean = ordered_sum(np.where(member, value[:, :, None], 0.0), 1) / np.maximum(count, 1)
     sq = np.zeros((rows, width))
     dev = value - np.take_along_axis(mean, topic, axis=1)
-    sq[kept] = _libm(math.pow, dev[kept], repeat(2.0))
-    ss = _ordered_sum(np.where(member, sq[:, :, None], 0.0), 1)
-    ss_within = _ordered_sum(np.take_along_axis(ss, order, axis=1), 1)
+    sq[kept] = libm(math.pow, dev[kept], repeat(2.0))
+    ss = ordered_sum(np.where(member, sq[:, :, None], 0.0), 1)
+    ss_within = ordered_sum(np.take_along_axis(ss, order, axis=1), 1)
     variance = np.maximum(VARIANCE_FLOOR, ss_within / np.maximum(1, n - n_topics))
     log_prior = np.zeros((rows, k))
     fit = has & trained[:, None]
-    log_prior[fit] = _libm(math.log, (count / np.maximum(n, 1)[:, None])[fit])
+    log_prior[fit] = libm(math.log, (count / np.maximum(n, 1)[:, None])[fit])
 
     cell = scored[:, :, None] & fit[:, None, :]
     shape = cell.shape
     logs = np.full(shape, -np.inf)
-    logs[cell] = np.broadcast_to(log_prior[:, None, :], shape)[cell] - _libm(
+    logs[cell] = np.broadcast_to(log_prior[:, None, :], shape)[cell] - libm(
         math.pow, (value[:, :, None] - mean[:, None, :])[cell], repeat(2.0)
     ) / np.broadcast_to((2.0 * variance)[:, None, None], shape)[cell]
     top = logs.max(axis=2, initial=-np.inf)
     expd = np.zeros(shape)
-    expd[cell] = _libm(math.exp, logs[cell] - np.broadcast_to(top[:, :, None], shape)[cell])
-    z = _ordered_sum(np.take_along_axis(expd, order[:, None, :], axis=2), 2)
+    expd[cell] = libm(math.exp, logs[cell] - np.broadcast_to(top[:, :, None], shape)[cell])
+    z = ordered_sum(np.take_along_axis(expd, order[:, None, :], axis=2), 2)
     post = expd[cell] / np.broadcast_to(z[:, :, None], shape)[cell]
     evidence = np.zeros(shape)
-    evidence[cell] = _libm(math.log, np.maximum(post, 1e-300)) + math.log(k)
+    evidence[cell] = libm(math.log, np.maximum(post, 1e-300)) + math.log(k)
     return trained, evidence
 
 
@@ -199,7 +183,6 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     tags = pairs.hashtags
     used, first = np.unique(pairs.hashtag, return_index=True)
     counts = np.bincount(pairs.topic[first], minlength=k)
-    topic_counts: dict[str, int] = dict(zip(topic_order, counts.tolist()))
     single = counts[pairs.topic[first]] < 2
     skipped = tuple(tags[h] for h in used[single].tolist())
     eligible = used[~single]
@@ -232,7 +215,7 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     base_ok, base_ev = _train_and_score(table_value, table_topic, valid, valid, k)
     base = np.zeros((len(degree), n_tags, k))
     base[row, col] = base_ev[row, slot]
-    base_sum = _ordered_sum(base, 0)
+    base_sum = ordered_sum(base, 0)
     base_voters = np.bincount(col[base_ok[row]], minlength=n_tags)
     del base
 
@@ -283,9 +266,8 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
         voter=voter[by_tag][fold_ok],
         evidence=evidence[fold_ok],
         skipped=skipped,
-        topic_counts=topic_counts,
-        train_errors=dict(zip(topic_order, train_errors.tolist())),
-        train_totals=dict(zip(topic_order, train_totals.tolist())),
+        train_errors=train_errors,
+        train_totals=train_totals,
     )
 
 
@@ -300,7 +282,7 @@ def _train_scores(prior_logs: np.ndarray, base_sum: np.ndarray, users: int,
     steps = np.zeros((users, 2, *base_sum.shape))
     steps[user, 0, tag] = -old
     steps[user, 1, tag] = new
-    return prior_logs + base_sum + _ordered_sum(steps.reshape(-1, *base_sum.shape), 0)
+    return prior_logs + base_sum + ordered_sum(steps.reshape(-1, *base_sum.shape), 0)
 
 
 def _consensus(data: LooData, take: np.ndarray) -> np.ndarray:
@@ -315,20 +297,20 @@ def _consensus(data: LooData, take: np.ndarray) -> np.ndarray:
     return np.where(np.bincount(fold, minlength=n_folds) > 0, voted, -1)
 
 
+def _share(part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """``part / whole`` elementwise, 0.0 where ``whole`` is 0."""
+    return np.divide(part, whole, out=np.zeros(len(part)), where=whole > 0)
+
+
 def _error_table(
-    errors: Mapping[str, int], totals: Mapping[str, int], topic_order: Sequence[str]
+    per_topic: np.ndarray, counts: np.ndarray, topic_order: Sequence[str]
 ) -> ErrorTable:
-    per_topic = {}
-    counts = {}
-    for t in topic_order:
-        n = totals.get(t, 0)
-        counts[t] = n
-        per_topic[t] = errors.get(t, 0) / n if n else 0.0
-    total = sum(counts.values())
-    expected = (
-        float_sum(per_topic[t] * counts[t] for t in topic_order) / total if total else 0.0
-    )
-    return ErrorTable(per_topic=per_topic, counts=counts, expected=expected)
+    """The table of error rates ``per_topic`` over ``counts`` hashtags per
+    topic id; its E[x] adds the rates times the counts in topic order."""
+    total = int(counts.sum())
+    expected = float(ordered_sum(per_topic * counts)) / total if total else 0.0
+    return ErrorTable(per_topic=dict(zip(topic_order, per_topic.tolist())),
+                      counts=dict(zip(topic_order, counts.tolist())), expected=expected)
 
 
 def leave_one_out(data: LooData) -> LeaveOneOutResult:
@@ -340,32 +322,19 @@ def leave_one_out(data: LooData) -> LeaveOneOutResult:
     """
     topic_order, truth, k = data.topic_order, data.true_topic, len(data.topic_order)
     voted = _consensus(data, np.ones(len(data.voter), dtype=bool))
-    test_totals = dict(zip(topic_order, np.bincount(truth, minlength=k).tolist()))
-    wrong = np.bincount(truth[voted != truth], minlength=k)
-    test_errors = dict(zip(topic_order, wrong.tolist()))
+    test_totals = np.bincount(truth, minlength=k)
+    test_errors = np.bincount(truth[voted != truth], minlength=k)
     predictions = {
         data.hashtag_names[h]: (topic_order[t], topic_order[v] if v >= 0 else None)
         for h, t, v in zip(data.hashtags.tolist(), truth.tolist(), voted.tolist())
     }
-
-    total = sum(test_totals.values())
-    random_per_topic = {
-        t: 1.0 - (test_totals[t] / total if total else 0.0) for t in topic_order
-    }
-    random_table = ErrorTable(
-        per_topic=random_per_topic,
-        counts=dict(test_totals),
-        expected=(
-            float_sum(random_per_topic[t] * test_totals[t] for t in topic_order) / total
-            if total
-            else 0.0
-        ),
-    )
+    share = _share(test_totals, test_totals.sum())
     return LeaveOneOutResult(
         metric=data.metric,
-        train=_error_table(data.train_errors, data.train_totals, topic_order),
-        test=_error_table(test_errors, test_totals, topic_order),
-        random=random_table,
+        train=_error_table(_share(data.train_errors, data.train_totals), data.train_totals,
+                           topic_order),
+        test=_error_table(_share(test_errors, test_totals), test_totals, topic_order),
+        random=_error_table(1.0 - share, test_totals, topic_order),
         predictions=predictions,
         skipped=data.skipped,
     )
@@ -409,7 +378,7 @@ def accuracy_curve(
             for t, ok, n in zip(data.topic_order, per_topic_ok, per_topic_n):
                 if n:
                     rows.append((t, s, rep, ok / n))
-        points.append((s, float_sum(rep_acc) / len(rep_acc)))
+        points.append((s, float(ordered_sum(rep_acc)) / len(rep_acc)))
     return AccuracyCurve(metric=data.metric, points=tuple(points), rows=tuple(rows))
 
 

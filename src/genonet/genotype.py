@@ -22,17 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
 from .errors import DataError
-from .ingest import AdoptionIndex, TopicMap, gather_rows, row_sums
+from .ingest import AdoptionIndex, TopicMap, gather_rows, libm, row_sums, run_starts
 
 __all__ = [
     "MetricKind",
     "Genome",
-    "float_sum",
     "PairMetrics",
     "pair_metrics",
     "build_genome",
@@ -67,7 +65,7 @@ class Genome:
     topic ``topics[topic[i]]``.  The three tables are sorted by name (by
     tag for metrics), so cells in id order are in output order.  A cell's
     values, in hashtag-name order, are ``values[ptr[i]:ptr[i + 1]]``, and
-    ``mean[i]`` adds them left to right as :func:`float_sum` does.
+    ``mean[i]`` adds them left to right as :func:`genonet.ingest.ordered_sum` does.
     """
 
     users: tuple[str, ...]
@@ -79,18 +77,6 @@ class Genome:
     ptr: np.ndarray
     values: np.ndarray
     mean: np.ndarray
-
-
-def float_sum(values: Iterable[float]) -> float:
-    """Floats added left to right, as ``sum()`` does up to Python 3.11.
-
-    Python 3.12's ``sum()`` compensates float sums and ``math.fsum`` is
-    exact; either would move the last bits of every mean written.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _lat_counts(index: AdoptionIndex, tag_topic: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -152,8 +138,7 @@ def _groups(keys: tuple[np.ndarray, ...], values: np.ndarray) -> tuple:
     ``values``, and their means, each added left to right."""
     order = np.lexsort(keys[::-1])
     groups = [key[order] for key in keys[:-1]]
-    changed = np.any([g[1:] != g[:-1] for g in groups], axis=0)
-    starts = np.flatnonzero(np.concatenate(([len(order) > 0], changed)))
+    starts = np.flatnonzero(run_starts(*groups))
     ptr, values = np.append(starts, len(order)), values[order]
     sizes = np.diff(ptr)
     # longest groups first, so the groups with a j-th value are a prefix
@@ -191,7 +176,7 @@ def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
     n_par_col[reacted] = prior
     f_par_col[reacted] = prior / np.diff(index.followee_ptr)[user[reacted]]
     lat_col[reacted] = lat
-    log_lat_col[reacted] = list(map(math.log, (lat / mean_lat[tag[reacted]]).tolist()))
+    log_lat_col[reacted] = libm(math.log, lat / mean_lat[tag[reacted]])
     return PairMetrics(index.users, index.hashtags, user, tag, tag_topic[tag], columns.T)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .ingest import gather_rows, in_sorted
+from .ingest import gather_rows, in_sorted, ordered_sum, run_starts
 
 # Most sources per block of the all-sources kernels (betweenness here,
 # latmin's APSP).  A block of b sources keeps a few b x n arrays and up to
@@ -197,9 +197,9 @@ def pagerank(
     for _ in range(max_iter):
         np.divide(scores, out_deg, out=share, where=~dangling)
         nxt = np.bincount(indices, weights=np.repeat(share, out_deg), minlength=n)
-        mass = np.add.accumulate(np.append(0.0, scores[dangling]))[-1]
+        mass = ordered_sum(scores[dangling])
         nxt = (1.0 - damping) / n + damping * mass / n + damping * nxt
-        delta = np.add.accumulate(np.abs(nxt - scores))[-1]
+        delta = ordered_sum(np.abs(nxt - scores))
         scores = nxt
         if delta < tol:
             break
@@ -285,8 +285,7 @@ def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
 
 def _tied_pairs(*sorted_cols: np.ndarray) -> int:
     """Pairs equal on every column, the columns being sorted jointly."""
-    change = np.r_[True, np.any([c[1:] != c[:-1] for c in sorted_cols], axis=0), True]
-    counts = np.diff(np.flatnonzero(change))
+    counts = np.diff(np.flatnonzero(np.append(run_starts(*sorted_cols), True)))
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -298,7 +297,7 @@ def _inversions(ranks: np.ndarray) -> int:
         order = np.argsort(ranks >> (b + 1), kind="stable")
         high, bit = ranks[order] >> (b + 1), (ranks[order] >> b) & 1
         ones_before = np.cumsum(bit) - bit
-        group_start = np.r_[True, high[1:] != high[:-1]]
+        group_start = run_starts(high)
         in_group = ones_before - ones_before[group_start][np.cumsum(group_start) - 1]
         dis += int(in_group[bit == 0].sum())
     return dis

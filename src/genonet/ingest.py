@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -46,6 +46,10 @@ __all__ = [
     "gather_rows",
     "row_sums",
     "in_sorted",
+    "touched_ids",
+    "run_starts",
+    "ordered_sum",
+    "libm",
     "open_utf8",
     "load_manifest",
     "load_dataset",
@@ -86,9 +90,7 @@ def _sorted_rows(*columns: np.ndarray) -> np.ndarray:
     """Indices of the distinct rows of ``columns``, sorted by the first
     column, then the next; ``np.unique`` would import ``numpy.ma``."""
     order = np.lexsort(columns[::-1])
-    first = np.ones(len(order), bool)
-    first[1:] = np.any([c[order[1:]] != c[order[:-1]] for c in columns], axis=0)
-    return order[first]
+    return order[run_starts(*(c[order] for c in columns))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +242,43 @@ def in_sorted(keys: np.ndarray, ordered: np.ndarray) -> np.ndarray:
     return np.searchsorted(ordered, keys, "right") > np.searchsorted(ordered, keys)
 
 
+def touched_ids(keys: np.ndarray, n: int) -> np.ndarray:
+    """A mask over ids ``0..n-1``: the ends of the edge keys ``u * n + v``."""
+    touched = np.zeros(n, bool)
+    touched[keys // n] = touched[keys % n] = True
+    return touched
+
+
+def run_starts(*sorted_columns: np.ndarray) -> np.ndarray:
+    """A mask over the rows of the jointly sorted columns: where each run
+    of rows equal on every column starts."""
+    start = np.zeros(len(sorted_columns[0]), bool)
+    start[:1] = True
+    for column in sorted_columns:
+        start[1:] |= column[1:] != column[:-1]
+    return start
+
+
+def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """0.0 plus the terms along ``axis`` one at a time in index order, as a
+    Python loop adds them: ``np.sum`` adds pairwise and Python 3.12's
+    ``sum()`` compensates, and either moves the last bits."""
+    terms = np.asarray(terms, float)
+    if terms.shape[axis] == 0:
+        return np.zeros(np.delete(terms.shape, axis))
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + 0.0
+
+
+def libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
+    """``fn`` of each element of the 1-d float ``x`` as ``math`` computes it;
+    numpy's log, exp and square round differently on some inputs.  Each
+    distinct bit pattern is evaluated once, so -0.0 and 0.0 stay apart;
+    ``args`` are iterables of further arguments, such as ``repeat(2.0)``."""
+    distinct, inverse = np.unique(np.asarray(x, float).view(np.int64), return_inverse=True)
+    values = map(fn, distinct.view(float).tolist(), *args)
+    return np.fromiter(values, float, len(distinct))[inverse]
+
+
 def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:
     """Parse ``followee<TAB>follower`` lines into a FollowerNetwork.
 
@@ -360,8 +399,7 @@ def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionInde
         prior = (target >= 0) & (first_use[source] < first_use[target])
         targets.append(target[prior])
         sources.append(source[prior])
-        seen = np.sort(follower)
-        exposed += int(np.count_nonzero(seen[1:] != seen[:-1])) + (len(seen) > 0)
+        exposed += int(np.count_nonzero(run_starts(np.sort(follower))))
         pair_of[pair_user[adopters]] = -1
     target = np.concatenate(targets)
     # a stable sort keeps each pair's prior adopters in first-use order
@@ -439,8 +477,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[FollowerNetwork, EventLog, 
 def write_follower_edges(net: FollowerNetwork, fh) -> None:
     """Isolated nodes, then the edges, each in name order."""
     src, dst = np.divmod(net.keys, len(net.nodes))
-    isolated = np.ones(len(net.nodes), bool)
-    isolated[src] = isolated[dst] = False
+    isolated = ~touched_ids(net.keys, len(net.nodes))
     fh.writelines(f"{net.nodes[i]}\n" for i in np.flatnonzero(isolated).tolist())
     fh.writelines(f"{net.nodes[u]}\t{net.nodes[v]}\n" for u, v in zip(src.tolist(), dst.tolist()))
 

@@ -19,7 +19,10 @@ import numpy as np
 from . import backbone as bb
 from .errors import DataError
 from .graph import csr_rows, pagerank
-from .ingest import AdoptionIndex, TopicMap, gather_rows, in_sorted, row_sums
+from .ingest import (
+    AdoptionIndex, TopicMap, gather_rows, in_sorted, ordered_sum, row_sums, run_starts,
+    touched_ids,
+)
 
 __all__ = [
     "Direction", "PredictorKind", "PredictionContext", "InstanceTable",
@@ -88,9 +91,7 @@ class PredictionContext:
                 self._topic_backbones[topic] = backbone
             keys, weight, edge, tags = self._topic_backbones[topic]
             kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
-            on = np.zeros(n, bool)
-            on[kept // n] = on[kept % n] = True
-            nodes, indptr, indices = csr_rows(kept, on, n)
+            nodes, indptr, indices = csr_rows(kept, touched_ids(kept, n), n)
             self._excluded[tag] = pr = np.zeros(n)
             if len(nodes):
                 pr[nodes] = pagerank(indptr, indices)
@@ -218,7 +219,7 @@ def roc_auc(scores: np.ndarray, truth: np.ndarray, indptr: np.ndarray) -> np.nda
     values, dense = np.unique(scores, return_inverse=True)
     key = inst * len(values) + dense  # ordered as (instance, score)
     order = np.argsort(key)
-    run = np.diff(key[order], prepend=-1) != 0  # a run of tied scores starts here
+    run = run_starts(key[order])  # a run of tied scores starts here
     first = np.flatnonzero(run)
     last = np.append(first[1:], len(key))
     rank = ((first + last + 1 - 2 * indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
@@ -249,7 +250,7 @@ def evaluate(
     for kind in PredictorKind:
         auc = roc_auc(score_candidates(kind, table, context), table.truth, table.indptr)
         per_topic = {
-            name: (float(np.add.accumulate(auc[rows])[-1]) / len(rows), len(rows))
+            name: (float(ordered_sum(auc[rows])) / len(rows), len(rows))
             for name, rows in groups
         }
         results.append(EvaluationResult(direction, kind, per_topic))

@@ -63,6 +63,19 @@ def compensated_sum(iterable, /, start=0):
     return result
 
 
+def float_sum(values):
+    """Floats added left to right, as ``sum()`` does up to Python 3.11: the
+    reference for :func:`genonet.ingest.ordered_sum`.
+
+    Python 3.12's ``sum()`` compensates float sums and ``math.fsum`` is
+    exact; either would move the last bits of every mean written.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # --- name-keyed dataset ----------------------------------------------------
 
 
@@ -1173,7 +1186,6 @@ def train_local(user, metric, training):
     are proportional to per-topic training counts.  Topics keep the order
     of their first row, which orders the ``ss_within`` sum.
     """
-    from genonet.genotype import float_sum
 
     by_topic = {}
     for _hashtag, topic, value in training:
@@ -1205,7 +1217,6 @@ def train_local(user, metric, training):
 
 def classify_local(c, value):
     """Posterior over the classifier's trained topics, summing to 1."""
-    from genonet.genotype import float_sum
 
     logs = {}
     for topic, (mean, _count) in c.class_stats.items():
@@ -1401,7 +1412,6 @@ def prepare_loo(metric, pairs, topics, train_scores=None):
 
 def _error_table(errors, totals, topic_order):
     from genonet.classify import ErrorTable
-    from genonet.genotype import float_sum
 
     counts = {t: totals.get(t, 0) for t in topic_order}
     per_topic = {t: errors.get(t, 0) / counts[t] if counts[t] else 0.0 for t in topic_order}
@@ -1416,7 +1426,6 @@ def leave_one_out(data):
     """``classify.leave_one_out`` of :func:`prepare_loo`'s folds, one fold
     at a time: each fold's evidence rows summed, then the first maximum."""
     from genonet.classify import ErrorTable, LeaveOneOutResult
-    from genonet.genotype import float_sum
 
     test_errors = {t: 0 for t in data.topic_order}
     test_totals = {t: 0 for t in data.topic_order}
@@ -1471,7 +1480,6 @@ def accuracy_curve(data, sizes, repetitions, seed):
     """``classify.accuracy_curve`` of :func:`prepare_loo`'s folds, one
     fold at a time, for valid ``sizes``."""
     from genonet.classify import AccuracyCurve
-    from genonet.genotype import float_sum
 
     population = sorted({u for fold in data.folds for u in fold.users})
     rng = np.random.default_rng(seed)

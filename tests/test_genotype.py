@@ -9,7 +9,6 @@ from genonet.errors import DataError
 from genonet.genotype import (
     MetricKind,
     build_genome,
-    float_sum,
     node_topic_latency,
     pair_metrics,
     write_genome_summary,
@@ -243,4 +242,4 @@ def test_group_means_add_left_to_right_on_skewed_sizes():
     assert ids.tolist() == sorted(want)
     assert np.diff(ptr).tolist() == [len(want[g]) for g in sorted(want)]
     assert got.tolist() == [v for g in sorted(want) for v in want[g]]
-    assert mean.tolist() == [float_sum(want[g]) / len(want[g]) for g in sorted(want)]
+    assert mean.tolist() == [oracles.float_sum(want[g]) / len(want[g]) for g in sorted(want)]

@@ -17,9 +17,9 @@ There ``numpy.show_runtime()`` reports the SIMD baseline X86_V2 with
 X86_V3, X86_V4, AVX512_ICL and AVX512_SPR found, so numpy dispatches its
 AVX-512 loops, and numpy's bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) picks
 the SkylakeX core type.  Float means add left to right through
-``genotype.float_sum``, so CPython 3.12's compensated ``sum()`` moves no
-byte; numpy's pairwise summation can still make a mismatch under other
-numpy versions.  ``classify/logistic_fits.json`` (and with it both tests
+``ingest.ordered_sum`` (or ``genotype._groups``' longest-first loop), so
+CPython 3.12's compensated ``sum()`` moves no byte; numpy's pairwise
+summation can still make a mismatch under other numpy versions.  ``classify/logistic_fits.json`` (and with it both tests
 here) moves on a host without AVX-512, or with
 ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``, or under
 ``OPENBLAS_CORETYPE=Haswell``: ``classify.fit_logistic`` calls numpy's

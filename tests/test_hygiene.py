@@ -7,8 +7,12 @@ module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
 per-node successor lists or other name-keyed helper that moved to the
 oracles.  One keeps the graph kernels answering in arrays, one keeps the
-turning of names into ids in ``ingest.intern``, and the last keeps
-float32 inside latmin's Greedy screen.
+turning of names into ids in ``ingest.intern``, and one keeps float32
+inside latmin's Greedy screen.  The last three keep the float-identity
+decisions in one place each: left-to-right sums in
+``ingest.ordered_sum``, the starts of sorted runs in
+``ingest.run_starts``, and no numpy transcendental or BLAS product
+outside an allowlist that names each exception's reason.
 """
 
 import ast
@@ -142,10 +146,15 @@ def _scopes(node, scope, match):
         yield from _scopes(child, inner, match)
 
 
+def _sites(match):
+    """Every site in ``src/`` that ``match`` accepts, as ``scope:line``."""
+    return [site for name in MODULES for site in _scopes(_tree(name), name, match)]
+
+
 def test_id_maps_only_in_intern():
     """Names become ids in ``ingest.intern`` alone, so "id = position in
     sorted-name order" holds for every id space."""
-    found = [site for name in MODULES for site in _scopes(_tree(name), name, _is_id_map)]
+    found = _sites(_is_id_map)
     scopes = {site.split(":")[0] for site in found}
     assert "ingest.intern" in scopes  # the walk sees the pattern
     stray = [site for site in found if site.split(":")[0] not in ID_MAP_OWNERS]
@@ -170,8 +179,88 @@ def _is_narrow_float(node):
 def test_float32_only_in_the_greedy_screen():
     """No module computes in a float narrower than float64 outside
     latmin's Greedy screen."""
-    found = [site for name in MODULES for site in _scopes(_tree(name), name, _is_narrow_float)]
+    found = _sites(_is_narrow_float)
     scopes = {site.split(":")[0] for site in found}
     assert "latmin._screen_total" in scopes  # the walk sees the pattern
     stray = [site for site in found if site.split(":")[0] not in NARROW_FLOAT_OWNERS]
     assert not stray, f"narrow floats outside latmin's screen at {stray}"
+
+
+def _dotted(node):
+    """``np.add.accumulate`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _owners(sites, allowed):
+    """The allowed scopes that hold a site, and the sites outside them; a
+    scope covers the functions nested in it."""
+    seen, stray = set(), []
+    for site in sites:
+        scope = site.split(":")[0]
+        owner = next((a for a in allowed if scope == a or scope.startswith(a + ".")), None)
+        if owner:
+            seen.add(owner)
+        else:
+            stray.append(site)
+    return seen, stray
+
+
+def test_left_to_right_sums_only_in_ordered_sum():
+    """``np.add.accumulate``, the left-to-right float sum, is written once,
+    in ``ingest.ordered_sum``; every other sum that must match a Python
+    loop calls it."""
+    seen, stray = _owners(_sites(lambda n: _dotted(n) == "np.add.accumulate"),
+                          {"ingest.ordered_sum"})
+    assert seen == {"ingest.ordered_sum"}  # the walk sees the pattern
+    assert not stray, f"np.add.accumulate outside ingest.ordered_sum at {stray}"
+
+
+def _is_neighbour_comparison(node):
+    """``x[1:] != x[:-1]`` (or ``==``), either way round, with the slices
+    anywhere inside each side, as in ``c[order[1:]] != c[order[:-1]]``."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))):
+        return False
+    left, right = (
+        {ast.unparse(s) for s in ast.walk(side) if isinstance(s, ast.Slice)}
+        for side in (node.left, node.comparators[0])
+    )
+    return "1:" in left and ":-1" in right or ":-1" in left and "1:" in right
+
+
+def test_run_starts_only_in_ingest():
+    """Where a run of equal sorted rows starts is worked out once, in
+    ``ingest.run_starts``."""
+    seen, stray = _owners(_sites(_is_neighbour_comparison), {"ingest.run_starts"})
+    assert seen == {"ingest.run_starts"}  # the walk sees the pattern
+    assert not stray, f"neighbour comparisons outside ingest.run_starts at {stray}"
+
+
+# numpy's transcendentals and BLAS products round as the host's SIMD loop
+# or BLAS kernel does, so an output computed with them can move between
+# hosts; floats go through ``ingest.libm`` and ``ingest.ordered_sum``
+# instead.  Each exception names why it is allowed.
+HOST_ROUNDED = {"np.exp", "np.log", "np.power", "np.sqrt", "np.dot", "np.matmul"}
+HOST_ROUNDED_OWNERS = {
+    "graph.kendall_tau": "np.sqrt is correctly rounded on every host",
+    "predict.PredictionContext.__init__": "its @ multiplies integers",
+    "classify.fit_logistic": "host-dependent: the open fault of ROADMAP.md's "
+                             "host-independent outputs item, which deletes this entry",
+}
+
+
+def _is_host_rounded(node):
+    return (_dotted(node) in HOST_ROUNDED
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+
+
+def test_no_host_rounded_numpy_floats():
+    """No module calls numpy's exp, log, power, sqrt, dot or matmul, or
+    uses ``@``, outside the allowlist, and every allowlist entry is used."""
+    seen, stray = _owners(_sites(_is_host_rounded), HOST_ROUNDED_OWNERS)
+    assert seen == set(HOST_ROUNDED_OWNERS)  # the walk sees each allowed site
+    assert not stray, f"host-rounded numpy calls at {stray}"

@@ -1,4 +1,6 @@
 import io
+import itertools
+import math
 import random
 from dataclasses import fields
 
@@ -9,10 +11,13 @@ from genonet.errors import DataError, ParseError
 from genonet.genotype import MetricKind, build_genome, node_topic_latency, pair_metrics
 from genonet.ingest import (
     build_adoption_index,
+    libm,
     load_events,
     load_follower_edges,
     load_manifest,
     load_topic_map,
+    ordered_sum,
+    run_starts,
     write_follower_edges,
     write_manifest,
 )
@@ -400,3 +405,72 @@ def test_manifest_repeated_key_or_empty_value(tmp_path, body, problem):
     mpath.write_text(body)
     with pytest.raises(ParseError, match=problem):
         load_manifest(mpath)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("terms", [
+    [], [2.5], [-0.0], [-0.0, -0.0], [-0.0, 1e-300, -1e-300], [1e16, 1.0, -1e16, 1.0],
+    [0.1] * 10, [math.inf, 1.0], [-math.inf, 2.0, math.inf], [1.0, math.nan, 2.0],
+])
+def test_ordered_sum_equals_float_sum(terms):
+    """Bit for bit, with signed zeros, infinities and NaN."""
+    assert ordered_sum(np.array(terms)).tobytes() == np.float64(oracles.float_sum(terms)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_ordered_sum_along_each_axis_equals_float_sum():
+    """Along each axis of a 3-d array, each line adds as ``float_sum`` does;
+    one line along each axis is all -0.0, and some hold inf, -inf or NaN.
+    Empty and one-term axes are covered by slicing."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(3, 4, 5)) * 10.0 ** rng.integers(-12, 13, size=(3, 4, 5))
+    a[:, 0, 0] = a[1, :, 1] = a[2, 3, :] = -0.0
+    a[0, 1, 2], a[1, 2, 3], a[2, 1, 4], a[0, 2, 2] = math.inf, -math.inf, math.nan, math.inf
+    for part in (a, a[:0], a[:, :0], a[:, :, :0], a[:1], a[:, :1], a[:, :, :1]):
+        for axis in range(3):
+            lines = np.moveaxis(part, axis, -1)
+            at = list(np.ndindex(lines.shape[:-1]))
+            want = np.array([oracles.float_sum(lines[i].tolist()) for i in at], float)
+            got = ordered_sum(part, axis)
+            assert got.shape == lines.shape[:-1], (part.shape, axis)
+            assert got.tobytes() == want.tobytes(), (part.shape, axis)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_run_starts_equals_loop(columns):
+    """Over jointly sorted columns, True exactly where a row differs from the
+    row above on some column; -0.0 and 0.0 are one value."""
+    rng = np.random.default_rng(columns)
+    pools = (np.arange(3), np.array([0.0, -0.0, 1.5]), np.arange(2))
+    for n in (0, 1, 2, 9, 80):
+        cols = [rng.choice(pool, n) for pool in pools[:columns]]
+        order = np.lexsort(cols[::-1])
+        cols = [c[order] for c in cols]
+        rows = list(zip(*(c.tolist() for c in cols)))
+        want = [i == 0 or rows[i] != rows[i - 1] for i in range(n)]
+        got = run_starts(*cols)
+        assert got.dtype == bool and got.tolist() == want, (columns, n)
+
+
+LIBM_INPUTS = [0.5, -0.0, 3.0, 0.5, 0.0, -2.25, 700.0, 1e-300, 3.0, -0.0, 0.1, 0.0, -2.25]
+
+
+@pytest.mark.parametrize("fn, args", [
+    (math.pow, (2.0,)), (math.pow, (3.0,)), (math.exp, ()), (math.log, ()),
+])
+def test_libm_equals_math_per_element(fn, args):
+    """Bit for bit with repeated inputs; -0.0 and 0.0 stay apart, which
+    ``pow(x, 3.0)`` shows.  ``log`` takes the magnitudes of the nonzero
+    inputs, since ``math.log`` raises at ±0.0."""
+    x = [abs(v) for v in LIBM_INPUTS if v] if fn is math.log else LIBM_INPUTS
+    want = np.array([fn(v, *args) for v in x])
+    got = libm(fn, np.array(x), *(itertools.repeat(a) for a in args))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_libm_raises_as_math_does(zero):
+    with pytest.raises(ValueError):
+        math.log(zero)
+    with pytest.raises(ValueError):
+        libm(math.log, np.array([1.0, zero, 1.0]))
