@@ -26,7 +26,7 @@ from .graph import (
     strongly_connected_components,
     weakly_connected_components,
 )
-from .ingest import AdoptionIndex, TopicMap, touched_ids
+from .ingest import AdoptionIndex, touched_ids
 
 __all__ = [
     "InfluenceBackbone",
@@ -100,10 +100,9 @@ def topic_backbone(index: AdoptionIndex, in_topic: np.ndarray) -> tuple[np.ndarr
     return keys, np.bincount(edge, minlength=len(keys)), edge, tag[on]
 
 
-def extract_backbone(topic: str, index: AdoptionIndex, topics: TopicMap) -> InfluenceBackbone:
+def extract_backbone(topic: str, index: AdoptionIndex) -> InfluenceBackbone:
     """Backbone for one topic: the sum of its hashtags' precedence edges."""
-    in_topic = topics.topic_ids(index.hashtags) == topics.topic_id(topic)
-    keys, weight, _, _ = topic_backbone(index, in_topic)
+    keys, weight, _, _ = topic_backbone(index, index.hashtag_topic == index.topic_id(topic))
     return InfluenceBackbone(topic=topic, users=index.users, keys=keys, weight=weight)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError
 from .genotype import MetricKind, PairMetrics
-from .ingest import TopicMap, libm, ordered_sum
+from .ingest import libm, ordered_sum
 
 __all__ = [
     "ErrorTable",
@@ -161,7 +161,7 @@ def _train_and_score(
     return trained, evidence
 
 
-def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> LooData:
+def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     """Retrain every user affected by each held-out hashtag, once per metric.
 
     ``pairs`` is :func:`genonet.genotype.pair_metrics` of the dataset;
@@ -176,7 +176,7 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics, topics: TopicMap) -> Loo
     held-out slot from training and scores all their slots at once, so
     only one fold's arrays exist at a time.
     """
-    topic_order = topics.topics
+    topic_order = pairs.topics
     k = len(topic_order)
     if k == 0:
         raise DataError("the topic map has no topics")

@@ -112,7 +112,7 @@ def _outdir(args) -> Path:
 
 def _load(args):
     net, events, topics = load_dataset(Path(args.manifest))
-    return topics, build_adoption_index(events, net)
+    return build_adoption_index(events, net, topics)
 
 
 # --- commands -------------------------------------------------------------
@@ -121,8 +121,8 @@ def _load(args):
 def cmd_ingest_check(args) -> None:
     out = _outdir(args)
     net, events, topics = load_dataset(Path(args.manifest))
-    index = build_adoption_index(events, net)
-    unmapped = np.flatnonzero(topics.topic_ids(events.hashtags) == len(topics.topics))
+    index = build_adoption_index(events, net, topics)
+    unmapped = np.flatnonzero(index.hashtag_topic == len(index.topics))
     doc = {
         "nodes": len(net.nodes),
         "edges": len(net.keys),
@@ -130,11 +130,11 @@ def cmd_ingest_check(args) -> None:
         "users_posting": len(events.users),
         "hashtags_seen": len(events.hashtags),
         "hashtags_mapped": len(topics.hashtags),
-        "unmapped_hashtags": [events.hashtags[i] for i in unmapped.tolist()],
+        "unmapped_hashtags": [index.hashtags[i] for i in unmapped.tolist()],
         "skipped_event_lines": events.skipped_lines,
         "adopted_pairs": len(index.first_use),
         "exposed_pairs": index.exposed_pairs,
-        "topics": list(topics.topics),
+        "topics": list(index.topics),
     }
     _write_json(out / "ingest_check.json", _provenance(args), doc)
 
@@ -143,8 +143,7 @@ def cmd_genome(args) -> None:
     from . import genotype as gt
 
     out = _outdir(args)
-    topics, index = _load(args)
-    genome = gt.build_genome(index, topics)
+    genome = gt.build_genome(_load(args))
     prov = _provenance(args, _ANY_WORKERS)
     _write_tsv(out / "genome_values.tsv", prov, lambda fh: gt.write_genome_values(genome, fh))
     _write_tsv(
@@ -156,15 +155,15 @@ def cmd_backbone(args) -> None:
     from . import backbone as bb
 
     out = _outdir(args)
-    topics, index = _load(args)
-    wanted = [args.topic] if args.topic else list(topics.topics)
+    index = _load(args)
+    wanted = [args.topic] if args.topic else list(index.topics)
     longest = os.pathconf(out, "PC_NAME_MAX")
     for t in wanted:  # each topic names two files, so all are checked first
-        topics.topic_id(t)
+        index.topic_id(t)
         if "/" in t or "\0" in t or len(f"backbone_report_{t}.json".encode()) > longest:
             raise DataError(f"topic {t!r} cannot name an output file")
     prov = _provenance(args, _ANY_WORKERS)
-    backbones = {t: bb.extract_backbone(t, index, topics) for t in wanted}
+    backbones = {t: bb.extract_backbone(t, index) for t in wanted}
     for t, b in backbones.items():
         _write_tsv(out / f"backbone_{t}.tsv", prov, lambda fh, b=b: bb.write_backbone_tsv(b, fh))
         if len(b.keys):
@@ -199,7 +198,6 @@ def cmd_classify(args) -> None:
     from . import classify as cl
     from . import genotype as gt
 
-    out = _outdir(args)
     metrics = _parse_metrics(args.metric)
     sizes = None
     if args.ensemble_sizes:
@@ -209,13 +207,13 @@ def cmd_classify(args) -> None:
             raise UsageError(f"bad --ensemble-sizes: {exc}") from exc
         if args.seed is None:
             raise UsageError("--seed is required with --ensemble-sizes")
-    topics, index = _load(args)
+    out = _outdir(args)
+    pairs = gt.pair_metrics(_load(args))
     results: dict[str, cl.LeaveOneOutResult] = {}
     curves: dict[str, cl.AccuracyCurve] = {}
     fits: dict[str, dict] = {}
-    pairs = gt.pair_metrics(index, topics)
     for metric in metrics:
-        data = cl.prepare_loo(metric, pairs, topics)
+        data = cl.prepare_loo(metric, pairs)
         results[metric.value] = cl.leave_one_out(data)
         if sizes:
             curve = cl.accuracy_curve(data, sizes, args.repetitions, args.seed)
@@ -228,7 +226,7 @@ def cmd_classify(args) -> None:
     prov = _provenance(args)
     for split in ("test", "train"):
         _write_tsv(out / f"error_table_{split}.tsv", prov,
-                   lambda fh, split=split: cl.write_error_tables(results, topics.topics, split, fh))
+                   lambda fh, split=split: cl.write_error_tables(results, pairs.topics, split, fh))
     skipped = {m: list(r.skipped) for m, r in results.items() if r.skipped}
     _write_json(out / "classify_summary.json", prov, {"skipped_hashtags": skipped})
     if sizes:
@@ -244,8 +242,7 @@ def cmd_predict(args) -> None:
     from . import predict as pr
 
     out = _outdir(args)
-    topics, index = _load(args)
-    ctx = pr.PredictionContext(index, topics)
+    ctx = pr.PredictionContext(_load(args))
     results = []
     for direction in pr.Direction:
         if args.direction in ("both", direction.value):
@@ -263,9 +260,9 @@ def cmd_latmin(args) -> None:
     from . import latmin as lm
 
     out = _outdir(args)
-    topics, index = _load(args)
-    user, mean = gt.node_topic_latency(index, topics, args.topic)  # checks the topic
-    b = bb.extract_backbone(args.topic, index, topics)
+    index = _load(args)
+    user, mean = gt.node_topic_latency(index, args.topic)  # checks the topic
+    b = bb.extract_backbone(args.topic, index)
     if not len(b.keys):
         raise DataError(f"backbone for topic {args.topic!r} is empty")
     graph, lat = lm.latency_component(b.graph, user, mean, strict=not args.permissive)
@@ -336,6 +333,7 @@ def _parse_profiles(path: str | None, n_topics: int) -> tuple[sg.TopicProfile, .
 def cmd_syngen(args) -> None:
     from . import syngen as sg
 
+    profiles = _parse_profiles(args.profiles_file, args.topics)
     out = _outdir(args)
     params = sg.GenParams(
         n_users=args.users,
@@ -346,7 +344,7 @@ def cmd_syngen(args) -> None:
         n_topics=args.topics,
         hashtags_per_topic=args.hashtags_per_topic,
         cascades_per_hashtag=args.cascades,
-        topic_profiles=_parse_profiles(args.profiles_file, args.topics),
+        topic_profiles=profiles,
     )
     dataset = sg.generate(params)
     dataset.write(out)
@@ -447,7 +445,7 @@ def build_parser() -> _Parser:
         default="uniform-random",
     )
     p.add_argument("--edge-prob", type=float, default=0.08)
-    p.add_argument("--attach-count", type=int, default=1)
+    p.add_argument("--attach-count", type=_positive_int, default=1)
     p.add_argument("--profiles-file", default=None)
 
     add("report", cmd_report, needs_manifest=False)

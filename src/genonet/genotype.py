@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError
-from .ingest import AdoptionIndex, TopicMap, gather_rows, libm, row_sums, run_starts
+from .ingest import AdoptionIndex, gather_rows, libm, row_sums, run_starts
 
 __all__ = [
     "MetricKind",
@@ -79,7 +79,7 @@ class Genome:
     mean: np.ndarray
 
 
-def _lat_counts(index: AdoptionIndex, tag_topic: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _lat_counts(index: AdoptionIndex, pairs: np.ndarray) -> np.ndarray:
     """Per pair, the posts by the user's followees with a hashtag of the
     pair's topic and a time strictly between first exposure and first use.
 
@@ -89,7 +89,7 @@ def _lat_counts(index: AdoptionIndex, tag_topic: np.ndarray, pairs: np.ndarray) 
     posts with two binary searches in the sorted keys.
     """
     times, time_rank = np.unique(index.event_time, return_inverse=True)
-    n, width = len(index.users), len(times)
+    n, width, tag_topic = len(index.users), len(times), index.hashtag_topic
     groups, group_rank = np.unique(
         tag_topic[index.event_hashtag] * n + index.event_user, return_inverse=True
     )
@@ -116,15 +116,16 @@ class PairMetrics:
     """The six metrics of every adopted pair whose hashtag has a topic.
 
     One row per pair in the index's first-use order: int64 ids into
-    ``users``, ``hashtags`` (the index's names) and the topic map's
-    ``topics``, and one float64 ``values`` column per :class:`MetricKind`
-    in declaration order, NaN where a metric is undefined.  No defined
-    value is NaN: TIME, N-USES and N-PAR are positive integers, F-PAR and
-    LAT lie in (0, 1] and LOG-LAT is finite.
+    ``users``, ``hashtags`` and ``topics`` (the index's names), and one
+    float64 ``values`` column per :class:`MetricKind` in declaration
+    order, NaN where a metric is undefined.  No defined value is NaN:
+    TIME, N-USES and N-PAR are positive integers, F-PAR and LAT lie in
+    (0, 1] and LOG-LAT is finite.
     """
 
     users: tuple[str, ...]
     hashtags: tuple[str, ...]
+    topics: tuple[str, ...]
     user: np.ndarray
     hashtag: np.ndarray
     topic: np.ndarray
@@ -152,20 +153,20 @@ def _groups(keys: tuple[np.ndarray, ...], values: np.ndarray) -> tuple:
     return [g[starts] for g in groups], ptr, values, mean
 
 
-def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
+def pair_metrics(index: AdoptionIndex) -> PairMetrics:
     """The metric table of every adopted pair whose hashtag has a topic.
 
     N-USES is defined for every row; TIME, N-PAR, F-PAR, LAT and LOG-LAT
     where a followee adopted the hashtag strictly before the user.  A
     hashtag's mean LAT adds its values in row order.
     """
-    tag_topic = topics.topic_ids(index.hashtags)
-    pairs = np.flatnonzero(tag_topic[index.pair_hashtag] < len(topics.topics))
+    topic = index.hashtag_topic[index.pair_hashtag]
+    pairs = np.flatnonzero(topic < len(index.topics))
     user, tag = index.pair_user[pairs], index.pair_hashtag[pairs]
     n_prior = np.diff(index.prior_ptr)[pairs]
     reacted = np.flatnonzero(n_prior)
     prior, adopted = n_prior[reacted], pairs[reacted]
-    lat = 1.0 / np.maximum(1, _lat_counts(index, tag_topic, adopted))
+    lat = 1.0 / np.maximum(1, _lat_counts(index, adopted))
     mean_lat = np.ones(len(index.hashtags))
     (lat_tags,), _, _, means = _groups((tag[reacted], reacted), lat)
     mean_lat[lat_tags] = means
@@ -177,30 +178,29 @@ def pair_metrics(index: AdoptionIndex, topics: TopicMap) -> PairMetrics:
     f_par_col[reacted] = prior / np.diff(index.followee_ptr)[user[reacted]]
     lat_col[reacted] = lat
     log_lat_col[reacted] = libm(math.log, lat / mean_lat[tag[reacted]])
-    return PairMetrics(index.users, index.hashtags, user, tag, tag_topic[tag], columns.T)
+    return PairMetrics(index.users, index.hashtags, index.topics,
+                       user, tag, topic[pairs], columns.T)
 
 
-def build_genome(index: AdoptionIndex, topics: TopicMap) -> Genome:
+def build_genome(index: AdoptionIndex) -> Genome:
     """The metric cells of every user with a topical adoption."""
-    table = pair_metrics(index, topics)
+    table = pair_metrics(index)
     row, kind = np.nonzero(~np.isnan(table.values))
-    names = tuple(sorted(topics.topics))
+    names = tuple(sorted(index.topics))
     metrics = tuple(sorted(MetricKind, key=lambda k: k.value))
     kind_id = np.array([metrics.index(k) for k in MetricKind])
     (user, topic, kind), ptr, values, mean = _groups(
-        (table.user[row], topics.rank[table.topic[row]], kind_id[kind], table.hashtag[row]),
+        (table.user[row], index.topic_rank[table.topic[row]], kind_id[kind], table.hashtag[row]),
         table.values[row, kind],
     )
     return Genome(index.users, names, metrics, user, topic, kind, ptr, values, mean)
 
 
-def node_topic_latency(
-    index: AdoptionIndex, topics: TopicMap, topic: str
-) -> tuple[np.ndarray, np.ndarray]:
+def node_topic_latency(index: AdoptionIndex, topic: str) -> tuple[np.ndarray, np.ndarray]:
     """The ascending ids of the users with a TIME value on one topic, and
     each one's mean TIME.  The values group as the genome's cells do, so
     each mean equals the user's TIME cell mean exactly."""
-    in_topic = topics.topic_ids(index.hashtags) == topics.topic_id(topic)
+    in_topic = index.hashtag_topic == index.topic_id(topic)
     pairs = np.flatnonzero(in_topic[index.pair_hashtag] & (index.first_exposure >= 0))
     time = (index.first_use[pairs] - index.first_exposure[pairs]).astype(float)
     (user,), _, _, mean = _groups((index.pair_user[pairs], index.pair_hashtag[pairs]), time)

@@ -16,9 +16,9 @@ loader interns its own file once, through :func:`intern`: a name's id is
 its position among the file's sorted distinct names, so id order is name
 order, and every tie-break by id downstream is a tie-break by name.  The
 one exception is topic ids, which follow the topics' first appearance
-in ``topics.tsv``: :class:`TopicMap` decides here, once, which topic each
-hashtag has, and every other module reads its id column.  Nothing here
-is modified after construction.
+in ``topics.tsv``: :func:`build_adoption_index` decides, once, which topic
+each index hashtag has, and every other module reads the index's id
+column.  Nothing here is modified after construction.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class TopicMap:
     ``hashtags`` are the sorted mapped names and ``topic[i]`` is
     ``hashtags[i]``'s id into ``topics``.  Topics keep their order of
     first appearance in the source, which fixes classify's column order
-    and tie-breaks; ``rank`` is each topic's position in name order.
+    and tie-breaks.
     """
 
     hashtags: tuple[str, ...]
@@ -154,23 +154,12 @@ class TopicMap:
         by_name = np.argsort(intern(topics)[1])
         return cls(hashtags, by_name[intern(rows[h] for h in hashtags)[1]], topics)
 
-    @cached_property
-    def rank(self) -> np.ndarray:
-        """Each topic's position among the topic names in sorted order."""
-        return intern(self.topics)[1]
-
     def topic_ids(self, hashtags: Sequence[str]) -> np.ndarray:
         """Each hashtag's topic id; ``len(topics)`` for one without a topic."""
         labels, ids = intern(self.hashtags + tuple(hashtags))
         column = np.full(len(labels), len(self.topics))
         column[ids[:len(self.hashtags)]] = self.topic
         return column[ids[len(self.hashtags):]]
-
-    def topic_id(self, name: str) -> int:
-        """The id of topic ``name``, which must be in the map."""
-        if name not in self.topics:
-            raise DataError(f"unknown topic {name!r}; dataset has {list(self.topics)}")
-        return self.topics.index(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +168,10 @@ class AdoptionIndex:
 
     ``users`` is the sorted union of ``net.nodes`` and ``events.users``,
     ``hashtags`` is ``events.hashtags``; ids are positions in them, so id
-    order is name order, as in every loader.  The columns:
+    order is name order, as in every loader.  ``topics`` are the topic
+    map's names in first-appearance order.  The columns:
 
+    * ``hashtag_topic``: each hashtag's topic id, ``len(topics)`` for none;
     * ``event_time``, ``event_user``, ``event_hashtag``: the log, sorted by
       (time, user, hashtag);
     * ``followee_ptr``/``followee_ids`` and ``follower_ptr``/``follower_ids``:
@@ -198,6 +189,8 @@ class AdoptionIndex:
 
     users: tuple[str, ...]
     hashtags: tuple[str, ...]
+    topics: tuple[str, ...]
+    hashtag_topic: np.ndarray
     event_time: np.ndarray
     event_user: np.ndarray
     event_hashtag: np.ndarray
@@ -221,6 +214,17 @@ class AdoptionIndex:
         return (
             np.repeat(self.pair_hashtag, sizes), self.prior_ids, np.repeat(self.pair_user, sizes)
         )
+
+    @cached_property
+    def topic_rank(self) -> np.ndarray:
+        """Each topic's position among the topic names in sorted order."""
+        return intern(self.topics)[1]
+
+    def topic_id(self, name: str) -> int:
+        """The id of topic ``name``, which must be in the topic map."""
+        if name not in self.topics:
+            raise DataError(f"unknown topic {name!r}; dataset has {list(self.topics)}")
+        return self.topics.index(name)
 
 
 def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,9 +361,9 @@ def load_topic_map(source: Iterable[str]) -> TopicMap:
     return TopicMap.from_rows(rows)
 
 
-def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionIndex:
-    """Remap both files' ids into the union of their users and derive
-    every pair column.
+def build_adoption_index(events: EventLog, net: FollowerNetwork, topics: TopicMap) -> AdoptionIndex:
+    """Remap both files' ids into the union of their users, look up each
+    hashtag's topic and derive every pair column.
 
     The remap is monotone, so the follow keys stay sorted and the log
     stays in (time, user, hashtag) order.  One join of each hashtag's
@@ -409,7 +413,7 @@ def build_adoption_index(events: EventLog, net: FollowerNetwork) -> AdoptionInde
     has_prior = np.flatnonzero(np.diff(prior_ptr))
     first_exposure[has_prior] = first_use[source[prior_ptr[has_prior]]]
     return AdoptionIndex(
-        users, hashtags, time, user, tag,
+        users, hashtags, topics.topics, topics.topic_ids(hashtags), time, user, tag,
         followee_ptr, src[by_followee], follower_ptr, follower_ids,
         pair_user, pair_hashtag, first_use, use_count, first_exposure,
         prior_ptr, pair_user[source], exposed,

@@ -20,8 +20,7 @@ from . import backbone as bb
 from .errors import DataError
 from .graph import csr_rows, pagerank
 from .ingest import (
-    AdoptionIndex, TopicMap, gather_rows, in_sorted, ordered_sum, row_sums, run_starts,
-    touched_ids,
+    AdoptionIndex, gather_rows, in_sorted, ordered_sum, row_sums, run_starts, touched_ids,
 )
 
 __all__ = [
@@ -57,11 +56,9 @@ class PredictionContext:
     ``index``.
     """
 
-    def __init__(self, index: AdoptionIndex, topics: TopicMap):
-        self.index, self.topics = index, topics
-        n, n_tags, n_topics = len(index.users), len(index.hashtags), len(topics.topics)
-        # a hashtag without a topic counts in an extra last topic column
-        self.hashtag_topic = topics.topic_ids(index.hashtags)
+    def __init__(self, index: AdoptionIndex):
+        self.index = index
+        n, n_tags, n_topics = len(index.users), len(index.hashtags), len(index.topics)
         self.followees, self.followers = np.diff(index.followee_ptr), np.diff(index.follower_ptr)
         src, dst = index.followee_ids, np.repeat(np.arange(n), self.followees)
         follow = dst * n + src  # ascending: rows by follower, followees sorted
@@ -69,7 +66,8 @@ class PredictionContext:
         uses = np.bincount(index.event_user * n_tags + index.event_hashtag, minlength=n * n_tags)
         self.uses = uses.reshape(n, n_tags)
         self.activity = self.uses.sum(axis=1)
-        self.topic_activity = self.uses @ (self.hashtag_topic[:, None] == np.arange(n_topics + 1))
+        # a hashtag without a topic counts in an extra last topic column
+        self.topic_activity = self.uses @ (index.hashtag_topic[:, None] == np.arange(n_topics + 1))
         self._topic_backbones: dict[int, tuple] = {}
         self._excluded: dict[int, np.ndarray] = {}
 
@@ -83,11 +81,11 @@ class PredictionContext:
         once per hashtag.
         """
         if tag not in self._excluded:
-            topic, n = int(self.hashtag_topic[tag]), len(self.index.users)
-            if topic == len(self.topics.topics):
+            topic, n = int(self.index.hashtag_topic[tag]), len(self.index.users)
+            if topic == len(self.index.topics):
                 raise DataError(f"hashtag {self.index.hashtags[tag]!r} has no topic")
             if topic not in self._topic_backbones:
-                backbone = bb.topic_backbone(self.index, self.hashtag_topic == topic)
+                backbone = bb.topic_backbone(self.index, self.index.hashtag_topic == topic)
                 self._topic_backbones[topic] = backbone
             keys, weight, edge, tags = self._topic_backbones[topic]
             kept = keys[weight > np.bincount(edge[tags == tag], minlength=len(keys))]
@@ -104,7 +102,7 @@ class InstanceTable:
 
     Instance ``i`` owns slots ``indptr[i]:indptr[i + 1]``: its candidates'
     user ids and positive flags.  The other columns hold instance ids;
-    ``topic`` indexes ``TopicMap.topics``.
+    ``topic`` indexes ``AdoptionIndex.topics``.
     """
 
     indptr: np.ndarray
@@ -142,14 +140,14 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     else:
         owner, indptr, lists = prior_followee, index.follower_ptr, index.follower_ids
     user, tag = index.pair_user, index.pair_hashtag
-    topic = ctx.hashtag_topic[tag]
+    topic = index.hashtag_topic[tag]
     # the filters that need no candidate slot run first
     keep = np.flatnonzero(
-        (topic < len(ctx.topics.topics))
+        (topic < len(index.topics))
         & (ctx.followees[user] >= MIN_FOLLOWEES)
         & in_sorted(tag * n + user, np.sort(prior_tag * n + owner))  # a non-empty truth
     )
-    rows = keep[np.lexsort((user[keep], tag[keep], ctx.topics.rank[topic[keep]]))]
+    rows = keep[np.lexsort((user[keep], tag[keep], index.topic_rank[topic[keep]]))]
     user, tag = user[rows], tag[rows]
     indptr, slots = gather_rows(indptr, user)
     cand = lists[slots]
@@ -180,7 +178,7 @@ def score_candidates(
     uses = context.uses[cand, tag]
     if kind is PredictorKind.ACT:
         return (context.activity[cand] - uses).astype(float)
-    own = context.hashtag_topic[tag] == topic
+    own = context.index.hashtag_topic[tag] == topic
     topic_act = (context.topic_activity[cand, topic] - uses * own).astype(float)
     if kind is PredictorKind.TOPIC_ACT:
         return topic_act
@@ -244,7 +242,7 @@ def evaluate(
     """
     positives = row_sums(table.truth, table.indptr)
     table = table.take((positives > 0) & (positives < np.diff(table.indptr)))
-    names = context.topics.topics
+    names = context.index.topics
     groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))
     results = []
     for kind in PredictorKind:

@@ -16,5 +16,5 @@ def toy():
         ["10\tA\t#x", "12\tC\t#x", "14\tC\t#y", "20\tB\t#x", "21\tB\t#x"]
     )
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
     return net, events, topics, index

@@ -1588,7 +1588,7 @@ def instance_table(instances, context):
         truth=np.array([c in i.truth for c, i in slots], bool),
         user=np.array([ids[i.user] for i in instances], np.int64),
         hashtag=np.array([context.index.hashtags.index(i.hashtag) for i in instances], np.int64),
-        topic=np.array([context.topics.topics.index(i.topic) for i in instances], np.int64),
+        topic=np.array([context.index.topics.index(i.topic) for i in instances], np.int64),
     )
 
 
@@ -1600,7 +1600,7 @@ def table_instances(table, context, direction):
         cands = [users[c] for c in table.candidate[rows].tolist()]
         out.append(PredictionInstance(
             users[table.user[i]], context.index.hashtags[table.hashtag[i]],
-            context.topics.topics[table.topic[i]], direction, tuple(cands),
+            context.index.topics[table.topic[i]], direction, tuple(cands),
             frozenset(c for c, t in zip(cands, table.truth[rows].tolist()) if t),
         ))
     return out

@@ -78,12 +78,12 @@ def test_criterion_1_metric_oracle_equivalence():
             net = load_follower_edges(edge_lines)
             events = load_events(event_lines)
             topics = load_topic_map(topic_lines)
-            index = build_adoption_index(events, net)
+            index = build_adoption_index(events, net, topics)
 
             oracle = oracles.MetricOracle(
                 oracles.named(events).events, oracles.named(net).edges, oracles.assignment(topics)
             )
-            rows = oracles.metric_rows(pair_metrics(index, topics))
+            rows = oracles.metric_rows(pair_metrics(index))
             exact = {
                 MetricKind.TIME: oracle.time,
                 MetricKind.N_USES: oracle.n_uses,
@@ -158,7 +158,7 @@ def test_criterion_2_graph_kernel_equivalence():
 def _lat_separation(d, index) -> float:
     by_topic: dict = {}
     topic_of = oracles.assignment(d.topics)
-    for (u, h), row in oracles.metric_rows(pair_metrics(index, d.topics)).items():
+    for (u, h), row in oracles.metric_rows(pair_metrics(index)).items():
         if MetricKind.LAT in row:
             by_topic.setdefault(topic_of[h], []).append(row[MetricKind.LAT])
     means = []
@@ -180,11 +180,11 @@ def test_criterion_3_classification_recovery():
         # separated classes: expected error at most 0.15
         for seed in (0, 1):
             d = generate(datasets.classification_params(seed))
-            index = build_adoption_index(d.events, d.network)
+            index = build_adoption_index(d.events, d.network, d.topics)
             sep = _lat_separation(d, index)
             assert sep >= 3.0, f"planted separation {sep:.2f} below 3 sigma"
-            pairs = pair_metrics(index, d.topics)
-            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
+            pairs = pair_metrics(index)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs))
             assert res.test.expected <= 0.15, res.test
         # zero separation: E[x] within +-0.1 of the Random baseline over 5 seeds
         diffs = []
@@ -192,9 +192,9 @@ def test_criterion_3_classification_recovery():
             d = generate(
                 datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
             )
-            index = build_adoption_index(d.events, d.network)
-            pairs = pair_metrics(index, d.topics)
-            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs, d.topics))
+            index = build_adoption_index(d.events, d.network, d.topics)
+            pairs = pair_metrics(index)
+            res = leave_one_out(prepare_loo(MetricKind.LAT, pairs))
             diffs.append(res.test.expected - res.random.expected)
         assert abs(float(np.mean(diffs))) <= 0.1, diffs
 
@@ -209,10 +209,10 @@ def test_criterion_4_ensemble_effect():
         mean_points = np.zeros(len(sizes))
         for seed in range(5):
             d = generate(datasets.classification_params(seed))
-            index = build_adoption_index(d.events, d.network)
-            pairs = pair_metrics(index, d.topics)
+            index = build_adoption_index(d.events, d.network, d.topics)
+            pairs = pair_metrics(index)
             curve = accuracy_curve(
-                prepare_loo(MetricKind.LAT, pairs, d.topics),
+                prepare_loo(MetricKind.LAT, pairs),
                 sizes=sizes, repetitions=5, seed=seed + 40,
             )
             pts = dict(curve.points)
@@ -230,8 +230,8 @@ def test_criterion_4_ensemble_effect():
 def test_criterion_5_predictor_ordering():
     with criterion(5, "predictor ordering"):
         d = generate(datasets.activity_params(3))
-        index = build_adoption_index(d.events, d.network)
-        ctx = PredictionContext(index, d.topics)
+        index = build_adoption_index(d.events, d.network, d.topics)
+        ctx = PredictionContext(index)
         table = build_instances(Direction.INFLUENCER, ctx)
         instances = oracles.table_instances(table, ctx, Direction.INFLUENCER)
         means = {}

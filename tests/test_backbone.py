@@ -21,7 +21,7 @@ import oracles
 
 def test_extract_toy(toy):
     net, _events, topics, index = toy
-    b = extract_backbone("T", index, topics)
+    b = extract_backbone("T", index)
     assert oracles.backbone_edges(b) == {("A", "B"): 1, ("C", "B"): 1}
     assert {b.users[u] for u in b.graph.nodes} == {"A", "B", "C"}
 
@@ -29,15 +29,15 @@ def test_extract_toy(toy):
 def test_unknown_topic(toy):
     net, _events, topics, index = toy
     with pytest.raises(DataError):
-        extract_backbone("nope", index, topics)
+        extract_backbone("nope", index)
 
 
 def test_empty_topic_gives_empty_backbone():
     net = load_follower_edges(["A\tB"])
     events = load_events(["5\tA\t#x"])
     topics = load_topic_map(["x\tT", "z\tquiet"])
-    index = build_adoption_index(events, net)
-    b = extract_backbone("quiet", index, topics)
+    index = build_adoption_index(events, net, topics)
+    b = extract_backbone("quiet", index)
     assert oracles.backbone_edges(b) == {}
 
 
@@ -46,8 +46,8 @@ def test_reversed_times_remove_edges():
     # reverse the T1 timeline: B now adopts first
     events = load_events(["1\tB\t#x", "2\tB\t#x", "8\tC\t#y", "10\tC\t#x", "12\tA\t#x"])
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
-    b = extract_backbone("T", index, topics)
+    index = build_adoption_index(events, net, topics)
+    b = extract_backbone("T", index)
     assert oracles.backbone_edges(b) == {}
 
 
@@ -62,11 +62,11 @@ def test_backbones_equal_edge_scan_oracle():
         net = load_follower_edges(edge_lines)
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
+        index = build_adoption_index(events, net, topics)
         triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
             hashtags = oracles.hashtags_for(topics, topic)
-            b = extract_backbone(topic, index, topics)
+            b = extract_backbone(topic, index)
             assert oracles.backbone_edges(b) == oracles.backbone_weights(triples, edges, hashtags)
 
 
@@ -77,10 +77,10 @@ def test_backbone_subset_of_follower_and_weight_bound():
         net = load_follower_edges(edge_lines)
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
+        index = build_adoption_index(events, net, topics)
         first_use = oracles.index_dicts(index)["first_use"]
         for topic in topics.topics:
-            b = extract_backbone(topic, index, topics)
+            b = extract_backbone(topic, index)
             weights = oracles.backbone_edges(b)
             assert weights.keys() <= oracles.named(net).edges
             for (u, _v), w in weights.items():
@@ -92,7 +92,7 @@ def test_backbone_subset_of_follower_and_weight_bound():
 
 def test_compare_with_follower_toy(toy):
     net, _events, topics, index = toy
-    report = compare_with_follower(extract_backbone("T", index, topics), index)
+    report = compare_with_follower(extract_backbone("T", index), index)
     assert report.jaccard == 1.0
     assert report.wcc_fraction["influence"] == 1.0
     assert report.wcc_fraction["follower"] == 1.0
@@ -117,10 +117,10 @@ def test_compare_with_follower_equals_name_oracle():
         net = load_follower_edges(edge_lines + ["u00_isolated", "zz_isolated"])
         events = load_events(event_lines + ["3\tloner\th0", "9\tu0\th0"])
         topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
+        index = build_adoption_index(events, net, topics)
         assert {"loner", "u00_isolated", "zz_isolated"} <= set(index.users)
         for topic in topics.topics:
-            b = extract_backbone(topic, index, topics)
+            b = extract_backbone(topic, index)
             weights = oracles.backbone_edges(b)
             if not weights:
                 continue
@@ -136,17 +136,17 @@ def test_compare_empty_backbone_errors():
     net = load_follower_edges(["A\tB"])
     events = load_events(["5\tA\t#x"])
     topics = load_topic_map(["x\tT"])
-    index = build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
     with pytest.raises(DataError):
-        compare_with_follower(extract_backbone("T", index, topics), index)
+        compare_with_follower(extract_backbone("T", index), index)
 
 
 def test_follower_counterpart_restricted_to_touched_nodes():
     net = load_follower_edges(["A\tB", "C\tB", "D\tE"])
     events = load_events(["0\tA\t#x", "5\tB\t#x"])
     topics = load_topic_map(["x\tT"])
-    index = build_adoption_index(events, net)
-    report = compare_with_follower(extract_backbone("T", index, topics), index)
+    index = build_adoption_index(events, net, topics)
+    report = compare_with_follower(extract_backbone("T", index), index)
     # only the A-B edge carries precedence; C and D/E are untouched
     assert report.influence_edges == 1
     assert report.follower_edges == 1
@@ -159,9 +159,9 @@ def test_cross_topic_overlap():
         ["0\ta\t#x", "1\tb\t#x", "2\tc\t#x", "0\tb\t#y", "1\tc\t#y", "2\td\t#y"]
     )
     topics = load_topic_map(["x\tT1", "y\tT2"])
-    index = build_adoption_index(events, net)
-    b1 = extract_backbone("T1", index, topics)
-    b2 = extract_backbone("T2", index, topics)
+    index = build_adoption_index(events, net, topics)
+    b1 = extract_backbone("T1", index)
+    b2 = extract_backbone("T2", index)
     assert oracles.backbone_edges(b1) == {("a", "b"): 1, ("b", "c"): 1}
     assert oracles.backbone_edges(b2) == {("b", "c"): 1, ("c", "d"): 1}
     overlap = cross_topic_overlap([b1, b2])
@@ -172,7 +172,7 @@ def test_cross_topic_overlap():
 
 def test_cross_topic_overlap_identical_and_disjoint(toy):
     net, _events, topics, index = toy
-    b = extract_backbone("T", index, topics)
+    b = extract_backbone("T", index)
     same = cross_topic_overlap([b, b])
     assert same.values[0][1] == 1.0
     with pytest.raises(DataError):
@@ -183,9 +183,9 @@ def test_cross_topic_overlap_edge_disjoint():
     net = load_follower_edges(["a\tb", "c\td"])
     events = load_events(["0\ta\t#x", "5\tb\t#x", "0\tc\t#y", "5\td\t#y"])
     topics = load_topic_map(["x\tT1", "y\tT2"])
-    index = build_adoption_index(events, net)
-    b1 = extract_backbone("T1", index, topics)
-    b2 = extract_backbone("T2", index, topics)
+    index = build_adoption_index(events, net, topics)
+    b1 = extract_backbone("T1", index)
+    b2 = extract_backbone("T2", index)
     assert oracles.backbone_edges(b1) and oracles.backbone_edges(b2)
     overlap = cross_topic_overlap([b1, b2])
     assert overlap.values[0][1] == 0.0

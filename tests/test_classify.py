@@ -162,12 +162,12 @@ def test_nb_consensus_prior_counts_once():
 
 def _dataset(params):
     d = generate(params)
-    index = build_adoption_index(d.events, d.network)
+    index = build_adoption_index(d.events, d.network, d.topics)
     return d, index
 
 
 def _pairs(d, index):
-    return pair_metrics(index, d.topics)
+    return pair_metrics(index)
 
 
 def _column(metric, pairs):
@@ -177,7 +177,7 @@ def _column(metric, pairs):
 
 def test_loo_perfectly_separated_zero_error():
     d, index = _dataset(datasets.time_separated_params(0))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index)))
     for topic, err in res.test.per_topic.items():
         assert err == 0.0, f"{topic}: {err}"
     assert res.test.expected == 0.0
@@ -185,7 +185,7 @@ def test_loo_perfectly_separated_zero_error():
 
 def test_loo_train_error_low_on_separated_data():
     d, index = _dataset(datasets.time_separated_params(1))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index)))
     assert res.train.expected <= 0.05
 
 
@@ -197,8 +197,8 @@ def test_loo_shuffled_labels_match_random_baseline():
         labels = d.topics.topic.tolist()
         rng.shuffle(labels)
         shuffled = TopicMap(d.topics.hashtags, np.array(labels), d.topics.topics)
-        pairs = pair_metrics(index, shuffled)
-        res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, shuffled))
+        pairs = pair_metrics(build_adoption_index(d.events, d.network, shuffled))
+        res = leave_one_out(prepare_loo(MetricKind.TIME, pairs))
         diffs.append(res.test.expected - res.random.expected)
     assert abs(np.mean(diffs)) <= 0.1
     assert max(abs(x) for x in diffs) <= 0.25
@@ -212,7 +212,7 @@ def test_zero_separation_indistinguishable_from_random():
         d, index = _dataset(
             datasets.classification_params(seed, shifts=datasets.FLAT_SHIFTS)
         )
-        res = leave_one_out(prepare_loo(MetricKind.LAT, _pairs(d, index), d.topics))
+        res = leave_one_out(prepare_loo(MetricKind.LAT, _pairs(d, index)))
         n = sum(res.test.counts.values())
         correct = round((1 - res.test.expected) * n)
         p0 = sum((c / n) ** 2 for c in res.test.counts.values())
@@ -222,7 +222,7 @@ def test_zero_separation_indistinguishable_from_random():
 def test_random_baseline_even_shares():
     params = datasets.time_separated_params(2, n_topics=2)
     d, index = _dataset(params)
-    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index)))
     for err in res.random.per_topic.values():
         assert err == pytest.approx(0.5)
 
@@ -300,7 +300,7 @@ def _seeded_logs():
                                for line in topic_lines]
             net, events = load_follower_edges(edge_lines), load_events(event_lines)
             topics = load_topic_map(topic_lines)
-            yield pair_metrics(build_adoption_index(events, net), topics), topics
+            yield pair_metrics(build_adoption_index(events, net, topics)), topics
 
 
 def test_prepare_loo_equals_oracle():
@@ -310,7 +310,7 @@ def test_prepare_loo_equals_oracle():
     for pairs, topics in _seeded_logs():
         for metric in MetricKind:
             want = oracles.prepare_loo(metric, pairs, topics)
-            _assert_loo_equal(prepare_loo(metric, pairs, topics), want, pairs)
+            _assert_loo_equal(prepare_loo(metric, pairs), want, pairs)
             cases |= _training_cases(metric, pairs, set(want.skipped))
             if want.skipped:
                 cases.add("single-hashtag topic")
@@ -334,7 +334,7 @@ def test_train_side_scores_equal_oracle(monkeypatch):
         for metric in MetricKind:
             got.clear()
             want = []
-            data = prepare_loo(metric, pairs, topics)
+            data = prepare_loo(metric, pairs)
             oracles.prepare_loo(metric, pairs, topics, train_scores=want)
             assert len(got) == len(want) == len(data.hashtags)
             names = [data.hashtag_names[h] for h in data.hashtags.tolist()]
@@ -357,7 +357,7 @@ def test_consensus_equals_per_fold_oracle():
         logs.append((_pairs(d, index), d.topics))
     for pairs, topics in logs:
         for metric in MetricKind:
-            got = prepare_loo(metric, pairs, topics)
+            got = prepare_loo(metric, pairs)
             want = oracles.prepare_loo(metric, pairs, topics)
             assert leave_one_out(got) == oracles.leave_one_out(want)
             if any(not fold.users for fold in want.folds):
@@ -379,7 +379,7 @@ def test_loo_matches_manual_holdout_protocol():
     d, index = _dataset(datasets.time_separated_params(3, n_topics=2))
     metric = MetricKind.TIME
     pairs = _pairs(d, index)
-    data = prepare_loo(metric, pairs, d.topics)
+    data = prepare_loo(metric, pairs)
     res = leave_one_out(data)
     ptr = data.fold_ptr.tolist()
     fold_users = {
@@ -435,9 +435,9 @@ def test_loo_skips_singleton_topic_hashtags():
         ]
     )
     topics = load_topic_map(["h1\tlonely", "h2\tpair", "h3\tpair"])
-    index = build_adoption_index(events, net)
-    pairs = pair_metrics(index, topics)
-    res = leave_one_out(prepare_loo(MetricKind.TIME, pairs, topics))
+    index = build_adoption_index(events, net, topics)
+    pairs = pair_metrics(index)
+    res = leave_one_out(prepare_loo(MetricKind.TIME, pairs))
     assert res.skipped == ("h1",)
     assert "h1" not in res.predictions
     assert res.test.counts["lonely"] == 0
@@ -484,13 +484,13 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
     per_user = {round(single_user_accuracy(u), 12) for u in pairs_by_user}
     # one repetition isolates a single sampled user's accuracy
     one = accuracy_curve(
-        prepare_loo(metric, _pairs(d, index), d.topics),
+        prepare_loo(metric, _pairs(d, index)),
         sizes=[1], repetitions=1, seed=3,
     )
     assert round(one.points[0][1], 12) in per_user
     # the mean over repetitions stays inside the single-user range
     many = accuracy_curve(
-        prepare_loo(metric, _pairs(d, index), d.topics),
+        prepare_loo(metric, _pairs(d, index)),
         sizes=[1], repetitions=12, seed=3,
     )
     assert min(per_user) - 1e-12 <= many.points[0][1] <= max(per_user) + 1e-12
@@ -498,11 +498,11 @@ def test_accuracy_curve_size_one_is_single_user_accuracy():
 
 def test_accuracy_curve_full_ensemble_equals_loo():
     d, index = _dataset(datasets.time_separated_params(4, n_topics=2))
-    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics))
+    res = leave_one_out(prepare_loo(MetricKind.TIME, _pairs(d, index)))
     # population = everyone who ever votes
     values = _column(MetricKind.TIME, _pairs(d, index))
     curve = accuracy_curve(
-        prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
+        prepare_loo(MetricKind.TIME, _pairs(d, index)),
         sizes=[len({u for (u, _h) in values})], repetitions=2, seed=0,
     )
     # full sample can only fail if size exceeds the voting population
@@ -513,12 +513,12 @@ def test_accuracy_curve_errors():
     d, index = _dataset(datasets.time_separated_params(5, n_topics=2))
     with pytest.raises(DataError):
         accuracy_curve(
-            prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
+            prepare_loo(MetricKind.TIME, _pairs(d, index)),
             sizes=[0], repetitions=1, seed=0,
         )
     with pytest.raises(DataError):
         accuracy_curve(
-            prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics),
+            prepare_loo(MetricKind.TIME, _pairs(d, index)),
             sizes=[10**6], repetitions=1, seed=0,
         )
 
@@ -526,8 +526,8 @@ def test_accuracy_curve_errors():
 def test_accuracy_curve_deterministic_in_seed():
     d, index = _dataset(datasets.time_separated_params(6, n_topics=2))
     kw = dict(sizes=[1, 4], repetitions=3, seed=11)
-    c1 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics), **kw)
-    c2 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index), d.topics), **kw)
+    c1 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index)), **kw)
+    c2 = accuracy_curve(prepare_loo(MetricKind.TIME, _pairs(d, index)), **kw)
     assert c1 == c2
 
 

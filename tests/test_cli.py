@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from genonet import classify, genotype, latmin, predict
+from genonet import classify, genotype, ingest, latmin, predict
 from genonet.cli import main
 from genonet.graph import DirectedGraph
 from genonet.ingest import load_dataset
@@ -88,20 +88,22 @@ def test_backbone_outputs(toy_manifest, tmp_path):
 
 def test_classify_unknown_metric_exits_1(toy_manifest, tmp_path, capsys):
     code = run(
-        "classify", "--manifest", toy_manifest, "--out", tmp_path,
+        "classify", "--manifest", toy_manifest, "--out", tmp_path / "out",
         "--metric", "NOPE",
     )
     assert code == 1
     err = capsys.readouterr().err
     assert "TIME" in err and "LOG-LAT" in err
+    assert not (tmp_path / "out").exists()  # rejected before any work
 
 
 def test_classify_sizes_require_seed(syn_manifest, tmp_path):
     code = run(
-        "classify", "--manifest", syn_manifest, "--out", tmp_path,
+        "classify", "--manifest", syn_manifest, "--out", tmp_path / "out",
         "--metric", "TIME", "--ensemble-sizes", "1,2",
     )
     assert code == 1
+    assert not (tmp_path / "out").exists()  # rejected before any work
 
 
 @pytest.mark.parametrize(
@@ -112,7 +114,8 @@ def test_classify_sizes_require_seed(syn_manifest, tmp_path):
      ("classify", "--ensemble-sizes", "1,-2"),
      ("syngen", "--users", 0),
      ("syngen", "--topics", 0),
-     ("syngen", "--hashtags-per-topic", 0)],
+     ("syngen", "--hashtags-per-topic", 0),
+     ("syngen", "--attach-count", 0)],
 )
 def test_classify_bad_sizes_or_repetitions_exit_1(syn_manifest, tmp_path, capsys, flags):
     """A count below 1 is a usage error, for classify and syngen alike."""
@@ -368,6 +371,21 @@ def test_latmin_solves_one_apsp(syn_manifest, tmp_path, monkeypatch, mode):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("ingest-check", ()), ("genome", ()), ("backbone", ()), ("classify", ("--metric", "TIME")),
+    ("predict", ()), ("latmin", ("--topic", "t0", "--k", 2)),
+])
+def test_each_command_maps_topics_once(syn_manifest, tmp_path, monkeypatch, command, extra):
+    """Each command looks up its hashtags' topics once, in the index, however
+    many topics it works on."""
+    calls = []
+    topic_ids = ingest.TopicMap.topic_ids
+    monkeypatch.setattr(ingest.TopicMap, "topic_ids",
+                        lambda self, *a: calls.append(a) or topic_ids(self, *a))
+    assert run(command, "--manifest", syn_manifest, "--out", tmp_path, *extra) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("mode", ["--strict", "--permissive"])
 def test_latmin_component_choice(tmp_path, mode):
     """Two 3-cycles tie in size, and in permissive mode so do their weakly
@@ -464,6 +482,7 @@ def test_syngen_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("body, code", [
+    ('{"latency_mean": [5, 15]}', 1),
     ("[1, 2]", 1),
     ("{bad", 1),
     ('[{"latency_mean": 5}, {}]', 1),
@@ -484,6 +503,7 @@ def test_syngen_malformed_profiles_file(tmp_path, capsys, body, code):
     assert "internal error" not in err
     if code == 1:
         assert str(path) in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
 
 def test_syngen_profiles_file_matches_generate(tmp_path):

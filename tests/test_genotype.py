@@ -22,7 +22,7 @@ import oracles
 
 def metric(toy, kind, user="B", hashtag="x"):
     _net, _events, topics, index = toy
-    return oracles.metric_rows(pair_metrics(index, topics))[(user, hashtag)].get(kind)
+    return oracles.metric_rows(pair_metrics(index))[(user, hashtag)].get(kind)
 
 
 def test_time_toy(toy):
@@ -47,7 +47,7 @@ def test_lat_toy(toy):
 def test_log_lat_toy(toy):
     # B is the only adopter of x with a defined LAT, so LAT equals its mean
     _net, _events, topics, index = toy
-    rows = oracles.metric_rows(pair_metrics(index, topics))
+    rows = oracles.metric_rows(pair_metrics(index))
     assert rows[("B", "x")][MetricKind.LOG_LAT] == 0.0
 
 
@@ -60,10 +60,10 @@ def test_originator_metrics_undefined(toy):
 
 def test_unknown_pair_rejected(toy):
     """A pair never adopted, or whose hashtag has no topic, gets no row."""
-    _net, _events, topics, index = toy
+    net, events, topics, _index = toy
 
     def rows(topics):
-        return oracles.metric_rows(pair_metrics(index, topics))
+        return oracles.metric_rows(pair_metrics(build_adoption_index(events, net, topics)))
 
     assert list(rows(topics)) == [("A", "x"), ("C", "x"), ("C", "y"), ("B", "x")]
     assert rows(load_topic_map([])) == {}
@@ -74,13 +74,13 @@ def test_simultaneous_adoption_is_not_exposure():
     net = load_follower_edges(["A\tB"])
     events = load_events(["10\tA\t#x", "10\tB\t#x"])
     topics = load_topic_map(["x\tT"])
-    index = build_adoption_index(events, net)
-    assert oracles.metric_rows(pair_metrics(index, topics))[("B", "x")] == {MetricKind.N_USES: 1.0}
+    index = build_adoption_index(events, net, topics)
+    assert oracles.metric_rows(pair_metrics(index))[("B", "x")] == {MetricKind.N_USES: 1.0}
 
 
 def test_build_genome_toy(toy):
     net, events, topics, index = toy
-    genome = oracles.genotypes(build_genome(index, topics))
+    genome = oracles.genotypes(build_genome(index))
     assert set(genome) == {"A", "B", "C"}
     assert genome["B"].cells[("T", MetricKind.N_USES)].values == (2.0,)
     assert ("T", MetricKind.TIME) not in genome["A"].cells
@@ -92,35 +92,35 @@ def test_build_genome_empty_log():
     net = load_follower_edges(["A\tB"])
     events = load_events([])
     topics = load_topic_map(["x\tT"])
-    genome = build_genome(build_adoption_index(events, net), topics)
+    genome = build_genome(build_adoption_index(events, net, topics))
     assert oracles.genotypes(genome) == {}
 
 
 def test_node_topic_latency(toy):
     net, events, topics, index = toy
-    assert oracles.named_latency(index, node_topic_latency(index, topics, "T")) == {"B": 10.0}
+    assert oracles.named_latency(index, node_topic_latency(index, "T")) == {"B": 10.0}
     with pytest.raises(DataError, match="unknown topic 'other_topic'"):
-        node_topic_latency(index, topics, "other_topic")
+        node_topic_latency(index, "other_topic")
 
 
 def test_mean_of_multiset():
     net = load_follower_edges(["A\tB"])
     events = load_events(["0\tA\t#x", "0\tA\t#y", "4\tB\t#x", "6\tB\t#y"])
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
-    genome = oracles.genotypes(build_genome(index, topics))
+    index = build_adoption_index(events, net, topics)
+    genome = oracles.genotypes(build_genome(index))
     cell = genome["B"].cells[("T", MetricKind.TIME)]
     assert sorted(cell.values) == [4.0, 6.0]
     assert cell.mean == 5.0
-    assert oracles.named_latency(index, node_topic_latency(index, topics, "T"))["B"] == 5.0
+    assert oracles.named_latency(index, node_topic_latency(index, "T"))["B"] == 5.0
 
 
 def test_node_topic_latency_equals_genome_time_means():
     data = generate(GenParams(n_users=60, seed=9, n_topics=3, hashtags_per_topic=4,
                               cascades_per_hashtag=3, edge_prob=0.15))
     net, events, topics = data.network, data.events, data.topics
-    index = build_adoption_index(events, net)
-    genome = oracles.genotypes(build_genome(index, topics))
+    index = build_adoption_index(events, net, topics)
+    genome = oracles.genotypes(build_genome(index))
     for topic in topics.topics:
         want = {
             u: gt.cells[(topic, MetricKind.TIME)].mean
@@ -128,7 +128,7 @@ def test_node_topic_latency_equals_genome_time_means():
             if (topic, MetricKind.TIME) in gt.cells
         }
         assert want
-        assert oracles.named_latency(index, node_topic_latency(index, topics, topic)) == want
+        assert oracles.named_latency(index, node_topic_latency(index, topic)) == want
 
 
 def _random_setup(rng, **kw):
@@ -136,7 +136,7 @@ def _random_setup(rng, **kw):
     net = load_follower_edges(edge_lines)
     events = load_events(event_lines)
     topics = load_topic_map(topic_lines)
-    index = build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
     return oracles.named(net), oracles.named(events), topics, index
 
 
@@ -144,7 +144,7 @@ def test_metric_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(8):
         net, events, topics, index = _random_setup(rng, n_users=18, n_lines=150)
-        for (u, h), row in oracles.metric_rows(pair_metrics(index, topics)).items():
+        for (u, h), row in oracles.metric_rows(pair_metrics(index)).items():
             t = row.get(MetricKind.TIME)
             npar = row.get(MetricKind.N_PAR)
             fpar = row.get(MetricKind.F_PAR)
@@ -164,7 +164,7 @@ def test_log_lat_normalization_identity():
     rng = np.random.default_rng(12)
     net, events, topics, index = _random_setup(rng, n_users=20, n_lines=250)
     ratios: dict = {}
-    for (_u, h), row in oracles.metric_rows(pair_metrics(index, topics)).items():
+    for (_u, h), row in oracles.metric_rows(pair_metrics(index)).items():
         if MetricKind.LOG_LAT in row:
             ratios.setdefault(h, []).append(math.exp(row[MetricKind.LOG_LAT]))
     assert ratios
@@ -175,7 +175,7 @@ def test_log_lat_normalization_identity():
 def test_build_genome_matches_per_pair_composition():
     rng = np.random.default_rng(13)
     net, events, topics, index = _random_setup(rng, n_users=15, n_lines=120)
-    genome = oracles.genotypes(build_genome(index, topics))
+    genome = oracles.genotypes(build_genome(index))
     oracle = oracles.MetricOracle(events.events, net.edges, oracles.assignment(topics))
     by_kind = {
         MetricKind.TIME: oracle.time,
@@ -212,7 +212,7 @@ def test_genome_writers_follow_name_order():
     net, events = load_follower_edges(edge_lines), load_events(event_lines)
     topics = load_topic_map(reversed(topic_lines))
     assert list(topics.topics) != sorted(topics.topics)
-    genome = build_genome(build_adoption_index(events, net), topics)
+    genome = build_genome(build_adoption_index(events, net, topics))
     rows = oracles.pair_metric_rows(oracles.named(events), oracles.named(net), topics)
     want = oracles.build_genome(rows, topics)
     cells = sorted((u, t, k.value, c) for u, g in want.items() for (t, k), c in g.cells.items())

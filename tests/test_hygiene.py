@@ -7,8 +7,9 @@ module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
 per-node successor lists or other name-keyed helper that moved to the
 oracles.  One keeps the graph kernels answering in arrays, one keeps the
-turning of names into ids in ``ingest.intern``, and one keeps float32
-inside latmin's Greedy screen.  The last three keep the float-identity
+turning of names into ids in ``ingest.intern``, one keeps the lookup of
+each hashtag's topic in ``ingest.build_adoption_index``, and one keeps
+float32 inside latmin's Greedy screen.  The last three keep the float-identity
 decisions in one place each: left-to-right sums in
 ``ingest.ordered_sum``, the starts of sorted runs in
 ``ingest.run_starts``, and no numpy transcendental or BLAS product
@@ -207,6 +208,17 @@ def _owners(sites, allowed):
         else:
             stray.append(site)
     return seen, stray
+
+
+def test_topic_lookup_only_in_the_index():
+    """Each hashtag's topic is looked up once, by ``TopicMap.topic_ids`` in
+    ``ingest.build_adoption_index``; every analysis reads the index's
+    ``hashtag_topic`` column."""
+    calls = _sites(lambda n: isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                   == "topic_ids")
+    seen, stray = _owners(calls, {"ingest.build_adoption_index"})
+    assert seen == {"ingest.build_adoption_index"}  # the walk sees the pattern
+    assert not stray, f"topic_ids called outside ingest.build_adoption_index at {stray}"
 
 
 def test_left_to_right_sums_only_in_ordered_sum():

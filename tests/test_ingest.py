@@ -53,8 +53,9 @@ def _edge_case_logs(seed, count=10):
 def _load_log(edge_lines, event_lines, topic_lines):
     """The network and log by name, with the topic map and the index."""
     net, events = load_follower_edges(edge_lines), load_events(event_lines)
-    index = build_adoption_index(events, net)
-    return oracles.named(net), oracles.named(events), load_topic_map(topic_lines), index
+    topics = load_topic_map(topic_lines)
+    index = build_adoption_index(events, net, topics)
+    return oracles.named(net), oracles.named(events), topics, index
 
 
 # (loader, lines): the ParseError inputs of the edge and event tests below,
@@ -91,7 +92,7 @@ def test_two_line_parse():
 def test_isolated_node_declaration():
     net = load_follower_edges(["lonely", "a\tb"])
     assert "lonely" in net.nodes
-    index = build_adoption_index(load_events([]), net)
+    index = build_adoption_index(load_events([]), net, load_topic_map([]))
     lonely = index.users.index("lonely")
     assert _row(index.followee_ptr, index.followee_ids, lonely) == []
     assert _row(index.follower_ptr, index.follower_ids, lonely) == []
@@ -112,7 +113,7 @@ def test_comments_and_blanks_skipped():
 def test_followee_orientation():
     # edge (followee, follower): b follows a
     net = load_follower_edges(["a\tb"])
-    index = build_adoption_index(load_events([]), net)
+    index = build_adoption_index(load_events([]), net, load_topic_map([]))
     a, b = index.users.index("a"), index.users.index("b")
     assert _row(index.followee_ptr, index.followee_ids, b) == [a]
     assert _row(index.follower_ptr, index.follower_ids, a) == [b]
@@ -176,7 +177,8 @@ def test_topic_order_is_first_appearance():
     topics = load_topic_map(["x\tzed", "y\talpha", "z\tzed"])
     assert topics.topics == ("zed", "alpha")
     assert oracles.hashtags_for(topics, "zed") == ("x", "z")
-    assert topics.rank.tolist() == [1, 0]
+    index = build_adoption_index(load_events([]), load_follower_edges([]), topics)
+    assert index.topic_rank.tolist() == [1, 0]
 
 
 def test_topic_map_equals_name_oracle():
@@ -184,7 +186,9 @@ def test_topic_map_equals_name_oracle():
     comments, conflicts and topics out of name order, the id columns read
     back by name equal the dict parse, conflicts name the same line, and
     ``topic_ids`` over used and unmapped hashtags equals one dict lookup
-    per hashtag."""
+    per hashtag.  So do the index's ``hashtag_topic``, ``topic_rank`` and
+    ``topic_id`` over a log with an unmapped hashtag and without a mapped
+    one, and an unknown topic name raises."""
     rng = np.random.default_rng(31)
     conflicts = 0
     for _ in range(60):
@@ -201,9 +205,18 @@ def test_topic_map_equals_name_oracle():
             continue
         topics = load_topic_map(lines)
         assert (oracles.assignment(topics), topics.topics) == want
-        assert topics.rank.tolist() == [sorted(topics.topics).index(t) for t in topics.topics]
         query = sorted({f"h{i}" for i in rng.integers(12, size=6).tolist()})
         assert topics.topic_ids(query).tolist() == oracles.topic_ids_by_name(topics, query)
+        # h11 is never mapped and h1 always is
+        used = sorted(set(query) - {"h1"} | {"h11"})
+        index = build_adoption_index(
+            load_events([f"1\tA\t{h}" for h in used]), load_follower_edges([]), topics
+        )
+        assert index.hashtag_topic.tolist() == oracles.topic_ids_by_name(topics, index.hashtags)
+        assert index.topic_rank.tolist() == [sorted(topics.topics).index(t) for t in topics.topics]
+        assert [index.topic_id(t) for t in topics.topics] == list(range(len(topics.topics)))
+        with pytest.raises(DataError, match="^unknown topic 'nope'"):
+            index.topic_id("nope")
     assert 10 <= conflicts <= 50
 
 
@@ -228,7 +241,7 @@ def test_index_order_independence():
     logs = [(["A\tB", "C\tB"], lines, [])] + list(_edge_case_logs(3))
     rng = random.Random(0)
     for edge_lines, event_lines, topic_lines in logs:
-        net, events, _topics, index = _load_log(edge_lines, event_lines, topic_lines)
+        net, events, topics, index = _load_log(edge_lines, event_lines, topic_lines)
         got, want = oracles.index_dicts(index), oracles.adoption_index_dicts(events, net)
         assert list(got["first_use"].items()) == list(want["first_use"].items())
         assert got["use_counts"] == want["use_counts"]
@@ -238,7 +251,7 @@ def test_index_order_independence():
             rng.shuffle(shuffled_edges)
             rng.shuffle(shuffled_events)
             other = _columns(build_adoption_index(
-                load_events(shuffled_events), load_follower_edges(shuffled_edges)
+                load_events(shuffled_events), load_follower_edges(shuffled_edges), topics
             ))
             assert other.keys() == base.keys()
             for name, column in base.items():
@@ -288,15 +301,15 @@ def test_prior_adopters_equal_brute_force_scan():
         }
         assert index.exposed_pairs == len(want["first_exposure"])
         want_rows = oracles.pair_metric_rows(events, net, topics)
-        rows = oracles.metric_rows(pair_metrics(index, topics))
+        rows = oracles.metric_rows(pair_metrics(index))
         assert rows == want_rows
         assert [(k, list(r)) for k, r in rows.items()] == [
             (k, list(r)) for k, r in want_rows.items()
         ]
-        genome = oracles.genotypes(build_genome(index, topics))
+        genome = oracles.genotypes(build_genome(index))
         assert genome == oracles.build_genome(want_rows, topics)
         for topic in topics.topics:
-            assert oracles.named_latency(index, node_topic_latency(index, topics, topic)) == {
+            assert oracles.named_latency(index, node_topic_latency(index, topic)) == {
                 u: g.cells[(topic, MetricKind.TIME)].mean
                 for u, g in genome.items() if (topic, MetricKind.TIME) in g.cells
             }

@@ -547,9 +547,9 @@ def test_component_kernels_equal_loops_on_benchmark_backbones(bench_manifest, mo
         monkeypatch.setattr(backbone, kernel.__name__, lambda g, kernel=kernel, loop=loop:
                             seen.append((g, kernel(g), loop)) or seen[-1][1])
     net, events, topics = load_dataset(bench_manifest(shape))
-    index = build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
     for topic in topics.topics:
-        backbone.compare_with_follower(backbone.extract_backbone(topic, index, topics), index)
+        backbone.compare_with_follower(backbone.extract_backbone(topic, index), index)
     assert len(seen) == 4 * len(topics.topics)
     for g, label, loop in seen:
         assert oracles.labels_least_members(label)
@@ -564,11 +564,11 @@ def test_latency_component_equals_name_oracle(bench_manifest):
     dropped = 0
     for shape in ("latmin-dense", "hubs"):
         net, events, topics = load_dataset(bench_manifest(shape))
-        index = build_adoption_index(events, net)
+        index = build_adoption_index(events, net, topics)
         everyone = dict.fromkeys(index.users, 0.0)
         for topic in topics.topics:
-            b = backbone.extract_backbone(topic, index, topics)
-            user, mean = node_topic_latency(index, topics, topic)
+            b = backbone.extract_backbone(topic, index)
+            user, mean = node_topic_latency(index, topic)
             latency = oracles.named_latency(index, (user, mean))
             for strict in (True, False):
                 graph, lat = latency_component(b.graph, user, mean, strict)

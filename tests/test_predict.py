@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,16 +73,16 @@ def _fixture(n_followees):
     net = load_follower_edges(edge_lines)
     events = load_events(event_lines)
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
     return oracles.named(net), oracles.named(events), topics, index
 
 
 def test_minimum_followee_threshold():
     net, events, topics, index = _fixture(9)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     assert len(build_instances(Direction.INFLUENCER, ctx)) == 0
     net, events, topics, index = _fixture(10)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     instances = built(Direction.INFLUENCER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
@@ -90,7 +92,7 @@ def test_minimum_followee_threshold():
 
 def test_adopter_direction_truth():
     net, events, topics, index = _fixture(10)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     instances = built(Direction.ADOPTER, ctx)
     mine = [i for i in instances if i.user == "target" and i.hashtag == "x"]
     assert len(mine) == 1
@@ -107,15 +109,15 @@ def test_isolated_candidates_drop_instance():
     net = load_follower_edges(edge_lines)
     events = load_events(event_lines)
     topics = load_topic_map(["x\tT"])
-    index = build_adoption_index(events, net)
-    ctx = PredictionContext(index, topics)
+    index = build_adoption_index(events, net, topics)
+    ctx = PredictionContext(index)
     assert len(build_instances(Direction.INFLUENCER, ctx)) == 0
 
 
 def test_instances_ordered():
     d = generate(datasets.activity_params(0))
-    index = build_adoption_index(d.events, d.network)
-    ctx = PredictionContext(index, d.topics)
+    index = build_adoption_index(d.events, d.network, d.topics)
+    ctx = PredictionContext(index)
     instances = built(Direction.INFLUENCER, ctx)
     keys = [(i.topic, i.hashtag, i.user) for i in instances]
     assert keys == sorted(keys)
@@ -130,8 +132,8 @@ def test_reciprocal_scores():
         + ["50\ttarget\t#x", "0\tf0\t#y", "60\ttarget\t#y"]
     )
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
-    ctx = PredictionContext(index, topics)
+    index = build_adoption_index(events, net, topics)
+    ctx = PredictionContext(index)
     inst = built(Direction.INFLUENCER, ctx)[0]
     scores = scores_of(PredictorKind.RECIPROCAL, inst, ctx)
     assert scores["f0"] == 1.0
@@ -140,7 +142,7 @@ def test_reciprocal_scores():
 
 def test_act_excludes_target_hashtag():
     net, events, topics, index = _fixture(10)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     inst = next(
         i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
@@ -155,7 +157,7 @@ def test_act_excludes_target_hashtag():
 
 def test_rw_act_zero_topic_activity_scores_zero():
     net, events, topics, index = _fixture(10)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     inst = next(
         i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target" and i.hashtag == "x"
@@ -166,7 +168,7 @@ def test_rw_act_zero_topic_activity_scores_zero():
 
 def test_followee_follower_counts():
     net, events, topics, index = _fixture(10)
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     inst = next(
         i for i in built(Direction.INFLUENCER, ctx)
         if i.user == "target"
@@ -217,8 +219,8 @@ def test_evaluate_single_instance():
     net = load_follower_edges(["a\tu", "b\tu", "a\tb"])
     events = load_events(["0\ta\t#h", "5\tu\t#h"])
     topics = load_topic_map(["h\tT"])
-    index = build_adoption_index(events, net)
-    ctx = PredictionContext(index, topics)
+    index = build_adoption_index(events, net, topics)
+    ctx = PredictionContext(index)
     res = result_of(PredictorKind.FOLLOWERS, Direction.INFLUENCER, [inst], ctx)
     assert res.per_topic["T"][1] == 1
     assert res.per_topic["T"][0] == auc_of(
@@ -234,8 +236,8 @@ def test_degenerate_truth_instances_skipped():
     net = load_follower_edges(["a\tu"])
     events = load_events(["0\ta\t#h", "5\tu\t#h"])
     topics = load_topic_map(["h\tT"])
-    index = build_adoption_index(events, net)
-    ctx = PredictionContext(index, topics)
+    index = build_adoption_index(events, net, topics)
+    ctx = PredictionContext(index)
     res = result_of(PredictorKind.FOLLOWERS, Direction.INFLUENCER, [inst], ctx)
     assert res.per_topic == {}
 
@@ -245,14 +247,14 @@ def test_scores_blind_to_target_hashtag():
     not change any predictor's scores.  One post of the hashtag by a user
     outside the network keeps the hashtag in the blind index's id space."""
     d = generate(datasets.activity_params(1))
-    index = build_adoption_index(d.events, d.network)
-    ctx = PredictionContext(index, d.topics)
+    index = build_adoption_index(d.events, d.network, d.topics)
+    ctx = PredictionContext(index)
     instances = built(Direction.INFLUENCER, ctx)[:8]
     for inst in instances:
         rows = [e for e in oracles.named(d.events).events if e.hashtag != inst.hashtag]
         filtered = EventLog.from_rows(*zip(*rows, (0, "outsider", inst.hashtag)))
-        blind_index = build_adoption_index(filtered, d.network)
-        blind_ctx = PredictionContext(blind_index, d.topics)
+        blind_index = build_adoption_index(filtered, d.network, d.topics)
+        blind_ctx = PredictionContext(blind_index)
         for kind in PredictorKind:
             full = scores_of(kind, inst, ctx)
             blind = scores_of(kind, inst, blind_ctx)
@@ -264,8 +266,8 @@ def test_scores_blind_to_target_hashtag():
 
 def test_random_scores_auc_near_half():
     d = generate(datasets.activity_params(2))
-    index = build_adoption_index(d.events, d.network)
-    ctx = PredictionContext(index, d.topics)
+    index = build_adoption_index(d.events, d.network, d.topics)
+    ctx = PredictionContext(index)
     instances = built(Direction.INFLUENCER, ctx)
     rng = np.random.default_rng(0)
     aucs = []
@@ -280,7 +282,7 @@ def test_random_scores_auc_near_half():
 
 def test_adopter_run_without_cases_is_labelled_adopter():
     net, events, topics, index = _fixture(9)  # too few followees: no cases
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     table = build_instances(Direction.ADOPTER, ctx)
     assert len(table) == 0
     results = evaluate(Direction.ADOPTER, table, ctx)
@@ -301,7 +303,8 @@ def _oracle_dataset(rng):
     net = load_follower_edges(edge_lines)
     events = load_events(event_lines)
     topics = load_topic_map(topic_lines)
-    return oracles.named(net), oracles.named(events), topics, build_adoption_index(events, net)
+    index = build_adoption_index(events, net, topics)
+    return oracles.named(net), oracles.named(events), topics, index
 
 
 def _edge_case_instances(rng, instances, direction):
@@ -334,7 +337,7 @@ def test_table_equals_scalar_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(4):
         net, events, topics, index = _oracle_dataset(rng)
-        ctx = PredictionContext(index, topics)
+        ctx = PredictionContext(index)
         octx = oracles.PredictionOracleContext(events, net, topics)
         for direction in Direction:
             cases = built(direction, ctx)
@@ -386,7 +389,9 @@ def test_build_instances_equals_brute_force_oracle():
         net, events, base, index = _oracle_dataset(rng)
         flipped = TopicMap(base.hashtags, len(base.topics) - 1 - base.topic, base.topics[::-1])
         for topics, direction in ((t, d) for t in (base, flipped) for d in Direction):
-            ctx = PredictionContext(index, topics)
+            ctx = PredictionContext(replace(
+                index, topics=topics.topics, hashtag_topic=topics.topic_ids(index.hashtags)
+            ))
             cases = built(direction, ctx)
             assert len(cases) >= 40
             assert cases == oracles.build_instances(direction, events, net, topics)
@@ -415,11 +420,11 @@ def _excluded(ctx, hashtag):
 
 def test_excluded_pagerank_toy(toy):
     net, events, topics, index = toy
-    ctx = PredictionContext(index, topics)
+    ctx = PredictionContext(index)
     # x carried both weight-1 edges: its exclusion empties the backbone
     assert _excluded(ctx, "x") == [0.0] * len(ctx.index.users)
     # y created no precedence, so removing it changes nothing
-    full = oracles.backbone_edges(extract_backbone("T", index, topics))
+    full = oracles.backbone_edges(extract_backbone("T", index))
     assert _excluded(ctx, "y") == _pagerank_on_users(full, ctx)
     assert any(_excluded(ctx, "y"))
 
@@ -428,9 +433,9 @@ def test_excluded_pagerank_keeps_weight_two_edge():
     net = load_follower_edges(["A\tB"])
     events = load_events(["0\tA\t#x", "1\tA\t#y", "5\tB\t#x", "6\tB\t#y", "7\tA\t#z"])
     topics = load_topic_map(["x\tT", "y\tT"])
-    index = build_adoption_index(events, net)
-    assert oracles.backbone_edges(extract_backbone("T", index, topics))[("A", "B")] == 2
-    ctx = PredictionContext(index, topics)
+    index = build_adoption_index(events, net, topics)
+    assert oracles.backbone_edges(extract_backbone("T", index))[("A", "B")] == 2
+    ctx = PredictionContext(index)
     assert _excluded(ctx, "y") == _pagerank_on_users({("A", "B"): 1}, ctx)
     with pytest.raises(DataError, match="no topic"):
         _excluded(ctx, "z")
@@ -443,14 +448,16 @@ def test_excluded_pagerank_equals_extract_on_reduced_map():
         net = load_follower_edges(edge_lines)
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
-        ctx = PredictionContext(index, topics)
+        index = build_adoption_index(events, net, topics)
+        ctx = PredictionContext(index)
         topic = topics.topics[0]
         for h in oracles.hashtags_for(topics, topic):
             keep = np.array([g != h for g in topics.hashtags], bool)
             others = tuple(g for g in topics.hashtags if g != h)
             without_h = TopicMap(others, topics.topic[keep], topics.topics)
-            reduced = oracles.backbone_edges(extract_backbone(topic, index, without_h))
+            reduced = oracles.backbone_edges(
+                extract_backbone(topic, build_adoption_index(events, net, without_h))
+            )
             assert _excluded(ctx, h) == _pagerank_on_users(reduced, ctx)
 
 
@@ -465,8 +472,8 @@ def test_excluded_pagerank_equals_edge_scan_oracle():
         net = load_follower_edges(edge_lines)
         events = load_events(event_lines)
         topics = load_topic_map(topic_lines)
-        index = build_adoption_index(events, net)
-        ctx = PredictionContext(index, topics)
+        index = build_adoption_index(events, net, topics)
+        ctx = PredictionContext(index)
         triples, edges = oracles.named(events).events, oracles.named(net).edges
         for topic in topics.topics:
             hashtags = oracles.hashtags_for(topics, topic)

@@ -67,7 +67,7 @@ def test_chain_adoption_times():
 
 def test_every_adoption_has_causal_exposure():
     d = generate(datasets.activity_params(5))
-    index = build_adoption_index(d.events, d.network)
+    index = build_adoption_index(d.events, d.network, d.topics)
     seeds = {(c.hashtag, c.seed_user) for c in d.truth.cascades}
     maps = oracles.index_dicts(index)
     for (u, h), t in maps["first_use"].items():
@@ -85,8 +85,8 @@ def test_time_metric_converges_to_planted_mean():
                   n_topics=1, hashtags_per_topic=70, cascades_per_hashtag=2,
                   topic_profiles=(prof,))
     d = generate(p)
-    index = build_adoption_index(d.events, d.network)
-    genome = oracles.genotypes(build_genome(index, d.topics))
+    index = build_adoption_index(d.events, d.network, d.topics)
+    genome = oracles.genotypes(build_genome(index))
     checked = 0
     for user, gt in genome.items():
         cell = gt.cells.get(("t0", MetricKind.TIME))
