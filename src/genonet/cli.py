@@ -2,8 +2,11 @@
 
 Every command reads the three dataset files named by ``--manifest``,
 writes only into ``--out``, and embeds the input digests (plus the seed,
-where sampling is involved) into each output for provenance.  Outputs
-are byte-identical across re-runs with the same inputs and seed.
+where sampling is involved) into each output for provenance.  A handler
+checks its arguments, loads and computes, and returns its outputs;
+``main`` alone makes ``--out`` and writes them, so an error leaves no
+``--out`` behind.  Outputs are byte-identical across re-runs with the
+same inputs and seed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/parse error,
 3 internal invariant violation.
@@ -17,8 +20,9 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 # OpenBLAS starts a pool of spinning threads when numpy is imported, and no
 # command uses them.  No output depends on this: the one BLAS call in
@@ -36,6 +40,9 @@ if TYPE_CHECKING:
     from . import genotype as gt
     from . import syngen as sg
 
+    # a command's outputs: file name -> JSON document, or TSV body writer
+    Outputs = dict[str, dict | Callable[[TextIO], None]]
+
 
 class UsageError(Exception):
     pass
@@ -50,6 +57,18 @@ def _positive_int(raw: str) -> int:
     if int(raw) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
     return int(raw)
+
+
+def _nonnegative_int(raw: str) -> int:
+    if int(raw) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+    return int(raw)
+
+
+def _probability(raw: str) -> float:
+    if not 0.0 <= float(raw) <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {raw}")
+    return float(raw)
 
 
 def _sha256_file(path: Path) -> str:
@@ -69,33 +88,15 @@ def _input_digests(manifest: Path) -> dict[str, str]:
 _ANY_WORKERS = {"workers": "any"}
 
 
-def _provenance(args, extra: Mapping[str, object] | None = None) -> dict[str, object]:
-    prov: dict[str, object] = {"command": args.command}
+def _provenance(args) -> dict[str, object]:
+    prov: dict[str, object] = {"command": args.command, **args.tags}
     if getattr(args, "manifest", None):
         prov["inputs"] = _input_digests(Path(args.manifest))
     if getattr(args, "seed", None) is not None:
         prov["seed"] = args.seed
-    if extra:
-        prov.update(extra)
+    if getattr(args, "permissive", None) is not None:
+        prov["mode"] = "permissive" if args.permissive else "strict"
     return prov
-
-
-def _prov_comment(prov: Mapping[str, object]) -> str:
-    return "# provenance: " + json.dumps(prov, sort_keys=True) + "\n"
-
-
-def _write_tsv(path: Path, prov: Mapping[str, object], body_writer) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(_prov_comment(prov))
-        body_writer(fh)
-
-
-def _write_json(path: Path, prov: Mapping[str, object], doc: dict) -> None:
-    doc = dict(doc)
-    doc["provenance"] = dict(prov)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _outdir(args) -> Path:
@@ -110,6 +111,20 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_outputs(args, outputs: Outputs) -> None:
+    """Make ``--out`` and write each output there, stamped with the provenance."""
+    prov = _provenance(args)
+    out = _outdir(args)
+    for name, body in outputs.items():
+        with (out / name).open("w", encoding="utf-8") as fh:
+            if isinstance(body, dict):
+                json.dump({**body, "provenance": prov}, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            else:
+                fh.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
+                body(fh)
+
+
 def _load(args):
     net, events, topics = load_dataset(Path(args.manifest))
     return build_adoption_index(events, net, topics)
@@ -118,12 +133,11 @@ def _load(args):
 # --- commands -------------------------------------------------------------
 
 
-def cmd_ingest_check(args) -> None:
-    out = _outdir(args)
+def cmd_ingest_check(args) -> Outputs:
     net, events, topics = load_dataset(Path(args.manifest))
     index = build_adoption_index(events, net, topics)
     unmapped = np.flatnonzero(index.hashtag_topic == len(index.topics))
-    doc = {
+    return {"ingest_check.json": {
         "nodes": len(net.nodes),
         "edges": len(net.keys),
         "events": len(events.time),
@@ -135,42 +149,38 @@ def cmd_ingest_check(args) -> None:
         "adopted_pairs": len(index.first_use),
         "exposed_pairs": index.exposed_pairs,
         "topics": list(index.topics),
-    }
-    _write_json(out / "ingest_check.json", _provenance(args), doc)
+    }}
 
 
-def cmd_genome(args) -> None:
+def cmd_genome(args) -> Outputs:
     from . import genotype as gt
 
-    out = _outdir(args)
     genome = gt.build_genome(_load(args))
-    prov = _provenance(args, _ANY_WORKERS)
-    _write_tsv(out / "genome_values.tsv", prov, lambda fh: gt.write_genome_values(genome, fh))
-    _write_tsv(
-        out / "genome_summary.tsv", prov, lambda fh: gt.write_genome_summary(genome, fh)
-    )
+    return {
+        "genome_values.tsv": partial(gt.write_genome_values, genome),
+        "genome_summary.tsv": partial(gt.write_genome_summary, genome),
+    }
 
 
-def cmd_backbone(args) -> None:
+def cmd_backbone(args) -> Outputs:
     from . import backbone as bb
 
-    out = _outdir(args)
     index = _load(args)
     wanted = [args.topic] if args.topic else list(index.topics)
-    longest = os.pathconf(out, "PC_NAME_MAX")
+    out = Path(args.out)  # made only once every output is computed: ask its nearest ancestor
+    longest = os.pathconf(next(d for d in (out, *out.parents) if d.exists()), "PC_NAME_MAX")
     for t in wanted:  # each topic names two files, so all are checked first
         index.topic_id(t)
         if "/" in t or "\0" in t or len(f"backbone_report_{t}.json".encode()) > longest:
             raise DataError(f"topic {t!r} cannot name an output file")
-    prov = _provenance(args, _ANY_WORKERS)
     backbones = {t: bb.extract_backbone(t, index) for t in wanted}
+    outputs: Outputs = {}
     for t, b in backbones.items():
-        _write_tsv(out / f"backbone_{t}.tsv", prov, lambda fh, b=b: bb.write_backbone_tsv(b, fh))
-        if len(b.keys):
-            report = bb.compare_with_follower(b, index).to_dict()
-        else:
-            report = {"topic": t, "empty": True}
-        _write_json(out / f"backbone_report_{t}.json", prov, report)
+        outputs[f"backbone_{t}.tsv"] = partial(bb.write_backbone_tsv, b)
+        outputs[f"backbone_report_{t}.json"] = (
+            bb.compare_with_follower(b, index).to_dict() if len(b.keys)
+            else {"topic": t, "empty": True}
+        )
     if len(wanted) >= 2:
         overlap = bb.cross_topic_overlap([backbones[t] for t in wanted])
 
@@ -179,7 +189,8 @@ def cmd_backbone(args) -> None:
             for t, row in zip(overlap.topics, overlap.values):
                 fh.write(t + "\t" + "\t".join(repr(v) for v in row) + "\n")
 
-        _write_tsv(out / "overlap_matrix.tsv", prov, body)
+        outputs["overlap_matrix.tsv"] = body
+    return outputs
 
 
 def _parse_metrics(raw: str | None) -> list[gt.MetricKind]:
@@ -194,7 +205,7 @@ def _parse_metrics(raw: str | None) -> list[gt.MetricKind]:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_classify(args) -> None:
+def cmd_classify(args) -> Outputs:
     from . import classify as cl
     from . import genotype as gt
 
@@ -207,7 +218,6 @@ def cmd_classify(args) -> None:
             raise UsageError(f"bad --ensemble-sizes: {exc}") from exc
         if args.seed is None:
             raise UsageError("--seed is required with --ensemble-sizes")
-    out = _outdir(args)
     pairs = gt.pair_metrics(_load(args))
     results: dict[str, cl.LeaveOneOutResult] = {}
     curves: dict[str, cl.AccuracyCurve] = {}
@@ -223,43 +233,34 @@ def cmd_classify(args) -> None:
                 fits[metric.value] = {
                     "l": fit.l, "k": fit.k, "x0": fit.x0, "residual": fit.residual,
                 }
-    prov = _provenance(args)
-    for split in ("test", "train"):
-        _write_tsv(out / f"error_table_{split}.tsv", prov,
-                   lambda fh, split=split: cl.write_error_tables(results, pairs.topics, split, fh))
+    outputs: Outputs = {
+        f"error_table_{split}.tsv": partial(cl.write_error_tables, results, pairs.topics, split)
+        for split in ("test", "train")
+    }
     skipped = {m: list(r.skipped) for m, r in results.items() if r.skipped}
-    _write_json(out / "classify_summary.json", prov, {"skipped_hashtags": skipped})
+    outputs["classify_summary.json"] = {"skipped_hashtags": skipped}
     if sizes:
-        _write_tsv(
-            out / "accuracy_curves.tsv",
-            prov,
-            lambda fh: cl.write_accuracy_rows(curves, fh),
-        )
-        _write_json(out / "logistic_fits.json", prov, {"fits": fits})
+        outputs["accuracy_curves.tsv"] = partial(cl.write_accuracy_rows, curves)
+        outputs["logistic_fits.json"] = {"fits": fits}
+    return outputs
 
 
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> Outputs:
     from . import predict as pr
 
-    out = _outdir(args)
     ctx = pr.PredictionContext(_load(args))
     results = []
     for direction in pr.Direction:
         if args.direction in ("both", direction.value):
             results += pr.evaluate(direction, pr.build_instances(direction, ctx), ctx)
-    _write_tsv(
-        out / "predictor_auc.tsv",
-        _provenance(args),
-        lambda fh: pr.write_evaluation_tsv(results, fh),
-    )
+    return {"predictor_auc.tsv": partial(pr.write_evaluation_tsv, results)}
 
 
-def cmd_latmin(args) -> None:
+def cmd_latmin(args) -> Outputs:
     from . import backbone as bb
     from . import genotype as gt
     from . import latmin as lm
 
-    out = _outdir(args)
     index = _load(args)
     user, mean = gt.node_topic_latency(index, args.topic)  # checks the topic
     b = bb.extract_backbone(args.topic, index)
@@ -271,18 +272,17 @@ def cmd_latmin(args) -> None:
         raise DataError("latency component too small to target")
     state = lm.prepare(graph, lat, strict=not args.permissive)
     traces = [lm.minimize(state, k, h) for h in lm.Heuristic]
-    prov = _provenance(args, {**_ANY_WORKERS, "mode": "permissive" if args.permissive else "strict"})
-    _write_tsv(out / "latmin_trace.tsv", prov,
-               lambda fh: lm.write_trace_tsv(traces, graph, index.users, fh))
-    summary = {
-        "topic": args.topic,
-        "component_nodes": graph.n,
-        "component_edges": len(graph.indices),
-        "k": k,
-        "original_avg_latency": state.base_avg,
-        "reachable_pairs": int(state.denom),
+    return {
+        "latmin_trace.tsv": partial(lm.write_trace_tsv, traces, graph, index.users),
+        "latmin_summary.json": {
+            "topic": args.topic,
+            "component_nodes": graph.n,
+            "component_edges": len(graph.indices),
+            "k": k,
+            "original_avg_latency": state.base_avg,
+            "reachable_pairs": int(state.denom),
+        },
     }
-    _write_json(out / "latmin_summary.json", prov, summary)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -330,12 +330,11 @@ def _parse_profiles(path: str | None, n_topics: int) -> tuple[sg.TopicProfile, .
     )
 
 
-def cmd_syngen(args) -> None:
+def cmd_syngen(args) -> Outputs:
     from . import syngen as sg
 
     profiles = _parse_profiles(args.profiles_file, args.topics)
-    out = _outdir(args)
-    params = sg.GenParams(
+    dataset = sg.generate(sg.GenParams(
         n_users=args.users,
         seed=args.seed,
         graph_model=args.graph_model,
@@ -345,11 +344,10 @@ def cmd_syngen(args) -> None:
         hashtags_per_topic=args.hashtags_per_topic,
         cascades_per_hashtag=args.cascades,
         topic_profiles=profiles,
-    )
-    dataset = sg.generate(params)
-    dataset.write(out)
-    prov = {"command": args.command, "seed": args.seed}
-    echo = {
+    ))  # validates the parameters before anything is written
+    out = _outdir(args)
+    dataset.write(out)  # the dataset files carry no provenance
+    return {"syngen_config.json": {
         "users": args.users,
         "graph_model": args.graph_model,
         "edge_prob": args.edge_prob,
@@ -361,14 +359,13 @@ def cmd_syngen(args) -> None:
             name: _sha256_file(out / name)
             for name in ("edges.tsv", "events.tsv", "topics.tsv", "truth.json")
         },
-    }
-    _write_json(out / "syngen_config.json", prov, echo)
+    }}
 
 
-def cmd_report(args) -> None:
-    out = _outdir(args)
+def cmd_report(args) -> Outputs:
+    out = Path(args.out)
     entries: dict[str, dict] = {}
-    for path in sorted(out.iterdir()):
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
         if not path.is_file() or path.name == "report.json":
             continue
         entry: dict[str, object] = {
@@ -387,7 +384,7 @@ def cmd_report(args) -> None:
                     1 for line in fh if line.strip() and not line.startswith("#")
                 )
         entries[path.name] = entry
-    _write_json(out / "report.json", {"command": args.command}, {"outputs": entries})
+    return {"report.json": {"outputs": entries}}
 
 
 # --- parser ---------------------------------------------------------------
@@ -397,9 +394,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="genonet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, needs_manifest=True):
+    def add(name, func, needs_manifest=True, tags=None):
         p = sub.add_parser(name)
-        p.set_defaults(func=func, command=name)
+        # tags: fixed provenance entries of the command's outputs
+        p.set_defaults(func=func, command=name, tags=tags or {})
         if needs_manifest:
             p.add_argument("--manifest", required=True, help="dataset manifest path")
         p.add_argument("--out", required=True, help="output directory")
@@ -407,9 +405,9 @@ def build_parser() -> _Parser:
 
     add("ingest-check", cmd_ingest_check)
 
-    add("genome", cmd_genome)
+    add("genome", cmd_genome, tags=_ANY_WORKERS)
 
-    p = add("backbone", cmd_backbone)
+    p = add("backbone", cmd_backbone, tags=_ANY_WORKERS)
     p.add_argument("--topic", default=None)
 
     p = add("classify", cmd_classify)
@@ -423,7 +421,7 @@ def build_parser() -> _Parser:
         "--direction", choices=("influencer", "adopter", "both"), default="both"
     )
 
-    p = add("latmin", cmd_latmin)
+    p = add("latmin", cmd_latmin, tags=_ANY_WORKERS)
     p.add_argument("--topic", required=True)
     p.add_argument("--k", type=_positive_int, default=5)
     mode = p.add_mutually_exclusive_group()
@@ -436,7 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--users", type=_positive_int, default=60)
     p.add_argument("--topics", type=_positive_int, default=2)
     p.add_argument("--hashtags-per-topic", type=_positive_int, default=4)
-    p.add_argument("--cascades", type=int, default=2)
+    p.add_argument("--cascades", type=_nonnegative_int, default=2)
     # syngen.UNIFORM and syngen.PREFERENTIAL, spelled out so that parsing
     # any command does not import the generator
     p.add_argument(
@@ -444,7 +442,7 @@ def build_parser() -> _Parser:
         choices=("uniform-random", "preferential-attachment"),
         default="uniform-random",
     )
-    p.add_argument("--edge-prob", type=float, default=0.08)
+    p.add_argument("--edge-prob", type=_probability, default=0.08)
     p.add_argument("--attach-count", type=_positive_int, default=1)
     p.add_argument("--profiles-file", default=None)
 
@@ -460,7 +458,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        args.func(args)
+        _write_outputs(args, args.func(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

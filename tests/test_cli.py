@@ -344,13 +344,38 @@ def test_bad_flag_exits_1(tmp_path):
 @pytest.mark.parametrize("topic", ["news\0x", "news/sub", "n" * 300], ids=["nul", "slash", "long"])
 def test_backbone_topic_that_cannot_name_a_file_exits_2(tmp_path, capsys, topic):
     """A topic that cannot be part of a file name stops backbone with exit
-    2, naming it, before the topic listed ahead of it writes any file."""
+    2, naming it, before the topic listed ahead of it writes any file or
+    ``--out`` is made."""
     manifest = _write_dataset(tmp_path, "a\tb\n", "1\ta\t#x\n2\tb\t#y\n",
                               f"x\tok\ny\t{topic}\n")
     out = tmp_path / "out"
     assert run("backbone", "--manifest", manifest, "--out", out) == 2
     assert f"data error: topic {topic!r} cannot name an output file" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset, argv, code", [
+    *(pytest.param("missing", command, 2, id=f"{command[0]}-missing-manifest")
+      for command in _ALL_COMMANDS),
+    pytest.param("syn", ("backbone", "--topic", "nope"), 2, id="backbone-unknown-topic"),
+    pytest.param("syn", ("latmin", "--topic", "nope"), 2, id="latmin-unknown-topic"),
+    pytest.param(None, ("syngen", "--edge-prob", 1.5), 1, id="syngen-edge-prob"),
+    pytest.param(None, ("syngen", "--cascades", -1), 1, id="syngen-cascades"),
+    pytest.param(None, ("syngen", "--users", 5, "--graph-model", "preferential-attachment",
+                        "--attach-count", 5), 2, id="syngen-attach-count"),
+])
+def test_errors_leave_no_out_directory(syn_manifest, tmp_path, capsys, dataset, argv, code):
+    """A command makes ``--out`` only after it has checked its inputs and
+    computed every output, so a usage or data error leaves no directory."""
+    extra = {
+        "missing": ("--manifest", tmp_path / "nope.manifest"),
+        "syn": ("--manifest", syn_manifest),
+        None: ("--seed", 1),
+    }[dataset]
+    out = tmp_path / "out"
+    assert run(*argv, *extra, "--out", out) == code
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_topic_exits_2(syn_manifest, tmp_path):
@@ -503,7 +528,7 @@ def test_syngen_malformed_profiles_file(tmp_path, capsys, body, code):
     assert "internal error" not in err
     if code == 1:
         assert str(path) in err
-        assert not (tmp_path / "out").exists()  # rejected before any work
+    assert not (tmp_path / "out").exists()  # rejected before anything is written
 
 
 def test_syngen_profiles_file_matches_generate(tmp_path):

@@ -13,7 +13,9 @@ float32 inside latmin's Greedy screen.  The last three keep the float-identity
 decisions in one place each: left-to-right sums in
 ``ingest.ordered_sum``, the starts of sorted runs in
 ``ingest.run_starts``, and no numpy transcendental or BLAS product
-outside an allowlist that names each exception's reason.
+outside an allowlist that names each exception's reason.  The last one
+keeps the making of ``--out`` and the writing of files in the CLI's one
+output writer, so a command computes every output before it writes any.
 """
 
 import ast
@@ -276,3 +278,36 @@ def test_no_host_rounded_numpy_floats():
     seen, stray = _owners(_sites(_is_host_rounded), HOST_ROUNDED_OWNERS)
     assert seen == set(HOST_ROUNDED_OWNERS)  # the walk sees each allowed site
     assert not stray, f"host-rounded numpy calls at {stray}"
+
+
+def _opens_for_writing(node):
+    """``open(path, "w")``, ``path.open("a")`` and kin (a mode with w, a, x
+    or +, by position or keyword), or ``path.write_text``/``write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    position = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+    modes = node.args[position:position + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+    return name == "open" and any(
+        isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+") for m in modes
+    )
+
+
+def test_only_the_output_writer_makes_out():
+    """``cli._outdir`` makes ``--out``; only ``cli._write_outputs`` calls
+    it, and ``cli.cmd_syngen`` before it writes its generated dataset
+    files.  No ``cli`` function but ``_outdir`` (its write probe) and
+    ``_write_outputs`` opens a file for writing."""
+    cli = _tree("cli")
+    calls = _scopes(cli, "cli", lambda n: isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) == "_outdir")
+    makers = {"cli._write_outputs", "cli.cmd_syngen"}
+    seen, stray = _owners(calls, makers)
+    assert seen == makers  # the walk sees both callers
+    assert not stray, f"_outdir called outside {sorted(makers)} at {stray}"
+    writers = {"cli._outdir", "cli._write_outputs"}
+    seen, stray = _owners(_scopes(cli, "cli", _opens_for_writing), writers)
+    assert seen == writers  # the walk sees both writers
+    assert not stray, f"files opened for writing outside {sorted(writers)} at {stray}"
