@@ -12,7 +12,10 @@ A dataset consists of three TSV files:
   topic.
 
 Lines starting with ``#`` are comments, empty lines are skipped.  Each
-loader interns its own file once, through :func:`intern`: a name's id is
+loader parses its file a bounded chunk of whole lines at a time, with
+whole-string and whole-column operations, and names the first bad line
+with the first rule it breaks.  Each loader interns its own file once,
+through :func:`intern`: a name's id is
 its position among the file's sorted distinct names, so id order is name
 order, and every tie-break by id downstream is a tie-break by name.  The
 one exception is topic ids, which follow the topics' first appearance
@@ -23,9 +26,13 @@ column.  Nothing here is modified after construction.
 
 from __future__ import annotations
 
+import io
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, compress, repeat
+from operator import eq, ge, ne, not_
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -53,28 +60,11 @@ __all__ = [
     "open_utf8",
     "load_manifest",
     "load_dataset",
-    "normalize_hashtag",
     "write_follower_edges",
     "write_events",
     "write_topic_map",
     "write_manifest",
 ]
-
-
-def normalize_hashtag(raw: str) -> str:
-    """Lowercase and strip one leading ``#``; empty result is invalid."""
-    tag = raw.strip().lower()
-    if tag.startswith("#"):
-        tag = tag[1:]
-    return tag
-
-
-def _iter_content_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield line_no, line
 
 
 def intern(names: Iterable[Hashable]) -> tuple[tuple, np.ndarray]:
@@ -83,7 +73,7 @@ def intern(names: Iterable[Hashable]) -> tuple[tuple, np.ndarray]:
     names = list(names)
     labels = tuple(sorted(set(names)))
     ids = {x: i for i, x in enumerate(labels)}
-    return labels, np.fromiter((ids[x] for x in names), np.int64, len(names))
+    return labels, np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
 
 
 def _sorted_rows(*columns: np.ndarray) -> np.ndarray:
@@ -116,12 +106,12 @@ class EventLog:
     skipped_lines: int = 0
 
     @classmethod
-    def from_rows(cls, time: Iterable[int], user: Iterable[str], hashtag: Iterable[str],
+    def from_rows(cls, time: Sequence[int], user: Iterable[str], hashtag: Iterable[str],
                   skipped_lines: int = 0) -> "EventLog":
         """The log of (time, user, hashtag) rows in any order, repeats allowed."""
         users, u = intern(user)
         hashtags, h = intern(hashtag)
-        t = np.fromiter(time, np.int64, len(u))
+        t = np.asarray(time, np.int64)
         rows = _sorted_rows(t, u, h)
         return cls(users, hashtags, t[rows], u[rows], h[rows], skipped_lines)
 
@@ -283,33 +273,123 @@ def libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(values, float, len(distinct))[inverse]
 
 
-def load_follower_edges(source: Iterable[str]) -> FollowerNetwork:
+# Characters of a file parsed at once, which bounds the loaders'
+# transient strings and lists whatever the file's size; larger chunks
+# parse barely faster but raise a small dataset's peak memory.
+_CHUNK = 1 << 13
+_TRAILING_CR = re.compile(r"\r+$", re.M)
+
+
+def _utf8(text: str) -> np.ndarray:
+    """The UTF-8 bytes of ``text``; an ASCII byte in them is that character."""
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+
+
+def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
+    """The content lines of a text file, or of an iterable of lines that
+    hold no line break but at their end, a chunk of whole lines at a
+    time, with their line numbers and the number of tabs in each.
+
+    Each line loses its trailing ``\\r`` characters; blank lines and lines
+    whose first non-blank character is ``#`` are dropped.
+    """
+    if not hasattr(source, "read"):
+        source = io.StringIO("\n".join(map(str.rstrip, source, repeat("\n"))))
+    first, rest = 1, ""
+    # the line break appended at the end ends a last line that has none
+    for block in chain(iter(partial(source.read, _CHUNK), ""), ["\n"]):
+        text, newline, rest = (rest + block).rpartition("\n")
+        if not newline:
+            continue
+        if "\r" in text:
+            text = _TRAILING_CR.sub("", text)
+        lines = text.split("\n")
+        numbers = np.arange(first, first + len(lines))
+        first += len(lines)
+        code = _utf8(text)
+        end = np.append(np.flatnonzero(code == 10), len(code))  # where each line ends
+        tabs = np.diff(np.searchsorted(np.flatnonzero(code == 9), end), prepend=0)
+        # a line that starts with printable ASCII but # is content; check the rest
+        lead = np.append(code, 10)[np.append(0, end[:-1] + 1)]  # each line's first byte
+        maybe = np.flatnonzero((lead <= 32) | (lead == 35) | (lead >= 128))
+        if len(maybe):
+            heads = list(map(str.lstrip, map(lines.__getitem__, maybe.tolist())))
+            keep = np.ones(len(lines), bool)
+            keep[maybe] = _each(bool, heads) & ~_each(str.startswith, heads, repeat("#"))
+            lines, numbers, tabs = list(compress(lines, keep)), numbers[keep], tabs[keep]
+        if lines:
+            yield lines, numbers, tabs
+
+
+def _each(fn: Callable, *columns, dtype=bool) -> np.ndarray:
+    """``fn`` of each row of ``columns``, the first a list, as an array."""
+    return np.fromiter(map(fn, *columns), dtype, len(columns[0]))
+
+
+def _split(text: str, sep: str) -> list[str]:
+    """The ``sep``-separated fields of ``text``, each stripped.  Only a text
+    that is not ASCII, or holds a byte up to 32 but a tab, can have
+    whitespace to strip."""
+    fields = text.split(sep)
+    if not text.isascii() or np.count_nonzero(_utf8(text) <= 32) > text.count("\t"):
+        fields = list(map(str.strip, fields))
+    return fields
+
+
+def _hashtags(text: str, sep: str) -> list[str]:
+    """The ``sep``-separated hashtags of ``text``, each stripped,
+    lower-cased and without one leading ``#``; an empty one is invalid.
+    Lower-casing the whole text lowers each tag as it would alone, since
+    neither a comma nor a tab is cased or case-ignorable."""
+    return (sep + sep.join(_split(text.lower(), sep))).replace(sep + "#", sep)[1:].split(sep)
+
+
+def _raise_first(*rules: tuple[np.ndarray, np.ndarray | None, Callable[[int], str]]) -> None:
+    """Raise the ParseError of the first line that breaks a rule, naming
+    the first rule, in argument order, that it breaks.  A rule is the line
+    numbers of some rows, the mask of those that break it (None for none)
+    and the message of row ``i``."""
+    broken = [
+        (int(numbers[bad.argmax()]), r)
+        for r, (numbers, bad, _) in enumerate(rules) if bad is not None and bad.any()
+    ]
+    if broken:
+        line, r = min(broken)
+        _, bad, message = rules[r]
+        raise ParseError(message(int(bad.argmax())), line)
+
+
+def load_follower_edges(source: TextIO | Iterable[str]) -> FollowerNetwork:
     """Parse ``followee<TAB>follower`` lines into a FollowerNetwork.
 
     Single-field lines declare isolated nodes.  Duplicate edges collapse;
     self-loops and empty fields are rejected with their line number.
     """
     names, ends = [], []  # declared nodes; each edge's two ends
-    for line_no, line in _iter_content_lines(source):
-        parts = line.split("\t")
-        if len(parts) == 1:  # never blank: blank lines are skipped
-            names.append(parts[0].strip())
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no)
-        followee, follower = (p.strip() for p in parts)
-        if not followee or not follower:
-            raise ParseError("empty field in edge", line_no)
-        if followee == follower:
-            raise ParseError(f"self-loop on {followee!r}", line_no)
-        ends += (followee, follower)
+    same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
+    for lines, numbers, tabs in _chunks(source):
+        wide = tabs > 1
+        prefix = lines[:wide.argmax()] if wide.any() else lines  # what the other rules see
+        edge = tabs[:len(prefix)] == 1
+        pair = _split("\t".join(compress(prefix, edge)), "\t") if edge.any() else []
+        followee, follower = pair[0::2], pair[1::2]
+        _raise_first(
+            (numbers, wide, lambda i: f"expected 2 fields, got {tabs[i] + 1}"),
+            (numbers[:len(prefix)][edge],
+             ~(_each(bool, followee) & _each(bool, follower)) if "" in pair else None,
+             lambda i: "empty field in edge"),
+            (numbers[:len(prefix)][edge], _each(eq, followee, follower),
+             lambda i: f"self-loop on {followee[i]!r}"),
+        )
+        names += map(str.strip, compress(lines, ~edge))
+        ends += map(same.setdefault, pair, pair)
     nodes, ids = intern(names + ends)
     ids = ids[len(names):]
     keys = ids[::2] * len(nodes) + ids[1::2]
     return FollowerNetwork(nodes, keys[_sorted_rows(keys)])
 
 
-def load_events(source: Iterable[str]) -> EventLog:
+def load_events(source: TextIO | Iterable[str]) -> EventLog:
     """Parse ``time<TAB>user<TAB>hashtag[,hashtag...]`` lines.
 
     Each (line, hashtag) pair becomes one event; identical
@@ -318,46 +398,67 @@ def load_events(source: Iterable[str]) -> EventLog:
     ``skipped_lines``.
     """
     times, users, hashtags, skipped = [], [], [], 0
-    for line_no, line in _iter_content_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"expected 3 fields, got {len(parts)}", line_no)
-        time_raw, user, tags_raw = (p.strip() for p in parts)
+    same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
+    for lines, numbers, tabs in _chunks(source):
+        wrong = tabs != 2
+        prefix = lines[:wrong.argmax()] if wrong.any() else lines  # what the other rules see
+        fields = _split("\t".join(prefix), "\t") if prefix else []
+        time_raw, user, tags_raw = fields[0::3], fields[1::3], fields[2::3]
         # int() alone would also take "1_000", "+5" and non-ASCII digits
-        digits = time_raw.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ParseError(f"non-integer time {time_raw!r}", line_no)
-        time = int(time_raw)
-        if time < 0:
-            raise ParseError(f"negative time {time}", line_no)
-        if time >= 2**63:  # times are indexed as int64
-            raise ParseError(f"time {time} above 2^63-1", line_no)
-        if not user:
-            raise ParseError("empty user", line_no)
-        tags = [normalize_hashtag(t) for t in tags_raw.split(",")]
-        tags = [t for t in tags if t]
-        if not tags:
-            skipped += 1
-            continue
-        times += [time] * len(tags)
-        users += [user] * len(tags)
-        hashtags += tags
-    return EventLog.from_rows(times, users, hashtags, skipped)
+        signed = "-" in "".join(time_raw)
+        digits = list(map(str.removeprefix, time_raw, repeat("-"))) if signed else time_raw
+        plain = "".join(digits)
+        width = _each(len, digits, dtype=np.int64)
+        integer = width.all() and plain.isascii() and plain.encode().isdigit()
+        # times are indexed as int64, and leading zeros do not count
+        long = width.max(initial=0) >= 19
+        value = list(map(str.lstrip, digits, repeat("0"))) if signed or long else digits
+        size = _each(len, value, dtype=np.int64)
+        _raise_first(
+            (numbers, wrong, lambda i: f"expected 3 fields, got {tabs[i] + 1}"),
+            (numbers, None if integer else ~(_each(str.isascii, digits) & _each(str.isdigit, digits)),
+             lambda i: f"non-integer time {time_raw[i]!r}"),
+            (numbers, _each(str.startswith, time_raw, repeat("-")) & (size > 0) if signed else None,
+             lambda i: f"negative time {int(time_raw[i])}"),
+            (numbers, (size > 19) | (size == 19) & _each(ge, value, repeat(str(2**63))) if long else None,
+             lambda i: f"time {int(time_raw[i])} above 2^63-1"),
+            (numbers, _each(not_, user) if "" in user else None, lambda i: "empty user"),
+        )
+        time = np.array(digits, np.int64)
+        tags = _hashtags(",".join(tags_raw), ",")
+        if len(tags) > len(tags_raw) or "" in tags:  # a line without exactly one hashtag
+            kept = _each(bool, tags)
+            count = _each(str.count, tags_raw, repeat(","), dtype=np.int64) + 1
+            per_line = row_sums(kept, np.concatenate(([0], np.cumsum(count))))
+            skipped += int(np.count_nonzero(per_line == 0))
+            tags, time = list(compress(tags, kept)), np.repeat(time, per_line)
+            user = list(chain.from_iterable(map(repeat, user, per_line.tolist())))
+        times.append(time)
+        users += map(same.setdefault, user, user)
+        hashtags += map(same.setdefault, tags, tags)
+    return EventLog.from_rows(np.concatenate([np.zeros(0, np.int64), *times]), users, hashtags, skipped)
 
 
-def load_topic_map(source: Iterable[str]) -> TopicMap:
+def load_topic_map(source: TextIO | Iterable[str]) -> TopicMap:
     """Parse ``hashtag<TAB>topic`` lines; each hashtag gets one topic."""
     rows: dict[str, str] = {}
-    for line_no, line in _iter_content_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"expected 2 fields, got {len(parts)}", line_no)
-        tag = normalize_hashtag(parts[0])
-        topic = parts[1].strip()
-        if not tag or not topic:
-            raise ParseError("empty field in topic assignment", line_no)
-        if rows.setdefault(tag, topic) != topic:
-            raise ParseError(f"hashtag {tag!r} mapped to both {rows[tag]!r} and {topic!r}", line_no)
+    for lines, numbers, tabs in _chunks(source):
+        wrong = tabs != 1
+        prefix = lines[:wrong.argmax()] if wrong.any() else lines  # what the other rules see
+        fields = _split("\t".join(prefix), "\t") if prefix else []
+        tags = _hashtags("\t".join(fields[0::2]), "\t") if prefix else []
+        topics = fields[1::2]
+        # each hashtag's first topic: in an earlier chunk, else in this one
+        first = dict(zip(reversed(tags), reversed(topics)))
+        first.update({tag: rows[tag] for tag in first.keys() & rows.keys()})
+        _raise_first(
+            (numbers, wrong, lambda i: f"expected 2 fields, got {tabs[i] + 1}"),
+            (numbers, ~(_each(bool, tags) & _each(bool, topics)) if "" in tags or "" in topics else None,
+             lambda i: "empty field in topic assignment"),
+            (numbers, _each(ne, topics, map(first.__getitem__, tags)),
+             lambda i: f"hashtag {tags[i]!r} mapped to both {first[tags[i]]!r} and {topics[i]!r}"),
+        )
+        rows.update(zip(tags, topics))
     return TopicMap.from_rows(rows)
 
 
@@ -447,7 +548,8 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
     base = path.parent
     found: dict[str, Path] = {}
     with open_utf8(path) as fh:
-        for line_no, line in _iter_content_lines(fh):
+        chunks = (zip(numbers.tolist(), lines) for lines, numbers, _ in _chunks(fh))
+        for line_no, line in chain.from_iterable(chunks):
             if "=" not in line:
                 raise ParseError("expected key = value", line_no)
             key, _, value = line.partition("=")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -115,6 +116,15 @@ class InstanceTable:
     def __len__(self) -> int:
         return len(self.user)
 
+    @cached_property
+    def auc_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each slot's instance id, and each instance's positive and
+        negative counts: what every AUC over the table shares."""
+        sizes = np.diff(self.indptr)
+        inst = np.repeat(np.arange(len(sizes)), sizes)
+        n_pos = np.bincount(inst[self.truth], minlength=len(sizes))
+        return inst, n_pos, sizes - n_pos
+
     def take(self, rows: np.ndarray) -> "InstanceTable":
         """The table of the selected instances (a mask or ids), in that order."""
         indptr, slots = gather_rows(self.indptr, rows)
@@ -201,27 +211,35 @@ def _over_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.divide(x, top, out=np.zeros_like(x), where=top > 0)
 
 
-def roc_auc(scores: np.ndarray, truth: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Mann-Whitney AUC of every instance's ranking of slots ``indptr[i]:indptr[i + 1]``.
+def _rank_key(scores: np.ndarray, inst: np.ndarray, n: int) -> np.ndarray:
+    """An int64 key per slot in (instance, score) order, equal for equal
+    scores in one instance.  Integral scores whose span keeps the key
+    exact are their own key; any others are numbered in sorted order."""
+    lo, hi = (scores.min(), scores.max()) if len(scores) else (0.0, 0.0)
+    span = hi - lo + 1  # NaN or infinite for such scores
+    if span < 2**53 and int(span) * n < 2**63 and np.array_equal(np.floor(scores), scores):
+        return inst * int(span) + (scores - lo).astype(np.int64)
+    values, dense = np.unique(scores, return_inverse=True)
+    return inst * len(values) + dense
+
+
+def roc_auc(scores: np.ndarray, table: InstanceTable) -> np.ndarray:
+    """Mann-Whitney AUC of every instance's ranking of its slots by ``scores``.
 
     Tied positive-negative pairs contribute 0.5 each.  One sort by
     (instance, score) gives each run of tied scores its midrank.  The
     midranks are half-integers, so every rank sum, and each AUC, is exact.
     """
-    sizes = np.diff(indptr)
-    inst = np.repeat(np.arange(len(sizes)), sizes)
-    n_pos = np.bincount(inst[truth], minlength=len(sizes))
-    n_neg = sizes - n_pos
+    inst, n_pos, n_neg = table.auc_columns
     if not (n_pos.all() and n_neg.all()):
         raise DataError("AUC undefined: needs at least one positive and one negative")
-    values, dense = np.unique(scores, return_inverse=True)
-    key = inst * len(values) + dense  # ordered as (instance, score)
+    key = _rank_key(scores, inst, len(n_pos))
     order = np.argsort(key)
     run = run_starts(key[order])  # a run of tied scores starts here
     first = np.flatnonzero(run)
     last = np.append(first[1:], len(key))
-    rank = ((first + last + 1 - 2 * indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
-    rank_sum = np.bincount(inst, weights=rank * truth[order], minlength=len(sizes))
+    rank = ((first + last + 1 - 2 * table.indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
+    rank_sum = np.bincount(inst, weights=rank * table.truth[order], minlength=len(n_pos))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -246,7 +264,7 @@ def evaluate(
     groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))
     results = []
     for kind in PredictorKind:
-        auc = roc_auc(score_candidates(kind, table, context), table.truth, table.indptr)
+        auc = roc_auc(score_candidates(kind, table, context), table)
         per_topic = {
             name: (float(ordered_sum(auc[rows])) / len(rows), len(rows))
             for name, rows in groups

@@ -116,6 +116,14 @@ class EventLog:
         return frozenset(e.hashtag for e in self.events)
 
 
+def normalize_hashtag(raw):
+    """Lowercase and strip one leading ``#``; empty result is invalid."""
+    tag = raw.strip().lower()
+    if tag.startswith("#"):
+        tag = tag[1:]
+    return tag
+
+
 def _content_lines(source):
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
@@ -148,7 +156,6 @@ def load_follower_edges(source):
 def load_events(source):
     """``ingest.load_events`` on names: a set of ``Event`` triples, sorted."""
     from genonet.errors import ParseError
-    from genonet.ingest import normalize_hashtag
 
     seen, skipped = set(), 0
     for line_no, line in _content_lines(source):
@@ -206,13 +213,15 @@ def hashtags_for(topics, topic):
 def topic_map_by_name(lines):
     """``ingest.load_topic_map`` as one dict: ``{hashtag: topic}`` and the
     topics in their order of first appearance, or the ``(message, line)``
-    of the first hashtag given a second topic."""
-    from genonet.ingest import normalize_hashtag
-
+    of the first malformed line or hashtag given a second topic."""
     found, topics = {}, []
     for line_no, line in _content_lines(lines):
-        tag, topic = line.split("\t")
-        tag, topic = normalize_hashtag(tag), topic.strip()
+        parts = line.split("\t")
+        if len(parts) != 2:
+            return f"expected 2 fields, got {len(parts)}", line_no
+        tag, topic = normalize_hashtag(parts[0]), parts[1].strip()
+        if not tag or not topic:
+            return "empty field in topic assignment", line_no
         if found.setdefault(tag, topic) != topic:
             return f"hashtag {tag!r} mapped to both {found[tag]!r} and {topic!r}", line_no
         if topic not in topics:
@@ -1712,6 +1721,29 @@ def roc_auc(scores, truth):
         i = j
     rank_sum = sum(ranks[s] for s in positives)
     n_pos, n_neg = len(positives), len(negatives)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def roc_auc_unique(scores, truth, indptr):
+    """``predict.roc_auc`` with every score numbered by ``np.unique``, over
+    the slots ``indptr[i]:indptr[i + 1]`` of each instance."""
+    from genonet.errors import DataError
+    from genonet.ingest import run_starts
+
+    sizes = np.diff(indptr)
+    inst = np.repeat(np.arange(len(sizes)), sizes)
+    n_pos = np.bincount(inst[truth], minlength=len(sizes))
+    n_neg = sizes - n_pos
+    if not (n_pos.all() and n_neg.all()):
+        raise DataError("AUC undefined: needs at least one positive and one negative")
+    values, dense = np.unique(scores, return_inverse=True)
+    key = inst * len(values) + dense  # ordered as (instance, score)
+    order = np.argsort(key)
+    run = run_starts(key[order])  # a run of tied scores starts here
+    first = np.flatnonzero(run)
+    last = np.append(first[1:], len(key))
+    rank = ((first + last + 1 - 2 * indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
+    rank_sum = np.bincount(inst, weights=rank * truth[order], minlength=len(sizes))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

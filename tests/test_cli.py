@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from genonet import classify, genotype, ingest, latmin, predict
+from genonet import classify, cli, genotype, ingest, latmin, predict
 from genonet.cli import main
 from genonet.graph import DirectedGraph
 from genonet.ingest import load_dataset
@@ -155,6 +156,32 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_main_in_process_leaves_the_collector_alone(toy_manifest, tmp_path):
+    """Calling ``main`` in-process, as tests and traced runs do, neither
+    switches the cyclic collector off nor freezes any object."""
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert run("genome", "--manifest", toy_manifest, "--out", tmp_path) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_entry_runs_without_the_collector_and_freezes(toy_manifest, tmp_path, monkeypatch):
+    """The process entry runs the command with the collector off and
+    freezes every object before it exits with the command's code."""
+    argv = ["genonet", "genome", "--manifest", str(toy_manifest), "--out", str(tmp_path)]
+    monkeypatch.setattr(sys, "argv", argv)
+    collecting = []
+    monkeypatch.setattr(cli, "main", lambda: collecting.append(gc.isenabled()) or main())
+    try:
+        with pytest.raises(SystemExit) as done:
+            cli.entry()
+        assert done.value.code == 0 and collecting == [False]
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+    assert (tmp_path / "genome_summary.tsv").is_file()
 
 
 def test_classify_loads_no_scipy(syn_manifest, tmp_path):

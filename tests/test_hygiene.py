@@ -13,9 +13,10 @@ float32 inside latmin's Greedy screen.  The last three keep the float-identity
 decisions in one place each: left-to-right sums in
 ``ingest.ordered_sum``, the starts of sorted runs in
 ``ingest.run_starts``, and no numpy transcendental or BLAS product
-outside an allowlist that names each exception's reason.  The last one
-keeps the making of ``--out`` and the writing of files in the CLI's one
-output writer, so a command computes every output before it writes any.
+outside an allowlist that names each exception's reason.  One keeps
+the making of ``--out`` and the writing of files in the CLI's one output
+writer, so a command computes every output before it writes any.  The
+last keeps the cyclic collector's state in the CLI's process entry.
 """
 
 import ast
@@ -311,3 +312,38 @@ def test_only_the_output_writer_makes_out():
     seen, stray = _owners(_scopes(cli, "cli", _opens_for_writing), writers)
     assert seen == writers  # the walk sees both writers
     assert not stray, f"files opened for writing outside {sorted(writers)} at {stray}"
+
+
+# A command is a short process whose objects live until it exits, so its
+# process entry runs without the cyclic collector and freezes every
+# object before exit.  Library callers, tests and traced runs that call
+# ``cli.main`` keep the collector as they set it.
+GC_SITES = {("cli.entry", "disable"), ("cli.entry", "freeze")}
+GC_STATE = {"disable", "enable", "freeze", "unfreeze", "collect", "set_threshold", "set_debug"}
+
+
+def _gc_calls(node, scope):
+    """(scope, function) of every ``gc.<function>(...)`` call."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Call) and (_dotted(child.func) or "").startswith("gc."):
+            yield inner, child.func.attr
+        yield from _gc_calls(child, inner)
+
+
+def test_gc_state_changes_only_in_the_cli_process_entry():
+    """Only ``cli.entry`` switches the collector off and freezes objects;
+    no module changes the collector's state anywhere else, nor binds
+    ``gc`` under another name."""
+    found = {call for name in MODULES for call in _gc_calls(_tree(name), name)}
+    assert GC_SITES <= found  # the walk sees each allowed site
+    stray = sorted(call for call in found if call[1] in GC_STATE and call not in GC_SITES)
+    assert not stray, f"collector state changed at {stray}"
+    aliased = [
+        f"{name}.py:{node.lineno}" for name in MODULES for node in ast.walk(_tree(name))
+        if isinstance(node, ast.ImportFrom) and node.module == "gc"
+        or isinstance(node, ast.Import) and any(a.name == "gc" and a.asname for a in node.names)
+    ]
+    assert not aliased, f"gc imported under another name at {aliased}"

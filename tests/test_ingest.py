@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from genonet import ingest
 from genonet.errors import DataError, ParseError
 from genonet.genotype import MetricKind, build_genome, node_topic_latency, pair_metrics
 from genonet.ingest import (
@@ -380,6 +381,103 @@ def test_parse_errors_equal_name_oracle():
             errors.append((str(caught.value), caught.value.line_no))
         assert errors[0] == errors[1], (kind, lines)
         assert errors[0][1] == len(lines), (kind, lines)
+
+
+def _named_parse(kind, source):
+    """One loader's result read back by name, or its ParseError's
+    ``(message, line)``: the form ``_line_oracle`` gives."""
+    load = {"edges": load_follower_edges, "events": load_events, "topics": load_topic_map}[kind]
+    try:
+        got = load(source)
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], exc.line_no
+    return (oracles.assignment(got), got.topics) if kind == "topics" else oracles.named(got)
+
+
+def _line_oracle(kind, lines):
+    """The per-line oracle of one loader, its first ParseError as ``(message, line)``."""
+    if kind == "topics":
+        return oracles.topic_map_by_name(lines)
+    try:
+        return {"edges": oracles.load_follower_edges, "events": oracles.load_events}[kind](lines)
+    except ParseError as exc:
+        return str(exc).split(": ", 1)[1], exc.line_no
+
+
+def _sources(lines):
+    """``lines`` as a list and as text files with and without a last line break."""
+    text = "\n".join(lines)
+    return [lines, io.StringIO(text), io.StringIO(text + "\n")]
+
+
+# (loader, lines) that parse: comments (indented too), whitespace-only
+# lines, CRLF ends, padded fields, declared nodes, multi-tag lines with
+# empty, #-prefixed and upper-case tags (a final sigma among them),
+# times of 19 digits and more around 2^63, -0, and files of comments alone
+_WELL_FORMED = [
+    ("edges", ["# follows", "a\tb\r", "  # indented", " \t ", "", " c \t d ", "lonely", "b\ta\r\r"]),
+    ("edges", ["\u00a0x\u3000\ty", "\u3000# unicode-indented comment", "x\tz", "# last"]),
+    ("edges", ["# only", "  # comments", "\t"]),
+    ("events", ["1\tA\t#x,#Y, ,#", "# c", " 2 \t B \t ##Z , x ", "3\tC\t,", "-0\tD\t#x\r",
+                "-00\tD\t#w", "4\tΣA\t#ΑΣ,ΣΑ'Σ"]),
+    ("events", [f"{2**63 - 1}\tA\tx", f"000{2**63 - 1}\tB\tx", f"{10**18}\tC\tx", "007\tD\tx"]),
+    ("events", ["  # nothing", "\r", "# here"]),
+    ("topics", ["X\tT1", "  # comment", "Y \t T2 \r", "x\tT1", "  Z\tT1", "ΑΣ\tT3"]),
+    ("topics", ["# none"]),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("kind, lines", _WELL_FORMED)
+def test_loaders_equal_line_oracles(kind, lines, chunk, monkeypatch):
+    """Each loader, read back by name, equals its per-line oracle on the
+    cases above, as a list of lines and as a text file with and without
+    its last line break; a 5-character chunk splits lines across reads."""
+    if chunk:
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    want = _line_oracle(kind, lines)
+    assert not isinstance(want, tuple) or not isinstance(want[0], str), want
+    for source in _sources(lines):
+        assert _named_parse(kind, source) == want, (kind, lines)
+
+
+# (loader, lines, the first bad line): the first bad line is not the last,
+# or breaks two rules, and a field-count error follows another error
+_FIRST_ERRORS = [
+    ("edges", ["a\tb", "c\tc", "d\te\tf"], 2),
+    ("edges", ["# c", "a\tb\tc", "d\td"], 2),
+    ("edges", ["x", " \t b", "a\ta", "a\tb\tc"], 2),
+    ("events", ["1\tA\t#x", "soon\tB\t#y", "2\tC"], 2),
+    ("events", ["1\tA", "soon\tB\t#y"], 1),
+    ("events", ["# c", "  ", "-5\tA\t#x", f"{2**63}\tB\t#y"], 3),
+    ("events", [f"{2**63}\tA\t#x", "-5\tB\t#y"], 1),
+    ("events", [f"0{2**63}\tA\t#x", "1\t\t#y"], 1),
+    ("events", [f"{10**19}\tA\t#x", "x"], 1),
+    ("events", [f"-{2**63}\tA\t#x", "x"], 1),
+    ("events", ["1\t\t#x", "2\tB"], 1),
+    ("events", ["-\tA\t#x", "1\tB"], 1),
+    ("events", ["--1\t\t#x", "3\t\t#y"], 1),
+    ("events", [" 1 \t A \t #x", "1_0\tB\t#y", "x"], 2),
+    ("events", ["1\tA\t#x", "\t\t", "x\t\t"], 3),
+    ("topics", ["x\tA", "y\tB", "X\tC", "z"], 3),
+    ("topics", ["x\tA", "\tB", "x\tC"], 2),
+    ("topics", ["x\tA\tB", "x\tA", "x\tB"], 1),
+    ("topics", ["# c", "x\tA\r", "  ", "#x\tB", " X \t B"], 5),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("kind, lines, line", _FIRST_ERRORS)
+def test_first_errors_equal_line_oracles(kind, lines, line, chunk, monkeypatch):
+    """Each loader reports the ``(message, line)`` of its per-line oracle:
+    the first bad line and the first rule it breaks, as a list and as a
+    text file, in one chunk or across many."""
+    if chunk:
+        monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    want = _line_oracle(kind, lines)
+    assert want[1] == line, want
+    for source in _sources(lines):
+        assert _named_parse(kind, source) == want, (kind, lines)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -16,6 +16,7 @@ from genonet.ingest import (
 )
 from genonet.predict import (
     Direction,
+    InstanceTable,
     PredictionContext,
     PredictorKind,
     build_instances,
@@ -41,11 +42,18 @@ def scores_of(kind, inst, ctx):
     return dict(zip(inst.candidates, scores.tolist()))
 
 
+def slots_table(truth, indptr):
+    """An ``InstanceTable`` of the given truth flags and CSR offsets, its
+    other columns zero: all that ``roc_auc`` reads."""
+    zeros = np.zeros(len(indptr) - 1, np.int64)
+    return InstanceTable(indptr, np.zeros(len(truth), np.int64), truth, zeros, zeros, zeros)
+
+
 def auc_of(scores, truth):
     """``roc_auc`` of one candidate -> score map, as a one-instance table."""
     values = np.array(list(scores.values()), dtype=float)
     flags = np.array([c in truth for c in scores], dtype=bool)
-    return roc_auc(values, flags, np.array([0, len(values)]))[0]
+    return roc_auc(values, slots_table(flags, np.array([0, len(values)])))[0]
 
 
 def result_of(kind, direction, instances, ctx):
@@ -211,6 +219,37 @@ def test_all_tied_scores_auc_half():
     assert auc_of({"a": 1.0, "b": 1.0, "c": 1.0}, {"a"}) == 0.5
 
 
+# (instances, score draw): ties, integral and fractional scores, negative
+# scores and signed zeros, one instance, and integral scores whose key
+# would leave the exact range: a span of 2^53 or more, or a span times
+# the instance count of 2^63 or more
+AUC_TABLES = [
+    (30, lambda rng, n: rng.integers(0, 4, n).astype(float)),
+    (30, lambda rng, n: rng.integers(-3, 3, n) / 4.0),
+    (30, lambda rng, n: rng.integers(-10**6, 10**6, n).astype(float)),
+    (30, lambda rng, n: rng.choice([-0.0, 0.0, -1.0, 2.0], n)),
+    (1, lambda rng, n: rng.integers(-2, 2, n).astype(float)),
+    (1, lambda rng, n: rng.random(n)),
+    (30, lambda rng, n: rng.choice([-2.0**60, 0.0, 3.0, 2.0**60], n)),
+    (1100, lambda rng, n: rng.choice([0.0, 1.0, 2.0**53 - 2], n)),
+]
+
+
+@pytest.mark.parametrize("instances, draw", AUC_TABLES)
+def test_roc_auc_equals_unique_numbering_oracle(instances, draw):
+    """Bit for bit the AUCs of ``oracles.roc_auc_unique``, which numbers
+    every score by ``np.unique``, on seeded tables with ties."""
+    rng = np.random.default_rng(instances)
+    for _ in range(5):
+        sizes = rng.integers(2, 12, size=instances)
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        truth = rng.random(int(indptr[-1])) < 0.4
+        truth[indptr[:-1]], truth[indptr[1:] - 1] = True, False  # one of each per instance
+        scores = draw(rng, int(indptr[-1]))
+        got = roc_auc(scores, slots_table(truth, indptr))
+        assert got.tobytes() == oracles.roc_auc_unique(scores, truth, indptr).tobytes()
+
+
 def test_evaluate_single_instance():
     inst = PredictionInstance(
         user="u", hashtag="h", topic="T", direction=Direction.INFLUENCER,
@@ -352,8 +391,7 @@ def test_table_equals_scalar_oracle():
                     expected = oracles.score_candidates(kind, inst, octx)
                     got = scores[table.indptr[i]:table.indptr[i + 1]].tolist()
                     assert got == list(expected.values()), (kind, inst)
-                aucs = roc_auc(score_candidates(kind, kept_table, ctx),
-                               kept_table.truth, kept_table.indptr).tolist()
+                aucs = roc_auc(score_candidates(kind, kept_table, ctx), kept_table).tolist()
                 assert aucs == [
                     oracles.roc_auc(oracles.score_candidates(kind, inst, octx), inst.truth)
                     for inst in kept
@@ -371,7 +409,7 @@ def test_table_equals_scalar_oracle():
         truth = rng.random(int(indptr[-1])) < 0.4
         for a, b in zip(indptr[:-1], indptr[1:]):  # at least one of each per instance
             truth[a], truth[b - 1] = True, False
-        got = roc_auc(scores, truth, indptr).tolist()
+        got = roc_auc(scores, slots_table(truth, indptr)).tolist()
         assert got == [
             oracles.roc_auc({j: scores[j] for j in range(a, b)}, set(np.flatnonzero(truth[a:b]) + a))
             for a, b in zip(indptr[:-1], indptr[1:])
