@@ -27,12 +27,11 @@ column.  Nothing here is modified after construction.
 from __future__ import annotations
 
 import io
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
-from operator import eq, ge, ne, not_
+from operator import eq, ne
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -275,23 +274,28 @@ def libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
 
 # Characters of a file parsed at once, which bounds the loaders'
 # transient strings and lists whatever the file's size; larger chunks
-# parse barely faster but raise a small dataset's peak memory.
+# parse faster but raise a small dataset's peak memory.
 _CHUNK = 1 << 13
-_TRAILING_CR = re.compile(r"\r+$", re.M)
 
 
-def _utf8(text: str) -> np.ndarray:
-    """The UTF-8 bytes of ``text``; an ASCII byte in them is that character."""
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+def _offsets(fields: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``fields`` joined by tabs, which none of them
+    holds, and where each field starts and ends in them; an ASCII byte in
+    them is that character."""
+    code = np.frombuffer(("\t".join(fields) + "\t").encode("utf-8", "surrogatepass"), np.uint8)
+    end = np.flatnonzero(code == ord("\t"))[:len(fields)]
+    return code, np.concatenate(([0], end + 1))[:len(fields)], end
 
 
-def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray]]:
-    """The content lines of a text file, or of an iterable of lines that
-    hold no line break but at their end, a chunk of whole lines at a
-    time, with their line numbers and the number of tabs in each.
+def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The lines of a text file, or of an iterable of lines that hold no
+    line break but at their end, a chunk of whole lines at a time: the
+    lines' tab-separated fields, each stripped, laid end to end; each
+    line's field count, whether it is content, and its number; and each
+    field's length in UTF-8 bytes.
 
-    Each line loses its trailing ``\\r`` characters; blank lines and lines
-    whose first non-blank character is ``#`` are dropped.
+    Blank lines and lines whose first non-blank character is ``#`` are
+    not content.
     """
     if not hasattr(source, "read"):
         source = io.StringIO("\n".join(map(str.rstrip, source, repeat("\n"))))
@@ -301,24 +305,19 @@ def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndar
         text, newline, rest = (rest + block).rpartition("\n")
         if not newline:
             continue
-        if "\r" in text:
-            text = _TRAILING_CR.sub("", text)
-        lines = text.split("\n")
-        numbers = np.arange(first, first + len(lines))
-        first += len(lines)
-        code = _utf8(text)
+        code = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
         end = np.append(np.flatnonzero(code == 10), len(code))  # where each line ends
-        tabs = np.diff(np.searchsorted(np.flatnonzero(code == 9), end), prepend=0)
-        # a line that starts with printable ASCII but # is content; check the rest
-        lead = np.append(code, 10)[np.append(0, end[:-1] + 1)]  # each line's first byte
-        maybe = np.flatnonzero((lead <= 32) | (lead == 35) | (lead >= 128))
-        if len(maybe):
-            heads = list(map(str.lstrip, map(lines.__getitem__, maybe.tolist())))
-            keep = np.ones(len(lines), bool)
-            keep[maybe] = _each(bool, heads) & ~_each(str.startswith, heads, repeat("#"))
-            lines, numbers, tabs = list(compress(lines, keep)), numbers[keep], tabs[keep]
-        if lines:
-            yield lines, numbers, tabs
+        width = np.diff(np.searchsorted(np.flatnonzero(code == 9), end), prepend=0) + 1
+        numbers = np.arange(first, first + len(width))
+        first += len(width)
+        fields = list(map(str.strip, text.replace("\n", "\t").split("\t")))
+        code, start, end = _offsets(fields)
+        # a line is content if it has a non-empty field, the first not a comment
+        bounds = np.cumsum(width)
+        filled = np.append(np.flatnonzero(end > start), len(fields))
+        lead = filled[np.searchsorted(filled, bounds - width)]
+        content = (lead < bounds) & (np.append(code[start], 0)[lead] != ord("#"))
+        yield fields, width, content, numbers, end - start
 
 
 def _each(fn: Callable, *columns, dtype=bool) -> np.ndarray:
@@ -326,33 +325,27 @@ def _each(fn: Callable, *columns, dtype=bool) -> np.ndarray:
     return np.fromiter(map(fn, *columns), dtype, len(columns[0]))
 
 
-def _split(text: str, sep: str) -> list[str]:
-    """The ``sep``-separated fields of ``text``, each stripped.  Only a text
-    that is not ASCII, or holds a byte up to 32 but a tab, can have
-    whitespace to strip."""
-    fields = text.split(sep)
-    if not text.isascii() or np.count_nonzero(_utf8(text) <= 32) > text.count("\t"):
-        fields = list(map(str.strip, fields))
-    return fields
+def _hashtags(fields: list[str], sep: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ``sep``-separated hashtags of ``fields``, each stripped,
+    lower-cased and without one leading ``#``; which of them are then
+    empty, which is invalid; and how many each field holds.  Lower-casing the
+    joined fields lowers each tag as it would alone, since neither a comma
+    nor a tab is cased or case-ignorable."""
+    text = "\t".join(["", *fields]).lower()  # a separator before each tag
+    code = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    opens = code[np.flatnonzero((code == ord("\t")) | (code == ord(sep)))] == ord("\t")
+    count = np.diff(np.append(np.flatnonzero(opens), len(opens)))
+    text = sep.join(["", *map(str.strip, text.replace("\t", sep).split(sep)[1:])]).replace(sep + "#", sep)
+    code = np.frombuffer((text + sep).encode("utf-8", "surrogatepass"), np.uint8)
+    return text.split(sep)[1:], np.diff(np.flatnonzero(code == ord(sep))) == 1, count
 
 
-def _hashtags(text: str, sep: str) -> list[str]:
-    """The ``sep``-separated hashtags of ``text``, each stripped,
-    lower-cased and without one leading ``#``; an empty one is invalid.
-    Lower-casing the whole text lowers each tag as it would alone, since
-    neither a comma nor a tab is cased or case-ignorable."""
-    return (sep + sep.join(_split(text.lower(), sep))).replace(sep + "#", sep)[1:].split(sep)
-
-
-def _raise_first(*rules: tuple[np.ndarray, np.ndarray | None, Callable[[int], str]]) -> None:
+def _raise_first(*rules: tuple[np.ndarray, np.ndarray, Callable[[int], str]]) -> None:
     """Raise the ParseError of the first line that breaks a rule, naming
     the first rule, in argument order, that it breaks.  A rule is the line
-    numbers of some rows, the mask of those that break it (None for none)
-    and the message of row ``i``."""
-    broken = [
-        (int(numbers[bad.argmax()]), r)
-        for r, (numbers, bad, _) in enumerate(rules) if bad is not None and bad.any()
-    ]
+    numbers of some rows, the mask of those that break it and the message
+    of row ``i``."""
+    broken = [(int(numbers[bad.argmax()]), r) for r, (numbers, bad, _) in enumerate(rules) if bad.any()]
     if broken:
         line, r = min(broken)
         _, bad, message = rules[r]
@@ -367,21 +360,18 @@ def load_follower_edges(source: TextIO | Iterable[str]) -> FollowerNetwork:
     """
     names, ends = [], []  # declared nodes; each edge's two ends
     same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
-    for lines, numbers, tabs in _chunks(source):
-        wide = tabs > 1
-        prefix = lines[:wide.argmax()] if wide.any() else lines  # what the other rules see
-        edge = tabs[:len(prefix)] == 1
-        pair = _split("\t".join(compress(prefix, edge)), "\t") if edge.any() else []
+    for fields, width, content, numbers, length in _chunks(source):
+        edge = content & (width == 2)
+        on = np.repeat(edge, width)
+        pair = list(compress(fields, on.tolist()))
         followee, follower = pair[0::2], pair[1::2]
         _raise_first(
-            (numbers, wide, lambda i: f"expected 2 fields, got {tabs[i] + 1}"),
-            (numbers[:len(prefix)][edge],
-             ~(_each(bool, followee) & _each(bool, follower)) if "" in pair else None,
+            (numbers, content & (width > 2), lambda i: f"expected 2 fields, got {width[i]}"),
+            (numbers[edge], length[on].reshape(-1, 2).min(1, initial=1) == 0,
              lambda i: "empty field in edge"),
-            (numbers[:len(prefix)][edge], _each(eq, followee, follower),
-             lambda i: f"self-loop on {followee[i]!r}"),
+            (numbers[edge], _each(eq, followee, follower), lambda i: f"self-loop on {followee[i]!r}"),
         )
-        names += map(str.strip, compress(lines, ~edge))
+        names += compress(fields, np.repeat(content & (width == 1), width).tolist())
         ends += map(same.setdefault, pair, pair)
     nodes, ids = intern(names + ends)
     ids = ids[len(names):]
@@ -399,41 +389,37 @@ def load_events(source: TextIO | Iterable[str]) -> EventLog:
     """
     times, users, hashtags, skipped = [], [], [], 0
     same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
-    for lines, numbers, tabs in _chunks(source):
-        wrong = tabs != 2
-        prefix = lines[:wrong.argmax()] if wrong.any() else lines  # what the other rules see
-        fields = _split("\t".join(prefix), "\t") if prefix else []
-        time_raw, user, tags_raw = fields[0::3], fields[1::3], fields[2::3]
-        # int() alone would also take "1_000", "+5" and non-ASCII digits
-        signed = "-" in "".join(time_raw)
-        digits = list(map(str.removeprefix, time_raw, repeat("-"))) if signed else time_raw
-        plain = "".join(digits)
-        width = _each(len, digits, dtype=np.int64)
-        integer = width.all() and plain.isascii() and plain.encode().isdigit()
+    for fields, width, content, numbers, length in _chunks(source):
+        row = content & (width == 3)
+        on = np.repeat(row, width)
+        columns = list(compress(fields, on.tolist()))
+        time_raw, user, tags_raw = columns[0::3], columns[1::3], columns[2::3]
+        # a time is ASCII digits after at most one "-": int() alone would
+        # also take "1_000", "+5" and non-ASCII digits
+        code, start, end = _offsets(time_raw)
+        minus = code[start] == ord("-")  # an empty field's first byte is its tab
+        start = start + minus
+        other = np.append(0, np.cumsum((code < ord("0")) | (code > ord("9"))))  # non-digits before
+        integer = (end > start) & (other[end] == other[start])
         # times are indexed as int64, and leading zeros do not count
-        long = width.max(initial=0) >= 19
-        value = list(map(str.lstrip, digits, repeat("0"))) if signed or long else digits
-        size = _each(len, value, dtype=np.int64)
+        nonzero = np.flatnonzero(code != ord("0"))
+        size = end - nonzero[np.searchsorted(nonzero, start)]
+        large = size > 19
+        top = np.flatnonzero(integer & (size == 19))
+        large[top] = [int(time_raw[i]) >= 2**63 for i in top.tolist()]
         _raise_first(
-            (numbers, wrong, lambda i: f"expected 3 fields, got {tabs[i] + 1}"),
-            (numbers, None if integer else ~(_each(str.isascii, digits) & _each(str.isdigit, digits)),
-             lambda i: f"non-integer time {time_raw[i]!r}"),
-            (numbers, _each(str.startswith, time_raw, repeat("-")) & (size > 0) if signed else None,
-             lambda i: f"negative time {int(time_raw[i])}"),
-            (numbers, (size > 19) | (size == 19) & _each(ge, value, repeat(str(2**63))) if long else None,
-             lambda i: f"time {int(time_raw[i])} above 2^63-1"),
-            (numbers, _each(not_, user) if "" in user else None, lambda i: "empty user"),
+            (numbers, content & (width != 3), lambda i: f"expected 3 fields, got {width[i]}"),
+            (numbers[row], ~integer, lambda i: f"non-integer time {time_raw[i]!r}"),
+            (numbers[row], minus & (size > 0), lambda i: f"negative time {int(time_raw[i])}"),
+            (numbers[row], large, lambda i: f"time {int(time_raw[i])} above 2^63-1"),
+            (numbers[row], length[on][1::3] == 0, lambda i: "empty user"),
         )
-        time = np.array(digits, np.int64)
-        tags = _hashtags(",".join(tags_raw), ",")
-        if len(tags) > len(tags_raw) or "" in tags:  # a line without exactly one hashtag
-            kept = _each(bool, tags)
-            count = _each(str.count, tags_raw, repeat(","), dtype=np.int64) + 1
-            per_line = row_sums(kept, np.concatenate(([0], np.cumsum(count))))
-            skipped += int(np.count_nonzero(per_line == 0))
-            tags, time = list(compress(tags, kept)), np.repeat(time, per_line)
-            user = list(chain.from_iterable(map(repeat, user, per_line.tolist())))
-        times.append(time)
+        tags, empty, count = _hashtags(tags_raw, ",")
+        per_line = row_sums(~empty, np.concatenate(([0], np.cumsum(count))))
+        skipped += int(np.count_nonzero(per_line == 0))
+        times.append(np.repeat(np.fromstring(code, np.int64, len(time_raw), sep="\t"), per_line))
+        user = np.repeat(np.array(user, object), per_line).tolist()
+        tags = list(compress(tags, (~empty).tolist()))
         users += map(same.setdefault, user, user)
         hashtags += map(same.setdefault, tags, tags)
     return EventLog.from_rows(np.concatenate([np.zeros(0, np.int64), *times]), users, hashtags, skipped)
@@ -442,20 +428,19 @@ def load_events(source: TextIO | Iterable[str]) -> EventLog:
 def load_topic_map(source: TextIO | Iterable[str]) -> TopicMap:
     """Parse ``hashtag<TAB>topic`` lines; each hashtag gets one topic."""
     rows: dict[str, str] = {}
-    for lines, numbers, tabs in _chunks(source):
-        wrong = tabs != 1
-        prefix = lines[:wrong.argmax()] if wrong.any() else lines  # what the other rules see
-        fields = _split("\t".join(prefix), "\t") if prefix else []
-        tags = _hashtags("\t".join(fields[0::2]), "\t") if prefix else []
-        topics = fields[1::2]
+    for fields, width, content, numbers, length in _chunks(source):
+        row = content & (width == 2)
+        on = np.repeat(row, width)
+        columns = list(compress(fields, on.tolist()))
+        tags, empty, _ = _hashtags(columns[0::2], "\t")
+        topics = columns[1::2]
         # each hashtag's first topic: in an earlier chunk, else in this one
         first = dict(zip(reversed(tags), reversed(topics)))
         first.update({tag: rows[tag] for tag in first.keys() & rows.keys()})
         _raise_first(
-            (numbers, wrong, lambda i: f"expected 2 fields, got {tabs[i] + 1}"),
-            (numbers, ~(_each(bool, tags) & _each(bool, topics)) if "" in tags or "" in topics else None,
-             lambda i: "empty field in topic assignment"),
-            (numbers, _each(ne, topics, map(first.__getitem__, tags)),
+            (numbers, content & (width != 2), lambda i: f"expected 2 fields, got {width[i]}"),
+            (numbers[row], empty | (length[on][1::2] == 0), lambda i: "empty field in topic assignment"),
+            (numbers[row], _each(ne, topics, map(first.__getitem__, tags)),
              lambda i: f"hashtag {tags[i]!r} mapped to both {first[tags[i]]!r} and {topics[i]!r}"),
         )
         rows.update(zip(tags, topics))
@@ -548,8 +533,9 @@ def load_manifest(path: str | Path) -> dict[str, Path]:
     base = path.parent
     found: dict[str, Path] = {}
     with open_utf8(path) as fh:
-        chunks = (zip(numbers.tolist(), lines) for lines, numbers, _ in _chunks(fh))
-        for line_no, line in chain.from_iterable(chunks):
+        for line_no, line in enumerate(map(str.strip, fh), start=1):
+            if not line or line.startswith("#"):
+                continue
             if "=" not in line:
                 raise ParseError("expected key = value", line_no)
             key, _, value = line.partition("=")

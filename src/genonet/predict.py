@@ -211,18 +211,6 @@ def _over_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.divide(x, top, out=np.zeros_like(x), where=top > 0)
 
 
-def _rank_key(scores: np.ndarray, inst: np.ndarray, n: int) -> np.ndarray:
-    """An int64 key per slot in (instance, score) order, equal for equal
-    scores in one instance.  Integral scores whose span keeps the key
-    exact are their own key; any others are numbered in sorted order."""
-    lo, hi = (scores.min(), scores.max()) if len(scores) else (0.0, 0.0)
-    span = hi - lo + 1  # NaN or infinite for such scores
-    if span < 2**53 and int(span) * n < 2**63 and np.array_equal(np.floor(scores), scores):
-        return inst * int(span) + (scores - lo).astype(np.int64)
-    values, dense = np.unique(scores, return_inverse=True)
-    return inst * len(values) + dense
-
-
 def roc_auc(scores: np.ndarray, table: InstanceTable) -> np.ndarray:
     """Mann-Whitney AUC of every instance's ranking of its slots by ``scores``.
 
@@ -233,7 +221,8 @@ def roc_auc(scores: np.ndarray, table: InstanceTable) -> np.ndarray:
     inst, n_pos, n_neg = table.auc_columns
     if not (n_pos.all() and n_neg.all()):
         raise DataError("AUC undefined: needs at least one positive and one negative")
-    key = _rank_key(scores, inst, len(n_pos))
+    values, dense = np.unique(scores, return_inverse=True)
+    key = inst * len(values) + dense  # ordered as (instance, score)
     order = np.argsort(key)
     run = run_starts(key[order])  # a run of tied scores starts here
     first = np.flatnonzero(run)

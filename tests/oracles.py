@@ -1724,29 +1724,6 @@ def roc_auc(scores, truth):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc_unique(scores, truth, indptr):
-    """``predict.roc_auc`` with every score numbered by ``np.unique``, over
-    the slots ``indptr[i]:indptr[i + 1]`` of each instance."""
-    from genonet.errors import DataError
-    from genonet.ingest import run_starts
-
-    sizes = np.diff(indptr)
-    inst = np.repeat(np.arange(len(sizes)), sizes)
-    n_pos = np.bincount(inst[truth], minlength=len(sizes))
-    n_neg = sizes - n_pos
-    if not (n_pos.all() and n_neg.all()):
-        raise DataError("AUC undefined: needs at least one positive and one negative")
-    values, dense = np.unique(scores, return_inverse=True)
-    key = inst * len(values) + dense  # ordered as (instance, score)
-    order = np.argsort(key)
-    run = run_starts(key[order])  # a run of tied scores starts here
-    first = np.flatnonzero(run)
-    last = np.append(first[1:], len(key))
-    rank = ((first + last + 1 - 2 * indptr[inst[first]]) / 2.0)[np.cumsum(run) - 1]
-    rank_sum = np.bincount(inst, weights=rank * truth[order], minlength=len(sizes))
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
 def mean_auc_per_topic(kind, instances, context):
     """topic -> (mean AUC, instances), AUCs added one by one in instance order."""
     sums, counts = {}, {}
