@@ -50,6 +50,7 @@ __all__ = [
     "load_topic_map",
     "build_adoption_index",
     "gather_rows",
+    "row_blocks",
     "row_sums",
     "in_sorted",
     "touched_ids",
@@ -223,6 +224,18 @@ def gather_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return out, np.repeat(indptr[:-1][rows] - out[:-1], sizes) + np.arange(out[-1])
 
 
+def row_blocks(indptr: np.ndarray, max_slots: int) -> list[tuple[int, int]]:
+    """The CSR rows cut, in order, into runs ``(lo, hi)`` of consecutive
+    rows that hold at most ``max_slots`` slots, or of one row that alone
+    holds more; one empty run when there is no row."""
+    starts = [0]
+    while starts[-1] < len(indptr) - 1:
+        lo = starts[-1]
+        hi = int(np.searchsorted(indptr, indptr[lo] + max_slots, "right")) - 1
+        starts.append(max(hi, lo + 1))
+    return list(zip(starts[:-1], starts[1:])) or [(0, 0)]
+
+
 def row_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Sum of every CSR row of integer or boolean ``values``."""
     total = np.concatenate(([0], np.cumsum(values)))
@@ -264,9 +277,11 @@ def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
 
 def libm(fn: Callable[..., float], x: np.ndarray, *args) -> np.ndarray:
     """``fn`` of each element of the 1-d float ``x`` as ``math`` computes it;
-    numpy's log, exp and square round differently on some inputs.  Each
-    distinct bit pattern is evaluated once, so -0.0 and 0.0 stay apart;
-    ``args`` are iterables of further arguments, such as ``repeat(2.0)``."""
+    numpy's log and exp round differently from libm's on some inputs.  (A
+    square is another matter: ``x * x`` is correctly rounded everywhere,
+    and libm's ``math.pow(x, 2.0)`` is not.)  Each distinct bit pattern is
+    evaluated once, so -0.0 and 0.0 stay apart; ``args`` are iterables of
+    further arguments, such as ``repeat(2.0)``."""
     distinct, inverse = np.unique(np.asarray(x, float).view(np.int64), return_inverse=True)
     values = map(fn, distinct.view(float).tolist(), *args)
     return np.fromiter(values, float, len(distinct))[inverse]

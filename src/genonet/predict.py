@@ -21,7 +21,8 @@ from . import backbone as bb
 from .errors import DataError
 from .graph import csr_rows, pagerank
 from .ingest import (
-    AdoptionIndex, gather_rows, in_sorted, ordered_sum, row_sums, run_starts, touched_ids,
+    AdoptionIndex, gather_rows, in_sorted, ordered_sum, row_blocks, row_sums, run_starts,
+    touched_ids,
 )
 
 __all__ = [
@@ -31,6 +32,13 @@ __all__ = [
 ]
 
 MIN_FOLLOWEES = 10
+# build_instances and evaluate work on blocks of consecutive instances
+# whose slots take at most BLOCK_BYTES at about _SLOT_BYTES each: the
+# peak of evaluate's scores and AUC sort per slot.  Only the returned
+# table, about 9 B per slot, is held whole.  The block size moves no
+# output bit.
+BLOCK_BYTES = 1 << 20
+_SLOT_BYTES = 128
 
 
 class Direction(Enum):
@@ -125,6 +133,14 @@ class InstanceTable:
         n_pos = np.bincount(inst[self.truth], minlength=len(sizes))
         return inst, n_pos, sizes - n_pos
 
+    def rows(self, lo: int, hi: int) -> "InstanceTable":
+        """The table of instances ``lo:hi``, its slot columns views of this one's."""
+        at = slice(self.indptr[lo], self.indptr[hi])
+        return InstanceTable(
+            self.indptr[lo:hi + 1] - self.indptr[lo], self.candidate[at], self.truth[at],
+            self.user[lo:hi], self.hashtag[lo:hi], self.topic[lo:hi],
+        )
+
     def take(self, rows: np.ndarray) -> "InstanceTable":
         """The table of the selected instances (a mask or ids), in that order."""
         indptr, slots = gather_rows(self.indptr, rows)
@@ -142,13 +158,14 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     non-isolated in the hashtag-excluded backbone.  Influencer truth is
     the user's prior adopters; adopter truth is the followers whose prior
     adopters include the user.  Both are read off the precedence triples.
+    The slots are worked on in blocks of consecutive cases.
     """
     ctx, index, n = context, context.index, len(context.index.users)
     prior_tag, prior_followee, prior_follower = index.precedence
     if direction is Direction.INFLUENCER:
-        owner, indptr, lists = prior_follower, index.followee_ptr, index.followee_ids
+        owner, ptr, lists = prior_follower, index.followee_ptr, index.followee_ids
     else:
-        owner, indptr, lists = prior_followee, index.follower_ptr, index.follower_ids
+        owner, ptr, lists = prior_followee, index.follower_ptr, index.follower_ids
     user, tag = index.pair_user, index.pair_hashtag
     topic = index.hashtag_topic[tag]
     # the filters that need no candidate slot run first
@@ -159,16 +176,32 @@ def build_instances(direction: Direction, context: PredictionContext) -> Instanc
     )
     rows = keep[np.lexsort((user[keep], tag[keep], index.topic_rank[topic[keep]]))]
     user, tag = user[rows], tag[rows]
-    indptr, slots = gather_rows(indptr, user)
-    cand = lists[slots]
-    slot_user, slot_tag = np.repeat(user, np.diff(indptr)), np.repeat(tag, np.diff(indptr))
-    pair = (slot_user, cand) if direction is Direction.ADOPTER else (cand, slot_user)
-    truth = in_sorted(
-        (slot_tag * n + pair[0]) * n + pair[1],
-        np.sort((prior_tag * n + prior_followee) * n + prior_follower),
-    )
-    table = InstanceTable(indptr, cand, truth, user, tag, topic[rows])
-    return table.take(row_sums(_slot_pagerank(table, ctx) > 0, indptr) > 0)
+    # then the non-isolation filter, so that the table is made at its size
+    on_backbone = np.zeros(len(rows), bool)
+    for lo, hi, block_ptr, slots in _slot_blocks(ptr, user)[1]:
+        pr = _slot_pagerank(block_ptr, lists[slots], tag[lo:hi], ctx)
+        on_backbone[lo:hi] = row_sums(pr > 0, block_ptr) > 0
+    rows, user, tag = rows[on_backbone], user[on_backbone], tag[on_backbone]
+    indptr, blocks = _slot_blocks(ptr, user)
+    cand, truth = np.empty(indptr[-1], lists.dtype), np.empty(indptr[-1], bool)
+    precedence = np.sort((prior_tag * n + prior_followee) * n + prior_follower)
+    for lo, hi, block_ptr, slots in blocks:
+        at = slice(indptr[lo], indptr[hi])
+        cand[at] = lists[slots]
+        sizes = np.diff(block_ptr)
+        slot_user, slot_tag = np.repeat(user[lo:hi], sizes), np.repeat(tag[lo:hi], sizes)
+        pair = (slot_user, cand[at]) if direction is Direction.ADOPTER else (cand[at], slot_user)
+        truth[at] = in_sorted((slot_tag * n + pair[0]) * n + pair[1], precedence)
+    return InstanceTable(indptr, cand, truth, user, tag, topic[rows])
+
+
+def _slot_blocks(ptr: np.ndarray, user: np.ndarray):
+    """The CSR offsets of ``user``'s rows laid end to end, and those rows
+    in blocks within :data:`BLOCK_BYTES`: each block's bounds ``lo:hi`` in
+    ``user`` and its own :func:`gather_rows` offsets and source slots."""
+    indptr = np.concatenate(([0], np.cumsum(np.diff(ptr)[user])))
+    blocks = row_blocks(indptr, BLOCK_BYTES // _SLOT_BYTES)
+    return indptr, ((lo, hi, *gather_rows(ptr, user[lo:hi])) for lo, hi in blocks)
 
 
 def score_candidates(
@@ -193,16 +226,23 @@ def score_candidates(
     if kind is PredictorKind.TOPIC_ACT:
         return topic_act
     if kind is PredictorKind.RW_ACT:
-        raw_pr = _slot_pagerank(table, context)
+        raw_pr = _slot_pagerank(table.indptr, cand, table.hashtag, context)
         return _over_max(raw_pr, table.indptr) * _over_max(topic_act, table.indptr)
     raise DataError(f"unknown predictor kind {kind!r}")
 
 
-def _slot_pagerank(table: InstanceTable, context: PredictionContext) -> np.ndarray:
-    """Each candidate's PageRank in its instance's hashtag-excluded backbone."""
-    tags, row = np.unique(table.hashtag, return_inverse=True)
-    pr = np.stack([context.excluded_pagerank(t) for t in tags.tolist()] or [np.zeros(0)])
-    return pr[np.repeat(row, np.diff(table.indptr)), table.candidate]
+def _slot_pagerank(
+    indptr: np.ndarray, candidate: np.ndarray, hashtag: np.ndarray, context: PredictionContext
+) -> np.ndarray:
+    """Each candidate's PageRank in its instance's hashtag-excluded
+    backbone, read off the context's vector for each run of instances
+    with one hashtag."""
+    out = np.empty(len(candidate))
+    starts = np.flatnonzero(run_starts(hashtag))
+    bounds = indptr[np.append(starts, len(hashtag))].tolist()
+    for tag, lo, hi in zip(hashtag[starts].tolist(), bounds, bounds[1:]):
+        out[lo:hi] = context.excluded_pagerank(tag)[candidate[lo:hi]]
+    return out
 
 
 def _over_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -245,15 +285,23 @@ def evaluate(
     """Mean AUC per topic under every predictor, labelled ``direction``.
 
     Instances whose truth is empty or covers every candidate are
-    skipped.  A topic's mean adds its AUCs one by one in instance order.
+    skipped.  The scores and AUCs are worked out in blocks of
+    consecutive instances, and a topic's mean adds its AUCs one by one
+    in instance order.
     """
-    positives = row_sums(table.truth, table.indptr)
-    table = table.take((positives > 0) & (positives < np.diff(table.indptr)))
-    names = context.index.topics
-    groups = sorted((names[t], np.flatnonzero(table.topic == t)) for t in set(table.topic.tolist()))
+    aucs, topics = {kind: [] for kind in PredictorKind}, []
+    for lo, hi in row_blocks(table.indptr, BLOCK_BYTES // _SLOT_BYTES):
+        block = table.rows(lo, hi)
+        positives = row_sums(block.truth, block.indptr)
+        block = block.take((positives > 0) & (positives < np.diff(block.indptr)))
+        topics.append(block.topic)
+        for kind in PredictorKind:
+            aucs[kind].append(roc_auc(score_candidates(kind, block, context), block))
+    topic, names = np.concatenate(topics), context.index.topics
+    groups = sorted((names[t], np.flatnonzero(topic == t)) for t in set(topic.tolist()))
     results = []
     for kind in PredictorKind:
-        auc = roc_auc(score_candidates(kind, table, context), table)
+        auc = np.concatenate(aucs[kind])
         per_topic = {
             name: (float(ordered_sum(auc[rows])) / len(rows), len(rows))
             for name, rows in groups

@@ -15,8 +15,10 @@ decisions in one place each: left-to-right sums in
 ``ingest.run_starts``, and no numpy transcendental or BLAS product
 outside an allowlist that names each exception's reason.  One keeps
 the making of ``--out`` and the writing of files in the CLI's one output
-writer, so a command computes every output before it writes any.  The
-last keeps the cyclic collector's state in the CLI's process entry.
+writer, so a command computes every output before it writes any.  One
+keeps the cyclic collector's state in the CLI's process entry, and the
+last keeps settings out of the environment: the CLI's OpenBLAS thread
+default is the one read of it.
 """
 
 import ast
@@ -347,3 +349,31 @@ def test_gc_state_changes_only_in_the_cli_process_entry():
         or isinstance(node, ast.Import) and any(a.name == "gc" and a.asname for a in node.names)
     ]
     assert not aliased, f"gc imported under another name at {aliased}"
+
+
+# A setting is a command-line flag, never an environment variable, so a
+# run is named by its command line.  The one read of the environment is
+# cli's default of one OpenBLAS thread, which a caller's value overrides.
+ENVIRONMENT = {"os.environ", "os.environb", "os.getenv", "os.getenvb"}
+OPENBLAS_DEFAULT = "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')"  # as ast.unparse writes it
+
+
+def test_environment_read_only_for_the_openblas_default():
+    """No module reads ``os.environ`` or ``os.getenv``, nor imports them
+    from ``os``, but ``cli``'s module-level OpenBLAS thread default."""
+    allowed, stray = [], []
+    for name in MODULES:
+        tree = _tree(name)
+        for node in tree.body:
+            if (name == "cli" and isinstance(node, ast.Expr)
+                    and ast.unparse(node.value) == OPENBLAS_DEFAULT):
+                allowed.append(node.value.func.value)
+        stray += [
+            (node, f"{name}.py:{node.lineno}") for node in ast.walk(tree)
+            if _dotted(node) in ENVIRONMENT
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(f"os.{a.name}" in ENVIRONMENT for a in node.names)
+        ]
+    assert len(allowed) == 1  # the walk sees the allowed site
+    stray = [site for node, site in stray if node is not allowed[0]]
+    assert not stray, f"environment read at {stray}"

@@ -18,6 +18,7 @@ from genonet.ingest import (
     load_manifest,
     load_topic_map,
     ordered_sum,
+    row_blocks,
     run_starts,
     write_follower_edges,
     write_manifest,
@@ -561,6 +562,24 @@ def test_run_starts_equals_loop(columns):
         want = [i == 0 or rows[i] != rows[i - 1] for i in range(n)]
         got = run_starts(*cols)
         assert got.dtype == bool and got.tolist() == want, (columns, n)
+
+
+def test_row_blocks_equal_greedy_loop():
+    """Consecutive rows, in order, filled one row at a time while the slots
+    stay within the cap; a row larger than the cap is a block alone, and
+    no rows at all make one empty block."""
+    rng = np.random.default_rng(5)
+    for rows in (0, 1, 2, 7, 60):
+        for cap in (0, 1, 3, 8, 40):
+            sizes = rng.choice([0, 1, 2, 5, 9, 30], rows)
+            indptr = np.concatenate(([0], np.cumsum(sizes)))
+            want, lo = [], 0
+            for hi in range(1, rows + 1):
+                if hi - 1 > lo and indptr[hi] - indptr[lo] > cap:
+                    want.append((lo, hi - 1))
+                    lo = hi - 1
+            want.append((lo, rows))
+            assert row_blocks(indptr, cap) == want, (rows, cap, sizes)
 
 
 LIBM_INPUTS = [0.5, -0.0, 3.0, 0.5, 0.0, -2.25, 700.0, 1e-300, 3.0, -0.0, 0.1, 0.0, -2.25]

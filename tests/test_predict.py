@@ -1,8 +1,10 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from genonet import predict
 from genonet.backbone import extract_backbone
 from genonet.errors import DataError
 from genonet.graph import pagerank
@@ -13,6 +15,7 @@ from genonet.ingest import (
     load_events,
     load_follower_edges,
     load_topic_map,
+    row_blocks,
 )
 from genonet.predict import (
     Direction,
@@ -24,7 +27,7 @@ from genonet.predict import (
     roc_auc,
     score_candidates,
 )
-from genonet.syngen import generate
+from genonet.syngen import PREFERENTIAL, GenParams, generate
 
 import datasets
 import oracles
@@ -329,6 +332,75 @@ def test_adopter_run_without_cases_is_labelled_adopter():
     results = evaluate(Direction.ADOPTER, table, ctx)
     assert [r.predictor for r in results] == list(PredictorKind)
     assert all(r.direction is Direction.ADOPTER and r.per_topic == {} for r in results)
+
+
+def _syngen_index(params):
+    d = generate(params)
+    return build_adoption_index(d.events, d.network, d.topics)
+
+
+# seeded uniform and preferential-attachment datasets, and one whose
+# users all have too few followees, so that no instance qualifies
+BLOCK_DATASETS = {
+    "uniform": lambda: _syngen_index(datasets.activity_params(3)),
+    "preferential": lambda: _syngen_index(GenParams(
+        n_users=150, seed=5, graph_model=PREFERENTIAL, attach_count=12, n_topics=3,
+        hashtags_per_topic=6, cascades_per_hashtag=8,
+    )),
+    "no instance": lambda: _fixture(9)[3],
+}
+
+
+def _tables_and_results(index):
+    ctx = PredictionContext(index)
+    tables = {d: build_instances(d, ctx) for d in Direction}
+    return tables, {d: evaluate(d, tables[d], ctx) for d in Direction}
+
+
+@pytest.mark.parametrize("name", BLOCK_DATASETS)
+def test_blocks_move_no_table_column_or_result(name, monkeypatch):
+    """One-instance blocks and blocks of a few slots give every table
+    column and every result of the default budget, in both directions."""
+    index = BLOCK_DATASETS[name]()
+    tables, results = _tables_and_results(index)
+    assert all(len(t) for t in tables.values()) == (name != "no instance")
+    for slots in (0, 37):  # a budget of 0 slots cuts one instance per block
+        monkeypatch.setattr(predict, "BLOCK_BYTES", slots * predict._SLOT_BYTES)
+        got_tables, got_results = _tables_and_results(index)
+        for d in Direction:
+            assert len(row_blocks(tables[d].indptr, slots)) >= len(tables[d]) / 4  # many blocks
+            for column in (f.name for f in fields(InstanceTable)):
+                want, got = getattr(tables[d], column), getattr(got_tables[d], column)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (d, slots, column)
+            assert got_results[d] == results[d], (d, slots)
+
+
+def test_predict_memory_within_block_budget():
+    """On a hubs-shaped dataset (preferential attachment, about 70 k
+    influencer slots), ``build_instances`` and ``evaluate`` each peak at
+    under twice ``BLOCK_BYTES`` of traced memory above the table they
+    return or read.  Holding every slot at once peaks at 3.5 and 7.0 MB."""
+    index = _syngen_index(GenParams(
+        n_users=320, seed=7, graph_model=PREFERENTIAL, attach_count=12, n_topics=3,
+        hashtags_per_topic=12, cascades_per_hashtag=30,
+    ))
+    ctx = PredictionContext(index)
+    build_instances(Direction.INFLUENCER, ctx)  # the context caches its PageRank vectors
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = build_instances(Direction.INFLUENCER, ctx)
+        table_bytes = sum(getattr(table, f.name).nbytes for f in fields(InstanceTable))
+        build_peak = tracemalloc.get_traced_memory()[1] - start - table_bytes
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate(Direction.INFLUENCER, table, ctx)
+        evaluate_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(table.candidate) > 60_000
+    assert build_peak < 2 * predict.BLOCK_BYTES, build_peak
+    assert evaluate_peak < 2 * predict.BLOCK_BYTES, evaluate_peak
 
 
 def _oracle_dataset(rng):
