@@ -24,6 +24,8 @@ from .ingest import gather_rows, in_sorted, ordered_sum, run_starts
 SOURCE_BLOCK = 16
 BLOCK_PAIR_BYTES = 24
 _EDGE_BYTES = 25
+# PageRank's damping factor, the L1 change it stops below and its cap on rounds
+_DAMPING, _TOL, _MAX_ITER = 0.85, 1e-10, 200
 
 __all__ = [
     "DirectedGraph",
@@ -169,17 +171,11 @@ def weakly_connected_components(g: DirectedGraph) -> np.ndarray:
             label = up
 
 
-def pagerank(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    damping: float = 0.85,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
+def pagerank(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Power iteration on nodes ``0..n-1`` with CSR rows of sorted successors.
 
     Dangling mass is redistributed uniformly; iteration stops when the
-    L1 change drops below ``tol``.  Scores sum to 1.  Each edge's share
+    L1 change drops below ``_TOL``.  Scores sum to 1.  Each edge's share
     is scattered in edge order, and the dangling mass and the L1 change
     are running sums in node order, so every addition happens in the
     order of a node-by-node loop.
@@ -187,21 +183,17 @@ def pagerank(
     n = len(indptr) - 1
     if n == 0:
         raise DataError("pagerank undefined on an empty graph")
-    if not (0.0 < damping < 1.0):
-        raise DataError(f"damping must be in (0, 1), got {damping}")
-    if tol <= 0:
-        raise DataError("tol must be positive")
     out_deg = np.diff(indptr)
     dangling = out_deg == 0
     share, scores = np.zeros(n), np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         np.divide(scores, out_deg, out=share, where=~dangling)
         nxt = np.bincount(indices, weights=np.repeat(share, out_deg), minlength=n)
         mass = ordered_sum(scores[dangling])
-        nxt = (1.0 - damping) / n + damping * mass / n + damping * nxt
+        nxt = (1.0 - _DAMPING) / n + _DAMPING * mass / n + _DAMPING * nxt
         delta = ordered_sum(np.abs(nxt - scores))
         scores = nxt
-        if delta < tol:
+        if delta < _TOL:
             break
     return scores
 

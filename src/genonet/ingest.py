@@ -11,17 +11,17 @@ A dataset consists of three TSV files:
 * ``topics.tsv``  -- ``hashtag<TAB>topic``, each hashtag in exactly one
   topic.
 
-Lines starting with ``#`` are comments, empty lines are skipped.  Each
-loader parses its file a bounded chunk of whole lines at a time, with
-whole-string and whole-column operations, and names the first bad line
-with the first rule it breaks.  Each loader interns its own file once,
-through :func:`intern`: a name's id is
-its position among the file's sorted distinct names, so id order is name
-order, and every tie-break by id downstream is a tie-break by name.  The
-one exception is topic ids, which follow the topics' first appearance
-in ``topics.tsv``: :func:`build_adoption_index` decides, once, which topic
-each index hashtag has, and every other module reads the index's id
-column.  Nothing here is modified after construction.
+Lines starting with ``#`` are comments, empty lines are skipped.  One
+reader cuts a file into content rows a bounded chunk of whole lines at
+a time; the edge and event loaders check whole columns, the topic
+loader row by row, and each names the first bad line with the first
+rule it breaks.  Names are numbered as they are read and ranked once by
+:func:`intern`: a name's id is its position among the file's sorted
+distinct names, so id order is name order, and every tie-break by id
+downstream is a tie-break by name.  Topic ids follow the topics' first
+appearance in ``topics.tsv``: :func:`build_adoption_index` decides,
+once, which topic each index hashtag has, and every other module reads
+the index's id column.  Nothing here is modified after construction.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
-from operator import eq, ne
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -74,6 +73,17 @@ def intern(names: Iterable[Hashable]) -> tuple[tuple, np.ndarray]:
     labels = tuple(sorted(set(names)))
     ids = {x: i for i, x in enumerate(labels)}
     return labels, np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
+
+
+class _Numbering(dict):
+    """Names numbered 0, 1, ... in order of first appearance; intern ranks them."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = len(self)
+        return self[name]
+
+    def ids(self, names: Iterable[str]) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, names), np.int64)
 
 
 def _sorted_rows(*columns: np.ndarray) -> np.ndarray:
@@ -137,12 +147,10 @@ class TopicMap:
     def from_rows(cls, rows: Mapping[str, str]) -> "TopicMap":
         """The map of ``{hashtag: topic}`` rows, its topics in their order of
         first appearance among the rows."""
-        topics = tuple(dict.fromkeys(rows.values()))
-        hashtags = intern(rows)[0]
-        # intern numbers the topics in name order; the inverse of the
-        # topics' name ranks turns those numbers into ids
-        by_name = np.argsort(intern(topics)[1])
-        return cls(hashtags, by_name[intern(rows[h] for h in hashtags)[1]], topics)
+        topics = _Numbering()
+        topic = topics.ids(rows.values())  # each row's topic, by first appearance
+        hashtags, rank = intern(rows)
+        return cls(hashtags, topic[np.argsort(rank)], tuple(topics))
 
     def topic_ids(self, hashtags: Sequence[str]) -> np.ndarray:
         """Each hashtag's topic id; ``len(topics)`` for one without a topic."""
@@ -302,16 +310,15 @@ def _offsets(fields: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return code, np.concatenate(([0], end + 1))[:len(fields)], end
 
 
-def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The lines of a text file, or of an iterable of lines that hold no
-    line break but at their end, a chunk of whole lines at a time: the
-    lines' tab-separated fields, each stripped, laid end to end; each
-    line's field count, whether it is content, and its number; and each
-    field's length in UTF-8 bytes.
-
-    Blank lines and lines whose first non-blank character is ``#`` are
-    not content.
-    """
+def _rows(source: TextIO | Iterable[str], *widths: int) -> Iterator[tuple[tuple[list[str], np.ndarray, np.ndarray], ...]]:
+    """The content rows of a text file, or of an iterable of lines that
+    hold no line break but at their end, a chunk of whole lines at a time:
+    for each of the ascending ``widths``, the stripped tab-separated fields
+    of the rows with that many fields, laid end to end, the rows' line
+    numbers and each field's length in UTF-8 bytes.  Blank lines and lines
+    whose first non-blank character is ``#`` are not content; a content
+    row with another field count raises its ParseError once the rows
+    before it have been yielded."""
     if not hasattr(source, "read"):
         source = io.StringIO("\n".join(map(str.rstrip, source, repeat("\n"))))
     first, rest = 1, ""
@@ -327,44 +334,44 @@ def _chunks(source: TextIO | Iterable[str]) -> Iterator[tuple[list[str], np.ndar
         first += len(width)
         fields = list(map(str.strip, text.replace("\n", "\t").split("\t")))
         code, start, end = _offsets(fields)
+        length = end - start
         # a line is content if it has a non-empty field, the first not a comment
         bounds = np.cumsum(width)
-        filled = np.append(np.flatnonzero(end > start), len(fields))
+        filled = np.append(np.flatnonzero(length), len(fields))
         lead = filled[np.searchsorted(filled, bounds - width)]
         content = (lead < bounds) & (np.append(code[start], 0)[lead] != ord("#"))
-        yield fields, width, content, numbers, end - start
+        stop = np.append(content & ~in_sorted(width, np.array(widths)), True).argmax()
+        content[stop:] = False  # the rows from the first of another field count on
+        groups = []
+        for row in (content & (width == w) for w in widths):
+            on = np.repeat(row, width)
+            groups.append((list(compress(fields, on.tolist())), numbers[row], length[on]))
+        yield tuple(groups)
+        if stop < len(width):
+            raise ParseError(f"expected {widths[-1]} fields, got {width[stop]}", int(numbers[stop]))
 
 
-def _each(fn: Callable, *columns, dtype=bool) -> np.ndarray:
-    """``fn`` of each row of ``columns``, the first a list, as an array."""
-    return np.fromiter(map(fn, *columns), dtype, len(columns[0]))
-
-
-def _hashtags(fields: list[str], sep: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The ``sep``-separated hashtags of ``fields``, each stripped,
-    lower-cased and without one leading ``#``; which of them are then
-    empty, which is invalid; and how many each field holds.  Lower-casing the
-    joined fields lowers each tag as it would alone, since neither a comma
-    nor a tab is cased or case-ignorable."""
+def _hashtags(fields: list[str]) -> tuple[list[str], np.ndarray]:
+    """The comma-separated hashtags of ``fields`` that are not empty once
+    stripped, lower-cased and rid of one leading ``#``, and how many each
+    field holds.  Lower-casing the joined fields lowers each tag as it
+    would alone: neither a comma nor a tab is cased or case-ignorable."""
     text = "\t".join(["", *fields]).lower()  # a separator before each tag
     code = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    opens = code[np.flatnonzero((code == ord("\t")) | (code == ord(sep)))] == ord("\t")
-    count = np.diff(np.append(np.flatnonzero(opens), len(opens)))
-    text = sep.join(["", *map(str.strip, text.replace("\t", sep).split(sep)[1:])]).replace(sep + "#", sep)
-    code = np.frombuffer((text + sep).encode("utf-8", "surrogatepass"), np.uint8)
-    return text.split(sep)[1:], np.diff(np.flatnonzero(code == ord(sep))) == 1, count
+    opens = code[np.flatnonzero((code == ord("\t")) | (code == ord(",")))] == ord("\t")
+    tags = ",".join(map(str.strip, text.replace("\t", ",").split(","))).replace(",#", ",").split(",")[1:]
+    filled = np.fromiter(map(len, tags), np.int64, len(tags)) > 0
+    return list(compress(tags, filled.tolist())), row_sums(filled, np.flatnonzero(np.append(opens, True)))
 
 
-def _raise_first(*rules: tuple[np.ndarray, np.ndarray, Callable[[int], str]]) -> None:
-    """Raise the ParseError of the first line that breaks a rule, naming
-    the first rule, in argument order, that it breaks.  A rule is the line
-    numbers of some rows, the mask of those that break it and the message
-    of row ``i``."""
-    broken = [(int(numbers[bad.argmax()]), r) for r, (numbers, bad, _) in enumerate(rules) if bad.any()]
-    if broken:
-        line, r = min(broken)
-        _, bad, message = rules[r]
-        raise ParseError(message(int(bad.argmax())), line)
+def _raise_first(numbers: np.ndarray, *rules: tuple[np.ndarray, Callable[[int], str]]) -> None:
+    """Raise the ParseError of the first of the rows ``numbers`` that breaks
+    a rule, naming the first rule, in argument order, that it breaks: a
+    mask of the rows that break it and the message of row ``i``."""
+    first = [int(bad.argmax()) if bad.any() else len(numbers) for bad, _ in rules]
+    row = min(first)
+    if row < len(numbers):
+        raise ParseError(rules[first.index(row)][1](row), int(numbers[row]))
 
 
 def load_follower_edges(source: TextIO | Iterable[str]) -> FollowerNetwork:
@@ -373,23 +380,15 @@ def load_follower_edges(source: TextIO | Iterable[str]) -> FollowerNetwork:
     Single-field lines declare isolated nodes.  Duplicate edges collapse;
     self-loops and empty fields are rejected with their line number.
     """
-    names, ends = [], []  # declared nodes; each edge's two ends
-    same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
-    for fields, width, content, numbers, length in _chunks(source):
-        edge = content & (width == 2)
-        on = np.repeat(edge, width)
-        pair = list(compress(fields, on.tolist()))
-        followee, follower = pair[0::2], pair[1::2]
-        _raise_first(
-            (numbers, content & (width > 2), lambda i: f"expected 2 fields, got {width[i]}"),
-            (numbers[edge], length[on].reshape(-1, 2).min(1, initial=1) == 0,
-             lambda i: "empty field in edge"),
-            (numbers[edge], _each(eq, followee, follower), lambda i: f"self-loop on {followee[i]!r}"),
-        )
-        names += compress(fields, np.repeat(content & (width == 1), width).tolist())
-        ends += map(same.setdefault, pair, pair)
-    nodes, ids = intern(names + ends)
-    ids = ids[len(names):]
+    seen, ends = _Numbering(), bytearray()
+    for (nodes, _, _), (pair, numbers, length) in _rows(source, 1, 2):
+        seen.ids(nodes)  # declared nodes are numbered too
+        ids = seen.ids(pair)
+        _raise_first(numbers, (~length.reshape(-1, 2).all(1), lambda i: "empty field in edge"),
+                     (ids[0::2] == ids[1::2], lambda i: f"self-loop on {pair[2 * i]!r}"))
+        ends += ids.tobytes()
+    nodes, rank = intern(seen)
+    ids = rank[np.frombuffer(ends, np.int64)]
     keys = ids[::2] * len(nodes) + ids[1::2]
     return FollowerNetwork(nodes, keys[_sorted_rows(keys)])
 
@@ -402,13 +401,10 @@ def load_events(source: TextIO | Iterable[str]) -> EventLog:
     list is empty after normalization are skipped and counted in
     ``skipped_lines``.
     """
-    times, users, hashtags, skipped = [], [], [], 0
-    same: dict[str, str] = {}  # one string per name, so each chunk's copies can go
-    for fields, width, content, numbers, length in _chunks(source):
-        row = content & (width == 3)
-        on = np.repeat(row, width)
-        columns = list(compress(fields, on.tolist()))
-        time_raw, user, tags_raw = columns[0::3], columns[1::3], columns[2::3]
+    users, hashtags = _Numbering(), _Numbering()
+    time, user, hashtag, skipped = bytearray(), bytearray(), bytearray(), 0
+    for (fields, numbers, length), in _rows(source, 3):
+        time_raw = fields[0::3]
         # a time is ASCII digits after at most one "-": int() alone would
         # also take "1_000", "+5" and non-ASCII digits
         code, start, end = _offsets(time_raw)
@@ -423,42 +419,36 @@ def load_events(source: TextIO | Iterable[str]) -> EventLog:
         top = np.flatnonzero(integer & (size == 19))
         large[top] = [int(time_raw[i]) >= 2**63 for i in top.tolist()]
         _raise_first(
-            (numbers, content & (width != 3), lambda i: f"expected 3 fields, got {width[i]}"),
-            (numbers[row], ~integer, lambda i: f"non-integer time {time_raw[i]!r}"),
-            (numbers[row], minus & (size > 0), lambda i: f"negative time {int(time_raw[i])}"),
-            (numbers[row], large, lambda i: f"time {int(time_raw[i])} above 2^63-1"),
-            (numbers[row], length[on][1::3] == 0, lambda i: "empty user"),
+            numbers,
+            (~integer, lambda i: f"non-integer time {time_raw[i]!r}"),
+            (minus & (size > 0), lambda i: f"negative time {int(time_raw[i])}"),
+            (large, lambda i: f"time {int(time_raw[i])} above 2^63-1"),
+            (length[1::3] == 0, lambda i: "empty user"),
         )
-        tags, empty, count = _hashtags(tags_raw, ",")
-        per_line = row_sums(~empty, np.concatenate(([0], np.cumsum(count))))
-        skipped += int(np.count_nonzero(per_line == 0))
-        times.append(np.repeat(np.fromstring(code, np.int64, len(time_raw), sep="\t"), per_line))
-        user = np.repeat(np.array(user, object), per_line).tolist()
-        tags = list(compress(tags, (~empty).tolist()))
-        users += map(same.setdefault, user, user)
-        hashtags += map(same.setdefault, tags, tags)
-    return EventLog.from_rows(np.concatenate([np.zeros(0, np.int64), *times]), users, hashtags, skipped)
+        tags, per_line = _hashtags(fields[2::3])
+        posted = per_line > 0
+        skipped += int(np.count_nonzero(~posted))
+        time += np.repeat(np.fromstring(code, np.int64, len(time_raw), sep="\t"), per_line).tobytes()
+        poster = users.ids(compress(fields[1::3], posted.tolist()))
+        user += np.repeat(poster, per_line[posted]).tobytes()
+        hashtag += hashtags.ids(tags).tobytes()
+    t, u, h = (np.frombuffer(column, np.int64) for column in (time, user, hashtag))
+    (users, user_rank), (hashtags, tag_rank) = intern(users), intern(hashtags)
+    u, h = user_rank[u], tag_rank[h]
+    rows = _sorted_rows(t, u, h)
+    return EventLog(users, hashtags, t[rows], u[rows], h[rows], skipped)
 
 
 def load_topic_map(source: TextIO | Iterable[str]) -> TopicMap:
-    """Parse ``hashtag<TAB>topic`` lines; each hashtag gets one topic."""
+    """Parse ``hashtag<TAB>topic`` lines, one per hashtag and checked one by
+    one: each hashtag, lower-cased, gets one topic (a ``#`` begins a comment)."""
     rows: dict[str, str] = {}
-    for fields, width, content, numbers, length in _chunks(source):
-        row = content & (width == 2)
-        on = np.repeat(row, width)
-        columns = list(compress(fields, on.tolist()))
-        tags, empty, _ = _hashtags(columns[0::2], "\t")
-        topics = columns[1::2]
-        # each hashtag's first topic: in an earlier chunk, else in this one
-        first = dict(zip(reversed(tags), reversed(topics)))
-        first.update({tag: rows[tag] for tag in first.keys() & rows.keys()})
-        _raise_first(
-            (numbers, content & (width != 2), lambda i: f"expected 2 fields, got {width[i]}"),
-            (numbers[row], empty | (length[on][1::2] == 0), lambda i: "empty field in topic assignment"),
-            (numbers[row], _each(ne, topics, map(first.__getitem__, tags)),
-             lambda i: f"hashtag {tags[i]!r} mapped to both {first[tags[i]]!r} and {topics[i]!r}"),
-        )
-        rows.update(zip(tags, topics))
+    for (fields, numbers, _), in _rows(source, 2):
+        for tag, topic, line in zip(map(str.lower, fields[0::2]), fields[1::2], numbers.tolist()):
+            if not tag or not topic:
+                raise ParseError("empty field in topic assignment", line)
+            if rows.setdefault(tag, topic) != topic:
+                raise ParseError(f"hashtag {tag!r} mapped to both {rows[tag]!r} and {topic!r}", line)
     return TopicMap.from_rows(rows)
 
 

@@ -31,8 +31,8 @@ def wcc(graph):
     return oracles.partition(graph, weakly_connected_components(graph))
 
 
-def pr(graph, **kwargs):
-    return oracles.by_node(graph, pagerank(graph.indptr, graph.indices, **kwargs))
+def pr(graph):
+    return oracles.by_node(graph, pagerank(graph.indptr, graph.indices))
 
 
 def bc_map(graph):
@@ -172,17 +172,10 @@ def test_pagerank_empty_graph():
         pr(g([]))
 
 
-def test_pagerank_bad_params():
-    graph = g([("a", "b")])
-    with pytest.raises(DataError):
-        pr(graph, damping=1.0)
-    with pytest.raises(DataError):
-        pr(graph, tol=0.0)
-
-
-def test_pagerank_equals_loop_oracle():
+def test_pagerank_equals_loop_oracle(monkeypatch):
     """The array power iteration equals the node-by-node loop bit for bit,
-    whether it stops at ``tol`` or at ``max_iter``."""
+    at the module's damping, tolerance and round cap and at three other
+    settings patched in, whether it stops at the tolerance or the cap."""
     rng = np.random.default_rng(404)
     graphs = [g([], nodes=[0]), g([], nodes="abc"), g([("b", "a"), ("c", "a"), ("a", "d")])]
     for _ in range(60):
@@ -192,9 +185,12 @@ def test_pagerank_equals_loop_oracle():
     graphs.append(g(oracles.random_digraph_edges(rng, 300, 0.02), nodes=range(300)))
     assert any(any(not row for row in oracles.adjacency(x)) for x in graphs[3:])
     settings = ({}, {"tol": 1e-3}, {"max_iter": 3}, {"damping": 0.5, "tol": 1e-15, "max_iter": 400})
-    for graph in graphs:
-        for kwargs in settings:
-            assert pr(graph, **kwargs) == oracles.pagerank_loop(graph, **kwargs)
+    for kwargs in settings:
+        with monkeypatch.context() as patch:
+            for name, value in kwargs.items():
+                patch.setattr(graph_module, f"_{name.upper()}", value)
+            for graph in graphs:
+                assert pr(graph) == oracles.pagerank_loop(graph, **kwargs)
 
 
 def test_betweenness_path():

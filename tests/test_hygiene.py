@@ -7,7 +7,8 @@ module-level import is used by the module that makes it.  Two more keep
 Python loop kernels out of the graph code: no heap-driven search, and no
 per-node successor lists or other name-keyed helper that moved to the
 oracles.  One keeps the graph kernels answering in arrays, one keeps the
-turning of names into ids in ``ingest.intern``, one keeps the lookup of
+turning of names into ids in ``ingest.intern`` and the first-appearance
+numbering it ranks in ``ingest._Numbering``, one keeps the lookup of
 each hashtag's topic in ``ingest.build_adoption_index``, and one keeps
 float32 inside latmin's Greedy screen.  The last three keep the float-identity
 decisions in one place each: left-to-right sums in
@@ -121,13 +122,12 @@ def test_graph_kernels_build_no_dicts_or_frozensets():
     assert not sites, f"dict or frozenset built at {sites}"
 
 
-# A dict from each label to its position is an id map.  ingest.intern
-# builds the one that gives names their ids, in sorted-name order; topic
-# ids, in first-appearance order, are derived from its ids.
-ID_MAP_OWNERS = {"ingest.intern"}
-
-
-def _is_id_map(node):
+# Names become ids in two steps, each written once.  ingest._Numbering
+# numbers names in their order of first appearance as they are read: a
+# dict that numbers a new key by its own size.  ingest.intern then ranks
+# them: a dict from each label to its position among the sorted labels.
+# Topic ids are the one id space left in first-appearance order.
+def _is_rank_map(node):
     """``{x: i for i, x in enumerate(...)}``, whatever the names."""
     if not (isinstance(node, ast.DictComp) and len(node.generators) == 1):
         return False
@@ -138,6 +138,27 @@ def _is_id_map(node):
         and [getattr(e, "id", None) for e in gen.target.elts]
         == [getattr(node.value, "id", 0), getattr(node.key, "id", 0)]
     )
+
+
+def _is_len_of(node, owner):
+    """``len(owner)``."""
+    return (
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+        and len(node.args) == 1 and ast.dump(node.args[0]) == ast.dump(owner)
+    )
+
+
+def _is_numbering(node):
+    """``d[k] = len(d)`` or ``d.setdefault(k, len(d))``, whatever ``d``."""
+    if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Subscript):
+        return _is_len_of(node.value, node.targets[0].value)
+    return (
+        isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+        and len(node.args) == 2 and _is_len_of(node.args[1], node.func.value)
+    )
+
+
+ID_MAPS = {"ingest._Numbering.__missing__": _is_numbering, "ingest.intern": _is_rank_map}
 
 
 def _scopes(node, scope, match):
@@ -158,13 +179,14 @@ def _sites(match):
 
 
 def test_id_maps_only_in_intern():
-    """Names become ids in ``ingest.intern`` alone, so "id = position in
-    sorted-name order" holds for every id space."""
-    found = _sites(_is_id_map)
-    scopes = {site.split(":")[0] for site in found}
-    assert "ingest.intern" in scopes  # the walk sees the pattern
-    stray = [site for site in found if site.split(":")[0] not in ID_MAP_OWNERS]
-    assert not stray, f"id maps outside ingest.intern at {stray}"
+    """Names become ids only through ``ingest.intern``, which ranks the
+    numbers ``ingest._Numbering`` gives them as they are read, so "id =
+    position in sorted-name order" holds for every id space but topics'."""
+    for owner, match in ID_MAPS.items():
+        found = _sites(match)
+        assert owner in {site.split(":")[0] for site in found}  # the walk sees the pattern
+        stray = [site for site in found if site.split(":")[0] != owner]
+        assert not stray, f"{match.__name__} outside {owner} at {stray}"
 
 
 # latmin's Greedy screen is the one narrow-float computation: it only

@@ -385,24 +385,33 @@ def test_parse_errors_equal_name_oracle():
 
 
 def _named_parse(kind, source):
-    """One loader's result read back by name, or its ParseError's
-    ``(message, line)``: the form ``_line_oracle`` gives."""
+    """One loader's result read back by name, with its label tuples, or its
+    ParseError's ``(message, line)``: the form ``_line_oracle`` gives."""
     load = {"edges": load_follower_edges, "events": load_events, "topics": load_topic_map}[kind]
     try:
         got = load(source)
     except ParseError as exc:
         return str(exc).split(": ", 1)[1], exc.line_no
-    return (oracles.assignment(got), got.topics) if kind == "topics" else oracles.named(got)
+    if kind == "topics":
+        return oracles.assignment(got), got.topics, got.hashtags
+    if kind == "edges":
+        return oracles.named(got), got.nodes
+    return oracles.named(got), got.users, got.hashtags
 
 
 def _line_oracle(kind, lines):
-    """The per-line oracle of one loader, its first ParseError as ``(message, line)``."""
+    """The per-line oracle of one loader with its sorted labels, or its
+    first ParseError as ``(message, line)``."""
     if kind == "topics":
-        return oracles.topic_map_by_name(lines)
+        want = oracles.topic_map_by_name(lines)
+        return want if isinstance(want[0], str) else (*want, tuple(sorted(want[0])))
     try:
-        return {"edges": oracles.load_follower_edges, "events": oracles.load_events}[kind](lines)
+        want = {"edges": oracles.load_follower_edges, "events": oracles.load_events}[kind](lines)
     except ParseError as exc:
         return str(exc).split(": ", 1)[1], exc.line_no
+    if kind == "edges":
+        return want, tuple(sorted(want.nodes))
+    return want, tuple(sorted(want.users)), tuple(sorted(want.hashtags))
 
 
 def _sources(lines):
@@ -414,7 +423,8 @@ def _sources(lines):
 # (loader, lines) that parse: comments (indented too), whitespace-only
 # lines, CRLF ends, padded fields, declared nodes, multi-tag lines with
 # empty, #-prefixed and upper-case tags (a final sigma among them),
-# times of 19 digits and more around 2^63, -0, and files of comments alone
+# times of 19 digits and more around 2^63, -0, a user who posts only on
+# skipped lines, and files of comments alone
 _WELL_FORMED = [
     ("edges", ["# follows", "a\tb\r", "  # indented", " \t ", "", " c \t d ", "lonely", "b\ta\r\r"]),
     ("edges", ["\u00a0x\u3000\ty", "\u3000# unicode-indented comment", "x\tz", "# last"]),
@@ -425,15 +435,17 @@ _WELL_FORMED = [
     ("events", ["  # nothing", "\r", "# here"]),
     ("topics", ["X\tT1", "  # comment", "Y \t T2 \r", "x\tT1", "  Z\tT1", "ΑΣ\tT3"]),
     ("topics", ["# none"]),
+    ("events", ["1\tA\t#x", "5\tghost\t,", "6\tghost\t # ", "7\tB\t#Y"]),
 ]
 
 
 @pytest.mark.parametrize("chunk", [None, 5])
 @pytest.mark.parametrize("kind, lines", _WELL_FORMED)
 def test_loaders_equal_line_oracles(kind, lines, chunk, monkeypatch):
-    """Each loader, read back by name, equals its per-line oracle on the
-    cases above, as a list of lines and as a text file with and without
-    its last line break; a 5-character chunk splits lines across reads."""
+    """Each loader, read back by name, and its sorted labels equal its
+    per-line oracle's on the cases above, as a list of lines and as a text
+    file with and without its last line break; a 5-character chunk splits
+    lines across reads."""
     if chunk:
         monkeypatch.setattr(ingest, "_CHUNK", chunk)
     want = _line_oracle(kind, lines)
@@ -479,6 +491,59 @@ def test_first_errors_equal_line_oracles(kind, lines, line, chunk, monkeypatch):
     assert want[1] == line, want
     for source in _sources(lines):
         assert _named_parse(kind, source) == want, (kind, lines)
+
+
+# Field pieces of the random files below: spaces that str.strip removes
+# (U+00A0, U+3000, U+0085, U+001C), NUL, CR, letters whose lower case
+# depends on their neighbours or is longer (Σ, ς, İ, ß), digits that
+# int() takes and the time rule does not (٣, ², 1_0, +5), -0, 2^63-1
+# and 2^63 with and without leading zeros, and the marks # and ,
+_PADS = ["", "", " ", "\u00a0", "\u3000", "\u0085", "\u001c", "\r"]
+_NAMES = ["a", "A", "b", "Σ", "ς", "σ", "aΣ", "İ", "i\u0307", "ß", "SS", "a\x00", "\u0663\u00b2", "#a", "a,b", ""]
+_TIMES = ["0", "7", "-0", "-00", "007", str(2**63 - 1), "000" + str(2**63 - 1), str(2**63),
+          "0" + str(2**63), "-5", "\u0663", "\u00b2", "1_0", "+5", "", "x"]
+_FILE_WIDTHS = {"edges": 2, "events": 3, "topics": 2}
+
+
+def _random_file(rng, kind):
+    """Lines of a random file of ``kind``: comments, blank lines, rows with
+    a field too few or too many, and padded fields built from the pieces
+    above, with hashtag lists of empty and #-prefixed tags."""
+    def pad(text):
+        return rng.choice(_PADS) + text + rng.choice(_PADS)
+
+    def field(i):
+        if kind == "events" and i == 0:
+            return pad(rng.choice(_TIMES[:7]) if rng.random() < 0.8 else rng.choice(_TIMES))
+        if kind == "events" and i == 2:
+            return ",".join(pad("#" * rng.randrange(3) + rng.choice(_NAMES)) for _ in range(rng.randrange(1, 4)))
+        return pad(rng.choice(_NAMES[:6] if kind == "topics" and i == 1 else _NAMES))
+
+    lines = []
+    for _ in range(rng.randrange(8)):
+        if rng.random() < 0.15:
+            lines.append(pad(rng.choice(["# c", "#\tx", ""])))
+            continue
+        width = _FILE_WIDTHS[kind] + rng.choice([-1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+        lines.append("\t".join(map(field, range(width))))
+    return lines
+
+
+def test_random_files_equal_line_oracles(monkeypatch):
+    """On 1,200 seeded random files, each loader, as a list of lines and as
+    a text file with and without its last line break, at a chunk size of 1
+    to 8 Ki characters, equals its per-line oracle: values, sorted labels
+    and the first error's ``(message, line)``."""
+    rng = random.Random(32)
+    parsed = {kind: 0 for kind in _FILE_WIDTHS}
+    for kind in [*_FILE_WIDTHS] * 400:
+        lines = _random_file(rng, kind)
+        monkeypatch.setattr(ingest, "_CHUNK", rng.choice([1, 2, 3, 5, 13, 64, 1 << 13]))
+        want = _line_oracle(kind, lines)
+        parsed[kind] += not isinstance(want[0], str)
+        for source in _sources(lines):
+            assert _named_parse(kind, source) == want, (kind, lines)
+    assert all(100 <= n <= 300 for n in parsed.values()), parsed
 
 
 def test_manifest_round_trip(tmp_path):
