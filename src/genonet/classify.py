@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError
 from .genotype import MetricKind, PairMetrics
-from .ingest import libm, ordered_sum
+from .ingest import gather_rows, libm, ordered_sum
 
 __all__ = [
     "ErrorTable",
@@ -108,54 +108,57 @@ class LooData:
 
 
 def _train_and_score(
-    value: np.ndarray, topic: np.ndarray, kept: np.ndarray, scored: np.ndarray, k: int
+    value: np.ndarray, topic: np.ndarray, row: np.ndarray, rows: int, kept: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train one Gaussian discriminant per row on its kept slots; return
-    which rows trained and each trained row's evidence at its scored slots.
+    which rows trained and each slot's evidence under its row's classifier.
 
-    ``value`` and ``topic`` are (rows, slots) in each user's first-use
-    order.  A row trains when its kept values span >= 2 topics and are
-    not all equal.  Per-topic means share one pooled variance, floored at
-    1e-9; priors are the per-topic shares of the kept slots.  The
-    evidence ``log post(t) - log(1/K)`` is (rows, slots, K), zero for
-    topics the row has no values for.  Float sums add one term at a time
-    in the order of the per-user loops they replace: slots in first-use
-    order, topics in the order of their first kept slot.
+    ``value``, ``topic`` and ``row`` hold one entry per slot, rows in
+    order and each row's slots in its user's first-use order.  A row
+    trains when its kept values span >= 2 topics and are not all equal.
+    Per-topic means share one pooled variance, floored at 1e-9; priors
+    are the per-topic shares of the kept slots.  The evidence
+    ``log post(t) - log(1/K)`` is (slots, K), zero for topics the row has
+    no values for and for rows that do not train.  Float sums add one
+    term at a time in the order of the per-user loops they replace:
+    slots in first-use order, topics in the order of their first kept
+    slot.
     """
-    rows, width = value.shape
-    member = kept[:, :, None] & (topic[:, :, None] == np.arange(k))
-    count = member.sum(axis=1)
+    at = (row[kept], topic[kept])
+    count = np.bincount(at[0] * k + at[1], minlength=rows * k).reshape(rows, k)
     has = count > 0
     n = count.sum(axis=1)
     n_topics = has.sum(axis=1)
-    first = np.where(member, np.arange(width)[:, None], width).min(axis=1, initial=width)
+    first = np.full((rows, k), len(value))
+    np.minimum.at(first, at, np.flatnonzero(kept))
     order = np.argsort(first, axis=1, kind="stable")
-    lo = np.where(kept, value, np.inf).min(axis=1, initial=np.inf)
-    hi = np.where(kept, value, -np.inf).max(axis=1, initial=-np.inf)
+    lo, hi = np.full(rows, np.inf), np.full(rows, -np.inf)
+    np.minimum.at(lo, at[0], value[kept])
+    np.maximum.at(hi, at[0], value[kept])
     trained = (n_topics >= 2) & (lo != hi)
 
-    mean = ordered_sum(np.where(member, value[:, :, None], 0.0), 1) / np.maximum(count, 1)
-    sq = np.zeros((rows, width))
-    dev = value - np.take_along_axis(mean, topic, axis=1)
-    sq[kept] = libm(math.pow, dev[kept], repeat(2.0))
-    ss = ordered_sum(np.where(member, sq[:, :, None], 0.0), 1)
+    mean = np.zeros((rows, k))
+    np.add.at(mean, at, value[kept])
+    mean /= np.maximum(count, 1)
+    ss = np.zeros((rows, k))
+    np.add.at(ss, at, libm(math.pow, value[kept] - mean[at], repeat(2.0)))
     ss_within = ordered_sum(np.take_along_axis(ss, order, axis=1), 1)
     variance = np.maximum(VARIANCE_FLOOR, ss_within / np.maximum(1, n - n_topics))
     log_prior = np.zeros((rows, k))
     fit = has & trained[:, None]
     log_prior[fit] = libm(math.log, (count / np.maximum(n, 1)[:, None])[fit])
 
-    cell = scored[:, :, None] & fit[:, None, :]
+    cell = fit[row]
     shape = cell.shape
     logs = np.full(shape, -np.inf)
-    logs[cell] = np.broadcast_to(log_prior[:, None, :], shape)[cell] - libm(
-        math.pow, (value[:, :, None] - mean[:, None, :])[cell], repeat(2.0)
-    ) / np.broadcast_to((2.0 * variance)[:, None, None], shape)[cell]
-    top = logs.max(axis=2, initial=-np.inf)
+    logs[cell] = log_prior[row][cell] - libm(
+        math.pow, (value[:, None] - mean[row])[cell], repeat(2.0)
+    ) / np.broadcast_to((2.0 * variance)[row, None], shape)[cell]
+    top = logs.max(axis=1, initial=-np.inf)
     expd = np.zeros(shape)
-    expd[cell] = libm(math.exp, logs[cell] - np.broadcast_to(top[:, :, None], shape)[cell])
-    z = ordered_sum(np.take_along_axis(expd, order[:, None, :], axis=2), 2)
-    post = expd[cell] / np.broadcast_to(z[:, :, None], shape)[cell]
+    expd[cell] = libm(math.exp, logs[cell] - np.broadcast_to(top[:, None], shape)[cell])
+    z = ordered_sum(np.take_along_axis(expd, order[row], axis=1), 1)
+    post = expd[cell] / np.broadcast_to(z[:, None], shape)[cell]
     evidence = np.zeros(shape)
     evidence[cell] = libm(math.log, np.maximum(post, 1e-300)) + math.log(k)
     return trained, evidence
@@ -171,10 +174,10 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     classifiers' summed evidence, less each affected user's base evidence
     and plus their fold evidence, in user-name order.
 
-    Every user's voted pairs form one row of a (user, slot) table in
-    first-use order.  A fold takes its affected users' rows, drops the
-    held-out slot from training and scores all their slots at once, so
-    only one fold's arrays exist at a time.
+    Every user's voted pairs form one CSR row of slots in first-use
+    order, as in the adoption index.  A fold gathers its affected users'
+    rows, drops the held-out slot from training and scores all their
+    slots at once, so only one fold's arrays exist at a time.
     """
     topic_order = pairs.topics
     k = len(topic_order)
@@ -189,8 +192,8 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     tag_topic = pairs.topic[first][~single]
     n_tags = len(eligible)
 
-    # (user, slot) table: rows in the users' first-vote order, slots in
-    # each user's first-use order
+    # CSR slots: rows in the users' first-vote order, each row's slots in
+    # its user's first-use order
     value = pairs.values[:, list(MetricKind).index(metric)]
     voted = np.flatnonzero(~np.isnan(value) & (counts[pairs.topic] >= 2))
     voter = pairs.user[voted]
@@ -199,29 +202,23 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     )
     by_first = np.argsort(first_vote)
     row = np.argsort(by_first)[inverse]
-    row_degree = degree[by_first]
+    vote_col = np.searchsorted(eligible, pairs.hashtag[voted])
     by_row = np.argsort(row, kind="stable")
-    slot = np.empty(len(voted), dtype=np.int64)
-    slot[by_row] = np.arange(len(voted)) - np.repeat(np.cumsum(row_degree) - row_degree, row_degree)
-    col = np.searchsorted(eligible, pairs.hashtag[voted])
-    shape = (len(degree), int(row_degree.max(initial=0)))
-    table_value, table_topic = np.zeros(shape), np.zeros(shape, dtype=np.int64)
-    table_col, valid = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
-    table_value[row, slot] = value[voted]
-    table_topic[row, slot] = pairs.topic[voted]
-    table_col[row, slot] = col
-    valid[row, slot] = True
+    indptr = np.concatenate(([0], np.cumsum(degree[by_first])))
+    slot = voted[by_row]
+    slot_row, slot_value, slot_topic = row[by_row], value[slot], pairs.topic[slot]
+    col = vote_col[by_row]
 
-    base_ok, base_ev = _train_and_score(table_value, table_topic, valid, valid, k)
-    base = np.zeros((len(degree), n_tags, k))
-    base[row, col] = base_ev[row, slot]
-    base_sum = ordered_sum(base, 0)
-    base_voters = np.bincount(col[base_ok[row]], minlength=n_tags)
-    del base
+    # slots come in row order, so each hashtag's evidence adds in row order
+    base_ok, base_ev = _train_and_score(slot_value, slot_topic, slot_row, len(degree),
+                                        np.ones(len(voted), dtype=bool), k)
+    base_sum = np.zeros((n_tags, k))
+    np.add.at(base_sum, col, base_ev)
+    base_voters = np.bincount(col[base_ok[slot_row]], minlength=n_tags)
 
     # each hashtag's voters in user-name (id) order
-    by_tag = np.lexsort((voter, col))
-    bounds = np.searchsorted(col[by_tag], np.arange(n_tags + 1))
+    by_tag = np.lexsort((voter, vote_col))
+    bounds = np.searchsorted(vote_col[by_tag], np.arange(n_tags + 1))
     log_rest = math.log(max(n_tags - 1, 1))
     prior_logs = np.empty((n_tags, k))
     fold_ok = np.zeros(len(voted), dtype=bool)
@@ -230,14 +227,12 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     train_totals = np.zeros(k, dtype=np.int64)
     for c in range(n_tags):
         span = slice(bounds[c], bounds[c + 1])
-        r, held = row[by_tag[span]], slot[by_tag[span]]
-        width = int(row_degree[r].max(initial=0))
-        sub_value, sub_topic = table_value[r, :width], table_topic[r, :width]
-        sub_col, sub_valid = table_col[r, :width], valid[r, :width]
-        kept = sub_valid.copy()
-        kept[np.arange(len(r)), held] = False
-        ok, ev = _train_and_score(sub_value, sub_topic, kept, sub_valid, k)
-        fold_ok[span], evidence[span] = ok, ev[np.arange(len(r)), held]
+        r = row[by_tag[span]]
+        ptr, at = gather_rows(indptr, r)
+        fold_row = np.repeat(np.arange(len(r)), np.diff(ptr))
+        kept = col[at] != c
+        ok, ev = _train_and_score(slot_value[at], slot_topic[at], fold_row, len(r), kept, k)
+        fold_ok[span], evidence[span] = ok, ev[~kept]
         true_topic = int(tag_topic[c])
         prior_logs[c] = [
             math.log(max(int(cnt) - (t == true_topic), 1e-300)) - log_rest
@@ -245,11 +240,10 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
         ]
 
         # train side: every other hashtag under this fold's classifiers
-        a, s = np.nonzero(kept)
-        scores = _train_scores(prior_logs[c], base_sum, len(r), a, sub_col[a, s],
-                               base_ev[r[a], s], ev[a, s])
-        voters = (base_voters + np.bincount(sub_col[a, s][ok[a]], minlength=n_tags)
-                  - np.bincount(sub_col[a, s][base_ok[r[a]]], minlength=n_tags))
+        tag, kept_at = col[at][kept], at[kept]
+        scores = _train_scores(prior_logs[c], base_sum, tag, base_ev[kept_at], ev[kept])
+        voters = (base_voters + np.bincount(tag[ok[fold_row[kept]]], minlength=n_tags)
+                  - np.bincount(tag[base_ok[slot_row[kept_at]]], minlength=n_tags))
         wrong = (voters <= 0) | (scores.argmax(axis=1) != tag_topic)
         others = np.arange(n_tags) != c
         train_errors += np.bincount(tag_topic[wrong & others], minlength=k)
@@ -271,18 +265,16 @@ def prepare_loo(metric: MetricKind, pairs: PairMetrics) -> LooData:
     )
 
 
-def _train_scores(prior_logs: np.ndarray, base_sum: np.ndarray, users: int,
-                  user: np.ndarray, tag: np.ndarray, old: np.ndarray,
-                  new: np.ndarray) -> np.ndarray:
+def _train_scores(prior_logs: np.ndarray, base_sum: np.ndarray, tag: np.ndarray,
+                  old: np.ndarray, new: np.ndarray) -> np.ndarray:
     """One fold's train-side scores, hashtags x K: the prior plus the base
     classifiers' evidence sum plus the fold's change.  The change adds,
-    user by user in row order, each kept slot's ``old`` (base) evidence
+    slot by slot in row order, each kept slot's ``old`` (base) evidence
     negated and then its ``new`` (fold) evidence, at the slot's hashtag
-    ``tag``; ``user`` is the slot's row among the fold's ``users`` rows."""
-    steps = np.zeros((users, 2, *base_sum.shape))
-    steps[user, 0, tag] = -old
-    steps[user, 1, tag] = new
-    return prior_logs + base_sum + ordered_sum(steps.reshape(-1, *base_sum.shape), 0)
+    ``tag``."""
+    change = np.zeros_like(base_sum)
+    np.add.at(change, np.repeat(tag, 2), np.stack((-old, new), axis=1).reshape(-1, old.shape[1]))
+    return prior_logs + base_sum + change
 
 
 def _consensus(data: LooData, take: np.ndarray) -> np.ndarray:

@@ -276,7 +276,9 @@ def run_starts(*sorted_columns: np.ndarray) -> np.ndarray:
 def ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     """0.0 plus the terms along ``axis`` one at a time in index order, as a
     Python loop adds them: ``np.sum`` adds pairwise and Python 3.12's
-    ``sum()`` compensates, and either moves the last bits."""
+    ``sum()`` compensates, and either moves the last bits.  Its scatter
+    form is ``np.add.at`` onto zeros, which adds each cell's terms in
+    index order."""
     terms = np.asarray(terms, float)
     if terms.shape[axis] == 0:
         return np.zeros(np.delete(terms.shape, axis))

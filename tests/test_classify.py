@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from genonet.classify import (
     prepare_loo,
 )
 from genonet.errors import DataError
-from genonet.genotype import MetricKind, pair_metrics
+from genonet.genotype import MetricKind, PairMetrics, pair_metrics
 from genonet.ingest import (
     TopicMap,
     build_adoption_index,
@@ -303,6 +304,7 @@ def _seeded_logs():
             yield pair_metrics(build_adoption_index(events, net, topics)), topics
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_prepare_loo_equals_oracle():
     """The array program's fold columns and tallies equal the per-voter
     oracle's bit for bit on :func:`_seeded_logs`."""
@@ -318,6 +320,7 @@ def test_prepare_loo_equals_oracle():
                      "reordered topics", "hashtag without voters"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_side_scores_equal_oracle(monkeypatch):
     """Each fold's train-side scores equal the per-user oracle's bit for
     bit on :func:`_seeded_logs`: the fold's change adds each affected
@@ -345,6 +348,7 @@ def test_train_side_scores_equal_oracle(monkeypatch):
     assert compared > 1000
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_consensus_equals_per_fold_oracle():
     """leave_one_out and accuracy_curve equal the per-fold loops over the
     oracle's folds for every metric, on the seeded logs and on the
@@ -371,6 +375,29 @@ def test_consensus_equals_per_fold_oracle():
                 if any(fold.users and not chosen & set(fold.users) for fold in want.folds):
                     cases.add("sample misses a fold's voters")
     assert cases == {"fold without voters", "sample misses a fold's voters"}
+
+
+def test_prepare_loo_memory_follows_the_slots():
+    """One user who adopts all 200 hashtags among 2,000 users who adopt
+    two each: ``prepare_loo`` allocates in proportion to the voted pairs
+    times K, not to the users times the largest degree or the hashtags."""
+    k, n_tags, n_users = 4, 200, 2001
+    user = np.concatenate((np.zeros(n_tags, dtype=np.int64),
+                           np.repeat(np.arange(1, n_users), 2)))
+    hashtag = np.concatenate((np.arange(n_tags), np.arange(2 * (n_users - 1)) % n_tags))
+    values = np.random.default_rng(2).random((len(user), len(MetricKind))) + 1.0
+    pairs = PairMetrics(users=tuple(f"u{u:04d}" for u in range(n_users)),
+                        hashtags=tuple(f"h{h:03d}" for h in range(n_tags)),
+                        topics=tuple(f"t{t}" for t in range(k)),
+                        user=user, hashtag=hashtag, topic=hashtag % k, values=values)
+    tracemalloc.start()
+    try:
+        data = prepare_loo(MetricKind.TIME, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data.voter) == n_tags  # the first user votes in every fold
+    assert peak < 32 * 8 * len(user) * k, peak / (8 * len(user) * k)
 
 
 def test_loo_matches_manual_holdout_protocol():

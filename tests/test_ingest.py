@@ -613,6 +613,33 @@ def test_ordered_sum_along_each_axis_equals_float_sum():
             assert got.tobytes() == want.tobytes(), (part.shape, axis)
 
 
+def test_add_at_equals_float_sum_in_index_order():
+    """``np.add.at`` onto zeros, the scatter form of ``ordered_sum``, adds
+    each cell's terms one at a time in index order, as ``float_sum`` does,
+    bit for bit: over a 1-d index with (m, K) rows and over a 2-d index
+    tuple, with repeated indices, mixed magnitudes and signed zeros."""
+    rng = np.random.default_rng(5)
+    m, n, k = 400, 7, 3
+    terms = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-12, 13, size=(m, k))
+    terms[rng.random((m, k)) < 0.1] = -0.0
+    terms[rng.random((m, k)) < 0.1] = 0.0
+    index = rng.integers(0, n, m)
+    index[index == 0] = 1  # row 0 gets no term
+    terms[index == n - 1] = -0.0  # every term of the last row is -0.0
+    got = np.zeros((n, k))
+    np.add.at(got, index, terms)
+    want = [[oracles.float_sum(terms[index == i, j].tolist()) for j in range(k)]
+            for i in range(n)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+    cols = rng.integers(0, k, m)
+    got = np.zeros((n, k))
+    np.add.at(got, (index, cols), terms[:, 0])
+    want = [[oracles.float_sum(terms[(index == i) & (cols == j), 0].tolist())
+             for j in range(k)] for i in range(n)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("columns", [1, 2, 3])
 def test_run_starts_equals_loop(columns):
     """Over jointly sorted columns, True exactly where a row differs from the
