@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -612,6 +613,17 @@ def test_fit_logistic_equals_scipy_backed_fit():
     for pts in _logistic_point_sets(np.random.default_rng(23)):
         fit = fit_logistic(pts)
         assert (fit.l, fit.k, fit.x0, fit.residual) == oracles.fit_logistic_scipy(pts), pts
+
+
+def test_fit_logistic_overflow_prints_no_warning():
+    """A residual that squares past the float range is inf, read as no
+    improvement, and prints no RuntimeWarning: set 151 (falling accuracies
+    of 0.04-0.08) overflows during the k search, set 199 at its fit."""
+    sets = list(_logistic_point_sets(np.random.default_rng(23)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        falling, huge = (fit_logistic(sets[i]) for i in (151, 199))
+    assert math.isfinite(falling.residual) and huge.residual == math.inf
 
 
 def _scalar_functions(rng):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,41 @@ def test_commands_load_no_numpy_ma(syn_manifest, tmp_path, command):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "0 []"
+
+
+@pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200000])
+def test_input_digest_equals_hashlib(tmp_path, size):
+    """The provenance digest is the file's SHA-256 on either side of the
+    64 KiB read size."""
+    body = random.Random(size).randbytes(size)
+    path = tmp_path / "input.tsv"
+    path.write_bytes(body)
+    assert cli._sha256_file(path) == hashlib.sha256(body).hexdigest()
+
+
+@pytest.mark.parametrize("command", [
+    ("ingest-check",), ("genome",), ("backbone",), ("predict",),
+    ("latmin", "--topic", "t0", "--strict"), ("latmin", "--topic", "t0", "--permissive"),
+    ("report",),
+])
+def test_commands_map_no_openssl(syn_manifest, tmp_path, command):
+    """Start-up cost: these commands hash their inputs without importing
+    ``_hashlib``, which maps OpenSSL's libcrypto.  classify and syngen are
+    left out: ``numpy.random`` imports it for them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    manifest = ("--manifest", str(syn_manifest)) if command[0] != "report" else ()
+    if command[0] == "report":  # an output for report to hash
+        (tmp_path / "genome_summary.tsv").write_text("topic\tpairs\nt0\t3\n")
+    argv = [*command, *manifest, "--out", str(tmp_path)]
+    probe = (
+        f"import genonet.cli, sys; code = genonet.cli.main({argv!r}); "
+        "print(code, '_hashlib' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "0 False"
 
 
 _LOADED_BY_ALL = {"genonet", "genonet.cli", "genonet.errors", "genonet.ingest"}

@@ -17,9 +17,11 @@ decisions in one place each: left-to-right sums in
 outside an allowlist that names each exception's reason.  One keeps
 the making of ``--out`` and the writing of files in the CLI's one output
 writer, so a command computes every output before it writes any.  One
-keeps the cyclic collector's state in the CLI's process entry, and the
-last keeps settings out of the environment: the CLI's OpenBLAS thread
-default is the one read of it.
+keeps the cyclic collector's state in the CLI's process entry, one
+keeps settings out of the environment: the CLI's OpenBLAS thread
+default is the one read of it.  The last keeps OpenSSL out of the
+process: ``hashlib`` is imported only as the CLI's fallback for a Python
+built without its own SHA-256.
 """
 
 import ast
@@ -399,3 +401,43 @@ def test_environment_read_only_for_the_openblas_default():
     assert len(allowed) == 1  # the walk sees the allowed site
     stray = [site for node, site in stray if node is not allowed[0]]
     assert not stray, f"environment read at {stray}"
+
+
+# hashlib loads _hashlib, which maps OpenSSL's libcrypto (3.6 MB of peak
+# RSS).  cli hashes with CPython's own SHA-256, and imports hashlib only for
+# a build without it; hmac and secrets import hashlib themselves.
+LOADS_OPENSSL = {"hashlib", "_hashlib", "hmac", "secrets"}
+HASHLIB_FALLBACK = "from hashlib import sha256"  # as ast.unparse writes it
+
+
+def _fallbacks(node):
+    """The statements of the ``except ImportError:`` handlers under ``node``."""
+    return [
+        stmt for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler) and ast.unparse(handler.type) == "ImportError"
+        for stmt in handler.body
+    ]
+
+
+def test_hashlib_only_as_the_cli_fallback():
+    """No module imports ``hashlib`` (or ``hmac`` or ``secrets``, which
+    import it) but ``cli``, in its module-level fallback after CPython's
+    own SHA-256 modules."""
+    allowed, stray = [], []
+    for name in MODULES:
+        tree = _tree(name)
+        if name == "cli":
+            allowed += [
+                stmt for node in tree.body if isinstance(node, ast.Try)
+                for stmt in _fallbacks(node) if ast.unparse(stmt) == HASHLIB_FALLBACK
+            ]
+        stray += [
+            (node, f"{name}.py:{node.lineno}") for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] in LOADS_OPENSSL for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] in LOADS_OPENSSL
+        ]
+    assert len(allowed) == 1  # the walk sees the allowed site
+    stray = [site for node, site in stray if node is not allowed[0]]
+    assert not stray, f"hashlib imported at {stray}"
